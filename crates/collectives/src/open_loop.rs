@@ -79,7 +79,10 @@ impl FlowSizeCdf {
         FlowSizeCdf::new("uniform", vec![(0.0, lo), (1.0, hi)])
     }
 
-    /// Parse a CDF by name (`websearch` | `storage` | `uniform`).
+    /// Every name [`FlowSizeCdf::parse`] accepts.
+    pub const NAMES: [&'static str; 3] = ["websearch", "storage", "uniform"];
+
+    /// Parse a CDF by name (one of [`FlowSizeCdf::NAMES`]).
     pub fn parse(s: &str) -> Option<FlowSizeCdf> {
         match s {
             "websearch" => Some(FlowSizeCdf::websearch()),
@@ -374,6 +377,14 @@ pub fn sample_load(spec: &OpenLoopSpec, seed: u64) -> LoadPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_cdf_name_parses_to_itself() {
+        for name in FlowSizeCdf::NAMES {
+            assert_eq!(FlowSizeCdf::parse(name).map(|c| c.name()), Some(name));
+        }
+        assert!(FlowSizeCdf::parse("Websearch").is_none());
+    }
 
     #[test]
     fn cdf_samples_stay_within_knots() {

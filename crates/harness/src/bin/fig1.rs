@@ -1,31 +1,22 @@
-//! Full Figure 1 reproduction binary.
+//! Figure 1 reproduction: the Fig 1b/1c series of the chosen flow
+//! (node 0 → node 2) and the Fig 1d NIC-SR vs Ideal throughput bars.
+//! `fig1 --help` lists the options (table: `themis_harness::cli::FIG1`).
 //!
-//! Usage:
-//! `cargo run --release -p themis-harness --bin fig1 -- [MB_PER_FLOW] [--jobs N]
-//! [--shards N] [--telemetry out.json] [--trace-last N]`
-//!
-//! Defaults to 25 MB per flow (paper: 100). Prints the Fig 1b and Fig 1c
-//! series for the chosen flow (node 0 → node 2) and the Fig 1d NIC-SR vs
-//! Ideal throughput comparison. `--jobs N` runs the two transport cells
-//! on separate workers and `--shards N` partitions each cell's engine;
-//! output is identical for any N of either (see the harness `knobs`
-//! docs). `--telemetry` writes the `nic_sr` and `ideal` run snapshots as
-//! a versioned JSON report; `--trace-last N` dumps the tail of the event
-//! ring to stderr if a run fails to complete (see EXPERIMENTS.md for the
-//! contract).
+//! ```text
+//! cargo run --release -p themis-harness --bin fig1 -- 25
+//! cargo run --release -p themis-harness --bin fig1 -- 25 --jobs 2 --telemetry fig1.json
+//! ```
 
 use simcore::time::TimeDelta;
+use themis_harness::cli;
 use themis_harness::fig1::{run_fig1_sharded, Fig1Result, Fig1Transport};
-use themis_harness::knobs::take_shards_arg;
 use themis_harness::report::render_ascii_chart;
-use themis_harness::sweep::{take_jobs_arg, SweepRunner};
-use themis_harness::telemetry_out::take_telemetry_args;
+use themis_harness::sweep::SweepRunner;
 
 fn main() {
-    let (telem, rest) = take_telemetry_args(std::env::args().skip(1).collect());
-    let (jobs, rest) = take_jobs_arg(rest);
-    let (shards, rest) = take_shards_arg(rest);
-    let mb: u64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(25);
+    let args = cli::FIG1.parse_or_exit(std::env::args());
+    let (telem, jobs, shards) = (args.telemetry(), args.jobs(), args.shards());
+    let mb: u64 = args.num("MB_PER_FLOW");
     let bytes = mb << 20;
     println!("Figure 1 — motivation experiment ({mb} MB per flow; paper: 100 MB)\n");
 

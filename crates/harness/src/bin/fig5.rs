@@ -1,112 +1,38 @@
-//! Full Figure 5 reproduction binary, extended to the whole scheme zoo.
+//! Figure 5 reproduction, extended to the whole scheme zoo: the 16×16
+//! leaf-spine DCQCN sweep per scheme, or (`--fat-tree`) the k=16
+//! fat-tree inter-pod ring leg with one row per scheme. The paper's full
+//! scale is 300 MB per group (a long run: ~10⁹ simulator events).
+//! `fig5 --help` lists the options (table: `themis_harness::cli::FIG5`).
 //!
-//! Usage:
-//! `cargo run --release -p themis-harness --bin fig5 -- [allreduce|alltoall] [MB_PER_GROUP]
-//! [--scheme LIST] [--fat-tree] [--jobs N] [--shards N] [--telemetry out.json]
-//! [--trace-last N]`
-//!
-//! Defaults to Allreduce at 8 MB per group over the paper's three
-//! schemes (ECMP, AR, Themis). The paper's full scale is 300 MB per
-//! group (expect a long run: ~10⁹ simulator events).
-//!
-//! `--scheme LIST` takes a comma-separated list of scheme names
-//! (`ecmp|adaptive|spray|flowlet|themis|oracle|reps|eunomia|sprinklers|...`,
-//! see SCHEMES.md) or the shorthand `zoo` for the seven-way comparison
-//! set. `--fat-tree` swaps the 16×16 leaf-spine collective for the k=16
-//! fat-tree (1024 hosts) inter-pod ring workload, where `MB_PER_GROUP`
-//! becomes MB per ring (default 1) and the DCQCN sweep axis collapses
-//! to a single column per scheme.
-//!
-//! `--jobs N` fans sweep cells over N worker threads and `--shards N`
-//! partitions each cell's engine; results are identical for any N of
-//! either (the two compose, see the harness `knobs` docs).
-//! `--telemetry` writes one run snapshot per sweep cell, labelled
-//! `ti<TI>_td<TD>/<scheme>` (leaf-spine) or `fattree_k16/<scheme>`;
-//! `--trace-last N` dumps the event-ring tail of every cell that failed
-//! to complete.
+//! ```text
+//! cargo run --release -p themis-harness --bin fig5 -- allreduce 8 --jobs 4
+//! cargo run --release -p themis-harness --bin fig5 -- --scheme zoo --fat-tree 1
+//! ```
 
+use themis_harness::cli;
 use themis_harness::fig5::{
     improvement_pct, run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, Fig5Config,
 };
-use themis_harness::knobs::take_shards_arg;
 use themis_harness::report::{fmt_ms, Table};
-use themis_harness::sweep::{take_jobs_arg, SweepRunner};
-use themis_harness::telemetry_out::take_telemetry_args;
-use themis_harness::{Collective, Scheme};
-
-/// Extract `--scheme LIST` (comma-separated names, or `zoo`/`all` for
-/// the full comparison set) from `args`. Defaults to the paper's three
-/// Figure-5 schemes.
-fn take_scheme_arg(args: Vec<String>) -> (Vec<Scheme>, Vec<String>) {
-    let mut schemes: Option<Vec<Scheme>> = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--scheme" || a == "--schemes" {
-            let list = it.next().unwrap_or_else(|| {
-                eprintln!("--scheme needs a comma-separated list (or 'zoo')");
-                std::process::exit(2);
-            });
-            let mut parsed = Vec::new();
-            for tok in list.split(',').filter(|t| !t.is_empty()) {
-                if tok.eq_ignore_ascii_case("zoo") || tok.eq_ignore_ascii_case("all") {
-                    parsed.extend_from_slice(&Scheme::ZOO);
-                    continue;
-                }
-                match Scheme::parse(tok) {
-                    Some(s) => parsed.push(s),
-                    None => {
-                        eprintln!("unknown scheme '{tok}' (see SCHEMES.md; try 'zoo')");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            parsed.dedup();
-            schemes = Some(parsed);
-        } else {
-            rest.push(a);
-        }
-    }
-    (schemes.unwrap_or_else(|| Scheme::PAPER_FIG5.to_vec()), rest)
-}
-
-/// Extract a bare boolean flag from `args`.
-fn take_flag(args: Vec<String>, flag: &str) -> (bool, Vec<String>) {
-    let had = args.iter().any(|a| a == flag);
-    (had, args.into_iter().filter(|a| a != flag).collect())
-}
+use themis_harness::sweep::SweepRunner;
+use themis_harness::{Collective, Scheme, TelemetryArgs};
 
 fn main() {
-    let (telem, rest) = take_telemetry_args(std::env::args().skip(1).collect());
-    let (jobs, rest) = take_jobs_arg(rest);
-    let (shards, rest) = take_shards_arg(rest);
-    let (schemes, rest) = take_scheme_arg(rest);
-    let (fat_tree, rest) = take_flag(rest, "--fat-tree");
-    if schemes.is_empty() {
-        eprintln!("--scheme list resolved to no schemes");
-        std::process::exit(2);
-    }
+    let args = cli::FIG5.parse_or_exit(std::env::args());
+    let (telem, jobs, shards) = (args.telemetry(), args.jobs(), args.shards());
+    let schemes = args.schemes("scheme");
+    let mb: Option<u64> = args.opt_num("MB");
 
-    if fat_tree {
-        // The fat-tree leg runs rings, so a collective token (if any)
-        // is accepted and ignored; the first numeric positional is MB
-        // per ring.
-        let mb = rest.iter().find_map(|s| s.parse::<u64>().ok()).unwrap_or(1);
-        run_fat_tree_leg(&schemes, mb, shards, jobs, &telem);
+    if args.given("fat-tree") {
+        run_fat_tree_leg(&schemes, mb.unwrap_or(1), shards, jobs, &telem);
         return;
     }
 
-    let mut args = rest.into_iter();
-    let collective = match args.next().as_deref() {
+    let collective = match args.text("COLLECTIVE").as_deref() {
         Some("alltoall") => Collective::Alltoall,
-        Some("allreduce") | None => Collective::Allreduce,
-        Some(other) => {
-            eprintln!("unknown collective '{other}' (use allreduce|alltoall)");
-            std::process::exit(2);
-        }
+        _ => Collective::Allreduce,
     };
-
-    let mb: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(8);
+    let mb = mb.unwrap_or(8);
     let bytes = mb << 20;
 
     let figure = match collective {
@@ -191,7 +117,7 @@ fn run_fat_tree_leg(
     mb_per_ring: u64,
     shards: usize,
     jobs: usize,
-    telem: &themis_harness::telemetry_out::TelemetryArgs,
+    telem: &TelemetryArgs,
 ) {
     let mut cfg = FatTreeLegConfig::k16(mb_per_ring << 20, 1);
     cfg.shards = shards;

@@ -6,124 +6,48 @@
 //! that light up new protocol reactions — NACK verdicts, drop causes,
 //! RTO firings, scheme internals, PSN-wrap crossings — seed a corpus
 //! that later cases mutate. On failure the fault plan is ddmin-shrunk to
-//! a minimal reproducer before printing.
-//!
-//! ```text
-//! USAGE:
-//!   themis_fuzz [OPTIONS]                fuzz --budget cases from --seed
-//!   themis_fuzz --only K [OPTIONS]       re-run (only) blind case K
-//!   themis_fuzz --plan FILE [OPTIONS]    run one case with a fault plan
-//!                                        parsed from FILE (shrinker output)
-//!   themis_fuzz --replay-corpus PATH     replay corpus case file(s) from a
-//!                                        file or directory — regression mode
-//!
-//! OPTIONS:
-//!   --seed N          root seed; case K derives everything from
-//!                     substream(seed, K)                        [3405705229]
-//!   --budget N        number of fuzz cases                      [300]
-//!   --scheme S        scheme under test: themis | themis-pathmap |
-//!                     themis-nocomp | spray-nofilter | ecmp | ar |
-//!                     spray | flowlet | oracle | reps | eunomia |
-//!                     sprinklers                                [themis]
-//!   --blind           disable coverage guidance (independent sampling
-//!                     only; case K is bit-identical to --only K)
-//!   --collective C    pin the collective (default: sampled per case)
-//!   --kb N            pin the per-group buffer in KB (default: sampled
-//!                     64..=512 per case)
-//!   --max-episodes N  fault episodes per sampled plan            [5]
-//!   --shards N        engine shards per case (THEMIS_SHARDS); cases
-//!                     are bit-identical for any value           [1]
-//!   --emit-corpus DIR write the (ddmin-minimized) corpus as versioned
-//!                     case files; failing cases land there too
-//!   --min-features N  exit 1 unless the run reached ≥ N distinct
-//!                     coverage features (CI coverage floor)
-//!   --trace-last N    on failure, dump the last N telemetry events
-//!   --keep-going      do not stop at the first failing case; print a
-//!                     per-case failure summary at the end
-//! ```
+//! a minimal reproducer before printing. Besides the fuzzing loop there
+//! are three single-shot modes: `--only K` (re-run blind case K),
+//! `--plan FILE` (one case under a given fault plan) and
+//! `--replay-corpus PATH` (regression replay of corpus files).
+//! `themis_fuzz --help` lists the options (table:
+//! `themis_harness::cli::THEMIS_FUZZ`).
 //!
 //! Every mode is bit-reproducible: the same `(seed, budget, pins)`
 //! fuzzes the same cases and emits the same corpus; `--seed S --only K`
 //! replays blind case K exactly; corpus files replay bit-identically
-//! for any `--shards`.
+//! for any `--shards`. Exits 1 when a case is not conformant or the
+//! `--min-features` floor is missed.
 //!
-//! Exit status: 0 when every case is conformant (and any `--min-features`
-//! floor is met), 1 otherwise.
+//! ```text
+//! themis_fuzz --budget 200 --min-features 150
+//! themis_fuzz --replay-corpus tests/corpus --shards 2
+//! ```
 
+use themis_harness::cli::{self, Matches};
 use themis_harness::coverage::{
     derive_case, fuzz, shrink_failure, CorpusCase, FeatureMap, FuzzConfig, Mode,
 };
 use themis_harness::faults::FaultPlan;
-use themis_harness::{Collective, Scheme, TelemetryArgs};
+use themis_harness::telemetry_out::dump_trace_last;
+use themis_harness::Scheme;
 
-/// Default root seed (pinned by the CI smoke stage).
-const DEFAULT_SEED: u64 = 0xCAFE_F00D;
-
-/// Minimal flag parser (same idiom as `themis_sim`).
-struct Args {
-    kv: std::collections::HashMap<String, String>,
-    flags: std::collections::HashSet<String>,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let rest: Vec<String> = std::env::args().skip(1).collect();
-        let mut kv = std::collections::HashMap::new();
-        let mut flags = std::collections::HashSet::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].trim_start_matches("--").to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                kv.insert(key, rest[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key);
-                i += 1;
-            }
-        }
-        Args { kv, flags }
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.kv
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.flags.contains(key)
-    }
-}
-
-fn parse_scheme(s: &str) -> Scheme {
-    Scheme::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown scheme '{s}' (try: themis, reps, eunomia, sprinklers, ...)");
-        std::process::exit(2);
-    })
-}
-
-fn fuzz_config(args: &Args, run_scheme: Scheme, judge: Scheme) -> FuzzConfig {
+fn fuzz_config(args: &Matches, run_scheme: Scheme, judge: Scheme) -> FuzzConfig {
     let mut cfg = FuzzConfig::new(run_scheme);
     cfg.judge = judge;
-    cfg.root_seed = args.get("seed", DEFAULT_SEED);
-    cfg.budget = args.get("budget", 300u64);
-    cfg.collective = args.kv.get("collective").map(|c| {
-        Collective::parse(c).unwrap_or_else(|| {
-            eprintln!("unknown collective '{c}'");
-            std::process::exit(2);
-        })
-    });
-    cfg.kb = args.kv.get("kb").and_then(|v| v.parse().ok());
-    cfg.max_episodes = args.get("max-episodes", 5usize);
-    cfg.shards = args.get("shards", 1usize);
-    cfg.mode = if args.has("blind") {
+    cfg.root_seed = args.num("seed");
+    cfg.budget = args.num("budget");
+    cfg.collective = args.collective("collective");
+    cfg.kb = args.opt_num("kb");
+    cfg.max_episodes = args.num("max-episodes");
+    cfg.shards = args.shards();
+    cfg.mode = if args.given("blind") {
         Mode::Blind
     } else {
         Mode::Guided
     };
-    cfg.minimize_corpus = args.kv.contains_key("emit-corpus");
-    cfg.keep_going = args.has("keep-going");
+    cfg.minimize_corpus = args.given("emit-corpus");
+    cfg.keep_going = args.given("keep-going");
     cfg
 }
 
@@ -132,10 +56,10 @@ fn report_failure(
     k: u64,
     root_seed: u64,
     judge: Scheme,
-    args: &Args,
+    args: &Matches,
     blind_repro: bool,
 ) {
-    let shards = args.get("shards", 1usize);
+    let shards = args.shards();
     let (result, violations) = case.run_with(&case.plan, judge, shards);
     eprintln!("\n=== FAILURE: case {k} (seed {root_seed}) ===");
     eprintln!(
@@ -169,12 +93,8 @@ fn report_failure(
         eprintln!("repro (save as case.txt; themis_fuzz --replay-corpus case.txt):");
         eprint!("{}", case.to_text());
     }
-    if let Some(n) = args.kv.get("trace-last").and_then(|s| s.parse().ok()) {
-        let t = TelemetryArgs {
-            out: None,
-            trace_last: Some(n),
-        };
-        t.dump_trace(&format!("fuzz-case-{k}"), &result.telemetry);
+    if let Some(n) = args.opt_num("trace-last") {
+        dump_trace_last(&format!("fuzz-case-{k}"), &result.telemetry, n);
     }
 }
 
@@ -237,9 +157,9 @@ fn replay_corpus(path: &str, shards: usize) -> u64 {
 }
 
 fn main() {
-    let args = Args::parse();
-    let root_seed = args.get("seed", DEFAULT_SEED);
-    let scheme = parse_scheme(args.kv.get("scheme").map_or("themis", |s| s.as_str()));
+    let args = cli::THEMIS_FUZZ.parse_or_exit(std::env::args());
+    let root_seed: u64 = args.num("seed");
+    let scheme = args.scheme("scheme");
 
     // Fault-seeded builds for the acceptance demo: the run uses a
     // deliberately weakened scheme while the oracle still judges against
@@ -251,16 +171,16 @@ fn main() {
     };
 
     // Corpus regression mode: replay checked-in case files verbatim.
-    if let Some(path) = args.kv.get("replay-corpus") {
-        let failures = replay_corpus(path, args.get("shards", 1usize));
+    if let Some(path) = args.text("replay-corpus") {
+        let failures = replay_corpus(&path, args.shards());
         std::process::exit(if failures > 0 { 1 } else { 0 });
     }
 
     let cfg = fuzz_config(&args, run_scheme, scheme);
 
     // Single-case mode with an explicit plan file (shrinker output).
-    if let Some(path) = args.kv.get("plan") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    if let Some(path) = args.text("plan") {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         });
@@ -268,7 +188,7 @@ fn main() {
             eprintln!("cannot parse {path}: {e}");
             std::process::exit(2);
         });
-        let k = args.get("only", 0u64);
+        let k: u64 = args.opt_num("only").unwrap_or(0);
         let mut rng = simcore::rng::Xoshiro256::substream(root_seed, k);
         let mut case = derive_case(&mut rng, &cfg);
         case.plan = plan;
@@ -288,8 +208,7 @@ fn main() {
 
     // Repro mode: one blind case, bit-identical to the same K of a blind
     // (or historical) fuzzing run.
-    if let Some(k) = args.kv.get("only") {
-        let k: u64 = k.parse().unwrap_or(0);
+    if let Some(k) = args.opt_num::<u64>("only") {
         let mut rng = simcore::rng::Xoshiro256::substream(root_seed, k);
         let case = derive_case(&mut rng, &cfg);
         let (_, violations) = case.run_with(&case.plan, scheme, cfg.shards);
@@ -306,10 +225,10 @@ fn main() {
 
     // Persist the corpus (and failing repros) as versioned case files.
     let mut failure_paths: Vec<Option<std::path::PathBuf>> = vec![None; report.failures.len()];
-    if let Some(dir) = args.kv.get("emit-corpus") {
-        std::fs::create_dir_all(dir).expect("create corpus dir");
+    if let Some(dir) = args.text("emit-corpus") {
+        std::fs::create_dir_all(&dir).expect("create corpus dir");
         for (i, case) in report.corpus.iter().enumerate() {
-            let path = std::path::Path::new(dir).join(format!("case-{i:03}.txt"));
+            let path = std::path::Path::new(&dir).join(format!("case-{i:03}.txt"));
             std::fs::write(&path, case.to_text()).expect("write corpus case");
         }
         for (i, f) in report.failures.iter().enumerate() {
@@ -317,7 +236,7 @@ fn main() {
                 plan: f.minimal_plan.clone(),
                 ..f.case.clone()
             };
-            let path = std::path::Path::new(dir).join(format!("fail-{:03}.txt", f.index));
+            let path = std::path::Path::new(&dir).join(format!("fail-{:03}.txt", f.index));
             std::fs::write(&path, minimal.to_text()).expect("write failure case");
             failure_paths[i] = Some(path);
         }
@@ -383,8 +302,7 @@ fn main() {
         wall.elapsed().as_secs_f64()
     );
 
-    let floor: Option<usize> = args.kv.get("min-features").and_then(|s| s.parse().ok());
-    if let Some(n) = floor {
+    if let Some(n) = args.opt_num::<usize>("min-features") {
         if report.features.len() < n {
             eprintln!(
                 "coverage floor missed: {} feature(s) < required {n}",

@@ -4,137 +4,53 @@
 //! periodic incast storms), runs it open-loop over a fat-tree fabric,
 //! and reports FCT percentiles, Jain fairness and the sliding-window
 //! oracle's verdict. Telemetry can be streamed as windowed slices.
+//! `themis_load --help` lists the options (table:
+//! `themis_harness::cli::THEMIS_LOAD`). Exits 1 if zero jobs completed
+//! or the oracle found violations.
 //!
 //! ```text
-//! USAGE:
-//!   themis_load [OPTIONS]
-//!
-//! OPTIONS:
-//!   --scheme S            ecmp | ar | spray | flowlet | themis |
-//!                         themis-pathmap | themis-nocomp |
-//!                         spray-nofilter | reps | eunomia |
-//!                         sprinklers                       [themis]
-//!   --seed N              root seed                        [1]
-//!   --shards N|auto       engine shards; bit-identical for any value
-//!                                                          [$THEMIS_SHARDS or 1]
-//!   --k N                 fat-tree radix (4, 8, 16, 32)    [4]
-//!   --jobs N              tenant jobs to sample            [150]
-//!   --tenants N           distinct tenants                 [16]
-//!   --mean-gap-us US      mean inter-arrival gap           [30]
-//!   --burst               bursty (Markov-modulated) arrivals
-//!   --burst-len N         expected jobs per burst          [8]
-//!   --burst-factor N      in-burst gap compression         [8]
-//!   --cdf NAME            websearch | storage | uniform    [websearch]
-//!   --ranks-min N         min ranks per job                [2]
-//!   --ranks-max N         max ranks per job                [4]
-//!   --incast-every N      every Nth job is an incast (0=never) [16]
-//!   --incast-fanin N      incast fan-in                    [6]
-//!   --max-kb N            per-job byte clamp in KB         [256]
-//!   --window-us US        telemetry window width           [500]
-//!   --windows N           number of windows (horizon = width x N) [12]
-//!   --evict-per-window N  guarded Themis-D evict_flow calls per window [0]
-//!   --no-require-complete tolerate jobs still running at the horizon
-//!   --fault-plan FILE     install a fault plan (themis-faults v1 text)
-//!   --windowed-telemetry PATH   write the windowed slice document
-//!   --telemetry PATH      write the final themis-telemetry report
+//! themis_load --seed 5 --jobs 200 --tenants 24 --evict-per-window 16 --windowed-telemetry w.json
+//! themis_load --scheme reps --burst --cdf storage --no-require-complete --shards 2
 //! ```
-//!
-//! Exits 2 on an invalid knob combination (with a usage message), 1 if
-//! zero jobs completed or the oracle found violations.
 
+use collectives::open_loop::{Arrival, FlowSizeCdf};
 use simcore::time::{Nanos, TimeDelta};
+use themis_harness::cli::{self, Matches};
 use themis_harness::faults::FaultPlan;
 use themis_harness::load::{run_open_loop, LoadConfig};
-use themis_harness::Scheme;
 
-struct Args {
-    kv: std::collections::HashMap<String, String>,
-    flags: std::collections::HashSet<String>,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let rest: Vec<String> = std::env::args().skip(1).collect();
-        let mut kv = std::collections::HashMap::new();
-        let mut flags = std::collections::HashSet::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].trim_start_matches("--").to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                kv.insert(key, rest[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key);
-                i += 1;
-            }
-        }
-        Args { kv, flags }
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.kv
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn str(&self, key: &str, default: &str) -> String {
-        self.kv.get(key).cloned().unwrap_or_else(|| default.into())
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.flags.contains(key)
-    }
-}
-
-fn build_config(args: &Args) -> LoadConfig {
-    let scheme = Scheme::parse(&args.str("scheme", "themis")).unwrap_or_else(|| {
-        eprintln!("unknown scheme (see SCHEMES.md)");
-        std::process::exit(2);
-    });
-    let seed = args.get("seed", 1u64);
-    let mut cfg = LoadConfig::small(scheme, seed);
-    cfg.fabric = netsim::fat_tree::FatTreeConfig::small(args.get("k", 4usize));
-    cfg.shards = match args.kv.get("shards").map(String::as_str) {
-        Some("auto") => themis_harness::knobs::auto_shards(),
-        Some(s) => s.parse().unwrap_or(1),
-        None => themis_harness::knobs::shards_from_env(),
-    };
-    cfg.spec.n_jobs = args.get("jobs", 150usize);
-    cfg.spec.n_tenants = args.get("tenants", 16usize);
-    let mean_gap = Nanos::from_micros(args.get("mean-gap-us", 30u64));
-    cfg.spec.arrival = if args.has("burst") {
-        collectives::open_loop::Arrival::Bursty {
+fn build_config(args: &Matches) -> LoadConfig {
+    let mut cfg = LoadConfig::small(args.scheme("scheme"), args.num("seed"));
+    cfg.fabric = netsim::fat_tree::FatTreeConfig::small(args.num("k"));
+    cfg.shards = args.shards();
+    cfg.spec.n_jobs = args.num("jobs");
+    cfg.spec.n_tenants = args.num("tenants");
+    let mean_gap = Nanos::from_micros(args.num("mean-gap-us"));
+    cfg.spec.arrival = if args.given("burst") {
+        Arrival::Bursty {
             mean_gap,
-            burst_len: args.get("burst-len", 8u64),
-            factor: args.get("burst-factor", 8u64),
+            burst_len: args.num("burst-len"),
+            factor: args.num("burst-factor"),
         }
     } else {
-        collectives::open_loop::Arrival::Poisson { mean_gap }
+        Arrival::Poisson { mean_gap }
     };
-    cfg.spec.cdf = collectives::open_loop::FlowSizeCdf::parse(&args.str("cdf", "websearch"))
-        .unwrap_or_else(|| {
-            eprintln!("unknown cdf (websearch|storage|uniform)");
-            std::process::exit(2);
-        });
-    cfg.spec.min_ranks = args.get("ranks-min", 2usize);
-    cfg.spec.max_ranks = args.get("ranks-max", 4usize);
-    cfg.spec.incast_every = args.get("incast-every", 16usize);
-    cfg.spec.incast_fanin = args.get("incast-fanin", 6usize);
-    cfg.spec.max_bytes = args.get("max-kb", 256u64) << 10;
-    cfg.window = TimeDelta::from_micros(args.get("window-us", 500u64));
-    cfg.windows = args.get("windows", 12usize);
-    cfg.evict_per_window = args.get("evict-per-window", 0usize);
-    cfg.require_complete = !args.has("no-require-complete");
-    if let Some(path) = args.kv.get("fault-plan") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read fault plan {path}: {e}");
-            std::process::exit(2);
-        });
-        cfg.faults = FaultPlan::from_text(&text).unwrap_or_else(|e| {
-            eprintln!("error: bad fault plan {path}: {e}");
-            std::process::exit(2);
-        });
+    let cdf = args.text("cdf").and_then(|name| FlowSizeCdf::parse(&name));
+    cfg.spec.cdf = cdf.expect("--cdf is a choice of FlowSizeCdf::NAMES");
+    cfg.spec.min_ranks = args.num("ranks-min");
+    cfg.spec.max_ranks = args.num("ranks-max");
+    cfg.spec.incast_every = args.num("incast-every");
+    cfg.spec.incast_fanin = args.num("incast-fanin");
+    cfg.spec.max_bytes = args.num::<u64>("max-kb") << 10;
+    cfg.window = TimeDelta::from_micros(args.num("window-us"));
+    cfg.windows = args.num("windows");
+    cfg.evict_per_window = args.num("evict-per-window");
+    cfg.require_complete = !args.given("no-require-complete");
+    if let Some(path) = args.text("fault-plan") {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| args.fail(&format!("cannot read fault plan {path}: {e}")));
+        cfg.faults = FaultPlan::from_text(&text)
+            .unwrap_or_else(|e| args.fail(&format!("bad fault plan {path}: {e}")));
     }
     cfg
 }
@@ -147,12 +63,10 @@ fn fmt_fct(d: Option<TimeDelta>) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = cli::THEMIS_LOAD.parse_or_exit(std::env::args());
     let cfg = build_config(&args);
     if let Err(e) = cfg.validate() {
-        eprintln!("error: {e}");
-        eprintln!("usage: themis_load --help-style knob table is in the module docs / README");
-        std::process::exit(2);
+        args.fail(&e.to_string());
     }
     println!(
         "open-loop load: {} jobs / {} tenants on k={} ({} windows x {} us), scheme {}, shards {}\n",
@@ -165,10 +79,7 @@ fn main() {
         cfg.shards
     );
     let t0 = std::time::Instant::now();
-    let (r, _cluster) = run_open_loop(&cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let (r, _cluster) = run_open_loop(&cfg).unwrap_or_else(|e| args.fail(&e.to_string()));
     let wall = t0.elapsed();
 
     println!("label             : {}", r.label);
@@ -206,14 +117,14 @@ fn main() {
         r.events as f64 / wall.as_secs_f64().max(1e-9) / 1e6
     );
 
-    if let Some(path) = args.kv.get("windowed-telemetry") {
+    if let Some(path) = args.text("windowed-telemetry") {
         if let Err(e) = r.windowed.write(path.as_ref()) {
             eprintln!("error: failed to write windowed telemetry to {path}: {e}");
             std::process::exit(1);
         }
         println!("windowed telemetry: wrote {path}");
     }
-    if let Some(path) = args.kv.get("telemetry") {
+    if let Some(path) = args.text("telemetry") {
         let mut report = telemetry::Report::new();
         report.add_run(&r.label, r.final_telemetry.clone());
         if let Err(e) = report.write(path.as_ref()) {

@@ -4,79 +4,24 @@
 //! protocol of [`themis_harness::service`]: external clients connect
 //! over a Unix or TCP socket and drive `create_qp` / `post_send` /
 //! `poll_cq` / `advance` / `telemetry` / `snapshot` requests against
-//! it. See DESIGN.md ("Sim-as-a-service") for the protocol.
+//! it (DESIGN.md "Sim-as-a-service"). With `--connect` it is the
+//! scripted client instead: one JSON request per stdin line (blank and
+//! `#` lines skipped), one JSON reply per stdout line, exit 1 if any
+//! reply carried `"ok": false`. `themis_serve --help` lists the options
+//! (table: `themis_harness::cli::THEMIS_SERVE`); the server exits 0 on
+//! a client's `shutdown`.
 //!
 //! ```text
-//! USAGE (server, default):
-//!   themis_serve [OPTIONS]
-//!
-//! OPTIONS:
-//!   --socket PATH       Unix socket to listen on   [themis_serve.sock]
-//!   --tcp ADDR          listen on TCP instead (e.g. 127.0.0.1:7117)
-//!   --k N               fat-tree radix (4, 8, 16, 32)          [4]
-//!   --scheme S          scheme (see SCHEMES.md)                [themis]
-//!   --seed N            root seed                              [1]
-//!   --shards N|auto     engine shards; bit-identical for any value
-//!                                                  [$THEMIS_SHARDS or 1]
-//!   --window-us US      batching window width                  [500]
-//!   --restore FILE      boot from a themis-service-snapshot v1 file
-//!                       (replays its journal; config flags are ignored)
-//!
-//! USAGE (scripted client):
-//!   themis_serve --connect PATH|tcp:ADDR
-//!
-//!   Reads one JSON request per line from stdin, frames it to the
-//!   server, prints one JSON response per line to stdout. Blank lines
-//!   and lines starting with '#' are skipped.
+//! themis_serve --socket /tmp/themis.sock --k 4 --seed 7
+//! echo '{"op":"query_fabric"}' | themis_serve --connect /tmp/themis.sock
 //! ```
-//!
-//! Exits 2 on an invalid knob combination or unreadable snapshot (with
-//! a usage message). The server exits 0 on clean shutdown (a client
-//! sent `shutdown`); the scripted client exits 1 if any response
-//! carried `"ok": false`.
 
 use std::io::BufRead;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use themis_harness::cli;
 use themis_harness::json::Json;
 use themis_harness::service::{serve, Client, Endpoint, ServiceConfig, SimService};
-use themis_harness::Scheme;
-
-struct Args {
-    kv: std::collections::HashMap<String, String>,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let rest: Vec<String> = std::env::args().skip(1).collect();
-        let mut kv = std::collections::HashMap::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].trim_start_matches("--").to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                kv.insert(key, rest[i + 1].clone());
-                i += 2;
-            } else {
-                kv.insert(key, String::new());
-                i += 1;
-            }
-        }
-        Args { kv }
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.kv
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: themis_serve [--socket PATH | --tcp ADDR | --connect EP] (see module docs)");
-    std::process::exit(2);
-}
 
 fn parse_endpoint(spec: &str) -> Endpoint {
     match spec.strip_prefix("tcp:") {
@@ -86,51 +31,36 @@ fn parse_endpoint(spec: &str) -> Endpoint {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = cli::THEMIS_SERVE.parse_or_exit(std::env::args());
 
-    if let Some(spec) = args.kv.get("connect") {
-        run_client(&parse_endpoint(spec));
+    if let Some(spec) = args.text("connect") {
+        run_client(&parse_endpoint(&spec));
         return;
     }
 
-    let endpoint = match (args.kv.get("tcp"), args.kv.get("socket")) {
-        (Some(addr), None) => Endpoint::Tcp(addr.clone()),
-        (None, sock) => Endpoint::Unix(
-            sock.cloned()
-                .unwrap_or_else(|| "themis_serve.sock".into())
-                .into(),
-        ),
-        (Some(_), Some(_)) => usage_error("--tcp and --socket are mutually exclusive"),
+    let socket = args.text("socket").expect("--socket has a table default");
+    let endpoint = match (args.text("tcp"), args.given("socket")) {
+        (Some(addr), false) => Endpoint::Tcp(addr),
+        (None, _) => Endpoint::Unix(socket.into()),
+        (Some(_), true) => args.fail("--tcp and --socket are mutually exclusive"),
     };
 
-    let service = if let Some(path) = args.kv.get("restore") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read snapshot {path}: {e}")));
+    let service = if let Some(path) = args.text("restore") {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| args.fail(&format!("cannot read snapshot {path}: {e}")));
         let svc = SimService::from_snapshot(&text)
-            .unwrap_or_else(|e| usage_error(&format!("cannot restore {path}: {e}")));
+            .unwrap_or_else(|e| args.fail(&format!("cannot restore {path}: {e}")));
         println!("restored from {path}");
         svc
     } else {
-        let scheme_name = args
-            .kv
-            .get("scheme")
-            .cloned()
-            .unwrap_or_else(|| "themis".into());
         let cfg = ServiceConfig {
-            k: args.get("k", 4usize),
-            scheme: Scheme::parse(&scheme_name)
-                .unwrap_or_else(|| usage_error("unknown scheme (see SCHEMES.md)")),
-            seed: args.get("seed", 1u64),
-            shards: match args.kv.get("shards").map(String::as_str) {
-                Some("auto") => themis_harness::knobs::auto_shards(),
-                Some(s) => s
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--shards wants a number or 'auto'")),
-                None => themis_harness::knobs::shards_from_env(),
-            },
-            window: simcore::time::TimeDelta::from_micros(args.get("window-us", 500u64)),
+            k: args.num("k"),
+            scheme: args.scheme("scheme"),
+            seed: args.num("seed"),
+            shards: args.shards(),
+            window: simcore::time::TimeDelta::from_micros(args.num("window-us")),
         };
-        SimService::new(cfg).unwrap_or_else(|e| usage_error(&e.to_string()))
+        SimService::new(cfg).unwrap_or_else(|e| args.fail(&e.to_string()))
     };
 
     println!("listening on {endpoint}");

@@ -1,39 +1,11 @@
-//! `themis-sim` — run custom Themis experiments from the command line.
+//! `themis_sim` — run custom Themis experiments from the command line:
+//! one collective, one point-to-point flow, a scheme × DCQCN sweep, or
+//! the §4 memory model. `themis_sim --help` (or `themis_sim <command>
+//! --help`) lists the options (table: `themis_harness::cli::THEMIS_SIM`).
 //!
-//! ```text
-//! USAGE:
-//!   themis_sim collective [OPTIONS]     run a collective on a leaf-spine fabric
-//!   themis_sim p2p        [OPTIONS]     run one cross-rack flow
-//!   themis_sim sweep      [OPTIONS]     scheme x DCQCN sweep (fig5-style)
-//!   themis_sim memory     [OPTIONS]     evaluate the §4 memory model
-//!
-//! COMMON OPTIONS:
-//!   --scheme S        ecmp | ar | spray | flowlet | themis | themis-pathmap |
-//!                     themis-nocomp | spray-nofilter        [themis]
-//!   --collective C    allreduce | alltoall | allgather | reducescatter |
-//!                     ring | incast                         [allreduce]
-//!   --mb N            buffer MB per group (or per flow for p2p) [4]
-//!   --fabric F        paper | motivation                    [paper]
-//!   --leaves N --hosts N --spines N    custom fabric dimensions
-//!   --gbps N          link rate in Gbit/s (custom fabric)   [100]
-//!   --ti US --td US   DCQCN rate-increase timer / decrease interval
-//!   --transport T     sr | gbn | ideal                      [sr]
-//!   --seed N          root seed                             [1]
-//!   --pfc             enable hop-by-hop PFC
-//!   --jobs N          sweep worker threads (sweep command)  [$THEMIS_JOBS or 1]
-//!   --shards N        engine shards per run; bit-identical results
-//!                     for any value                         [$THEMIS_SHARDS or 1]
-//!   --telemetry PATH  write the versioned themis-telemetry JSON report
-//!   --trace-last N    on an incomplete run, dump the last N structured
-//!                     events to stderr
-//! ```
-//!
-//! Examples:
 //! ```text
 //! themis_sim collective --collective alltoall --scheme ar --mb 8 --ti 10 --td 50
-//! themis_sim p2p --fabric motivation --scheme spray-nofilter --mb 16
-//! themis_sim sweep --collective allreduce --mb 2
-//! themis_sim memory --paths 256 --qps 100 --nics 16
+//! themis_sim p2p --fabric motivation --scheme spray-nofilter --mb 16 --pfc
 //! ```
 
 use netsim::switch::PfcConfig;
@@ -41,64 +13,13 @@ use netsim::topology::LeafSpineConfig;
 use rnic::{CcConfig, NicConfig, TransportMode};
 use simcore::time::{Nanos, TimeDelta};
 use themis_core::memory::MemoryModel;
+use themis_harness::cli::{self, Matches};
 use themis_harness::fig5::improvement_pct;
 use themis_harness::report::{fmt_ms, Table};
 use themis_harness::sweep::SweepRunner;
 use themis_harness::{
-    run_collective, run_point_to_point, Collective, ExperimentConfig, ExperimentResult, Scheme,
-    TelemetryArgs,
+    run_collective, run_point_to_point, ExperimentConfig, ExperimentResult, Scheme, TelemetryArgs,
 };
-
-/// Minimal flag parser: `--key value` pairs plus boolean switches.
-struct Args {
-    cmd: String,
-    kv: std::collections::HashMap<String, String>,
-    flags: std::collections::HashSet<String>,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let mut it = std::env::args().skip(1);
-        let cmd = it.next().unwrap_or_else(|| "help".into());
-        let mut kv = std::collections::HashMap::new();
-        let mut flags = std::collections::HashSet::new();
-        let rest: Vec<String> = it.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].trim_start_matches("--").to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                kv.insert(key, rest[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key);
-                i += 1;
-            }
-        }
-        Args { cmd, kv, flags }
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.kv
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn str(&self, key: &str, default: &str) -> String {
-        self.kv.get(key).cloned().unwrap_or_else(|| default.into())
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.flags.contains(key)
-    }
-
-    fn telemetry(&self) -> TelemetryArgs {
-        TelemetryArgs {
-            out: self.kv.get("telemetry").cloned(),
-            trace_last: self.kv.get("trace-last").and_then(|s| s.parse().ok()),
-        }
-    }
-}
 
 /// Write a single-run telemetry report and, on an incomplete run, dump
 /// the event-ring tail — shared by `collective` and `p2p`.
@@ -114,85 +35,49 @@ fn emit_telemetry(telem: &TelemetryArgs, label: &str, r: &ExperimentResult) {
     }
 }
 
-fn parse_scheme(s: &str) -> Scheme {
-    Scheme::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown scheme '{s}' (see SCHEMES.md)");
-        std::process::exit(2);
-    })
-}
+fn build_config(args: &Matches) -> ExperimentConfig {
+    let seed = args.num("seed");
 
-fn parse_collective(s: &str) -> Collective {
-    match s {
-        "allreduce" => Collective::Allreduce,
-        "alltoall" => Collective::Alltoall,
-        "allgather" => Collective::AllGather,
-        "reducescatter" => Collective::ReduceScatter,
-        "ring" => Collective::RingOnce,
-        "incast" => Collective::Incast,
-        other => {
-            eprintln!("unknown collective '{other}'");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn build_config(args: &Args) -> ExperimentConfig {
-    let scheme = parse_scheme(&args.str("scheme", "themis"));
-    let seed = args.get("seed", 1u64);
-
-    let mut fabric = match args.str("fabric", "paper").as_str() {
-        "paper" => LeafSpineConfig::paper_eval(),
-        "motivation" => LeafSpineConfig::motivation(),
-        other => {
-            eprintln!(
-                "unknown fabric '{other}' (use paper|motivation or --leaves/--hosts/--spines)"
-            );
-            std::process::exit(2);
-        }
+    let mut fabric = match args.text("fabric").as_deref() {
+        Some("motivation") => LeafSpineConfig::motivation(),
+        _ => LeafSpineConfig::paper_eval(),
     };
-    if args.kv.contains_key("leaves")
-        || args.kv.contains_key("hosts")
-        || args.kv.contains_key("spines")
-    {
-        let gbps = args.get("gbps", 100u64);
+    if args.given("leaves") || args.given("hosts") || args.given("spines") {
+        let gbps = args.num("gbps");
         fabric = LeafSpineConfig {
-            n_leaves: args.get("leaves", 4usize),
-            hosts_per_leaf: args.get("hosts", 2usize),
-            n_spines: args.get("spines", 2usize),
+            n_leaves: args.num("leaves"),
+            hosts_per_leaf: args.num("hosts"),
+            n_spines: args.num("spines"),
             host_link: netsim::port::LinkSpec::gbps(gbps, 1),
             fabric_link: netsim::port::LinkSpec::gbps(gbps, 1),
             ..LeafSpineConfig::motivation()
         };
     }
     fabric.seed = seed;
-    if args.has("pfc") {
+    if args.given("pfc") {
         fabric.pfc = Some(PfcConfig::for_buffer(fabric.buffer_bytes));
     }
 
     let line = fabric.host_link.bandwidth_bps;
-    let mut nic = match args.str("transport", "sr").as_str() {
-        "sr" => NicConfig::nic_sr(line),
-        "gbn" => NicConfig {
+    let mut nic = match args.text("transport").as_deref() {
+        Some("gbn") => NicConfig {
             transport: TransportMode::GoBackN,
             ..NicConfig::nic_sr(line)
         },
-        "ideal" => NicConfig::ideal(line),
-        other => {
-            eprintln!("unknown transport '{other}'");
-            std::process::exit(2);
-        }
+        Some("ideal") => NicConfig::ideal(line),
+        _ => NicConfig::nic_sr(line),
     };
-    if args.kv.contains_key("ti") || args.kv.contains_key("td") {
-        nic.cc = CcConfig::with_ti_td(line, args.get("ti", 900u64), args.get("td", 4u64));
+    if args.given("ti") || args.given("td") {
+        nic.cc = CcConfig::with_ti_td(line, args.num("ti"), args.num("td"));
     }
 
     ExperimentConfig {
         fabric,
         nic,
-        scheme,
+        scheme: args.scheme("scheme"),
         seed,
-        horizon: Nanos::from_secs(args.get("horizon-s", 10u64)),
-        shards: args.get("shards", themis_harness::knobs::shards_from_env()),
+        horizon: Nanos::from_secs(args.num("horizon-s")),
+        shards: args.shards(),
     }
 }
 
@@ -245,12 +130,12 @@ fn print_result(r: &ExperimentResult, wall: std::time::Duration) {
 }
 
 fn main() {
-    let args = Args::parse();
-    match args.cmd.as_str() {
+    let args = cli::THEMIS_SIM.parse_or_exit(std::env::args());
+    match args.command() {
         "collective" => {
             let cfg = build_config(&args);
-            let collective = parse_collective(&args.str("collective", "allreduce"));
-            let bytes = args.get("mb", 4u64) << 20;
+            let collective = args.collective("collective").expect("table default");
+            let bytes = args.num::<u64>("mb") << 20;
             println!(
                 "{} of {} MB per group on {} leaves x {} hosts, {} spines, scheme {}\n",
                 collective.label(),
@@ -262,7 +147,7 @@ fn main() {
             );
             let t0 = std::time::Instant::now();
             let r = run_collective(&cfg, collective, bytes);
-            if args.has("csv") {
+            if args.given("csv") {
                 println!("{}", ExperimentResult::csv_header());
                 println!("{}", r.to_csv_row());
             } else {
@@ -272,7 +157,7 @@ fn main() {
         }
         "p2p" => {
             let cfg = build_config(&args);
-            let bytes = args.get("mb", 4u64) << 20;
+            let bytes = args.num::<u64>("mb") << 20;
             println!(
                 "point-to-point {} MB, scheme {}\n",
                 bytes >> 20,
@@ -280,7 +165,7 @@ fn main() {
             );
             let t0 = std::time::Instant::now();
             let r = run_point_to_point(&cfg, bytes);
-            if args.has("csv") {
+            if args.given("csv") {
                 println!("{}", ExperimentResult::csv_header());
                 println!("{}", r.to_csv_row());
             } else {
@@ -289,10 +174,10 @@ fn main() {
             emit_telemetry(&args.telemetry(), "p2p", &r);
         }
         "sweep" => {
-            let collective = parse_collective(&args.str("collective", "allreduce"));
-            let bytes = args.get("mb", 2u64) << 20;
-            let seed = args.get("seed", 1u64);
-            let jobs = args.get("jobs", SweepRunner::from_env().jobs());
+            let collective = args.collective("collective").expect("table default");
+            let bytes = args.num::<u64>("mb") << 20;
+            let seed = args.num("seed");
+            let jobs = args.jobs();
             let mut table = Table::new(
                 format!(
                     "{} tail CT (ms), {} MB/group ({jobs} worker(s))",
@@ -306,7 +191,7 @@ fn main() {
                 .iter()
                 .flat_map(|&(ti, td)| SCHEMES.iter().map(move |&s| (ti, td, s)))
                 .collect();
-            let shards = args.get("shards", themis_harness::knobs::shards_from_env());
+            let shards = args.shards();
             let results = SweepRunner::new(jobs).run(&cells, |&(ti, td, scheme)| {
                 let mut cfg = ExperimentConfig::paper_eval(scheme, ti, td, seed);
                 cfg.shards = shards;
@@ -338,13 +223,13 @@ fn main() {
         }
         "memory" => {
             let m = MemoryModel {
-                n_paths: args.get("paths", 256usize),
-                bw_bps: args.get("gbps", 400u64) * 1_000_000_000,
-                rtt_last: TimeDelta::from_micros(args.get("rtt-us", 2u64)),
-                mtu: args.get("mtu", 1500u32),
-                f_times_100: args.get("f100", 150u32),
-                n_nic: args.get("nics", 16usize),
-                n_qp: args.get("qps", 100usize),
+                n_paths: args.num("paths"),
+                bw_bps: args.num::<u64>("gbps") * 1_000_000_000,
+                rtt_last: TimeDelta::from_micros(args.num("rtt-us")),
+                mtu: args.num("mtu"),
+                f_times_100: args.num("f100"),
+                n_nic: args.num("nics"),
+                n_qp: args.num("qps"),
             };
             println!("N_entries = {}", m.n_entries());
             println!("M_PathMap = {} B", m.pathmap_bytes());
@@ -360,9 +245,6 @@ fn main() {
                 m.fraction_of_sram(64 << 20) * 100.0
             );
         }
-        _ => {
-            println!("usage: themis_sim <collective|p2p|sweep|memory> [--flags]");
-            println!("see the crate docs (src/bin/themis_sim.rs) for the option list");
-        }
+        other => unreachable!("command '{other}' is not in the table"),
     }
 }

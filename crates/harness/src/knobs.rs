@@ -1,7 +1,9 @@
-//! Shared parsing of the harness parallelism knobs.
+//! The harness parallelism knobs: what they mean and their environment
+//! fallbacks.
 //!
 //! The harness exposes **two orthogonal** parallelism axes, and every
-//! binary spells them the same way:
+//! binary spells them the same way (the [`crate::cli`] tables share one
+//! declaration of each flag):
 //!
 //! * **`--jobs N` / `THEMIS_JOBS`** — *sweep-level* fan-out: how many
 //!   independent `(config, seed, scheme)` cells run concurrently, each
@@ -31,7 +33,7 @@ pub fn auto_shards() -> usize {
 }
 
 /// Parse one shard-count spelling: a plain integer or `auto`.
-fn parse_shards(s: &str) -> Option<usize> {
+pub fn parse_shards(s: &str) -> Option<usize> {
     if s.eq_ignore_ascii_case("auto") {
         Some(auto_shards())
     } else {
@@ -65,98 +67,16 @@ pub fn shards_from_env() -> usize {
         .max(1)
 }
 
-/// Strip one flag (either spelling) from an argument list, parsing its
-/// value with `parse`. Returns the last parsed value and the remaining
-/// args.
-fn take_value_arg(
-    args: Vec<String>,
-    long: &str,
-    short: &str,
-    parse: impl Fn(&str) -> Option<usize>,
-) -> (Option<usize>, Vec<String>) {
-    let mut value = None;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        if (args[i] == long || args[i] == short) && i + 1 < args.len() {
-            if let Some(n) = parse(&args[i + 1]) {
-                value = Some(n);
-                i += 2;
-                continue;
-            }
-        }
-        rest.push(args[i].clone());
-        i += 1;
-    }
-    (value, rest)
-}
-
-/// Parse and remove `--jobs N` / `-j N` from an argument list; falls
-/// back to [`jobs_from_env`]. Returns the job count (≥ 1) and the
-/// remaining args.
-pub fn take_jobs_arg(args: Vec<String>) -> (usize, Vec<String>) {
-    let (v, rest) = take_value_arg(args, "--jobs", "-j", |s| s.parse().ok());
-    (v.unwrap_or_else(jobs_from_env).max(1), rest)
-}
-
-/// Parse and remove `--shards N` / `-s N` (or `--shards auto`) from an
-/// argument list; falls back to [`shards_from_env`]. Returns the shard
-/// count (≥ 1) and the remaining args.
-pub fn take_shards_arg(args: Vec<String>) -> (usize, Vec<String>) {
-    let (v, rest) = take_value_arg(args, "--shards", "-s", parse_shards);
-    (v.unwrap_or_else(shards_from_env).max(1), rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
-    fn take_shards_arg_strips_flag() {
-        let (shards, rest) = take_shards_arg(argv(&["--mb", "4", "--shards", "2", "--seed", "1"]));
-        assert_eq!(shards, 2);
-        assert_eq!(rest, argv(&["--mb", "4", "--seed", "1"]));
-    }
-
-    #[test]
-    fn short_spelling_and_last_wins() {
-        let (shards, rest) = take_shards_arg(argv(&["-s", "2", "--shards", "3"]));
-        assert_eq!(shards, 3);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn shards_defaults_without_flag() {
-        if std::env::var("THEMIS_SHARDS").is_err() {
-            let (shards, rest) = take_shards_arg(argv(&["x"]));
-            assert_eq!(shards, 1);
-            assert_eq!(rest, argv(&["x"]));
-        }
-    }
-
-    #[test]
-    fn zero_clamps_to_one() {
-        let (jobs, _) = take_jobs_arg(argv(&["--jobs", "0"]));
-        assert_eq!(jobs, 1);
-        let (shards, _) = take_shards_arg(argv(&["--shards", "0"]));
-        assert_eq!(shards, 1);
-    }
-
-    #[test]
-    fn auto_spelling_picks_available_parallelism() {
-        let (shards, rest) = take_shards_arg(argv(&["--shards", "auto", "--mb", "4"]));
-        assert_eq!(shards, auto_shards());
-        assert_eq!(rest, argv(&["--mb", "4"]));
+    fn shard_spellings() {
+        assert_eq!(parse_shards("3"), Some(3));
+        assert_eq!(parse_shards("AUTO"), Some(auto_shards()));
         assert!(auto_shards() >= 1);
-    }
-
-    #[test]
-    fn flag_missing_value_is_left_alone() {
-        let (_, rest) = take_shards_arg(argv(&["--shards"]));
-        assert_eq!(rest, argv(&["--shards"]));
+        assert_eq!(parse_shards("two"), None);
+        assert_eq!(parse_shards("-1"), None);
     }
 }

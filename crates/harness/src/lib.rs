@@ -19,16 +19,18 @@
 //! * [`load`] — the open-loop production traffic engine: multi-tenant
 //!   job churn with windowed telemetry and a sliding-window oracle
 //!   (`themis_load`).
-//! * [`knobs`] — shared `--jobs`/`THEMIS_JOBS` and
-//!   `--shards`/`THEMIS_SHARDS` parsing, and how the two axes compose.
+//! * [`cli`] — the one flag table and argv parser under all six
+//!   binaries; `<binary> --help` is rendered from it.
+//! * [`knobs`] — the `--jobs`/`THEMIS_JOBS` and `--shards`/`THEMIS_SHARDS`
+//!   parallelism axes: environment fallbacks and how the two compose.
 //! * [`shrink`] — greedy delta-debugging (`ddmin`) shared by the fuzzer
 //!   and the parallel-engine property tests.
 //! * [`coverage`] — telemetry-derived coverage features and the
 //!   coverage-guided fuzzing loop behind `themis_fuzz`.
 //! * [`mcheck`] — the partial-order-reduced model checker behind
 //!   `tests/model_check.rs`.
-//! * [`telemetry_out`] — `--telemetry` / `--trace-last` CLI plumbing
-//!   shared by the binaries (JSON report writing, event-ring dumps).
+//! * [`telemetry_out`] — `--telemetry` / `--trace-last` output shared
+//!   by the binaries (JSON report writing, event-ring dumps).
 //! * [`service`] — the sim-as-a-service verbs front door
 //!   (`themis_serve`): one warm fabric behind `create_qp` /
 //!   `post_send` / `poll_cq` / `snapshot` / `restore` over a
@@ -38,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod cluster;
 pub mod coverage;
 pub mod experiment;
@@ -67,7 +70,7 @@ pub use experiment::{
 pub use fat_tree::{build_fat_tree_cluster, build_fat_tree_cluster_sharded};
 pub use faults::{Fault, FaultEvent, FaultPlan, FaultSpace};
 pub use fig5::{run_fig5, run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, FatTreePoint};
-pub use knobs::{jobs_from_env, shards_from_env, take_jobs_arg, take_shards_arg};
+pub use knobs::{jobs_from_env, shards_from_env};
 pub use load::{run_open_loop, InvalidConfig, LoadConfig, LoadReport};
 pub use mcheck::{brute_force_executions, explore, CheckConfig, CheckReport, EvictionMode};
 pub use oracle::{assert_conformant, OracleConfig, OracleReport, Violation};
@@ -75,4 +78,4 @@ pub use scheme::Scheme;
 pub use service::{serve, Client, Endpoint, ServiceConfig, SimService};
 pub use shrink::ddmin;
 pub use sweep::SweepRunner;
-pub use telemetry_out::{take_telemetry_args, TelemetryArgs};
+pub use telemetry_out::TelemetryArgs;

@@ -40,8 +40,8 @@ impl SweepRunner {
     }
 
     /// A runner honouring the `THEMIS_JOBS` environment variable
-    /// (default 1; binaries let `--jobs` override it). Parsing lives in
-    /// [`crate::knobs`], alongside the orthogonal `--shards` knob.
+    /// (default 1; binaries let `--jobs` override it, see
+    /// [`crate::cli::Matches::jobs`]).
     pub fn from_env() -> SweepRunner {
         SweepRunner::new(crate::knobs::jobs_from_env())
     }
@@ -96,10 +96,6 @@ impl SweepRunner {
     }
 }
 
-/// Parse a `--jobs N` / `-j N` argument list fragment; re-exported from
-/// [`crate::knobs::take_jobs_arg`] for the binaries.
-pub use crate::knobs::take_jobs_arg;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,26 +130,5 @@ mod tests {
     #[test]
     fn jobs_clamped_to_one() {
         assert_eq!(SweepRunner::new(0).jobs(), 1);
-    }
-
-    #[test]
-    fn take_jobs_arg_strips_flag() {
-        let (jobs, rest) = take_jobs_arg(
-            ["--mb", "4", "--jobs", "8", "--seed", "1"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        assert_eq!(jobs, 8);
-        assert_eq!(rest, vec!["--mb", "4", "--seed", "1"]);
-    }
-
-    #[test]
-    fn take_jobs_arg_defaults_without_flag() {
-        if std::env::var("THEMIS_JOBS").is_err() {
-            let (jobs, rest) = take_jobs_arg(vec!["x".into()]);
-            assert_eq!(jobs, 1);
-            assert_eq!(rest, vec!["x"]);
-        }
     }
 }

@@ -1,6 +1,7 @@
-//! Telemetry CLI plumbing shared by the figure binaries.
+//! Telemetry output shared by the figure binaries.
 //!
-//! Every binary accepts two flags (documented in EXPERIMENTS.md):
+//! The two flags behind it (declared once in [`crate::cli`], read back
+//! with [`crate::cli::Matches::telemetry`]):
 //!
 //! * `--telemetry PATH` — write the run's full metric snapshot as a
 //!   versioned `themis-telemetry` JSON document (schema in the
@@ -8,10 +9,6 @@
 //! * `--trace-last N` — on abnormal exit (a run that did not complete
 //!   before the horizon), dump the last `N` retained structured events
 //!   to stderr before the process exits.
-//!
-//! [`take_telemetry_args`] strips both flags from an argument list the
-//! same way [`crate::sweep::take_jobs_arg`] strips `--jobs`, so binaries
-//! can compose the helpers in any order.
 
 use telemetry::{Report, RunReport};
 
@@ -49,31 +46,6 @@ impl TelemetryArgs {
     }
 }
 
-/// Strip `--telemetry PATH` and `--trace-last N` from `args`, returning
-/// the parsed flags and the remaining arguments in order.
-pub fn take_telemetry_args(args: Vec<String>) -> (TelemetryArgs, Vec<String>) {
-    let mut out = TelemetryArgs::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--telemetry" && i + 1 < args.len() {
-            out.out = Some(args[i + 1].clone());
-            i += 2;
-            continue;
-        }
-        if args[i] == "--trace-last" && i + 1 < args.len() {
-            if let Ok(n) = args[i + 1].parse() {
-                out.trace_last = Some(n);
-                i += 2;
-                continue;
-            }
-        }
-        rest.push(args[i].clone());
-        i += 1;
-    }
-    (out, rest)
-}
-
 /// Write the last `n` retained events of `run` to stderr, oldest first,
 /// one line per event. Used by the binaries' abnormal-exit path.
 pub fn dump_trace_last(label: &str, run: &RunReport, n: usize) {
@@ -95,44 +67,6 @@ pub fn dump_trace_last(label: &str, run: &RunReport, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn strips_both_flags_and_keeps_rest() {
-        let (t, rest) = take_telemetry_args(argv(&[
-            "--mb",
-            "4",
-            "--telemetry",
-            "out.json",
-            "--trace-last",
-            "16",
-            "--seed",
-            "1",
-        ]));
-        assert_eq!(t.out.as_deref(), Some("out.json"));
-        assert_eq!(t.trace_last, Some(16));
-        assert!(t.active());
-        assert_eq!(rest, argv(&["--mb", "4", "--seed", "1"]));
-    }
-
-    #[test]
-    fn defaults_without_flags() {
-        let (t, rest) = take_telemetry_args(argv(&["collective", "--mb", "4"]));
-        assert!(t.out.is_none());
-        assert!(t.trace_last.is_none());
-        assert!(!t.active());
-        assert_eq!(rest, argv(&["collective", "--mb", "4"]));
-    }
-
-    #[test]
-    fn non_numeric_trace_last_left_in_place() {
-        let (t, rest) = take_telemetry_args(argv(&["--trace-last", "soon"]));
-        assert!(t.trace_last.is_none());
-        assert_eq!(rest, argv(&["--trace-last", "soon"]));
-    }
 
     #[test]
     fn dump_trace_noop_without_flag() {

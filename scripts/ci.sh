@@ -7,11 +7,14 @@
 #   1. cargo fmt --check
 #   2. cargo build --release
 #   3. cargo test -q            (tier-1 suite)
+#   3b. cargo test --workspace -q: every crate's unit tests, the
+#      harness's real-binary CLI tests (crates/harness/tests/) and all
+#      doctests — none of which the root-package tier-1 run reaches.
 #   4. THEMIS_SHARDS=2 matrix leg: the model checker, the oracle e2e
 #      suites, PFC/failure runs, and the scheme-zoo matrix repeated on
 #      the sharded engine — every assertion must hold bit-identically
 #      on both engines.
-#   5. cargo doc --no-deps      (rustdoc warnings denied) + doctests
+#   5. cargo doc --no-deps      (rustdoc warnings denied)
 #   6. fixed-seed conformance-fuzz smoke: themis_fuzz runs a bounded
 #      budget of coverage-guided fault scenarios under the
 #      protocol-invariant oracle (with a --min-features coverage floor),
@@ -56,6 +59,9 @@ cargo build --release --workspace
 echo "== tests (tier 1) =="
 cargo test -q
 
+echo "== tests (workspace: crate unit tests, harness CLI tests, doctests) =="
+cargo test --workspace -q
+
 echo "== tests (sharded engine matrix leg, THEMIS_SHARDS=2) =="
 # The harness threads THEMIS_SHARDS into every ExperimentConfig, so this
 # reruns the model checker, the oracle e2e suites, and the PFC/failure
@@ -67,9 +73,6 @@ THEMIS_SHARDS=2 cargo test -q \
 
 echo "== docs (rustdoc, warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-echo "== doctests =="
-cargo test --workspace --doc -q
 
 echo "== conformance fuzz smoke (fixed seed, coverage floor) =="
 # Deterministic: the default seed + a fixed budget always explores the
