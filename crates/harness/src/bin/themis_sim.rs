@@ -14,6 +14,7 @@ use rnic::{CcConfig, NicConfig, TransportMode};
 use simcore::time::{Nanos, TimeDelta};
 use themis_core::memory::MemoryModel;
 use themis_harness::cli::{self, Matches};
+use themis_harness::experiment::point_to_point_ends;
 use themis_harness::fig5::improvement_pct;
 use themis_harness::report::{fmt_ms, Table};
 use themis_harness::sweep::SweepRunner;
@@ -71,14 +72,18 @@ fn build_config(args: &Matches) -> ExperimentConfig {
         nic.cc = CcConfig::with_ti_td(line, args.num("ti"), args.num("td"));
     }
 
-    ExperimentConfig {
+    let cfg = ExperimentConfig {
         fabric,
         nic,
         scheme: args.scheme("scheme"),
         seed,
         horizon: Nanos::from_secs(args.num("horizon-s")),
         shards: args.shards(),
+    };
+    if let Err(e) = cfg.validate() {
+        args.fail(&e.to_string());
     }
+    cfg
 }
 
 fn print_result(r: &ExperimentResult, wall: std::time::Duration) {
@@ -157,6 +162,9 @@ fn main() {
         }
         "p2p" => {
             let cfg = build_config(&args);
+            if let Err(e) = point_to_point_ends(&cfg.fabric) {
+                args.fail(&format!("p2p needs a second rack: {e}"));
+            }
             let bytes = args.num::<u64>("mb") << 20;
             println!(
                 "point-to-point {} MB, scheme {}\n",

@@ -1,6 +1,9 @@
 //! Generic experiment runner: a cluster + a collective workload → metrics.
 
-use crate::cluster::{build_cluster_sharded, Cluster, ThemisAggregate};
+use crate::cluster::{
+    build_cluster_sharded, build_fat_tree_cluster_sharded, Cluster, ClusterError, ThemisAggregate,
+    Topology,
+};
 use crate::faults::FaultPlan;
 use crate::scheme::Scheme;
 use collectives::alltoall::{alltoall, incast};
@@ -11,7 +14,7 @@ use collectives::schedule::{Schedule, Transfer};
 use netsim::event::Event;
 use netsim::topology::LeafSpineConfig;
 use netsim::trace::{fabric_summary, FabricSummary};
-use netsim::types::NodeId;
+use netsim::types::{HostId, NodeId};
 use rnic::{CcConfig, Nic, NicConfig};
 use simcore::time::{Nanos, TimeDelta};
 
@@ -126,6 +129,16 @@ impl ExperimentConfig {
             horizon: Nanos::from_secs(5),
             shards: crate::knobs::shards_from_env(),
         }
+    }
+
+    /// The fabric-validity rule ([`crate::cluster::assemble`]'s) applied
+    /// to this configuration without building anything. The `run_*`
+    /// functions panic on a configuration this rejects; binaries call it
+    /// first and exit 2.
+    pub fn validate(&self) -> Result<(), ClusterError> {
+        Topology::LeafSpine(&self.fabric)
+            .check(&self.nic, self.scheme)
+            .map(|_| ())
     }
 }
 
@@ -318,6 +331,17 @@ pub(crate) fn attach_driver_telemetry(driver: &mut Driver, cluster: &Cluster) {
     );
 }
 
+/// Start a closed-loop run: install `driver` in the cluster's reserved
+/// slot and seed its `START_TOKEN` at t = 0.
+pub(crate) fn start_driver(cluster: &mut Cluster, driver: Driver) {
+    cluster.world.install(cluster.driver, Box::new(driver));
+    cluster.world.seed_event(
+        Nanos::ZERO,
+        cluster.driver,
+        Event::Timer { token: START_TOKEN },
+    );
+}
+
 /// Aggregated scheme-policy counters over all NIC QPs — the backing
 /// store of the `scheme.*` telemetry namespace (exported only for
 /// schemes that install a non-commodity transport reaction).
@@ -403,12 +427,7 @@ pub fn run_collective_with_faults(
         driver.add_instance(spec);
     }
     attach_driver_telemetry(&mut driver, &cluster);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    start_driver(&mut cluster, driver);
     plan.install(&mut cluster);
     cluster.world.run_until(cfg.horizon);
     (collect_result(cfg.scheme, &cluster), cluster)
@@ -484,13 +503,12 @@ pub fn run_fat_tree_rings(
         groups <= hosts_per_pod,
         "at most one ring per pod-local host index ({hosts_per_pod})"
     );
-    let mut cluster =
-        crate::fat_tree::build_fat_tree_cluster_sharded(fabric_cfg, nic_cfg, scheme, n_shards);
+    let mut cluster = build_fat_tree_cluster_sharded(fabric_cfg, nic_cfg, scheme, n_shards);
     let mut alloc = QpAllocator::new(seed ^ 0xC0_11EC);
     let mut driver = Driver::new();
     for g in 0..groups {
-        let hosts: Vec<netsim::types::HostId> = (0..k)
-            .map(|p| netsim::types::HostId((p * hosts_per_pod + g) as u32))
+        let hosts: Vec<HostId> = (0..k)
+            .map(|p| HostId((p * hosts_per_pod + g) as u32))
             .collect();
         let spec = setup_collective(
             &mut cluster.world,
@@ -502,12 +520,7 @@ pub fn run_fat_tree_rings(
         driver.add_instance(spec);
     }
     attach_driver_telemetry(&mut driver, &cluster);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    start_driver(&mut cluster, driver);
     cluster.world.run_until(horizon);
     (collect_result(scheme, &cluster), cluster)
 }
@@ -540,13 +553,24 @@ pub fn run_seed_sweep(
     })
 }
 
+/// The two ends of [`run_point_to_point`]: host 0 and the first host of
+/// the second rack (guaranteed cross-rack) — an error on a fabric that
+/// has no second rack.
+pub fn point_to_point_ends(fabric: &LeafSpineConfig) -> Result<[HostId; 2], ClusterError> {
+    let dst = HostId(fabric.hosts_per_leaf as u32);
+    if fabric.n_leaves < 2 {
+        return Err(ClusterError::NoSuchHost(dst));
+    }
+    Ok([HostId(0), dst])
+}
+
 /// A single point-to-point message between two cross-rack hosts; the
 /// simplest end-to-end exercise of a scheme (used by the quickstart).
+/// Panics with the [`ClusterError`] when [`ExperimentConfig::validate`]
+/// or [`point_to_point_ends`] rejects `cfg`.
 pub fn run_point_to_point(cfg: &ExperimentConfig, bytes: u64) -> ExperimentResult {
+    let ends = point_to_point_ends(&cfg.fabric).unwrap_or_else(|e| panic!("{e}"));
     let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
-    let src = cluster.hosts[0];
-    // First host of the second rack: guaranteed cross-rack.
-    let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
     let schedule = Schedule {
         name: "point-to-point",
         n_ranks: 2,
@@ -562,18 +586,13 @@ pub fn run_point_to_point(cfg: &ExperimentConfig, bytes: u64) -> ExperimentResul
     let spec = setup_collective(
         &mut cluster.world,
         cluster.driver,
-        &[src, dst],
+        &ends,
         schedule,
         &mut alloc,
     );
     driver.add_instance(spec);
     attach_driver_telemetry(&mut driver, &cluster);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    start_driver(&mut cluster, driver);
     cluster.world.run_until(cfg.horizon);
     collect_result(cfg.scheme, &cluster)
 }
@@ -717,7 +736,7 @@ pub fn driver_of(cluster: &Cluster) -> &Driver {
 }
 
 /// Node id helper for a host's NIC.
-pub fn nic_node(host: netsim::types::HostId) -> NodeId {
+pub fn nic_node(host: HostId) -> NodeId {
     NodeId(host.0)
 }
 

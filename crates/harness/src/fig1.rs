@@ -12,11 +12,10 @@
 //! * **Fig 1d** — average per-flow throughput, NIC-SR vs. the Ideal
 //!   transport (paper: 68.09 vs. 95.43 Gbps).
 
-use crate::experiment::{Collective, ExperimentConfig};
+use crate::experiment::{start_driver, Collective, ExperimentConfig};
 use crate::scheme::Scheme;
-use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
+use collectives::driver::{setup_collective, Driver, QpAllocator};
 use collectives::groups::all_groups;
-use netsim::event::Event;
 use netsim::types::NodeId;
 use rnic::{Nic, NicConfig};
 use simcore::time::{Nanos, TimeDelta};
@@ -137,12 +136,9 @@ pub fn run_fig1_sharded(
         .expect("chosen NIC")
         .enable_send_trace(chosen_qp, trace_bin);
 
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    // No `attach_driver_telemetry`: Fig 1's telemetry document predates
+    // the `collective.msg_latency` histogram and stays without it.
+    start_driver(&mut cluster, driver);
     cluster.world.run_until(cfg.horizon);
 
     // ---- extract ----

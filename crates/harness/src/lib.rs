@@ -4,9 +4,10 @@
 //!
 //! * [`scheme`] — the load-balancing schemes under comparison (§5
 //!   baselines + ablations).
-//! * [`cluster`] — fabric + NICs + Themis middleware assembly.
+//! * [`cluster`] — the one cluster assembly: fabric (leaf-spine or
+//!   fat-tree) + NICs + Themis middleware on the ToRs, and the
+//!   fabric-validity rule every entry point shares.
 //! * [`experiment`] — generic collective runner and the metrics bundle.
-//! * [`fat_tree`] — 3-tier Clos clusters with two-tier PathMap Themis.
 //! * [`faults`] — deterministic fault-injection scenarios ([`FaultPlan`])
 //!   scheduled through ordinary simulator events.
 //! * [`oracle`] — the trace-driven protocol-invariant oracle every run
@@ -44,7 +45,6 @@ pub mod cli;
 pub mod cluster;
 pub mod coverage;
 pub mod experiment;
-pub mod fat_tree;
 pub mod faults;
 pub mod fig1;
 pub mod fig5;
@@ -60,14 +60,16 @@ pub mod shrink;
 pub mod sweep;
 pub mod telemetry_out;
 
-pub use cluster::{build_cluster, build_cluster_sharded, Cluster, ClusterError, ThemisAggregate};
+pub use cluster::{
+    assemble, build_cluster, build_cluster_sharded, build_fat_tree_cluster_sharded, Cluster,
+    ClusterError, ThemisAggregate, Topology,
+};
 pub use coverage::{fuzz, CorpusCase, FeatureMap, FuzzConfig, FuzzReport, Mode};
 pub use experiment::{
     expected_delivered_bytes, planned_transfers, run_collective, run_collective_on,
     run_collective_with_faults, run_fat_tree_rings, run_point_to_point, run_seed_sweep, Collective,
     CompletionOutcome, ExperimentConfig, ExperimentResult, NicAggregate, SchemeAggregate,
 };
-pub use fat_tree::{build_fat_tree_cluster, build_fat_tree_cluster_sharded};
 pub use faults::{Fault, FaultEvent, FaultPlan, FaultSpace};
 pub use fig5::{run_fig5, run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, FatTreePoint};
 pub use knobs::{jobs_from_env, shards_from_env};

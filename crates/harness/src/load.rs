@@ -24,9 +24,8 @@
 //! tenants — the metrics the paper's closed-loop harness cannot
 //! produce.
 
-use crate::cluster::Cluster;
+use crate::cluster::{assemble, check_shards, Cluster, ClusterError, Topology};
 use crate::experiment::{attach_driver_telemetry, driver_of};
-use crate::fat_tree::build_fat_tree_cluster_sharded;
 use crate::faults::FaultPlan;
 use crate::oracle::{self, DropTally, OracleConfig, OracleReport, Violation};
 use crate::scheme::Scheme;
@@ -122,12 +121,20 @@ impl LoadConfig {
         Nanos(self.window.as_nanos() * self.windows as u64)
     }
 
-    /// Reject degenerate knob combinations (`--window 0`, `--jobs 0`,
-    /// `--tenants 0`, more shards or ranks than hosts, …) with a usage
-    /// error instead of a downstream panic or a silently empty report.
-    /// Binaries print the message and exit 2; [`run_open_loop`] calls it
-    /// first so library users get the same contract.
+    /// Reject an invalid fabric ([`assemble`]'s rule) and degenerate knob
+    /// combinations (`--window 0`, `--jobs 0`, `--tenants 0`, more
+    /// shards or ranks than hosts, …) with a usage error instead of a
+    /// downstream panic or a silently empty report. Binaries print the
+    /// message and exit 2; [`run_open_loop`] rejects the same configs
+    /// (the knobs here, the fabric in [`assemble`]) so library users get
+    /// the same contract.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
+        Topology::FatTree(&self.fabric).check(&self.nic, self.scheme)?;
+        self.check_knobs()
+    }
+
+    /// The non-fabric half of [`LoadConfig::validate`].
+    fn check_knobs(&self) -> Result<(), InvalidConfig> {
         let fail = |msg: String| Err(InvalidConfig(msg));
         if self.window.as_nanos() == 0 {
             return fail("--window must be > 0 ns (zero-width telemetry windows)".into());
@@ -167,16 +174,7 @@ impl LoadConfig {
                 fanin + 1
             ));
         }
-        if self.shards == 0 {
-            return fail("--shards must be >= 1 (1 = serial engine)".into());
-        }
-        if self.shards > n_hosts {
-            return fail(format!(
-                "--shards {} exceeds the fabric's {n_hosts} hosts; shards partition hosts",
-                self.shards
-            ));
-        }
-        Ok(())
+        Ok(check_shards(self.shards, n_hosts)?)
     }
 }
 
@@ -193,6 +191,12 @@ impl std::fmt::Display for InvalidConfig {
 }
 
 impl std::error::Error for InvalidConfig {}
+
+impl From<ClusterError> for InvalidConfig {
+    fn from(e: ClusterError) -> InvalidConfig {
+        InvalidConfig(e.to_string())
+    }
+}
 
 /// What [`run_open_loop`] measured.
 #[derive(Debug, Clone)]
@@ -305,11 +309,12 @@ fn evict_qp(cluster: &mut Cluster, qp: QpId) -> bool {
 }
 
 /// Run the open-loop workload described by `cfg`. See the module docs
-/// for the per-window protocol. Degenerate knob combinations are
-/// rejected up front via [`LoadConfig::validate`].
+/// for the per-window protocol. Everything [`LoadConfig::validate`]
+/// rejects is rejected here, before the run.
 pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidConfig> {
-    cfg.validate()?;
-    let mut cluster = build_fat_tree_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
+    cfg.check_knobs()?;
+    let topology = Topology::FatTree(&cfg.fabric);
+    let mut cluster = assemble(topology, cfg.nic, cfg.scheme, cfg.shards)?;
     let plan: LoadPlan = sample_load(&cfg.spec, cfg.seed);
     let n_hosts = cluster.hosts.len();
 

@@ -1,19 +1,21 @@
 //! Load-balancing schemes under evaluation.
 //!
 //! The paper's §5 comparison plus the ablations called out in DESIGN.md
-//! and the rival designs of SCHEMES.md. A [`Scheme`] bundles the three
-//! orthogonal pieces that make a complete load balancer:
+//! and the rival designs of SCHEMES.md. A [`Scheme`] names one row of a
+//! `const` table whose columns are the three orthogonal pieces that make
+//! a complete load balancer:
 //!
 //! * the switch-level LB policy ([`Scheme::lb_policy`]),
-//! * the Themis ToR middleware configuration, if any
+//! * the Themis ToR middleware variant, if any
 //!   ([`Scheme::themis_config`]),
-//! * the NIC transport reaction — sender entropy policy and receiver
-//!   OOO escalation ([`Scheme::nic_config`]).
+//! * the NIC half — transport override, sender entropy policy and
+//!   receiver OOO escalation ([`Scheme::nic_config`]).
 //!
-//! Adding a scheme means adding a variant and filling in those three
-//! answers; every runner (point-to-point, collectives, fat-tree rings,
-//! fig binaries, fuzzer) picks the changes up through the cluster
-//! builders. See DESIGN.md "Scheme zoo".
+//! Adding a scheme means adding a variant and its table row: labels,
+//! `--scheme` names and all three answers are read off the row, and
+//! every runner (point-to-point, collectives, fat-tree rings, fig
+//! binaries, fuzzer) picks them up through [`crate::cluster::assemble`].
+//! See DESIGN.md "Scheme zoo".
 
 use netsim::lb::LbPolicy;
 use rnic::{
@@ -67,22 +69,106 @@ pub enum Scheme {
     Sprinklers,
 }
 
+/// Which Themis middleware variant a scheme deploys on every ToR.
+#[derive(Clone, Copy)]
+enum Tor {
+    /// No middleware: the ToR is a plain switch.
+    None,
+    /// PSN spraying by direct egress selection, filtering, compensation.
+    Direct,
+    /// As `Direct`, spraying by PathMap sport rewriting.
+    PathMap,
+    /// Filtering without the §3.4 compensation.
+    NoCompensation,
+    /// PSN spraying only.
+    NoFilter,
+}
+
+/// What a scheme changes on the NIC.
+#[derive(Clone, Copy)]
+enum Nic {
+    /// Nothing: the caller's NIC configuration stands.
+    Unchanged,
+    /// The loss-oracle transport with congestion control disabled.
+    IdealNoCc,
+    /// A non-commodity sender-entropy / OOO-reaction pair.
+    Reaction(SenderEntropyKind, OooReactionKind),
+}
+
+/// One scheme, axis by axis.
+struct Row {
+    scheme: Scheme,
+    label: &'static str,
+    /// `--scheme` spellings, the canonical one first.
+    names: &'static [&'static str],
+    lb: LbPolicy,
+    tor: Tor,
+    nic: Nic,
+    sprays: bool,
+}
+
+const FLOWLET: LbPolicy = LbPolicy::Flowlet {
+    gap: Scheme::FLOWLET_GAP,
+};
+const REPS: Nic = Nic::Reaction(
+    SenderEntropyKind::Reps {
+        pool: Scheme::REPS_POOL,
+    },
+    OooReactionKind::Eager,
+);
+const EUNOMIA: Nic = Nic::Reaction(
+    SenderEntropyKind::Fixed,
+    OooReactionKind::Eunomia {
+        window: Scheme::EUNOMIA_WINDOW,
+        gap_timeout: Scheme::EUNOMIA_GAP_TIMEOUT,
+    },
+);
+const SPRINKLERS: Nic = Nic::Reaction(
+    SenderEntropyKind::Sprinklers {
+        min_stripe: Scheme::SPRINKLERS_STRIPE.0,
+        max_stripe: Scheme::SPRINKLERS_STRIPE.1,
+    },
+    OooReactionKind::Eager,
+);
+
+/// The scheme table, one row per variant in declaration order (row `i`
+/// describes the variant with discriminant `i`; a test pins this).
+///
+/// Themis variants leave the switch policy at ECMP: data packets are
+/// overridden per packet by Themis-S, while control/reverse traffic
+/// follows its flow's ECMP path. REPS and Sprinklers likewise ride on
+/// plain ECMP — the *sender* re-rolls the entropy the switches hash on,
+/// which is the whole point of sender-driven spraying over commodity
+/// fabrics. Flowlet switching only re-routes across genuine gaps, which
+/// cannot reorder packets within a flowlet, so it does not count as
+/// spraying.
+#[rustfmt::skip]
+const TABLE: [Row; 12] = [
+    Row { scheme: Scheme::Ecmp, label: "ECMP", names: &["ecmp"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Unchanged, sprays: false },
+    Row { scheme: Scheme::AdaptiveRouting, label: "AdaptiveRouting", names: &["ar", "adaptive"], lb: LbPolicy::AdaptiveRouting, tor: Tor::None, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::RandomSpray, label: "RandomSpray", names: &["spray", "random"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::Flowlet, label: "Flowlet", names: &["flowlet"], lb: FLOWLET, tor: Tor::None, nic: Nic::Unchanged, sprays: false },
+    Row { scheme: Scheme::Themis, label: "Themis", names: &["themis"], lb: LbPolicy::Ecmp, tor: Tor::Direct, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::ThemisPathMap, label: "Themis(PathMap)", names: &["themis-pathmap"], lb: LbPolicy::Ecmp, tor: Tor::PathMap, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::ThemisNoCompensation, label: "Themis(no-comp)", names: &["themis-nocomp"], lb: LbPolicy::Ecmp, tor: Tor::NoCompensation, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::SprayNoFilter, label: "Spray(no-filter)", names: &["spray-nofilter"], lb: LbPolicy::Ecmp, tor: Tor::NoFilter, nic: Nic::Unchanged, sprays: true },
+    Row { scheme: Scheme::Oracle, label: "Oracle", names: &["oracle", "ideal"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::IdealNoCc, sprays: true },
+    Row { scheme: Scheme::Reps, label: "REPS", names: &["reps"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: REPS, sprays: true },
+    Row { scheme: Scheme::Eunomia, label: "Eunomia", names: &["eunomia"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: EUNOMIA, sprays: true },
+    Row { scheme: Scheme::Sprinklers, label: "Sprinklers", names: &["sprinklers"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: SPRINKLERS, sprays: true },
+];
+
 impl Scheme {
-    /// All schemes, for sweeps.
-    pub const ALL: [Scheme; 12] = [
-        Scheme::Ecmp,
-        Scheme::AdaptiveRouting,
-        Scheme::RandomSpray,
-        Scheme::Flowlet,
-        Scheme::Themis,
-        Scheme::ThemisPathMap,
-        Scheme::ThemisNoCompensation,
-        Scheme::SprayNoFilter,
-        Scheme::Oracle,
-        Scheme::Reps,
-        Scheme::Eunomia,
-        Scheme::Sprinklers,
-    ];
+    /// All schemes, for sweeps (the table's variants, in row order).
+    pub const ALL: [Scheme; 12] = {
+        let mut all = [Scheme::Ecmp; 12];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = TABLE[i].scheme;
+            i += 1;
+        }
+        all
+    };
 
     /// The flowlet gap threshold used by [`Scheme::Flowlet`] (LetFlow-ish).
     pub const FLOWLET_GAP: TimeDelta = TimeDelta::from_micros(50);
@@ -115,159 +201,74 @@ impl Scheme {
     /// Sprinklers stripe-length range in packets (default knob).
     pub const SPRINKLERS_STRIPE: (u16, u16) = (16, 64);
 
+    fn row(&self) -> &'static Row {
+        &TABLE[*self as usize]
+    }
+
     /// Short label for tables.
     pub fn label(&self) -> &'static str {
-        match self {
-            Scheme::Ecmp => "ECMP",
-            Scheme::AdaptiveRouting => "AdaptiveRouting",
-            Scheme::RandomSpray => "RandomSpray",
-            Scheme::Flowlet => "Flowlet",
-            Scheme::Themis => "Themis",
-            Scheme::ThemisPathMap => "Themis(PathMap)",
-            Scheme::ThemisNoCompensation => "Themis(no-comp)",
-            Scheme::SprayNoFilter => "Spray(no-filter)",
-            Scheme::Oracle => "Oracle",
-            Scheme::Reps => "REPS",
-            Scheme::Eunomia => "Eunomia",
-            Scheme::Sprinklers => "Sprinklers",
-        }
+        self.row().label
     }
 
-    /// Canonical CLI spelling: the inverse of [`Scheme::parse`]
-    /// (`Scheme::parse(s.cli_name()) == Some(s)` for every scheme).
-    /// Used wherever a scheme must round-trip through text — the
-    /// `--scheme` flags and the fuzzing corpus header.
+    /// Canonical CLI spelling: the first of the row's names, so
+    /// `Scheme::parse(s.cli_name()) == Some(s)` for every scheme. Used
+    /// wherever a scheme must round-trip through text — the `--scheme`
+    /// flags and the fuzzing corpus header.
     pub fn cli_name(&self) -> &'static str {
-        match self {
-            Scheme::Ecmp => "ecmp",
-            Scheme::AdaptiveRouting => "ar",
-            Scheme::RandomSpray => "spray",
-            Scheme::Flowlet => "flowlet",
-            Scheme::Themis => "themis",
-            Scheme::ThemisPathMap => "themis-pathmap",
-            Scheme::ThemisNoCompensation => "themis-nocomp",
-            Scheme::SprayNoFilter => "spray-nofilter",
-            Scheme::Oracle => "oracle",
-            Scheme::Reps => "reps",
-            Scheme::Eunomia => "eunomia",
-            Scheme::Sprinklers => "sprinklers",
-        }
+        self.row().names[0]
     }
 
-    /// Parse a CLI spelling (`--scheme` in the fig binaries). Accepted
-    /// spellings per scheme are documented in EXPERIMENTS.md.
+    /// Parse a CLI spelling (`--scheme`), case-blind: any spelling of
+    /// any row. The accepted names are listed in EXPERIMENTS.md.
     pub fn parse(s: &str) -> Option<Scheme> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "ecmp" => Scheme::Ecmp,
-            "ar" | "adaptive" => Scheme::AdaptiveRouting,
-            "spray" | "random" => Scheme::RandomSpray,
-            "flowlet" => Scheme::Flowlet,
-            "themis" => Scheme::Themis,
-            "themis-pathmap" => Scheme::ThemisPathMap,
-            "themis-nocomp" => Scheme::ThemisNoCompensation,
-            "spray-nofilter" => Scheme::SprayNoFilter,
-            "oracle" | "ideal" => Scheme::Oracle,
-            "reps" => Scheme::Reps,
-            "eunomia" => Scheme::Eunomia,
-            "sprinklers" => Scheme::Sprinklers,
-            _ => return None,
-        })
+        let spelled = |r: &&Row| r.names.iter().any(|x| x.eq_ignore_ascii_case(s));
+        TABLE.iter().find(spelled).map(|r| r.scheme)
     }
 
     /// The switch LB policy the leaves run.
-    ///
-    /// Themis variants leave the policy at ECMP: data packets are overridden
-    /// per packet by Themis-S, while control/reverse traffic follows its
-    /// flow's ECMP path. REPS and Sprinklers likewise ride on plain ECMP —
-    /// the *sender* re-rolls the entropy the switches hash on, which is the
-    /// whole point of sender-driven spraying over commodity fabrics.
     pub fn lb_policy(&self) -> LbPolicy {
-        match self {
-            Scheme::Ecmp => LbPolicy::Ecmp,
-            Scheme::AdaptiveRouting => LbPolicy::AdaptiveRouting,
-            Scheme::RandomSpray | Scheme::Oracle | Scheme::Eunomia => LbPolicy::RandomSpray,
-            Scheme::Flowlet => LbPolicy::Flowlet {
-                gap: Self::FLOWLET_GAP,
-            },
-            Scheme::Themis
-            | Scheme::ThemisPathMap
-            | Scheme::ThemisNoCompensation
-            | Scheme::SprayNoFilter
-            | Scheme::Reps
-            | Scheme::Sprinklers => LbPolicy::Ecmp,
-        }
+        self.row().lb
     }
 
-    /// Whether this scheme deploys Themis middleware on the ToRs, and if
-    /// so, how. `base` supplies the fabric-derived parameters.
+    /// The Themis middleware configuration this scheme deploys on the
+    /// ToRs, if any. `base` supplies the fabric-derived parameters.
     pub fn themis_config(&self, base: ThemisConfig) -> Option<ThemisConfig> {
-        match self {
-            Scheme::Ecmp
-            | Scheme::AdaptiveRouting
-            | Scheme::RandomSpray
-            | Scheme::Flowlet
-            | Scheme::Oracle
-            | Scheme::Reps
-            | Scheme::Eunomia
-            | Scheme::Sprinklers => None,
-            Scheme::Themis => Some(ThemisConfig {
+        let row = self.row();
+        match row.tor {
+            Tor::None => None,
+            Tor::Direct => Some(ThemisConfig {
                 spray_mode: SprayMode::DirectEgress,
                 ..base
             }),
-            Scheme::ThemisPathMap => Some(base.with_pathmap()),
-            Scheme::ThemisNoCompensation => Some(base.without_compensation()),
-            Scheme::SprayNoFilter => Some(base.without_filtering()),
+            Tor::PathMap => Some(base.with_pathmap()),
+            Tor::NoCompensation => Some(base.without_compensation()),
+            Tor::NoFilter => Some(base.without_filtering()),
         }
     }
 
     /// The NIC configuration this scheme needs, derived from `base`.
-    /// Applied once by the cluster builders, so every runner — point to
-    /// point, collectives, fat-tree rings, fuzzer — gets it for free.
+    /// Applied once by [`crate::cluster::assemble`], so every runner —
+    /// point to point, collectives, fat-tree rings, fuzzer — gets it
+    /// for free.
     pub fn nic_config(&self, base: NicConfig) -> NicConfig {
-        match self {
-            Scheme::Oracle => NicConfig {
+        let row = self.row();
+        match row.nic {
+            Nic::Unchanged => base,
+            Nic::IdealNoCc => NicConfig {
                 transport: TransportMode::IdealOracle,
                 cc: CcConfig::disabled(base.line_rate_bps),
                 ..base
             },
-            Scheme::Reps => NicConfig {
-                reaction: TransportReaction {
-                    entropy: SenderEntropyKind::Reps {
-                        pool: Self::REPS_POOL,
-                    },
-                    ooo: OooReactionKind::Eager,
-                },
+            Nic::Reaction(entropy, ooo) => NicConfig {
+                reaction: TransportReaction { entropy, ooo },
                 ..base
             },
-            Scheme::Sprinklers => NicConfig {
-                reaction: TransportReaction {
-                    entropy: SenderEntropyKind::Sprinklers {
-                        min_stripe: Self::SPRINKLERS_STRIPE.0,
-                        max_stripe: Self::SPRINKLERS_STRIPE.1,
-                    },
-                    ooo: OooReactionKind::Eager,
-                },
-                ..base
-            },
-            Scheme::Eunomia => NicConfig {
-                reaction: TransportReaction {
-                    entropy: SenderEntropyKind::Fixed,
-                    ooo: OooReactionKind::Eunomia {
-                        window: Self::EUNOMIA_WINDOW,
-                        gap_timeout: Self::EUNOMIA_GAP_TIMEOUT,
-                    },
-                },
-                ..base
-            },
-            _ => base,
         }
     }
 
     /// Whether the scheme sprays packets (out-of-order arrivals expected).
-    /// Flowlet switching only re-routes across genuine gaps, which cannot
-    /// reorder packets within a flowlet, so it does not count as spraying.
     pub fn sprays(&self) -> bool {
-        !matches!(self, Scheme::Ecmp | Scheme::Flowlet)
+        self.row().sprays
     }
 }
 
@@ -284,11 +285,52 @@ mod tests {
         NicConfig::nic_sr(400_000_000_000)
     }
 
+    /// The public `--scheme` / corpus-header vocabulary, stated by hand:
+    /// the table is checked against this list, not against itself, so a
+    /// typo in a row's spelling or label fails here.
     #[test]
-    fn labels_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+    fn parse_covers_every_scheme_and_rejects_junk() {
         for s in Scheme::ALL {
-            assert!(seen.insert(s.label()));
+            let (spelling, label) = match s {
+                Scheme::Ecmp => ("ecmp", "ECMP"),
+                Scheme::AdaptiveRouting => ("ar", "AdaptiveRouting"),
+                Scheme::RandomSpray => ("spray", "RandomSpray"),
+                Scheme::Flowlet => ("flowlet", "Flowlet"),
+                Scheme::Themis => ("themis", "Themis"),
+                Scheme::ThemisPathMap => ("themis-pathmap", "Themis(PathMap)"),
+                Scheme::ThemisNoCompensation => ("themis-nocomp", "Themis(no-comp)"),
+                Scheme::SprayNoFilter => ("spray-nofilter", "Spray(no-filter)"),
+                Scheme::Oracle => ("oracle", "Oracle"),
+                Scheme::Reps => ("reps", "REPS"),
+                Scheme::Eunomia => ("eunomia", "Eunomia"),
+                Scheme::Sprinklers => ("sprinklers", "Sprinklers"),
+            };
+            assert_eq!(Scheme::parse(spelling), Some(s));
+            assert_eq!(s.cli_name(), spelling);
+            assert_eq!(s.label(), label);
+        }
+        assert_eq!(Scheme::parse("REPS"), Some(Scheme::Reps), "case-blind");
+        assert_eq!(Scheme::parse("ideal"), Some(Scheme::Oracle));
+        assert_eq!(Scheme::parse("bogus"), None);
+    }
+
+    #[test]
+    fn table_has_one_row_per_variant_in_all_order() {
+        assert_eq!(TABLE.len(), Scheme::ALL.len());
+        let mut labels = std::collections::HashSet::new();
+        let mut names = std::collections::HashSet::new();
+        for (i, (row, s)) in TABLE.iter().zip(Scheme::ALL).enumerate() {
+            assert_eq!(row.scheme, s);
+            assert_eq!(s as usize, i, "{} is not row {i}", s.label());
+            assert!(labels.insert(s.label()), "label {} repeats", s.label());
+            // Every spelling (canonical or alias) names exactly one row
+            // and is stored in the lowercase form `--help` prints.
+            for name in row.names {
+                assert!(names.insert(*name), "spelling {name} repeats");
+                assert_eq!(*name, name.to_ascii_lowercase());
+                assert_eq!(Scheme::parse(name), Some(s));
+            }
+            assert_eq!(Scheme::parse(s.cli_name()), Some(s));
         }
     }
 
@@ -403,27 +445,33 @@ mod tests {
     }
 
     #[test]
-    fn parse_covers_every_scheme_and_rejects_junk() {
-        for s in Scheme::ALL {
-            // Every scheme has at least one spelling that round-trips.
-            let spelling = match s {
-                Scheme::Ecmp => "ecmp",
-                Scheme::AdaptiveRouting => "ar",
-                Scheme::RandomSpray => "spray",
-                Scheme::Flowlet => "flowlet",
-                Scheme::Themis => "themis",
-                Scheme::ThemisPathMap => "themis-pathmap",
-                Scheme::ThemisNoCompensation => "themis-nocomp",
-                Scheme::SprayNoFilter => "spray-nofilter",
-                Scheme::Oracle => "oracle",
-                Scheme::Reps => "reps",
-                Scheme::Eunomia => "eunomia",
-                Scheme::Sprinklers => "sprinklers",
-            };
-            assert_eq!(Scheme::parse(spelling), Some(s));
-        }
-        assert_eq!(Scheme::parse("REPS"), Some(Scheme::Reps), "case-blind");
+    fn aliases_and_case_blind_input_parse_and_junk_does_not() {
+        assert_eq!(Scheme::parse("adaptive"), Some(Scheme::AdaptiveRouting));
+        assert_eq!(Scheme::parse("random"), Some(Scheme::RandomSpray));
         assert_eq!(Scheme::parse("ideal"), Some(Scheme::Oracle));
+        assert_eq!(Scheme::parse("REPS"), Some(Scheme::Reps), "case-blind");
+        assert_eq!(Scheme::parse("Themis-PathMap"), Some(Scheme::ThemisPathMap));
         assert_eq!(Scheme::parse("bogus"), None);
+        assert_eq!(Scheme::parse(""), None);
+    }
+
+    /// `--scheme` has no spelling list of its own: what the flag accepts
+    /// and what `--help` prints both come from this table.
+    #[test]
+    fn cli_scheme_choices_are_the_table_s_canonical_spellings() {
+        let canonical: Vec<&str> = TABLE.iter().map(|r| r.names[0]).collect();
+        let usage = crate::cli::THEMIS_LOAD.usage(None);
+        assert!(usage.contains(&canonical.join(" | ")), "{usage}");
+        let cli_src = include_str!("cli.rs");
+        for name in TABLE
+            .iter()
+            .flat_map(|r| r.names)
+            .filter(|n| n.contains('-'))
+        {
+            assert!(
+                !cli_src.contains(&format!("\"{name}\"")),
+                "cli.rs spells {name}"
+            );
+        }
     }
 }

@@ -37,9 +37,8 @@
 //! `"ok": true` plus op-specific fields, or `"ok": false` with an
 //! `"error"` message. See [`SimService::handle`] for the op table.
 
-use crate::cluster::Cluster;
+use crate::cluster::{assemble, check_shards, Cluster, Topology};
 use crate::experiment::attach_driver_telemetry;
-use crate::fat_tree::build_fat_tree_cluster_sharded;
 use crate::json::{self, Json};
 use crate::load::InvalidConfig;
 use crate::scheme::Scheme;
@@ -104,31 +103,22 @@ impl ServiceConfig {
         }
     }
 
-    /// Reject degenerate knob combinations with a usage error instead
-    /// of a downstream panic (`--window-us 0`, odd radix, more shards
-    /// than hosts, …).
+    /// Reject an invalid fabric ([`assemble`]'s rule) and degenerate
+    /// knob combinations (`--window-us 0`, more shards than hosts) with
+    /// a usage error instead of a downstream panic.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
-        let fail = |msg: String| Err(InvalidConfig(msg));
-        if self.k < 4 || self.k % 2 != 0 || !(self.k / 2).is_power_of_two() {
-            return fail(format!(
-                "--k must be even with k/2 a power of two (4, 8, 16, 32), got {}",
-                self.k
-            ));
-        }
+        let fabric = FatTreeConfig::small(self.k);
+        Topology::FatTree(&fabric).check(&NicConfig::nic_sr(GBPS100), self.scheme)?;
+        self.check_knobs(&fabric)
+    }
+
+    /// The non-fabric half of [`ServiceConfig::validate`].
+    fn check_knobs(&self, fabric: &FatTreeConfig) -> Result<(), InvalidConfig> {
         if self.window.as_nanos() == 0 {
-            return fail("--window-us must be > 0 (the advance op moves time by it)".into());
+            let msg = "--window-us must be > 0 (the advance op moves time by it)";
+            return Err(InvalidConfig(msg.into()));
         }
-        if self.shards == 0 {
-            return fail("--shards must be >= 1 (1 = serial engine)".into());
-        }
-        let n_hosts = FatTreeConfig::small(self.k).n_hosts();
-        if self.shards > n_hosts {
-            return fail(format!(
-                "--shards {} exceeds the fabric's {n_hosts} hosts; shards partition hosts",
-                self.shards
-            ));
-        }
-        Ok(())
+        Ok(check_shards(self.shards, fabric.n_hosts())?)
     }
 
     fn to_json(&self) -> Json {
@@ -271,16 +261,13 @@ pub struct SimService {
 }
 
 impl SimService {
-    /// Build a warm fabric for `cfg` (validated first).
+    /// Build a warm fabric for `cfg`, rejecting everything
+    /// [`ServiceConfig::validate`] rejects.
     pub fn new(cfg: ServiceConfig) -> Result<SimService, InvalidConfig> {
-        cfg.validate()?;
         let fabric = FatTreeConfig::small(cfg.k);
-        let mut cluster = build_fat_tree_cluster_sharded(
-            &fabric,
-            NicConfig::nic_sr(GBPS100),
-            cfg.scheme,
-            cfg.shards,
-        );
+        cfg.check_knobs(&fabric)?;
+        let nic = NicConfig::nic_sr(GBPS100);
+        let mut cluster = assemble(Topology::FatTree(&fabric), nic, cfg.scheme, cfg.shards)?;
         let mut driver = Driver::new();
         attach_driver_telemetry(&mut driver, &cluster);
         let node = cluster.driver;

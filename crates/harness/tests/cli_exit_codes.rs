@@ -135,7 +135,8 @@ fn validate_still_rejects_degenerate_knobs_with_two() {
     let dir = scratch("validate");
     let sock = dir.join("s.sock");
     let sock = sock.to_str().expect("utf-8 temp path");
-    let cases: [(&str, &[&str], &str); 3] = [
+    const K6: &str = "--k must be even with k/2 a power of two (4, 8, 16, 32), got 6";
+    let cases: [(&str, &[&str], &str); 12] = [
         ("themis_load", &["--jobs", "0"], "--jobs must be >= 1"),
         (
             "themis_serve",
@@ -147,15 +148,87 @@ fn validate_still_rejects_degenerate_knobs_with_two() {
             &["--tcp", "127.0.0.1:0", "--socket", sock],
             "mutually exclusive",
         ),
+        // Invalid fabrics: one rule (`harness::cluster`), every front
+        // door. Each of these used to panic inside cluster assembly.
+        (
+            "themis_sim",
+            &["p2p", "--leaves", "1", "--hosts", "2", "--spines", "2"],
+            "p2p needs a second rack",
+        ),
+        (
+            "themis_sim",
+            &["p2p", "--leaves", "0", "--hosts", "2", "--spines", "2"],
+            "the fabric has 0 leaves",
+        ),
+        (
+            "themis_sim",
+            &[
+                "collective",
+                "--leaves",
+                "2",
+                "--hosts",
+                "0",
+                "--spines",
+                "2",
+            ],
+            "the fabric has 0 hosts per leaf",
+        ),
+        (
+            "themis_sim",
+            &[
+                "collective",
+                "--leaves",
+                "2",
+                "--hosts",
+                "2",
+                "--spines",
+                "0",
+            ],
+            "the fabric has 0 spines",
+        ),
+        (
+            "themis_sim",
+            &["collective", "--leaves", "2", "--hosts", "2", "--gbps", "0"],
+            "link bandwidth must be > 0",
+        ),
+        (
+            "themis_sim",
+            &[
+                "collective",
+                "--leaves",
+                "3",
+                "--hosts",
+                "2",
+                "--spines",
+                "3",
+                "--scheme",
+                "themis",
+            ],
+            "power of two in 1..=256, got 3",
+        ),
+        (
+            "themis_sim",
+            &["p2p", "--leaves", "2", "--hosts", "2", "--spines", "200"],
+            "power of two in 1..=256, got 200",
+        ),
+        (
+            "themis_load",
+            &["--k", "6", "--jobs", "4", "--windows", "2"],
+            K6,
+        ),
+        ("themis_serve", &["--socket", sock, "--k", "6"], K6),
     ];
     for (bin, args, message) in cases {
         let (out, _) = run(bin, args, &dir);
         let stderr = text(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{bin} {args:?}: {stderr}");
         assert!(
             stderr.contains(message) && stderr.contains("USAGE: "),
-            "{stderr}"
+            "{bin} {args:?}: {stderr}"
         );
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran something");
     }
     // A run that completes nothing is a failed run, not a usage error.
     let tiny = "--jobs 2 --windows 1 --window-us 1 --no-require-complete";

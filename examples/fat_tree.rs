@@ -11,7 +11,7 @@
 
 use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::ring::ring_once;
-use themis::harness::{build_fat_tree_cluster, Scheme};
+use themis::harness::{build_fat_tree_cluster_sharded, Scheme};
 use themis::netsim::event::Event;
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::switch::Switch;
@@ -33,10 +33,11 @@ fn main() {
     );
 
     for scheme in [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis] {
-        let mut cluster = build_fat_tree_cluster(
+        let mut cluster = build_fat_tree_cluster_sharded(
             &fabric,
             NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
             scheme,
+            1,
         );
         // One host per pod (hosts 0, 4, 8, 12): every ring hop crosses
         // the core layer.

@@ -10,6 +10,10 @@
 #   3b. cargo test --workspace -q: every crate's unit tests, the
 #      harness's real-binary CLI tests (crates/harness/tests/) and all
 #      doctests — none of which the root-package tier-1 run reaches.
+#   3c. cargo check on perfbench/ (the repo benchmark is a package of
+#      its own, not a workspace member, so nothing above compiles it: a
+#      rename in crates/harness would break it silently until the
+#      benchmark gate runs).
 #   4. THEMIS_SHARDS=2 matrix leg: the model checker, the oracle e2e
 #      suites, PFC/failure runs, and the scheme-zoo matrix repeated on
 #      the sharded engine — every assertion must hold bit-identically
@@ -61,6 +65,9 @@ cargo test -q
 
 echo "== tests (workspace: crate unit tests, harness CLI tests, doctests) =="
 cargo test --workspace -q
+
+echo "== perfbench compiles against this tree (check only) =="
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
 
 echo "== tests (sharded engine matrix leg, THEMIS_SHARDS=2) =="
 # The harness threads THEMIS_SHARDS into every ExperimentConfig, so this

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use themis::harness::json::Json;
 use themis::harness::load::{run_open_loop, LoadConfig};
 use themis::harness::service::{serve, Client, Endpoint, ServiceConfig, SimService};
-use themis::harness::{build_fat_tree_cluster, ClusterError, Scheme};
+use themis::harness::{build_fat_tree_cluster_sharded, ClusterError, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::types::NodeId;
 use themis::rnic::NicConfig;
@@ -189,10 +189,11 @@ fn zero_job_driver_reports_no_tail_completion() {
 /// reports the id instead of panicking.
 #[test]
 fn stale_switch_id_is_an_error_not_a_panic() {
-    let cluster = build_fat_tree_cluster(
+    let cluster = build_fat_tree_cluster_sharded(
         &FatTreeConfig::small(4),
         NicConfig::nic_sr(100_000_000_000),
         Scheme::Themis,
+        1,
     );
     let bogus = NodeId(u32::MAX);
     match cluster.switch(bogus) {

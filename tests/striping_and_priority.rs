@@ -12,7 +12,7 @@
 
 use themis::collectives::driver::{setup_collective_striped, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::ring::{ring_allreduce, ring_once};
-use themis::harness::{build_cluster, build_fat_tree_cluster, ExperimentConfig, Scheme};
+use themis::harness::{build_cluster, build_fat_tree_cluster_sharded, ExperimentConfig, Scheme};
 use themis::netsim::event::Event;
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::topology::LeafSpineConfig;
@@ -97,10 +97,11 @@ fn ctrl_priority_composes_with_themis() {
 #[test]
 fn k8_fat_tree_interpod_ring_under_themis() {
     let fabric = FatTreeConfig::small(8); // 128 hosts, 16 paths
-    let mut cluster = build_fat_tree_cluster(
+    let mut cluster = build_fat_tree_cluster_sharded(
         &fabric,
         NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
         Scheme::Themis,
+        1,
     );
     assert_eq!(cluster.n_paths, 16);
     // One host per pod: hosts 0, 16, 32, ...
