@@ -600,10 +600,10 @@ pub fn build_fat_tree_cluster_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{aggregate_nics, start_driver};
-    use collectives::driver::{setup_collective, Driver, QpAllocator};
+    use crate::experiment::aggregate_nics;
+    use crate::session::{Session, Start};
     use collectives::ring::ring_once;
-    use simcore::time::Nanos;
+    use simcore::time::{Nanos, TimeDelta};
 
     const GBPS100: u64 = 100_000_000_000;
 
@@ -778,22 +778,21 @@ mod tests {
     /// Run an inter-pod ring (one host per pod) on a k=4 fat-tree.
     fn run_interpod_ring(scheme: Scheme, bytes: u64) -> (Cluster, Option<Nanos>) {
         let cfg = FatTreeConfig::small(4);
-        let mut cluster =
-            build_fat_tree_cluster_sharded(&cfg, NicConfig::nic_sr(GBPS100), scheme, 1);
+        let cluster = build_fat_tree_cluster_sharded(&cfg, NicConfig::nic_sr(GBPS100), scheme, 1);
         // One host per pod, same local index: 0, 4, 8, 12.
         let hosts: Vec<HostId> = (0..4).map(|p| HostId(p * 4)).collect();
-        let mut driver = Driver::new();
-        driver.add_instance(setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            &hosts,
-            ring_once(4, bytes),
-            &mut QpAllocator::new(5),
-        ));
-        start_driver(&mut cluster, driver);
-        cluster.world.run_until(Nanos::from_secs(2));
+        let cluster = run_ring(cluster, &hosts, bytes);
         let ct = crate::experiment::driver_of(&cluster).tail_completion();
         (cluster, ct)
+    }
+
+    /// One `ring_once` over `hosts`, run for two simulated seconds.
+    fn run_ring(cluster: Cluster, hosts: &[HostId], bytes: u64) -> Cluster {
+        let mut session = Session::new(cluster, 5, TimeDelta::from_secs(2));
+        session.post(hosts, ring_once(hosts.len(), bytes), Start::WithRun);
+        session.kick_off();
+        session.run_to(Nanos::from_secs(2));
+        session.cluster
     }
 
     #[test]
@@ -847,19 +846,10 @@ mod tests {
     fn fat_tree_intra_pod_flows_also_work_under_themis() {
         let cfg = FatTreeConfig::small(4);
         let nic = NicConfig::nic_sr(GBPS100);
-        let mut cluster = build_fat_tree_cluster_sharded(&cfg, nic, Scheme::Themis, 1);
+        let cluster = build_fat_tree_cluster_sharded(&cfg, nic, Scheme::Themis, 1);
         // Host 0 (edge 0) -> host 2 (edge 1), same pod: only the agg
         // stage matters physically, but mod-N spraying still recovers.
-        let mut driver = Driver::new();
-        driver.add_instance(setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            &[HostId(0), HostId(2)],
-            ring_once(2, 2 << 20),
-            &mut QpAllocator::new(5),
-        ));
-        start_driver(&mut cluster, driver);
-        cluster.world.run_until(Nanos::from_secs(2));
+        let cluster = run_ring(cluster, &[HostId(0), HostId(2)], 2 << 20);
         let d = crate::experiment::driver_of(&cluster);
         assert!(d.all_complete(), "intra-pod traffic must complete");
         // Cores untouched by intra-pod flows.

@@ -6,12 +6,12 @@ use crate::cluster::{
 };
 use crate::faults::FaultPlan;
 use crate::scheme::Scheme;
+use crate::session::{snapshot_with_run_counters, Session, Start};
 use collectives::alltoall::{alltoall, incast};
-use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
+use collectives::driver::{Driver, QpAllocator};
 use collectives::groups::all_groups;
 use collectives::ring::{ring_allgather, ring_allreduce, ring_once, ring_reduce_scatter};
 use collectives::schedule::{Schedule, Transfer};
-use netsim::event::Event;
 use netsim::topology::LeafSpineConfig;
 use netsim::trace::{fabric_summary, FabricSummary};
 use netsim::types::{HostId, NodeId};
@@ -310,38 +310,6 @@ pub const MSG_LATENCY_BIN_NS: u64 = 10_000_000;
 /// Number of time bins of the `collective.msg_latency` histogram.
 pub const MSG_LATENCY_BINS: usize = 512;
 
-/// Wire the driver into the cluster's telemetry sink: each transfer's
-/// post → delivery latency lands in `collective.msg_latency`. The
-/// histogram is registered on **every** shard sink so sharded and serial
-/// registries carry identical name sets; the driver itself reports into
-/// shard 0's sink (its owner shard).
-pub(crate) fn attach_driver_telemetry(driver: &mut Driver, cluster: &Cluster) {
-    let mut hist = None;
-    for sink in &cluster.sinks {
-        let id = sink.time_hist(
-            "collective.msg_latency",
-            MSG_LATENCY_BIN_NS,
-            MSG_LATENCY_BINS,
-        );
-        hist.get_or_insert(id);
-    }
-    driver.set_telemetry(
-        cluster.telemetry.clone(),
-        hist.expect("cluster has at least one sink"),
-    );
-}
-
-/// Start a closed-loop run: install `driver` in the cluster's reserved
-/// slot and seed its `START_TOKEN` at t = 0.
-pub(crate) fn start_driver(cluster: &mut Cluster, driver: Driver) {
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-}
-
 /// Aggregated scheme-policy counters over all NIC QPs — the backing
 /// store of the `scheme.*` telemetry namespace (exported only for
 /// schemes that install a non-commodity transport reaction).
@@ -411,26 +379,37 @@ pub fn run_collective_with_faults(
     total_bytes: u64,
     plan: &FaultPlan,
 ) -> (ExperimentResult, Cluster) {
-    let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
-    let groups = all_groups(cfg.fabric.n_leaves, cfg.fabric.hosts_per_leaf);
-    let mut alloc = QpAllocator::new(cfg.seed ^ 0xC0_11EC);
-    let mut driver = Driver::new();
-    for hosts in &groups {
-        let schedule = collective.schedule(hosts.len(), total_bytes);
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            hosts,
-            schedule,
-            &mut alloc,
-        );
-        driver.add_instance(spec);
+    let cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
+    let groups = all_groups(cfg.fabric.n_leaves, cfg.fabric.hosts_per_leaf)
+        .into_iter()
+        .map(|hosts| {
+            let schedule = collective.schedule(hosts.len(), total_bytes);
+            (hosts, schedule)
+        });
+    run_closed_loop(cluster, cfg.seed ^ 0xC0_11EC, groups, plan, cfg.horizon)
+}
+
+/// The closed-loop run under every batch entry point: post each group's
+/// schedule to start with the run, kick off, install `plan`, run to
+/// `horizon` — one window as wide as the horizon, closed with `run_to`
+/// so the returned cluster keeps its drop logs for `oracle::check`.
+fn run_closed_loop(
+    cluster: Cluster,
+    qp_seed: u64,
+    groups: impl IntoIterator<Item = (Vec<HostId>, Schedule)>,
+    plan: &FaultPlan,
+    horizon: Nanos,
+) -> (ExperimentResult, Cluster) {
+    let window = TimeDelta::from_nanos(horizon.as_nanos());
+    let mut session = Session::new(cluster, qp_seed, window).with_msg_latency();
+    for (hosts, schedule) in groups {
+        session.post(&hosts, schedule, Start::WithRun);
     }
-    attach_driver_telemetry(&mut driver, &cluster);
-    start_driver(&mut cluster, driver);
-    plan.install(&mut cluster);
-    cluster.world.run_until(cfg.horizon);
-    (collect_result(cfg.scheme, &cluster), cluster)
+    session.kick_off();
+    plan.install(&mut session.cluster);
+    session.run_to(horizon);
+    let cluster = session.cluster;
+    (collect_result(&cluster), cluster)
 }
 
 /// Predict, without running anything, the `(qp, n_psn)` streams
@@ -503,26 +482,20 @@ pub fn run_fat_tree_rings(
         groups <= hosts_per_pod,
         "at most one ring per pod-local host index ({hosts_per_pod})"
     );
-    let mut cluster = build_fat_tree_cluster_sharded(fabric_cfg, nic_cfg, scheme, n_shards);
-    let mut alloc = QpAllocator::new(seed ^ 0xC0_11EC);
-    let mut driver = Driver::new();
-    for g in 0..groups {
-        let hosts: Vec<HostId> = (0..k)
+    let cluster = build_fat_tree_cluster_sharded(fabric_cfg, nic_cfg, scheme, n_shards);
+    let rings = (0..groups).map(|g| {
+        let hosts = (0..k)
             .map(|p| HostId((p * hosts_per_pod + g) as u32))
             .collect();
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            &hosts,
-            ring_once(k, bytes_per_ring),
-            &mut alloc,
-        );
-        driver.add_instance(spec);
-    }
-    attach_driver_telemetry(&mut driver, &cluster);
-    start_driver(&mut cluster, driver);
-    cluster.world.run_until(horizon);
-    (collect_result(scheme, &cluster), cluster)
+        (hosts, ring_once(k, bytes_per_ring))
+    });
+    run_closed_loop(
+        cluster,
+        seed ^ 0xC0_11EC,
+        rings,
+        &FaultPlan::none(),
+        horizon,
+    )
 }
 
 /// Like [`run_collective_on`], discarding the cluster.
@@ -570,7 +543,7 @@ pub fn point_to_point_ends(fabric: &LeafSpineConfig) -> Result<[HostId; 2], Clus
 /// or [`point_to_point_ends`] rejects `cfg`.
 pub fn run_point_to_point(cfg: &ExperimentConfig, bytes: u64) -> ExperimentResult {
     let ends = point_to_point_ends(&cfg.fabric).unwrap_or_else(|e| panic!("{e}"));
-    let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
+    let cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
     let schedule = Schedule {
         name: "point-to-point",
         n_ranks: 2,
@@ -581,27 +554,12 @@ pub fn run_point_to_point(cfg: &ExperimentConfig, bytes: u64) -> ExperimentResul
             deps: vec![],
         }],
     };
-    let mut alloc = QpAllocator::new(cfg.seed);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &ends,
-        schedule,
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    attach_driver_telemetry(&mut driver, &cluster);
-    start_driver(&mut cluster, driver);
-    cluster.world.run_until(cfg.horizon);
-    collect_result(cfg.scheme, &cluster)
+    let flow = [(ends.to_vec(), schedule)];
+    run_closed_loop(cluster, cfg.seed, flow, &FaultPlan::none(), cfg.horizon).0
 }
 
-fn collect_result(scheme: Scheme, cluster: &Cluster) -> ExperimentResult {
-    let driver: &Driver = cluster
-        .world
-        .get(cluster.driver)
-        .expect("driver installed before run");
+fn collect_result(cluster: &Cluster) -> ExperimentResult {
+    let driver = driver_of(cluster);
     let start = driver.started_at().unwrap_or(Nanos::ZERO);
     let group_cts: Vec<Option<TimeDelta>> = driver
         .completions()
@@ -616,7 +574,7 @@ fn collect_result(scheme: Scheme, cluster: &Cluster) -> ExperimentResult {
     let events = cluster.world.engine.dispatched();
     let sim_end = cluster.world.now();
     let mut result = ExperimentResult {
-        scheme,
+        scheme: cluster.scheme,
         tail_ct,
         group_cts,
         fabric,
@@ -636,7 +594,7 @@ fn collect_result(scheme: Scheme, cluster: &Cluster) -> ExperimentResult {
 /// `agg.*` (entity-stat aggregates) and `run.*` (run-level) exports, so
 /// one JSON document carries both views and they can be cross-checked.
 fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::RunReport {
-    let mut t = cluster.snapshot_merged();
+    let mut t = snapshot_with_run_counters(cluster);
 
     t.push_counter("agg.fabric.rx_packets", r.fabric.rx_packets);
     t.push_counter("agg.fabric.forwarded", r.fabric.forwarded);
@@ -714,9 +672,6 @@ fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::Run
         _ => {}
     }
 
-    t.push_counter("run.events", r.events);
-    t.push_counter("run.shards", cluster.sinks.len() as u64);
-    t.push_counter("run.sim_end_ns", r.sim_end.as_nanos());
     t.push_gauge("run.goodput_gbps", r.aggregate_goodput_gbps());
     t.push_gauge(
         "run.tail_ct_us",

@@ -12,9 +12,9 @@
 //! * **Fig 1d** — average per-flow throughput, NIC-SR vs. the Ideal
 //!   transport (paper: 68.09 vs. 95.43 Gbps).
 
-use crate::experiment::{start_driver, Collective, ExperimentConfig};
+use crate::experiment::{driver_of, Collective, ExperimentConfig};
 use crate::scheme::Scheme;
-use collectives::driver::{setup_collective, Driver, QpAllocator};
+use crate::session::{Session, Start};
 use collectives::groups::all_groups;
 use netsim::types::NodeId;
 use rnic::{Nic, NicConfig};
@@ -104,45 +104,33 @@ pub fn run_fig1_sharded(
     }
     cfg.horizon = Nanos::from_secs(60);
 
-    let mut cluster =
+    let cluster =
         crate::cluster::build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
-    let groups = all_groups(cfg.fabric.n_leaves, cfg.fabric.hosts_per_leaf);
-    let mut alloc = QpAllocator::new(seed ^ 0xF1_61);
-    let mut driver = Driver::new();
-    let mut chosen_qp = None;
+    // No `with_msg_latency`: Fig 1's telemetry document predates the
+    // `collective.msg_latency` histogram and stays without it.
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, seed ^ 0xF1_61, window);
     let mut flow_bytes = Vec::new();
-    for hosts in &groups {
+    for hosts in &all_groups(cfg.fabric.n_leaves, cfg.fabric.hosts_per_leaf) {
         let schedule = Collective::RingOnce.schedule(hosts.len(), bytes_per_flow);
-        for t in &schedule.transfers {
-            flow_bytes.push(t.bytes);
-        }
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            hosts,
-            schedule,
-            &mut alloc,
-        );
-        // The paper's chosen flow: node 0 -> node 2, i.e. group 0 rank 0.
-        if chosen_qp.is_none() {
-            chosen_qp = Some((spec.hosts[0], spec.qp_of_transfer[0]));
-        }
-        driver.add_instance(spec);
+        flow_bytes.extend(schedule.transfers.iter().map(|t| t.bytes));
+        session.post(hosts, schedule, Start::WithRun);
     }
-    let (chosen_host, chosen_qp) = chosen_qp.expect("at least one group");
-    cluster
+    // The paper's chosen flow: node 0 -> node 2, i.e. group 0 rank 0.
+    let chosen = driver_of(&session.cluster).instance_spec(0);
+    let (chosen_host, chosen_qp) = (chosen.hosts[0], chosen.qp_of_transfer[0]);
+    session
+        .cluster
         .world
         .get_mut::<Nic>(NodeId(chosen_host.0))
         .expect("chosen NIC")
         .enable_send_trace(chosen_qp, trace_bin);
-
-    // No `attach_driver_telemetry`: Fig 1's telemetry document predates
-    // the `collective.msg_latency` histogram and stays without it.
-    start_driver(&mut cluster, driver);
-    cluster.world.run_until(cfg.horizon);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
     // ---- extract ----
-    let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
+    let driver = driver_of(&cluster);
     let start = driver.started_at().unwrap_or(Nanos::ZERO);
     let completed = driver.all_complete();
 

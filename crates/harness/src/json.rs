@@ -181,10 +181,21 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest accepted nesting of arrays and objects. The parser recurses
+/// once per level, so without a cap a frame of `[[[[…` overflows the
+/// stack of the thread that reads it; the deepest document the repo
+/// writes (the windowed telemetry one) nests 8.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing non-whitespace and nesting deeper
+/// than 128 levels are errors.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -197,6 +208,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,12 +254,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -325,12 +352,15 @@ impl Parser<'_> {
                             let cp = self.hex4()?;
                             // Surrogate pair: a high surrogate must be
                             // followed by an escaped low surrogate.
+                            // (`hex4` leaves `pos` just past its digits.)
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos + 1..].starts_with(b"\\u") {
-                                    self.pos += 2;
+                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                    self.pos += 1;
                                     let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -421,6 +451,13 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("{} extra").is_err());
+        // Nesting is capped: a hostile frame is an error, not a stack
+        // overflow of the thread that parses it.
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 
     #[test]
@@ -428,5 +465,18 @@ mod tests {
         let v = Json::str("quote \" backslash \\ tab \t ctrl \u{1} unicode \u{263a}");
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+        // An escaped surrogate pair (how `json.dumps` writes any non-BMP
+        // character) decodes; every broken pair is an error, not a panic.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::str("\u{1F600}"));
+        for bad in [
+            r#""\ud800""#,       // lone high
+            r#""\ud800"#,        // lone high at end of input
+            r#""\ude00""#,       // lone low
+            r#""\ud83dA""#,      // high + non-escape
+            r#""\ud83d\u0041""#, // high + non-low escape
+            r#""\ud83d\ude"#,    // truncated low
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

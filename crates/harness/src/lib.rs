@@ -8,6 +8,10 @@
 //!   fat-tree) + NICs + Themis middleware on the ToRs, and the
 //!   fabric-validity rule every entry point shares.
 //! * [`experiment`] — generic collective runner and the metrics bundle.
+//! * `session` (crate-private) — the one run substrate: a provision →
+//!   step → drain `Session` that [`experiment`], [`fig1`], [`load`] and
+//!   [`service`] all drive a cluster through (DESIGN.md "Run
+//!   substrate").
 //! * [`faults`] — deterministic fault-injection scenarios ([`FaultPlan`])
 //!   scheduled through ordinary simulator events.
 //! * [`oracle`] — the trace-driven protocol-invariant oracle every run
@@ -17,9 +21,9 @@
 //! * [`report`] — plain-text tables and series for terminal output.
 //! * [`sweep`] — parallel fan-out of independent sweep cells
 //!   (`--jobs N` in the binaries), deterministic in cell order.
-//! * [`load`] — the open-loop production traffic engine: multi-tenant
-//!   job churn with windowed telemetry and a sliding-window oracle
-//!   (`themis_load`).
+//! * [`load`] — the open-loop production traffic engine, a scripted
+//!   client of the run substrate: multi-tenant job churn with windowed
+//!   telemetry and a sliding-window oracle (`themis_load`).
 //! * [`cli`] — the one flag table and argv parser under all six
 //!   binaries; `<binary> --help` is rendered from it.
 //! * [`knobs`] — the `--jobs`/`THEMIS_JOBS` and `--shards`/`THEMIS_SHARDS`
@@ -37,7 +41,7 @@
 //!   `post_send` / `poll_cq` / `snapshot` / `restore` over a
 //!   length-prefixed JSON socket protocol.
 //! * [`json`] — the dependency-free JSON value/parser/writer the
-//!   service protocol and its snapshots use.
+//!   service protocol and its snapshots use (nesting capped at 128).
 
 #![warn(missing_docs)]
 
@@ -56,6 +60,7 @@ pub mod oracle;
 pub mod report;
 pub mod scheme;
 pub mod service;
+mod session;
 pub mod shrink;
 pub mod sweep;
 pub mod telemetry_out;

@@ -2,20 +2,21 @@
 //! job churn over a fat-tree fabric, with windowed streaming telemetry
 //! and a bounded-memory sliding-window oracle.
 //!
-//! [`run_open_loop`] samples an open-loop job plan
-//! ([`collectives::open_loop`]) up front, wires every job as a
-//! *deferred* driver instance (its QPs exist from the start, NCCL-style;
-//! the job's transfers begin when its seeded arrival timer fires), and
-//! then advances the world **window by window**. At every window
-//! boundary it:
+//! [`run_open_loop`] is a scripted client of the crate's one run
+//! substrate (`session::Session`, DESIGN.md "Run substrate"): it samples
+//! an open-loop job plan ([`collectives::open_loop`]) up front, posts
+//! every job to start at its sampled arrival (its QPs exist from the
+//! start, NCCL-style; its transfers begin when its own timer fires),
+//! and then steps the session **window by window**. Each step advances
+//! the engine to the boundary and drains every switch's drop log into
+//! an [`oracle::DropTally`], so invariant auditing needs memory
+//! proportional to the busiest window, not the run. After each step
+//! the loop:
 //!
 //! 1. takes a cumulative telemetry snapshot (merged across shards) into
 //!    a versioned [`telemetry::WindowedReport`] — byte-identical between
 //!    serial and sharded execution of the same seed;
-//! 2. drains every switch's drop log into an [`oracle::DropTally`], so
-//!    invariant auditing needs memory proportional to the busiest
-//!    window, not the run;
-//! 3. optionally cycles Themis-D `evict_flow` over the live QP
+//! 2. optionally cycles Themis-D `evict_flow` over the live QP
 //!    population (churn pressure on the flow table; the guarded
 //!    eviction must stay invisible to the protocol).
 //!
@@ -25,13 +26,12 @@
 //! produce.
 
 use crate::cluster::{assemble, check_shards, Cluster, ClusterError, Topology};
-use crate::experiment::{attach_driver_telemetry, driver_of};
+use crate::experiment::driver_of;
 use crate::faults::FaultPlan;
-use crate::oracle::{self, DropTally, OracleConfig, OracleReport, Violation};
+use crate::oracle::{self, OracleConfig, OracleReport, Violation};
 use crate::scheme::Scheme;
-use collectives::driver::{setup_collective, Driver, QpAllocator, JOB_TOKEN_BASE};
+use crate::session::{snapshot_with_run_counters, window_end, Session, Start};
 use collectives::open_loop::{sample_load, LoadPlan, OpenLoopSpec};
-use netsim::event::Event;
 use netsim::fat_tree::FatTreeConfig;
 use netsim::switch::Switch;
 use netsim::types::{HostId, QpId};
@@ -116,9 +116,10 @@ impl LoadConfig {
         }
     }
 
-    /// The run horizon (`window × windows`).
+    /// The run horizon (`window × windows`; the end of simulated time
+    /// for a product [`LoadConfig::validate`] rejects).
     pub fn horizon(&self) -> Nanos {
-        Nanos(self.window.as_nanos() * self.windows as u64)
+        window_end(self.window, self.windows as u64).unwrap_or(Nanos::MAX)
     }
 
     /// Reject an invalid fabric ([`assemble`]'s rule) and degenerate knob
@@ -141,6 +142,9 @@ impl LoadConfig {
         }
         if self.windows == 0 {
             return fail("--windows must be >= 1 (the horizon is window * windows)".into());
+        }
+        if window_end(self.window, self.windows as u64).is_none() {
+            return fail("the horizon (window * windows) must fit in u64 nanoseconds".into());
         }
         if self.spec.n_jobs == 0 {
             return fail("--jobs must be >= 1 (an open-loop run needs work to post)".into());
@@ -314,49 +318,29 @@ fn evict_qp(cluster: &mut Cluster, qp: QpId) -> bool {
 pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidConfig> {
     cfg.check_knobs()?;
     let topology = Topology::FatTree(&cfg.fabric);
-    let mut cluster = assemble(topology, cfg.nic, cfg.scheme, cfg.shards)?;
+    let cluster = assemble(topology, cfg.nic, cfg.scheme, cfg.shards)?;
     let plan: LoadPlan = sample_load(&cfg.spec, cfg.seed);
     let n_hosts = cluster.hosts.len();
 
     // Wire every job up front: QPs are provisioned at build time
-    // (entities cannot create QPs mid-run), the *traffic* is open-loop
-    // via per-job deferred start timers.
+    // (entities cannot create QPs mid-run), the *traffic* is open-loop:
+    // each job starts at its sampled arrival.
     let mut place_rng = Xoshiro256::seeded(cfg.seed ^ 0x905E_7AB1);
-    let mut alloc = QpAllocator::new(cfg.seed ^ 0xC0_11EC);
-    let mut driver = Driver::new();
+    let mut session = Session::new(cluster, cfg.seed ^ 0xC0_11EC, cfg.window).with_msg_latency();
     for job in &plan.jobs {
         let hosts = pick_hosts(&mut place_rng, n_hosts, job.ranks);
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            &hosts,
-            job.schedule(),
-            &mut alloc,
-        );
-        let idx = driver.add_instance_deferred(spec);
-        cluster.world.seed_event(
-            job.arrival,
-            cluster.driver,
-            Event::Timer {
-                token: JOB_TOKEN_BASE + idx as u64,
-            },
-        );
+        session.post(&hosts, job.schedule(), Start::At(job.arrival));
     }
-    let qps = alloc.allocated();
-    attach_driver_telemetry(&mut driver, &cluster);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cfg.faults.install(&mut cluster);
+    let qps = session.qps();
+    cfg.faults.install(&mut session.cluster);
 
-    // Window loop: advance, snapshot, audit-drain, churn.
-    let mut tally = DropTally::default();
+    // Window loop: step (advance + audit-drain), snapshot, churn.
     let mut windowed = WindowedReport::new(&plan.label, cfg.window.as_nanos());
     let mut evictions_attempted = 0u64;
     let mut evictions_ok = 0u64;
     for w in 1..=cfg.windows {
-        let boundary = Nanos(cfg.window.as_nanos() * w as u64);
-        cluster.world.run_until(boundary);
-        tally.drain_window(&mut cluster);
-        let mut slice = cluster.snapshot_merged();
+        let boundary = session.step(1).expect("check_knobs bounded the horizon");
+        let mut slice = session.cluster.snapshot_merged();
         slice.push_counter("window.index", w as u64);
         slice.push_counter("window.end_ns", boundary.as_nanos());
         slice.sort();
@@ -365,14 +349,15 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
             for j in 0..cfg.evict_per_window {
                 let qp = QpId((((w - 1) * cfg.evict_per_window + j) as u32) % qps);
                 evictions_attempted += 1;
-                if evict_qp(&mut cluster, qp) {
+                if evict_qp(&mut session.cluster, qp) {
                     evictions_ok += 1;
                 }
             }
         }
     }
+    let cluster = &session.cluster;
 
-    let evictions_deferred = sum_tor_stat(&cluster, |s| s.evictions_deferred);
+    let evictions_deferred = sum_tor_stat(cluster, |s| s.evictions_deferred);
 
     // Oracle: full invariant set over the accumulated tally.
     let sim_end = cluster.world.now();
@@ -383,10 +368,10 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
     if cfg.require_complete {
         ocfg.expected_bytes = Some(plan.total_schedule_bytes());
     }
-    let oreport = oracle::audit_with_tally(&cluster, &ocfg, &tally);
+    let oreport = oracle::audit_with_tally(cluster, &ocfg, session.drops());
 
     // FCT + fairness from the driver's per-instance bookkeeping.
-    let driver = driver_of(&cluster);
+    let driver = driver_of(cluster);
     let mut fcts: Vec<u64> = Vec::new();
     let mut tenant_bytes = vec![0u64; cfg.spec.n_tenants];
     let mut jobs_started = 0usize;
@@ -426,7 +411,7 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
 
     // Final telemetry: last cumulative state plus run-level exports.
     let events = cluster.world.engine.dispatched();
-    let mut fin = cluster.snapshot_merged();
+    let mut fin = snapshot_with_run_counters(cluster);
     fin.push_counter("load.jobs_total", plan.jobs.len() as u64);
     fin.push_counter("load.jobs_started", jobs_started as u64);
     fin.push_counter("load.jobs_completed", jobs_completed as u64);
@@ -435,9 +420,6 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
     fin.push_counter("load.evictions_deferred", evictions_deferred);
     fin.push_counter("load.evictions_ok", evictions_ok);
     fin.push_counter("load.windows", cfg.windows as u64);
-    fin.push_counter("run.events", events);
-    fin.push_counter("run.shards", cluster.sinks.len() as u64);
-    fin.push_counter("run.sim_end_ns", sim_end.as_nanos());
     fin.push_gauge(
         "load.fct_p50_us",
         fct_p50.map_or(-1.0, |d| d.as_micros_f64()),
@@ -469,5 +451,23 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
         final_telemetry: fin,
         oracle: oreport,
     };
-    Ok((report, cluster))
+    Ok((report, session.cluster))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_horizon_past_the_end_of_time_is_invalid_config_not_a_wrapped_clock() {
+        let mut cfg = LoadConfig::small(Scheme::Themis, 1);
+        cfg.window = TimeDelta::from_nanos(u64::MAX / 2);
+        cfg.windows = 3;
+        assert!(cfg.validate().is_err());
+        assert!(run_open_loop(&cfg).is_err());
+        assert_eq!(cfg.horizon(), Nanos::MAX);
+        cfg.windows = 2;
+        assert_eq!(cfg.horizon(), Nanos(u64::MAX - 1));
+        assert!(cfg.validate().is_ok());
+    }
 }

@@ -10,14 +10,19 @@
 //!
 //! ## Batching model
 //!
-//! The engine only advances inside the `advance` op, window by window
-//! (the same conservative-window execution [`crate::load`] uses, so
-//! sharded and serial service runs stay bit-identical). Every mutating
-//! op therefore lands **at a window boundary** while the engine is
-//! idle: `create_qp` provisions NIC state directly, `post_send` wires a
-//! deferred driver instance whose start timer is seeded at the current
-//! boundary. Concurrent clients are serialized by the service lock; the
-//! resulting op order is recorded in a journal.
+//! The service holds the crate's one run substrate (`session::Session`,
+//! DESIGN.md "Run substrate"), the same one [`crate::load`] and the
+//! batch runners drive, so sharded and serial service runs stay
+//! bit-identical. The engine only advances inside the `advance` op: one
+//! substrate step — a single engine run to the new window boundary,
+//! however many windows it spans, followed by a drain of the switch
+//! drop logs, so neither a huge `windows` nor a long-lived lossy fabric
+//! can grow the service's latency or memory without bound. Every
+//! mutating op therefore lands **at a window boundary** while the
+//! engine is idle: `create_qp` provisions NIC state directly,
+//! `post_send` posts work that starts at the current boundary.
+//! Concurrent clients are serialized by the service lock; the resulting
+//! op order is recorded in a journal.
 //!
 //! ## Snapshot / restore
 //!
@@ -37,15 +42,13 @@
 //! `"ok": true` plus op-specific fields, or `"ok": false` with an
 //! `"error"` message. See [`SimService::handle`] for the op table.
 
-use crate::cluster::{assemble, check_shards, Cluster, Topology};
-use crate::experiment::attach_driver_telemetry;
+use crate::cluster::{assemble, check_shards, Topology};
+use crate::experiment::driver_of;
 use crate::json::{self, Json};
 use crate::load::InvalidConfig;
 use crate::scheme::Scheme;
-use collectives::driver::{
-    provision_qp, single_transfer_spec, Driver, QpAllocator, JOB_TOKEN_BASE,
-};
-use netsim::event::Event;
+use crate::session::{Session, Start};
+use collectives::driver::single_transfer_spec;
 use netsim::fat_tree::FatTreeConfig;
 use netsim::types::{HostId, QpId};
 use rnic::{Nic, NicConfig};
@@ -132,29 +135,14 @@ impl ServiceConfig {
     }
 
     fn from_json(v: &Json) -> Result<ServiceConfig, String> {
-        let scheme_name = v
-            .get("scheme")
-            .and_then(Json::as_str)
-            .ok_or("config.scheme missing")?;
+        let scheme_name = str_field(v, "scheme")?;
         Ok(ServiceConfig {
-            k: v.get("k")
-                .and_then(Json::as_u64)
-                .ok_or("config.k missing")? as usize,
+            k: num_field(v, "k")? as usize,
             scheme: Scheme::parse(scheme_name)
                 .ok_or_else(|| format!("unknown scheme {scheme_name:?}"))?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("config.seed missing")?,
-            shards: v
-                .get("shards")
-                .and_then(Json::as_u64)
-                .ok_or("config.shards missing")? as usize,
-            window: TimeDelta::from_nanos(
-                v.get("window_ns")
-                    .and_then(Json::as_u64)
-                    .ok_or("config.window_ns missing")?,
-            ),
+            seed: num_field(v, "seed")?,
+            shards: num_field(v, "shards")? as usize,
+            window: TimeDelta::from_nanos(num_field(v, "window_ns")?),
         })
     }
 }
@@ -191,39 +179,40 @@ impl JournalOp {
         }
     }
 
+    /// The one decoder of a mutating op: a wire request and its journal
+    /// entry are the same JSON object.
     fn from_json(v: &Json) -> Result<JournalOp, String> {
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("journal op missing")?;
-        let client = || {
-            v.get("client")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("journal client missing".to_string())
-        };
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("journal field {key} missing"))
-        };
-        match op {
+        match str_field(v, "op")? {
             "create_qp" => Ok(JournalOp::CreateQp {
-                client: client()?,
-                src: num("src")? as u32,
-                dst: num("dst")? as u32,
+                client: str_field(v, "client")?.to_string(),
+                src: num_field(v, "src")? as u32,
+                dst: num_field(v, "dst")? as u32,
             }),
             "post_send" => Ok(JournalOp::PostSend {
-                client: client()?,
-                qp: num("qp")? as u32,
-                bytes: num("bytes")?,
+                client: str_field(v, "client")?.to_string(),
+                qp: num_field(v, "qp")? as u32,
+                bytes: num_field(v, "bytes")?,
             }),
             "advance" => Ok(JournalOp::Advance {
-                windows: num("windows")?,
+                windows: num_field(v, "windows")?,
             }),
             other => Err(format!("unknown journal op {other:?}")),
         }
     }
+}
+
+/// The one field decoder under requests, journal entries and the
+/// snapshot's config object.
+fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("request needs a string \"{key}\" field"))
+}
+
+fn num_field(v: &Json, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("request needs a non-negative \"{key}\" field"))
 }
 
 /// A client-visible QP record.
@@ -250,11 +239,9 @@ struct WorkRecord {
 /// canonical op order.
 pub struct SimService {
     cfg: ServiceConfig,
-    cluster: Cluster,
-    alloc: QpAllocator,
-    /// Completed `advance` steps; simulated time never exceeds
-    /// `window * window_idx`.
-    window_idx: u64,
+    /// The warm cluster behind the run substrate; every `advance` is one
+    /// `Session::step`.
+    session: Session,
     journal: Vec<JournalOp>,
     qps: Vec<QpRecord>,
     work: Vec<WorkRecord>,
@@ -267,16 +254,10 @@ impl SimService {
         let fabric = FatTreeConfig::small(cfg.k);
         cfg.check_knobs(&fabric)?;
         let nic = NicConfig::nic_sr(GBPS100);
-        let mut cluster = assemble(Topology::FatTree(&fabric), nic, cfg.scheme, cfg.shards)?;
-        let mut driver = Driver::new();
-        attach_driver_telemetry(&mut driver, &cluster);
-        let node = cluster.driver;
-        cluster.world.install(node, Box::new(driver));
+        let cluster = assemble(Topology::FatTree(&fabric), nic, cfg.scheme, cfg.shards)?;
         Ok(SimService {
-            alloc: QpAllocator::new(cfg.seed ^ 0x5E21_ACE5),
+            session: Session::new(cluster, cfg.seed ^ 0x5E21_ACE5, cfg.window).with_msg_latency(),
             cfg,
-            cluster,
-            window_idx: 0,
             journal: Vec::new(),
             qps: Vec::new(),
             work: Vec::new(),
@@ -297,7 +278,8 @@ impl SimService {
                 "snapshot: unsupported version (want {SNAPSHOT_VERSION})"
             ));
         }
-        let cfg = ServiceConfig::from_json(doc.get("config").ok_or("snapshot: config missing")?)?;
+        let cfg = ServiceConfig::from_json(doc.get("config").ok_or("snapshot: config missing")?)
+            .map_err(|e| format!("snapshot: config: {e}"))?;
         let journal = doc
             .get("journal")
             .and_then(Json::as_arr)
@@ -326,9 +308,10 @@ impl SimService {
         .to_string()
     }
 
-    /// Current simulated window boundary (`window * window_idx`).
+    /// Current simulated window boundary (the end of the last window an
+    /// `advance` completed).
     pub fn boundary(&self) -> Nanos {
-        Nanos(self.cfg.window.as_nanos() * self.window_idx)
+        self.session.boundary()
     }
 
     /// Execute one mutating op and append it to the journal. Both the
@@ -337,7 +320,7 @@ impl SimService {
     fn apply(&mut self, op: JournalOp) -> Result<Json, String> {
         let reply = match &op {
             JournalOp::CreateQp { client, src, dst } => {
-                let n_hosts = self.cluster.hosts.len() as u32;
+                let n_hosts = self.session.cluster.hosts.len() as u32;
                 if *src >= n_hosts || *dst >= n_hosts {
                     return Err(format!(
                         "create_qp: hosts {src}->{dst} out of range (fabric has {n_hosts})"
@@ -346,13 +329,7 @@ impl SimService {
                 if src == dst {
                     return Err("create_qp: src and dst must differ".into());
                 }
-                let (qp, sport) = provision_qp(
-                    &mut self.cluster.world,
-                    self.cluster.driver,
-                    HostId(*src),
-                    HostId(*dst),
-                    &mut self.alloc,
-                );
+                let (qp, sport) = self.session.create_qp(HostId(*src), HostId(*dst));
                 self.qps.push(QpRecord {
                     qp,
                     sport,
@@ -383,25 +360,12 @@ impl SimService {
                     return Err("post_send: bytes must be > 0".into());
                 }
                 let spec = single_transfer_spec(rec.src, rec.dst, rec.qp, *bytes);
-                let start_at = self.boundary();
-                let node = self.cluster.driver;
-                let driver: &mut Driver = self
-                    .cluster
-                    .world
-                    .get_mut(node)
-                    .ok_or("post_send: driver entity missing")?;
-                let idx = driver.add_instance_deferred(spec);
                 // The transfer starts at the current window boundary —
                 // i.e. at the beginning of the next `advance` — never
                 // mid-window, which is what keeps concurrent clients'
                 // interleavings deterministic.
-                self.cluster.world.seed_event(
-                    start_at,
-                    node,
-                    Event::Timer {
-                        token: JOB_TOKEN_BASE + idx as u64,
-                    },
-                );
+                let start = Start::At(self.session.boundary());
+                let idx = self.session.post_spec(spec, start);
                 self.work.push(WorkRecord {
                     wr: idx,
                     client: client.clone(),
@@ -416,18 +380,13 @@ impl SimService {
                 if *windows == 0 {
                     return Err("advance: windows must be >= 1".into());
                 }
-                for _ in 0..*windows {
-                    self.window_idx += 1;
-                    let horizon = self.boundary();
-                    self.cluster.world.run_until(horizon);
-                }
+                self.session
+                    .step(*windows)
+                    .ok_or("advance: the boundary must fit in u64 nanoseconds")?;
                 Json::obj(vec![
                     ("ok", Json::Bool(true)),
-                    ("window", Json::Int(self.window_idx as i64)),
-                    (
-                        "now_ns",
-                        Json::Int(self.cluster.world.now().as_nanos() as i64),
-                    ),
+                    ("window", Json::Int(self.session.windows_done() as i64)),
+                    ("now_ns", Json::Int(self.now_ns())),
                 ])
             }
         };
@@ -439,11 +398,7 @@ impl SimService {
     /// Read-only (poll again with a higher `since` to page): the reap
     /// cursor lives client-side so polling never perturbs the journal.
     fn poll_cq(&self, client: &str, since: u64) -> Json {
-        let driver: &Driver = self
-            .cluster
-            .world
-            .get(self.cluster.driver)
-            .expect("driver installed at build time");
+        let driver = driver_of(&self.session.cluster);
         let completions: Vec<Json> = self
             .work
             .iter()
@@ -465,22 +420,24 @@ impl SimService {
         ])
     }
 
+    fn now_ns(&self) -> i64 {
+        self.session.cluster.world.now().as_nanos() as i64
+    }
+
     fn query_fabric(&self) -> Json {
+        let cluster = &self.session.cluster;
         Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("k", Json::Int(self.cfg.k as i64)),
-            ("hosts", Json::Int(self.cluster.hosts.len() as i64)),
-            ("leaves", Json::Int(self.cluster.leaves.len() as i64)),
-            ("spines", Json::Int(self.cluster.spines.len() as i64)),
-            ("n_paths", Json::Int(self.cluster.n_paths as i64)),
+            ("hosts", Json::Int(cluster.hosts.len() as i64)),
+            ("leaves", Json::Int(cluster.leaves.len() as i64)),
+            ("spines", Json::Int(cluster.spines.len() as i64)),
+            ("n_paths", Json::Int(cluster.n_paths as i64)),
             ("scheme", Json::str(self.cfg.scheme.cli_name())),
             ("shards", Json::Int(self.cfg.shards as i64)),
             ("window_ns", Json::Int(self.cfg.window.as_nanos() as i64)),
-            ("window", Json::Int(self.window_idx as i64)),
-            (
-                "now_ns",
-                Json::Int(self.cluster.world.now().as_nanos() as i64),
-            ),
+            ("window", Json::Int(self.session.windows_done() as i64)),
+            ("now_ns", Json::Int(self.now_ns())),
             ("qps", Json::Int(self.qps.len() as i64)),
             ("posted", Json::Int(self.work.len() as i64)),
         ])
@@ -513,6 +470,7 @@ impl SimService {
             .find(|r| r.qp.0 == qp)
             .ok_or_else(|| format!("query_qp: unknown qp {qp}"))?;
         let nic: &Nic = self
+            .session
             .cluster
             .world
             .get(netsim::types::NodeId(rec.src.0))
@@ -540,8 +498,8 @@ impl SimService {
     /// journal, so restored-vs-continuous comparisons cover the service
     /// layer too.
     pub fn telemetry_json(&self, scope: Option<&str>) -> String {
-        let mut run = self.cluster.snapshot_merged();
-        run.push_counter("service.window", self.window_idx);
+        let mut run = self.session.cluster.snapshot_merged();
+        run.push_counter("service.window", self.session.windows_done());
         run.push_counter("service.qps", self.qps.len() as u64);
         run.push_counter("service.posted", self.work.len() as u64);
         run.push_counter("service.journal_ops", self.journal.len() as u64);
@@ -570,7 +528,8 @@ impl SimService {
     /// | `shutdown` | — | `ok` (server closes after replying) |
     ///
     /// Malformed requests yield `{"ok":false,"error":...}` — the
-    /// service never panics on client input.
+    /// service never panics on client input — and so does an `advance`
+    /// whose boundary would not fit in `u64` nanoseconds.
     pub fn handle(&mut self, req: &Json) -> Json {
         match self.dispatch(req) {
             Ok(reply) => reply,
@@ -579,42 +538,15 @@ impl SimService {
     }
 
     fn dispatch(&mut self, req: &Json) -> Result<Json, String> {
-        let op = req
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("request needs a string \"op\" field")?;
-        let client = |req: &Json| -> Result<String, String> {
-            req.get("client")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or("request needs a string \"client\" field".into())
-        };
-        let num = |req: &Json, key: &str| -> Result<u64, String> {
-            req.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("request needs a non-negative \"{key}\" field"))
-        };
-        match op {
-            "create_qp" => self.apply(JournalOp::CreateQp {
-                client: client(req)?,
-                src: num(req, "src")? as u32,
-                dst: num(req, "dst")? as u32,
-            }),
-            "post_send" => self.apply(JournalOp::PostSend {
-                client: client(req)?,
-                qp: num(req, "qp")? as u32,
-                bytes: num(req, "bytes")?,
-            }),
-            "advance" => self.apply(JournalOp::Advance {
-                windows: num(req, "windows")?,
-            }),
+        match str_field(req, "op")? {
+            "create_qp" | "post_send" | "advance" => self.apply(JournalOp::from_json(req)?),
             "poll_cq" => {
                 let since = req.get("since").and_then(Json::as_u64).unwrap_or(0);
-                Ok(self.poll_cq(&client(req)?, since))
+                Ok(self.poll_cq(str_field(req, "client")?, since))
             }
             "query_fabric" => Ok(self.query_fabric()),
             "list_qps" => Ok(self.list_qps(req.get("client").and_then(Json::as_str))),
-            "query_qp" => self.query_qp(num(req, "qp")? as u32),
+            "query_qp" => self.query_qp(num_field(req, "qp")? as u32),
             "telemetry" => {
                 let scope = req.get("client").and_then(Json::as_str);
                 let doc = self.telemetry_json(scope);
@@ -1043,25 +975,111 @@ mod tests {
             ]));
         };
 
-        // Continuous run.
-        let mut cont = SimService::new(ServiceConfig::small()).unwrap();
-        script_prefix(&mut cont);
-        continue_ops(&mut cont);
+        // `ServiceConfig::shards` promises "any value is bit-identical":
+        // the same script on the partitioned engine, where an `advance`
+        // of several windows is one sharded engine run.
+        let mut continuous_docs = Vec::new();
+        for shards in [1, 2] {
+            let cfg = ServiceConfig {
+                shards,
+                ..ServiceConfig::small()
+            };
 
-        // Checkpointed run: same prefix, snapshot, restore, continue.
-        let mut a = SimService::new(ServiceConfig::small()).unwrap();
-        script_prefix(&mut a);
-        let snap = a.snapshot();
-        drop(a);
-        let mut b = SimService::from_snapshot(&snap).unwrap();
-        continue_ops(&mut b);
+            // Continuous run.
+            let mut cont = SimService::new(cfg.clone()).unwrap();
+            script_prefix(&mut cont);
+            continue_ops(&mut cont);
 
+            // Checkpointed run: same prefix, snapshot, restore, continue.
+            let mut a = SimService::new(cfg).unwrap();
+            script_prefix(&mut a);
+            let snap = a.snapshot();
+            drop(a);
+            let mut b = SimService::from_snapshot(&snap).unwrap();
+            continue_ops(&mut b);
+
+            assert_eq!(
+                cont.telemetry_json(None),
+                b.telemetry_json(None),
+                "restored continuation must be byte-identical to the uninterrupted run"
+            );
+            assert_eq!(cont.snapshot(), b.snapshot(), "journals must agree too");
+            continuous_docs.push(cont.telemetry_json(None));
+        }
         assert_eq!(
-            cont.telemetry_json(None),
-            b.telemetry_json(None),
-            "restored continuation must be byte-identical to the uninterrupted run"
+            continuous_docs[0], continuous_docs[1],
+            "serial and 2-shard services must write the same document"
         );
-        assert_eq!(cont.snapshot(), b.snapshot(), "journals must agree too");
+    }
+
+    fn advance(windows: i64) -> Json {
+        req(vec![
+            ("op", Json::str("advance")),
+            ("windows", Json::Int(windows)),
+        ])
+    }
+
+    #[test]
+    fn an_advance_past_the_end_of_time_is_refused_and_a_long_one_is_one_engine_run() {
+        let mut svc = SimService::new(ServiceConfig::small()).unwrap();
+        // 500 us windows: i64::MAX of them overflow u64 nanoseconds.
+        let r = svc.handle(&advance(i64::MAX));
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r:?}");
+        assert!(svc.journal.is_empty(), "a refused op is not journaled");
+        assert_eq!(svc.boundary(), Nanos::ZERO, "and the clock did not move");
+
+        // A billion idle windows cost one engine run, not a billion
+        // loop iterations (seconds of a blocked serve loop).
+        let t0 = std::time::Instant::now();
+        let r = svc.handle(&advance(1_000_000_000));
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(
+            r.get("window").and_then(Json::as_i64),
+            Some(1_000_000_000),
+            "{r:?}"
+        );
+        assert_eq!(svc.boundary(), Nanos(500_000 * 1_000_000_000));
+    }
+
+    #[test]
+    fn every_advance_leaves_the_switch_drop_logs_empty() {
+        use crate::faults::{Fault, FaultEvent, FaultPlan};
+        let mut svc = SimService::new(ServiceConfig::small()).unwrap();
+        // The wire has no fault op: install 5 % loss on every uplink of
+        // the sender's edge switch directly.
+        let mut plan = FaultPlan::none();
+        for uplink in 0..2 {
+            plan.events.push(FaultEvent {
+                at: Nanos::ZERO,
+                fault: Fault::UplinkLoss {
+                    leaf: 0,
+                    uplink,
+                    rate_ppm: 50_000,
+                },
+            });
+        }
+        plan.install(&mut svc.session.cluster);
+        svc.handle(&req(vec![
+            ("op", Json::str("create_qp")),
+            ("client", Json::str("a")),
+            ("src", Json::Int(0)),
+            ("dst", Json::Int(5)),
+        ]));
+        svc.handle(&req(vec![
+            ("op", Json::str("post_send")),
+            ("client", Json::str("a")),
+            ("qp", Json::Int(0)),
+            ("bytes", Json::Int(1 << 20)),
+        ]));
+        for windows in [1, 3] {
+            svc.handle(&advance(windows));
+            let cluster = &svc.session.cluster;
+            for id in cluster.all_switches() {
+                assert!(cluster.switch(id).unwrap().drop_log().is_empty());
+            }
+        }
+        assert!(svc.session.drops().data_dropped > 0, "the loss did bite");
     }
 
     #[test]

@@ -14,6 +14,11 @@
 #      its own, not a workspace member, so nothing above compiles it: a
 #      rename in crates/harness would break it silently until the
 #      benchmark gate runs).
+#   3d. perfbench's own smoke test (~50 s): its traced pass re-composes
+#      every entry point (batch, open-loop, serve) from public pieces
+#      and fails when one stops being event- and byte-equal to that
+#      composition — what a run-loop refactor breaks and nothing else
+#      here sees before the benchmark gate.
 #   4. THEMIS_SHARDS=2 matrix leg: the model checker, the oracle e2e
 #      suites, PFC/failure runs, and the scheme-zoo matrix repeated on
 #      the sharded engine — every assertion must hold bit-identically
@@ -68,6 +73,10 @@ cargo test --workspace -q
 
 echo "== perfbench compiles against this tree (check only) =="
 cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
+
+echo "== perfbench smoke (entry point == composition from public pieces) =="
+# Reads perfbench/, writes only the ignored perfbench/target.
+cargo test --offline --manifest-path perfbench/Cargo.toml --test benchmark_smoke
 
 echo "== tests (sharded engine matrix leg, THEMIS_SHARDS=2) =="
 # The harness threads THEMIS_SHARDS into every ExperimentConfig, so this

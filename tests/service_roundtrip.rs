@@ -170,6 +170,59 @@ fn two_concurrent_clients_on_one_warm_k16_fabric() {
     );
 }
 
+/// Hostile frames (ISSUE 15): a document nested 100 000 deep used to
+/// overflow the connection thread's stack and abort the whole server,
+/// and a high surrogate at end of input used to panic the connection
+/// thread (the client saw its connection dropped without a reply). Both
+/// are now answered `bad request`, on a server that keeps serving.
+#[test]
+fn hostile_frames_are_answered_and_the_server_keeps_serving() {
+    use themis::harness::service::{read_frame, write_frame};
+    let sock =
+        std::env::temp_dir().join(format!("themis-serve-hostile-{}.sock", std::process::id()));
+    let endpoint = Endpoint::Unix(sock.clone());
+    let service = SimService::new(ServiceConfig::small()).expect("valid config");
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let client_endpoint = endpoint.clone();
+    let coordinator = std::thread::spawn(move || {
+        let mut raw = None;
+        for _ in 0..500 {
+            if let Ok(s) = std::os::unix::net::UnixStream::connect(&sock) {
+                raw = Some(s);
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let mut raw = raw.expect("server came up");
+        let frames = ["[".repeat(100_000), r#"{"op":"\ud800"#.to_string()];
+        let replies: Vec<String> = frames
+            .iter()
+            .map(|frame| {
+                write_frame(&mut raw, frame.as_bytes()).expect("frame written");
+                let reply = read_frame(&mut raw)
+                    .expect("frame read")
+                    .expect("a reply, not EOF");
+                String::from_utf8(reply).expect("utf-8 reply")
+            })
+            .collect();
+        let mut second = Client::connect(&client_endpoint).expect("second client connects");
+        let fabric = call_ok(&mut second, &req(vec![("op", Json::str("query_fabric"))]));
+        call_ok(&mut second, &req(vec![("op", Json::str("shutdown"))]));
+        (replies, fabric)
+    });
+
+    serve(service, &endpoint, stop).expect("clean shutdown");
+    let (replies, fabric) = coordinator.join().expect("coordinator");
+    for reply in &replies {
+        assert!(
+            reply.starts_with(r#"{"ok":false,"error":"bad request: "#),
+            "{reply}"
+        );
+    }
+    assert_eq!(fabric.get("hosts").and_then(Json::as_i64), Some(16));
+}
+
 /// Regression (ISSUE 10): a driver with zero instances used to make
 /// zero-job runs masquerade as instantly-complete; now it reports no
 /// tail completion at all.
