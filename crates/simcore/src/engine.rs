@@ -204,26 +204,22 @@ impl<T> Engine<T> {
     /// Returns `None` when the queue is empty, the horizon is reached, or
     /// the event budget is exhausted. This is the primitive [`Self::run_with`]
     /// is built on; exposed so callers can interleave other work.
+    #[inline]
     pub fn step(&mut self) -> Option<Scheduled<T>> {
         if self.dispatched >= self.max_events {
             return None;
         }
-        match self.queue.peek_time() {
-            Some(t) if t <= self.horizon => {
-                let ev = self.queue.pop().expect("peek/pop mismatch");
-                debug_assert!(ev.at >= self.now, "event queue went backwards");
-                self.now = ev.at;
-                if let Some(clock) = &self.clock {
-                    clock.set(ev.at.as_nanos());
-                }
-                if let Some(stamp) = &self.stamp {
-                    stamp.set(ev.seq, ev.lane);
-                }
-                self.dispatched += 1;
-                Some(ev)
-            }
-            _ => None,
+        let ev = self.queue.pop_at_or_before(self.horizon)?;
+        debug_assert!(ev.at >= self.now, "event queue went backwards");
+        self.now = ev.at;
+        if let Some(clock) = &self.clock {
+            clock.set(ev.at.as_nanos());
         }
+        if let Some(stamp) = &self.stamp {
+            stamp.set(ev.seq, ev.lane);
+        }
+        self.dispatched += 1;
+        Some(ev)
     }
 
     /// Run until a stopping condition, calling `dispatch` for each event.
@@ -231,26 +227,17 @@ impl<T> Engine<T> {
         &mut self,
         mut dispatch: impl FnMut(&mut Engine<T>, Scheduled<T>) -> Control,
     ) -> StopReason {
-        loop {
-            if self.dispatched >= self.max_events {
-                return StopReason::EventBudgetExhausted;
-            }
-            let ev = match self.queue.peek_time() {
-                None => return StopReason::QueueEmpty,
-                Some(t) if t > self.horizon => return StopReason::HorizonReached,
-                Some(_) => self.queue.pop().expect("peek/pop mismatch"),
-            };
-            self.now = ev.at;
-            if let Some(clock) = &self.clock {
-                clock.set(ev.at.as_nanos());
-            }
-            if let Some(stamp) = &self.stamp {
-                stamp.set(ev.seq, ev.lane);
-            }
-            self.dispatched += 1;
+        while let Some(ev) = self.step() {
             if let Control::Stop = dispatch(self, ev) {
                 return StopReason::DispatcherStopped;
             }
+        }
+        if self.dispatched >= self.max_events {
+            StopReason::EventBudgetExhausted
+        } else if self.queue.is_empty() {
+            StopReason::QueueEmpty
+        } else {
+            StopReason::HorizonReached
         }
     }
 }

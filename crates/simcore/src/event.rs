@@ -14,32 +14,47 @@
 //! canonical order as a serial run. The two push flavors must not be mixed
 //! on one queue unless the caller guarantees key uniqueness across both.
 //!
-//! ## Implementation: a paged timer wheel
+//! ## Implementation: a paged timer wheel over a ns-resolution level
 //!
 //! A discrete-event network simulation pushes and pops millions of events
 //! whose delivery times cluster tightly around "now" (serialization at
 //! 100–400 Gbps spaces packet events tens of nanoseconds apart). A global
 //! binary heap pays `O(log n)` per operation over the *whole* event
-//! population; the calendar/timer-wheel layout below pays near-`O(1)` by
+//! population; the three-level layout below pays near-`O(1)` by
 //! bucketing the near future:
 //!
-//! * **active** — a small binary heap holding the earliest bucket's
+//! * **active** — a small binary heap holding the earliest window's
 //!   events (plus any same-window insertions). All pops come from here,
-//!   so exact `(time, seq)` ordering is preserved by the heap compare.
+//!   so exact `(time, seq, lane)` ordering is preserved by the heap
+//!   compare. The window is one wheel bucket, or one nanosecond of it:
+//! * **fine** — `FINE_SLOTS` one-ns slots (unsorted `Vec`s, 4-word
+//!   bitmap) covering the bucket being drained. A 256 ns bucket is sized
+//!   for a handful of hosts; on a 256-host fabric it holds thousands of
+//!   events, and heapifying it whole makes every push/pop pay for that
+//!   population. A bucket loaded with more than `SCATTER_MIN` events is
+//!   scattered here instead and fed to `active` one slot at a time;
+//!   smaller buckets are heapified directly.
 //! * **wheel** — one page of `WHEEL_BUCKETS` buckets of
-//!   `BUCKET_GRANULARITY_NS` each (unsorted `Vec`s, found via a bitmap).
+//!   `1 << GRAN_BITS` ns each (unsorted `Vec`s, found via a bitmap).
 //!   Covers ~2 ms past the active window.
 //! * **overflow** — a binary heap for events beyond the page (RTO-scale
 //!   timers). Drained into the wheel page by page.
 //!
-//! Events migrate overflow → wheel → active carrying their original
-//! `seq`, and equal timestamps always land in the same bucket, so pop
-//! order is bit-identical to the reference heap (a randomized
-//! equivalence test in `tests/` checks exactly this).
+//! Events migrate overflow → wheel → (fine →) active carrying their
+//! original key, and equal timestamps always land in the same bucket and
+//! slot, so pop order is bit-identical to the reference heap (randomized
+//! equivalence tests in `tests/` check exactly this, in both regimes).
+//!
+//! **Do not retain bucket or slot capacity.** A drained bucket's or
+//! slot's `Vec` *becomes* `active`'s buffer and the previous buffer is
+//! dropped. Recycling those buffers looks cheaper but pins the
+//! high-water capacity of every slot and bucket ever used: measured
+//! +45 % to +100 % peak RSS on the 256-host workloads (and 13× when
+//! bucket capacity was kept), for no gain in time.
 
 use crate::time::Nanos;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// log2 of the bucket width in nanoseconds (256 ns per bucket).
 const GRAN_BITS: u32 = 8;
@@ -48,8 +63,13 @@ const WHEEL_BITS: u32 = 13;
 const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
 /// Nanoseconds covered by one wheel page.
 const PAGE_SPAN: u64 = (WHEEL_BUCKETS as u64) << GRAN_BITS;
-/// Words in the occupancy bitmap.
+/// Words in the wheel's occupancy bitmap.
 const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
+/// One-ns slots under a bucket (one per nanosecond of its width).
+const FINE_SLOTS: usize = 1 << GRAN_BITS;
+/// A bucket loaded with more events than this is scattered into the ns
+/// slots; at or below it, heapifying the whole bucket is cheaper.
+const SCATTER_MIN: usize = 64;
 
 /// An event plus its delivery metadata, as stored in the queue.
 #[derive(Debug, Clone)]
@@ -99,6 +119,17 @@ pub struct EventQueue<T> {
     /// Inclusive upper bound on delivery times routed to `active`.
     /// (Inclusive so a page ending at `u64::MAX` is representable.)
     active_last: u64,
+    /// One-ns slots of the bucket being drained, when it was scattered.
+    fine: Vec<Vec<Scheduled<T>>>,
+    /// One bit per slot: does it hold any events?
+    fine_occupied: [u64; FINE_SLOTS / 64],
+    /// Events currently in slots.
+    fine_count: usize,
+    /// Delivery time of slot 0.
+    fine_start: u64,
+    /// Inclusive upper bound on delivery times routed to the slots; at
+    /// or below `active_last` whenever no scattered bucket is draining.
+    fine_last: u64,
     /// The current page's buckets (`None`-free; empty `Vec`s cost nothing).
     wheel: Vec<Vec<Scheduled<T>>>,
     /// One bit per bucket: does it hold any events?
@@ -124,6 +155,11 @@ impl<T> Default for EventQueue<T> {
         EventQueue {
             active: BinaryHeap::new(),
             active_last: 0,
+            fine: (0..FINE_SLOTS).map(|_| Vec::new()).collect(),
+            fine_occupied: [0; FINE_SLOTS / 64],
+            fine_count: 0,
+            fine_start: 0,
+            fine_last: 0,
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             wheel_count: 0,
@@ -186,11 +222,17 @@ impl<T> EventQueue<T> {
         while let Some(ev) = self.pop() {
             out.push(ev);
         }
-        let next_seq = self.next_seq;
-        let total = self.total;
-        *self = Self::default();
-        self.next_seq = next_seq;
-        self.total = total;
+        // Popping everything left every bucket, slot, bitmap and count
+        // empty; rewind the time bounds in place and keep the (empty)
+        // bucket and slot vectors rather than reallocating ~200 KB per
+        // call. The heaps' buffers go: they scale with past residency.
+        self.active = BinaryHeap::new();
+        self.overflow = BinaryHeap::new();
+        self.active_last = 0;
+        self.fine_last = 0;
+        self.page_start = 0;
+        self.page_last = PAGE_SPAN - 1;
+        self.cursor = 0;
         out
     }
 
@@ -214,38 +256,58 @@ impl<T> EventQueue<T> {
             // Same (or earlier) window as the events being drained now:
             // the heap keeps (time, seq) order exact.
             self.active.push(ev);
+        } else if t <= self.fine_last {
+            // A later nanosecond of the scattered bucket being drained.
+            self.file_in_slot(ev);
         } else if t <= self.page_last {
-            let b = ((t - self.page_start) >> GRAN_BITS) as usize;
-            debug_assert!(b >= self.cursor && b < WHEEL_BUCKETS);
-            self.wheel[b].push(ev);
-            self.occupied[b >> 6] |= 1u64 << (b & 63);
-            self.wheel_count += 1;
+            self.file_in_wheel(ev);
         } else {
             self.overflow.push(ev);
         }
-        if self.active.is_empty() && self.needs_settle() {
+        if self.active.is_empty() {
             self.settle();
         }
+    }
+
+    /// File an event of the scattered bucket being drained under its ns.
+    #[inline]
+    fn file_in_slot(&mut self, ev: Scheduled<T>) {
+        let s = (ev.at.as_nanos() - self.fine_start) as usize;
+        self.fine[s].push(ev);
+        self.fine_occupied[s >> 6] |= 1u64 << (s & 63);
+        self.fine_count += 1;
+    }
+
+    /// File an in-page event (beyond the window being drained) under its
+    /// bucket.
+    #[inline]
+    fn file_in_wheel(&mut self, ev: Scheduled<T>) {
+        let b = ((ev.at.as_nanos() - self.page_start) >> GRAN_BITS) as usize;
+        debug_assert!(b >= self.cursor && b < WHEEL_BUCKETS);
+        self.wheel[b].push(ev);
+        self.occupied[b >> 6] |= 1u64 << (b & 63);
+        self.wheel_count += 1;
     }
 
     /// Remove and return the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        let ev = self.active.pop()?;
+        self.pop_at_or_before(Nanos::MAX)
+    }
+
+    /// Remove and return the earliest event unless it is due after
+    /// `horizon` (or the queue is empty).
+    #[inline]
+    pub fn pop_at_or_before(&mut self, horizon: Nanos) -> Option<Scheduled<T>> {
+        // `settle` maintains: queue non-empty ⇒ `active` non-empty.
+        let ev = pop_due(&mut self.active, horizon)?;
         self.len -= 1;
-        if self.active.is_empty() && self.needs_settle() {
+        // Gating on `len` keeps the common lone-timer pattern — pop the
+        // only event, push its successor — off the (non-inlined) `settle`.
+        if self.active.is_empty() && self.len > 0 {
             self.settle();
         }
         Some(ev)
-    }
-
-    /// True when events are waiting outside the active heap. Gates the
-    /// (non-inlined) `settle` call so the common lone-timer pattern —
-    /// pop the only event, push its successor — never leaves the heap
-    /// fast path.
-    #[inline]
-    fn needs_settle(&self) -> bool {
-        self.wheel_count > 0 || !self.overflow.is_empty()
     }
 
     /// Delivery time of the earliest pending event.
@@ -274,65 +336,87 @@ impl<T> EventQueue<T> {
     }
 
     /// Restore the invariant that `active` holds the earliest events
-    /// whenever the queue is non-empty: load the next occupied bucket,
-    /// opening a fresh page from `overflow` if the current one is spent.
+    /// whenever the queue is non-empty: load the next occupied slot of
+    /// the bucket being drained, else the next occupied bucket (through
+    /// the slots if it is large), opening a fresh page from `overflow`
+    /// if the current one is spent. Each load hands the slot's or
+    /// bucket's own `Vec` to `active` and drops the buffer it replaces
+    /// (see the module doc: do not retain capacity).
     #[cold]
     fn settle(&mut self) {
         debug_assert!(self.active.is_empty());
         loop {
+            if self.fine_count > 0 {
+                let s = lowest_set_from(&self.fine_occupied, 0);
+                let slot = std::mem::take(&mut self.fine[s]);
+                self.fine_count -= slot.len();
+                self.fine_occupied[s >> 6] &= !(1u64 << (s & 63));
+                self.active_last = self.fine_start + s as u64;
+                // O(k) heapify of the slot.
+                self.active = BinaryHeap::from(slot);
+                return;
+            }
             if self.wheel_count > 0 {
-                let b = self.next_occupied_bucket();
+                let b = lowest_set_from(&self.occupied, self.cursor);
                 let bucket = std::mem::take(&mut self.wheel[b]);
                 self.wheel_count -= bucket.len();
                 self.occupied[b >> 6] &= !(1u64 << (b & 63));
                 self.cursor = b + 1;
-                self.active_last = self
-                    .page_start
-                    .saturating_add((((b + 1) as u64) << GRAN_BITS) - 1);
+                // An occupied bucket starts at or below its events, and
+                // is 256-aligned: neither sum can pass `u64::MAX`.
+                let start = self.page_start + ((b as u64) << GRAN_BITS);
+                let last = start + (FINE_SLOTS as u64 - 1);
+                if bucket.len() > SCATTER_MIN {
+                    self.fine_start = start;
+                    self.fine_last = last;
+                    for ev in bucket {
+                        self.file_in_slot(ev);
+                    }
+                    continue;
+                }
+                self.active_last = last;
                 // O(k) heapify of the bucket.
                 self.active = BinaryHeap::from(bucket);
                 return;
             }
-            if self.overflow.is_empty() {
-                return;
-            }
             // Open the page containing the earliest overflow event.
-            let min = self
-                .overflow
-                .peek()
-                .expect("checked non-empty")
-                .at
-                .as_nanos();
+            let Some(min) = self.overflow.peek().map(|s| s.at.as_nanos()) else {
+                return;
+            };
             self.page_start = min & !((1u64 << GRAN_BITS) - 1);
             self.page_last = self.page_start.saturating_add(PAGE_SPAN - 1);
             self.cursor = 0;
-            while let Some(s) = self.overflow.peek() {
-                if s.at.as_nanos() > self.page_last {
-                    break;
-                }
-                let ev = self.overflow.pop().expect("peeked");
-                let b = ((ev.at.as_nanos() - self.page_start) >> GRAN_BITS) as usize;
-                self.wheel[b].push(ev);
-                self.occupied[b >> 6] |= 1u64 << (b & 63);
-                self.wheel_count += 1;
+            while let Some(ev) = pop_due(&mut self.overflow, Nanos(self.page_last)) {
+                self.file_in_wheel(ev);
             }
         }
     }
+}
 
-    /// Index of the first occupied bucket at or after `cursor`.
-    #[inline]
-    fn next_occupied_bucket(&self) -> usize {
-        let mut w = self.cursor >> 6;
-        // Mask off bits below the cursor within its word.
-        let mut word = self.occupied[w] & (!0u64 << (self.cursor & 63));
-        loop {
-            if word != 0 {
-                return (w << 6) + word.trailing_zeros() as usize;
-            }
-            w += 1;
-            debug_assert!(w < BITMAP_WORDS, "wheel_count > 0 but no bucket set");
-            word = self.occupied[w];
+/// Pop `heap`'s earliest event unless it is due after `limit`.
+#[inline]
+fn pop_due<T>(heap: &mut BinaryHeap<Scheduled<T>>, limit: Nanos) -> Option<Scheduled<T>> {
+    let top = heap.peek_mut()?;
+    if top.at > limit {
+        return None;
+    }
+    Some(PeekMut::pop(top))
+}
+
+/// Index of the lowest set bit at or after bit `from`. The caller
+/// guarantees there is one (a non-zero event count for this bitmap).
+#[inline]
+fn lowest_set_from(words: &[u64], from: usize) -> usize {
+    let mut w = from >> 6;
+    // Mask off bits below `from` within its word.
+    let mut word = words[w] & (!0u64 << (from & 63));
+    loop {
+        if word != 0 {
+            return (w << 6) + word.trailing_zeros() as usize;
         }
+        w += 1;
+        debug_assert!(w < words.len(), "count > 0 but no bit set");
+        word = words[w];
     }
 }
 
@@ -499,5 +583,40 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, 0);
         assert_eq!(q.pop().unwrap().payload, 1);
         assert_eq!(q.pop().unwrap().payload, 2);
+    }
+
+    /// Element capacity held across every level: what the queue pins in
+    /// memory whatever its length.
+    fn retained<T>(q: &EventQueue<T>) -> usize {
+        let vecs = q.fine.iter().chain(&q.wheel);
+        q.active.capacity() + q.overflow.capacity() + vecs.map(Vec::capacity).sum::<usize>()
+    }
+
+    #[test]
+    fn capacity_follows_the_resident_count_not_its_high_water() {
+        // 50k events through scattered buckets (held for 200k pops), then
+        // drained to 1k: the buffers of the busy phase must be gone, or
+        // peak RSS on the 256-host fabric grows by half (see module doc).
+        const RESIDENT: usize = 1_000;
+        let mut q = EventQueue::new();
+        q.push(Nanos(0), ());
+        for i in 0..50_000u64 {
+            q.push(Nanos(1_000 * 256 + i % 256), ());
+        }
+        for i in 0..200_000u64 {
+            let ev = q.pop().unwrap();
+            q.push(Nanos(ev.at.as_nanos() + 40 + i % 100), ());
+        }
+        while q.len() > RESIDENT {
+            q.pop();
+        }
+        assert!(retained(&q) <= 8 * RESIDENT, "retained {}", retained(&q));
+        q.push(Nanos(u64::MAX), ());
+        assert_eq!(q.drain_all().len(), RESIDENT + 1);
+        assert_eq!(retained(&q), 0);
+        for i in 0..RESIDENT as u64 {
+            q.push(Nanos(i * 7), ());
+        }
+        assert!(retained(&q) <= 8 * RESIDENT, "retained {}", retained(&q));
     }
 }
