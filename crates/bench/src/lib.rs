@@ -1,4 +1,4 @@
-//! # themis-bench — the benchmark harness
+//! # themis-bench — the paper-figure bench targets
 //!
 //! One bench target per table/figure of the paper (run with
 //! `cargo bench -p themis-bench`):
@@ -10,20 +10,16 @@
 //! * `table1_memory` — the §4 memory model at the Table 1 reference.
 //! * `ablations` — design-choice studies: compensation on/off, PathMap
 //!   vs direct egress, spray-without-filter, queue expansion factor.
-//! * `micro` — micro-benchmarks of the hot paths (event engine, PSN
-//!   queue, PathMap construction, ECMP hash, Eq. 3).
-//! * `substrate` — the substrate throughput tracker: events/sec and
-//!   packets/sec plus the parallel-sweep speedup; writes
-//!   `BENCH_substrate.json` at the repo root (the CI regression gate).
+//! * `scale_sensitivity` — how the Themis-vs-AR improvement grows with
+//!   the Allreduce buffer size.
 //!
-//! All benches use the in-repo [`harness`] (no criterion: this repo
-//! builds with no network access and therefore no external crates).
+//! These regenerate *simulated* results. What the simulator costs its
+//! user in host time is measured by the repo benchmark in `perfbench/`
+//! (`BENCHMARK.json`), which is also what `scripts/ci.sh` floors read.
 //!
 //! Figure benches run at a scaled-down message size by default so the
 //! whole suite finishes in minutes; set `THEMIS_BENCH_MB` to raise the
 //! per-group buffer (the paper's full scale is 300 MB, ≈ hours).
-
-pub mod harness;
 
 /// Per-group buffer size for figure benches, in bytes. Reads
 /// `THEMIS_BENCH_MB` (default 2 MB; the paper's full scale is 300).

@@ -121,7 +121,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => telemetry::write_json_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -138,7 +138,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    telemetry::write_json_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -146,22 +146,6 @@ impl Json {
             }
         }
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: byte offset plus message.

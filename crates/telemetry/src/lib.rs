@@ -54,8 +54,8 @@ pub mod ring;
 
 pub use registry::{BinStat, CounterId, GaugeId, HistId, Registry, TimeHist};
 pub use report::{
-    BinSnapshot, EventSnapshot, EventsSnapshot, HistSnapshot, Report, RunReport, WindowedReport,
-    SCHEMA_NAME, SCHEMA_VERSION, WINDOWED_SCHEMA_NAME, WINDOWED_SCHEMA_VERSION,
+    write_json_str, BinSnapshot, EventSnapshot, EventsSnapshot, HistSnapshot, Report, RunReport,
+    WindowedReport, SCHEMA_NAME, SCHEMA_VERSION, WINDOWED_SCHEMA_NAME, WINDOWED_SCHEMA_VERSION,
 };
 pub use ring::{EventKind, EventRecord, EventRing};
 

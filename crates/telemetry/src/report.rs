@@ -542,9 +542,10 @@ fn write_run(out: &mut String, run: &RunReport) {
     out.push_str("]}\n    }");
 }
 
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal (quotes included).
+/// The one escaper behind every JSON writer in the workspace: this
+/// module's documents and `themis_harness::json`.
+pub fn write_json_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -558,6 +559,11 @@ fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(s, &mut out);
     out
 }
 

@@ -1,7 +1,8 @@
 //! Structural properties of the pod-aligned fat-tree partition.
 //!
-//! These tests never run a simulation: they build the sharded cluster
-//! and check the partition and its per-pair lookahead matrix directly.
+//! Except for the k=32 smoke at the end, these tests never run a
+//! simulation: they build the sharded cluster and check the partition
+//! and its per-pair lookahead matrix directly.
 //!
 //! * **Pod-closed** — a pod's edges, aggregation switches and hosts all
 //!   live on one shard, so intra-pod links never cross shards.
@@ -12,12 +13,13 @@
 //!   latency on driver↔NIC pairs (the engine would otherwise flag a
 //!   lookahead violation at runtime).
 
-use themis::harness::{build_fat_tree_cluster_sharded, Cluster, Scheme};
+use themis::harness::{build_fat_tree_cluster_sharded, run_fat_tree_rings, Cluster, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::switch::Switch;
 use themis::netsim::types::NodeId;
 use themis::netsim::world::CONTROL_PLANE_LATENCY;
 use themis::rnic::{Nic, NicConfig};
+use themis::simcore::time::Nanos;
 
 fn build(k: usize, n_shards: usize) -> Cluster {
     let fabric = FatTreeConfig::small(k);
@@ -130,4 +132,25 @@ fn k16_partitions_are_pod_closed_and_sound() {
 fn serial_build_has_no_plan() {
     let cluster = build(8, 1);
     assert!(cluster.world.shard_plan().is_none());
+}
+
+/// The largest fabric anything in the repo builds: k=32 is 8 192 hosts.
+/// The build must stay cheap (parallel pod blueprints + interned route
+/// tables) and a short workload must complete on it.
+#[test]
+fn k32_builds_and_runs_two_rings() {
+    let fabric = FatTreeConfig::small(32);
+    assert_eq!(fabric.n_hosts(), 8192);
+    let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let (r, _cluster) = run_fat_tree_rings(
+        &fabric,
+        nic,
+        Scheme::Themis,
+        1,
+        1,
+        2,
+        64 << 10,
+        Nanos::from_secs(5),
+    );
+    assert!(r.tail_ct.is_some(), "k=32 smoke must complete");
 }
