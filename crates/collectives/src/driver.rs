@@ -317,11 +317,6 @@ impl Driver {
         self.started_at
     }
 
-    /// Completion time of instance `i` (absolute).
-    pub fn completion_of(&self, i: usize) -> Option<Nanos> {
-        self.instances.get(i).and_then(|s| s.completion)
-    }
-
     /// When instance `i` actually started (its roots were posted).
     /// `None` until its start timer fires.
     pub fn start_of(&self, i: usize) -> Option<Nanos> {

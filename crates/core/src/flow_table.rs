@@ -115,16 +115,6 @@ impl FlowEntry {
             || self.recent_tpsns.iter().any(Option::is_some)
     }
 
-    /// Whether both side tables are empty (no expected retransmissions,
-    /// no remembered tPSNs). With `!valid`, such an entry is
-    /// observationally identical to a lazily-recreated one up to queue
-    /// contents — the normalization the model checker's canonical
-    /// hashing exploits.
-    pub fn side_tables_empty(&self) -> bool {
-        self.pending_retx.iter().all(Option::is_none)
-            && self.recent_tpsns.iter().all(Option::is_none)
-    }
-
     /// The expected-retransmission ring slots, in slot order.
     /// Model-checker hook: an entry can only ever be consumed by a
     /// future data arrival with a matching PSN, so slots matching no

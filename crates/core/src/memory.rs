@@ -103,6 +103,26 @@ mod tests {
         assert!((kb - 193.0).abs() < 1.0, "≈193 KB, got {kb:.1}");
     }
 
+    /// The analytic model against the live structures: a `FlowTable`
+    /// provisioned for every QP under the ToR plus the `PathMap` occupy
+    /// exactly the modeled bytes plus this implementation's per-flow
+    /// extension (EXPERIMENTS.md "known deviations").
+    #[test]
+    fn live_structures_occupy_the_modeled_bytes_plus_the_extension() {
+        use crate::flow_table::{FlowTable, ENTRY_EXTENSION_BYTES};
+        let m = MemoryModel::table1_reference();
+        let pathmap = crate::pathmap::PathMap::build(m.n_paths);
+        assert_eq!(pathmap.memory_bytes(), m.pathmap_bytes());
+        let mut table = FlowTable::new(m.n_entries());
+        let n_flows = m.n_qp * m.n_nic;
+        for qp in 0..n_flows as u32 {
+            table.provision(netsim::types::QpId(qp));
+        }
+        let live = table.memory_bytes() + pathmap.memory_bytes();
+        assert_eq!(live, m.total_bytes() + n_flows * ENTRY_EXTENSION_BYTES);
+        assert_eq!(live, 221_312);
+    }
+
     #[test]
     fn sram_fraction_is_small() {
         let m = MemoryModel::table1_reference();

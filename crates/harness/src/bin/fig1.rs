@@ -27,15 +27,13 @@ fn main() {
     let ideal = results.pop().expect("two cells");
     let sr = results.pop().expect("two cells");
 
-    let mut report = telemetry::Report::new();
-    report.add_run("nic_sr", sr.telemetry.clone());
-    report.add_run("ideal", ideal.telemetry.clone());
-    telem.write(&report);
-    if !(sr.completed && ideal.completed) {
-        telem.dump_trace("nic_sr", &sr.telemetry);
-        telem.dump_trace("ideal", &ideal.telemetry);
-    }
-    assert!(sr.completed && ideal.completed);
+    // One incomplete run fails the figure, so both traces are dumped.
+    let completed = sr.completed && ideal.completed;
+    telem.emit([
+        ("nic_sr", &sr.telemetry, completed),
+        ("ideal", &ideal.telemetry, completed),
+    ]);
+    assert!(completed);
 
     println!(
         "{}",

@@ -6,27 +6,28 @@
 //!
 //! ```text
 //! cargo run --release -p themis-harness --bin fig5 -- allreduce 8 --jobs 4
+//! cargo run --release -p themis-harness --bin fig5 -- allreduce 2 --seed 7 --jobs 4
 //! cargo run --release -p themis-harness --bin fig5 -- --scheme zoo --fat-tree 1
 //! ```
 
-use themis_harness::cli;
+use themis_harness::cli::{self, Matches};
 use themis_harness::fig5::{
     improvement_pct, run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, Fig5Config,
 };
 use themis_harness::report::{fmt_ms, Table};
 use themis_harness::sweep::SweepRunner;
-use themis_harness::{Collective, Scheme, TelemetryArgs};
+use themis_harness::{Collective, Scheme};
 
 fn main() {
     let args = cli::FIG5.parse_or_exit(std::env::args());
-    let (telem, jobs, shards) = (args.telemetry(), args.jobs(), args.shards());
     let schemes = args.schemes("scheme");
     let mb: Option<u64> = args.opt_num("MB");
 
     if args.given("fat-tree") {
-        run_fat_tree_leg(&schemes, mb.unwrap_or(1), shards, jobs, &telem);
+        run_fat_tree_leg(&args, &schemes, mb.unwrap_or(1));
         return;
     }
+    let (telem, jobs, shards) = (args.telemetry(), args.jobs(), args.shards());
 
     let collective = match args.text("COLLECTIVE").as_deref() {
         Some("alltoall") => Collective::Alltoall,
@@ -45,22 +46,15 @@ fn main() {
     );
     println!("16x16 leaf-spine @400 Gbps, 16 groups x 16 NICs ({jobs} worker(s))\n");
 
-    let mut cfg = Fig5Config::paper(collective, bytes, 1);
+    let mut cfg = Fig5Config::paper(collective, bytes, args.num("seed"));
     cfg.schemes = schemes.clone();
     cfg.shards = shards;
     let points = run_fig5_with(&cfg, SweepRunner::new(jobs));
 
-    if telem.active() {
-        let mut report = telemetry::Report::new();
-        for p in &points {
-            let label = format!("ti{}_td{}/{}", p.ti_us, p.td_us, p.scheme.label());
-            report.add_run(&label, p.result.telemetry.clone());
-            if p.tail_ct.is_none() {
-                telem.dump_trace(&label, &p.result.telemetry);
-            }
-        }
-        telem.write(&report);
-    }
+    telem.emit(points.iter().map(|p| {
+        let label = format!("ti{}_td{}/{}", p.ti_us, p.td_us, p.scheme.label());
+        (label, &p.result.telemetry, p.tail_ct.is_some())
+    }));
 
     let compare = schemes.contains(&Scheme::Themis) && schemes.contains(&Scheme::AdaptiveRouting);
     let mut headers: Vec<String> = vec!["(TI,TD)".into()];
@@ -112,15 +106,10 @@ fn main() {
 
 /// The `--fat-tree` leg: k=16 fat-tree (1024 hosts), concurrent
 /// inter-pod rings, one row per scheme.
-fn run_fat_tree_leg(
-    schemes: &[Scheme],
-    mb_per_ring: u64,
-    shards: usize,
-    jobs: usize,
-    telem: &TelemetryArgs,
-) {
-    let mut cfg = FatTreeLegConfig::k16(mb_per_ring << 20, 1);
-    cfg.shards = shards;
+fn run_fat_tree_leg(args: &Matches, schemes: &[Scheme], mb_per_ring: u64) {
+    let (telem, jobs) = (args.telemetry(), args.jobs());
+    let mut cfg = FatTreeLegConfig::k16(mb_per_ring << 20, args.num("seed"));
+    cfg.shards = args.shards();
     println!("Cross-scheme fat-tree leg — inter-pod ring tail CT ({mb_per_ring} MB per ring)");
     println!(
         "k={} fat-tree, {} hosts, {} concurrent rings ({jobs} worker(s))\n",
@@ -130,17 +119,10 @@ fn run_fat_tree_leg(
     );
     let points = run_fig5_fat_tree(&cfg, schemes, SweepRunner::new(jobs));
 
-    if telem.active() {
-        let mut report = telemetry::Report::new();
-        for p in &points {
-            let label = format!("fattree_k{}/{}", cfg.k, p.scheme.label());
-            report.add_run(&label, p.result.telemetry.clone());
-            if p.tail_ct.is_none() {
-                telem.dump_trace(&label, &p.result.telemetry);
-            }
-        }
-        telem.write(&report);
-    }
+    telem.emit(points.iter().map(|p| {
+        let label = format!("fattree_k{}/{}", cfg.k, p.scheme.label());
+        (label, &p.result.telemetry, p.tail_ct.is_some())
+    }));
 
     let mut table = Table::new(
         format!("k={} fat-tree ring tail CT (ms)", cfg.k),

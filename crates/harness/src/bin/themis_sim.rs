@@ -1,7 +1,8 @@
 //! `themis_sim` — run custom Themis experiments from the command line:
-//! one collective, one point-to-point flow, a scheme × DCQCN sweep, or
-//! the §4 memory model. `themis_sim --help` (or `themis_sim <command>
-//! --help`) lists the options (table: `themis_harness::cli::THEMIS_SIM`).
+//! one collective, one point-to-point flow, or the §4 memory model (the
+//! scheme × DCQCN sweep is the `fig5` binary). `themis_sim --help` (or
+//! `themis_sim <command> --help`) lists the options (table:
+//! `themis_harness::cli::THEMIS_SIM`).
 //!
 //! ```text
 //! themis_sim collective --collective alltoall --scheme ar --mb 8 --ti 10 --td 50
@@ -15,26 +16,8 @@ use simcore::time::{Nanos, TimeDelta};
 use themis_core::memory::MemoryModel;
 use themis_harness::cli::{self, Matches};
 use themis_harness::experiment::point_to_point_ends;
-use themis_harness::fig5::improvement_pct;
-use themis_harness::report::{fmt_ms, Table};
-use themis_harness::sweep::SweepRunner;
-use themis_harness::{
-    run_collective, run_point_to_point, ExperimentConfig, ExperimentResult, Scheme, TelemetryArgs,
-};
-
-/// Write a single-run telemetry report and, on an incomplete run, dump
-/// the event-ring tail — shared by `collective` and `p2p`.
-fn emit_telemetry(telem: &TelemetryArgs, label: &str, r: &ExperimentResult) {
-    if !telem.active() {
-        return;
-    }
-    let mut report = telemetry::Report::new();
-    report.add_run(label, r.telemetry.clone());
-    telem.write(&report);
-    if r.tail_ct.is_none() {
-        telem.dump_trace(label, &r.telemetry);
-    }
-}
+use themis_harness::report::fmt_ms;
+use themis_harness::{run_collective, run_point_to_point, ExperimentConfig, ExperimentResult};
 
 fn build_config(args: &Matches) -> ExperimentConfig {
     let seed = args.num("seed");
@@ -158,7 +141,8 @@ fn main() {
             } else {
                 print_result(&r, t0.elapsed());
             }
-            emit_telemetry(&args.telemetry(), "collective", &r);
+            args.telemetry()
+                .emit([("collective", &r.telemetry, r.tail_ct.is_some())]);
         }
         "p2p" => {
             let cfg = build_config(&args);
@@ -179,55 +163,8 @@ fn main() {
             } else {
                 print_result(&r, t0.elapsed());
             }
-            emit_telemetry(&args.telemetry(), "p2p", &r);
-        }
-        "sweep" => {
-            let collective = args.collective("collective").expect("table default");
-            let bytes = args.num::<u64>("mb") << 20;
-            let seed = args.num("seed");
-            let jobs = args.jobs();
-            let mut table = Table::new(
-                format!(
-                    "{} tail CT (ms), {} MB/group ({jobs} worker(s))",
-                    collective.label(),
-                    bytes >> 20
-                ),
-                &["(TI,TD)", "ECMP", "AR", "Themis", "Themis vs AR"],
-            );
-            const SCHEMES: [Scheme; 3] = [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis];
-            let cells: Vec<(u64, u64, Scheme)> = CcConfig::paper_sweep()
-                .iter()
-                .flat_map(|&(ti, td)| SCHEMES.iter().map(move |&s| (ti, td, s)))
-                .collect();
-            let shards = args.shards();
-            let results = SweepRunner::new(jobs).run(&cells, |&(ti, td, scheme)| {
-                let mut cfg = ExperimentConfig::paper_eval(scheme, ti, td, seed);
-                cfg.shards = shards;
-                run_collective(&cfg, collective, bytes)
-            });
-            let telem = args.telemetry();
-            if telem.active() {
-                let mut report = telemetry::Report::new();
-                for ((ti, td, scheme), r) in cells.iter().zip(&results) {
-                    let label = format!("ti{ti}_td{td}/{}", scheme.label());
-                    report.add_run(&label, r.telemetry.clone());
-                    if r.tail_ct.is_none() {
-                        telem.dump_trace(&label, &r.telemetry);
-                    }
-                }
-                telem.write(&report);
-            }
-            let cts: Vec<_> = results.iter().map(|r| r.tail_ct).collect();
-            for (point, row) in cells.chunks(SCHEMES.len()).zip(cts.chunks(SCHEMES.len())) {
-                let (ti, td) = (point[0].0, point[0].1);
-                let (e, a, t) = (row[0], row[1], row[2]);
-                let vs = match (t, a) {
-                    (Some(t), Some(a)) => format!("{:+.1}%", improvement_pct(t, a)),
-                    _ => "-".into(),
-                };
-                table.row(&[format!("({ti},{td})"), fmt_ms(e), fmt_ms(a), fmt_ms(t), vs]);
-            }
-            table.print();
+            args.telemetry()
+                .emit([("p2p", &r.telemetry, r.tail_ct.is_some())]);
         }
         "memory" => {
             let m = MemoryModel {

@@ -115,7 +115,7 @@ pub struct Flag {
     pub placeholder: S,
     /// Default shown in usage and used when the flag is absent; empty =
     /// none. A default starting with `$` names an environment fallback
-    /// that [`Matches::jobs`] / [`Matches::shards`] resolve.
+    /// that [`Matches::shards`] resolves.
     pub default: S,
     /// One-line description.
     pub help: S,
@@ -218,7 +218,7 @@ pub const SHARDS: Flag = opt("shards", "N|auto", Kind::Shards, "$THEMIS_SHARDS o
     "engine shards per run; results are bit-identical for any value").alias(&["-s"]);
 /// `--jobs N` / `-j`: sweep-level worker threads.
 #[rustfmt::skip]
-pub const JOBS: Flag = opt("jobs", "N", USIZE, "$THEMIS_JOBS or 1",
+pub const JOBS: Flag = opt("jobs", "N", USIZE, "1",
     "sweep worker threads; results are identical for any value").alias(&["-j"]);
 /// `--telemetry PATH`: the versioned JSON report.
 #[rustfmt::skip]
@@ -272,6 +272,7 @@ pub static FIG5: Cli = Cli {
             opt("scheme", "LIST", Kind::Schemes, "ecmp,ar,themis", "comma-separated schemes to compare")
                 .alias(&["--schemes"]),
             switch("fat-tree", "run the k=16 fat-tree (1024 hosts) inter-pod ring leg instead"),
+            SEED,
         ], PARALLEL, TELEMETRY_OUT],
     }],
 };
@@ -304,10 +305,6 @@ pub static THEMIS_SIM: Cli = Cli {
         Command {
             name: "p2p", about: "run one cross-rack flow", positionals: &[],
             groups: &[ENGINE, SIM_FABRIC, SIM_OUTPUT, TELEMETRY_OUT],
-        },
-        Command {
-            name: "sweep", about: "ECMP/AR/Themis x DCQCN sweep (fig5-style)", positionals: &[],
-            groups: &[&[COLLECTIVE, MB.default("2"), SEED], PARALLEL, TELEMETRY_OUT],
         },
         Command {
             name: "memory", about: "evaluate the section-4 ToR memory model", positionals: &[],
@@ -650,10 +647,9 @@ impl Matches {
         })
     }
 
-    /// [`JOBS`], else `THEMIS_JOBS`, else 1 (clamped to at least 1).
+    /// [`JOBS`], else 1 (clamped to at least 1).
     pub fn jobs(&self) -> usize {
-        let jobs = self.opt_num(JOBS.name);
-        jobs.unwrap_or_else(knobs::jobs_from_env).max(1)
+        self.num::<usize>(JOBS.name).max(1)
     }
 
     /// [`SHARDS`], else its table default, else `THEMIS_SHARDS`, else 1.
@@ -716,7 +712,7 @@ mod tests {
         assert_eq!(m.text("telemetry"), None);
         assert!(!m.given("jobs") && !m.given("burst"));
         assert_eq!(run(&FIG5, "").schemes("scheme"), Scheme::PAPER_FIG5);
-        assert_eq!(run(&THEMIS_SIM, "sweep").num::<u64>("mb"), 2);
+        assert_eq!(run(&FIG5, "").num::<u64>("seed"), 1);
         assert_eq!(run(&THEMIS_SIM, "memory").num::<u64>("gbps"), 400);
 
         // themis_fuzz's table defaults are FuzzConfig's.
@@ -745,7 +741,7 @@ mod tests {
                         f.name,
                         f.default
                     );
-                    assert!(!env_fallback || [JOBS.name, SHARDS.name].contains(&f.name));
+                    assert!(!env_fallback || f.name == SHARDS.name);
                 }
             }
         }
@@ -804,9 +800,9 @@ mod tests {
         assert_eq!(m.shards(), knobs::auto_shards());
         // Zero shards reaches validate() in themis_load / themis_serve.
         assert_eq!(run(&THEMIS_LOAD, "--shards 0").shards(), 0);
-        if std::env::var("THEMIS_SHARDS").is_err() && std::env::var("THEMIS_JOBS").is_err() {
-            let m = run(&FIG1, "");
-            assert_eq!((m.jobs(), m.shards()), (1, 1));
+        assert_eq!(run(&FIG1, "").jobs(), 1);
+        if std::env::var("THEMIS_SHARDS").is_err() {
+            assert_eq!(run(&FIG1, "").shards(), 1);
         }
     }
 
@@ -859,7 +855,7 @@ mod tests {
         );
         // A flag another command owns is unknown here, not ignored.
         assert_eq!(
-            err(&THEMIS_SIM, "sweep --scheme reps"),
+            err(&THEMIS_SIM, "memory --scheme reps"),
             UsageError::UnknownFlag("--scheme".into())
         );
     }
@@ -884,8 +880,8 @@ mod tests {
         // Help wins wherever it appears, and a command narrows it.
         assert_eq!(help(&FIG5, "alltoall --jobs --help"), FIG5.usage(None));
         assert_eq!(help(&THEMIS_SIM, "help"), THEMIS_SIM.usage(None));
-        let sweep = help(&THEMIS_SIM, "sweep --mb 2 -h");
-        assert!(sweep.contains("--jobs") && !sweep.contains("--paths"));
+        let collective = help(&THEMIS_SIM, "collective --mb 2 -h");
+        assert!(collective.contains("--ti") && !collective.contains("--paths"));
         // Choices are generated from the enums, never typed by hand.
         let load = THEMIS_LOAD.usage(None);
         let schemes: Vec<_> = Scheme::ALL.iter().map(Scheme::cli_name).collect();

@@ -14,7 +14,7 @@ use collectives::ring::{ring_allgather, ring_allreduce, ring_once, ring_reduce_s
 use collectives::schedule::{Schedule, Transfer};
 use netsim::topology::LeafSpineConfig;
 use netsim::trace::{fabric_summary, FabricSummary};
-use netsim::types::{HostId, NodeId};
+use netsim::types::HostId;
 use rnic::{CcConfig, Nic, NicConfig};
 use simcore::time::{Nanos, TimeDelta};
 
@@ -688,11 +688,6 @@ pub fn driver_of(cluster: &Cluster) -> &Driver {
         .world
         .get::<Driver>(cluster.driver)
         .expect("driver installed")
-}
-
-/// Node id helper for a host's NIC.
-pub fn nic_node(host: HostId) -> NodeId {
-    NodeId(host.0)
 }
 
 #[cfg(test)]

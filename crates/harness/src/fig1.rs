@@ -58,29 +58,13 @@ pub struct Fig1Result {
     pub telemetry: telemetry::RunReport,
 }
 
-/// Run the Fig 1 motivation experiment.
+/// Run the Fig 1 motivation experiment on `shards` engine shards
+/// (1 = serial).
 ///
 /// `bytes_per_flow` is the paper's 100 MB at full scale; smaller values
-/// preserve the shape. Bin widths control series resolution. Shard count
-/// comes from `THEMIS_SHARDS` (see [`crate::knobs`]).
-pub fn run_fig1(
-    transport: Fig1Transport,
-    bytes_per_flow: u64,
-    trace_bin: TimeDelta,
-    seed: u64,
-) -> Fig1Result {
-    run_fig1_sharded(
-        transport,
-        bytes_per_flow,
-        trace_bin,
-        seed,
-        crate::knobs::shards_from_env(),
-    )
-}
-
-/// [`run_fig1`] with an explicit engine shard count (1 = serial). The
-/// result — including the telemetry snapshot — is bit-identical for any
-/// shard count.
+/// preserve the shape. Bin widths control series resolution. The result
+/// — including the telemetry snapshot — is bit-identical for any shard
+/// count.
 pub fn run_fig1_sharded(
     transport: Fig1Transport,
     bytes_per_flow: u64,
@@ -205,15 +189,17 @@ pub fn run_fig1_sharded(
 mod tests {
     use super::*;
 
-    /// A scaled-down Fig 1 run (2 MB flows) exercises the whole pipeline.
+    /// One scaled-down run (2 MB flows); `THEMIS_SHARDS` picks the
+    /// engine shard count so the sharded CI leg covers this suite.
+    fn run(transport: Fig1Transport) -> Fig1Result {
+        let shards = crate::knobs::shards_from_env();
+        run_fig1_sharded(transport, 2 << 20, TimeDelta::from_micros(20), 42, shards)
+    }
+
+    /// A scaled-down Fig 1 run exercises the whole pipeline.
     #[test]
     fn nic_sr_shows_spurious_retransmissions_and_slowdown() {
-        let r = run_fig1(
-            Fig1Transport::NicSr,
-            2 << 20,
-            TimeDelta::from_micros(20),
-            42,
-        );
+        let r = run(Fig1Transport::NicSr);
         assert!(r.completed, "flows must finish");
         assert_eq!(r.drops, 0, "no loss in the motivation scenario");
         // The paper's headline: double-digit spurious retransmission rate.
@@ -231,18 +217,8 @@ mod tests {
 
     #[test]
     fn ideal_transport_is_clean_and_faster() {
-        let sr = run_fig1(
-            Fig1Transport::NicSr,
-            2 << 20,
-            TimeDelta::from_micros(20),
-            42,
-        );
-        let ideal = run_fig1(
-            Fig1Transport::Ideal,
-            2 << 20,
-            TimeDelta::from_micros(20),
-            42,
-        );
+        let sr = run(Fig1Transport::NicSr);
+        let ideal = run(Fig1Transport::Ideal);
         assert!(ideal.completed);
         assert_eq!(ideal.retx_packets, 0, "no loss -> ideal never retransmits");
         assert!(

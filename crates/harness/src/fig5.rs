@@ -64,15 +64,10 @@ impl Fig5Config {
     }
 }
 
-/// Run the full sweep serially. Points are produced scheme-major per
-/// DCQCN config, matching the figure's bar grouping.
-pub fn run_fig5(cfg: &Fig5Config) -> Vec<Fig5Point> {
-    run_fig5_with(cfg, SweepRunner::new(1))
-}
-
-/// Run the full sweep, fanning cells over `runner`'s workers. Every
-/// cell is an independent simulation; the output order (and, per cell,
-/// every metric) is identical for any worker count.
+/// Run the full sweep, fanning cells over `runner`'s workers. Points
+/// are produced scheme-major per DCQCN config, matching the figure's bar
+/// grouping. Every cell is an independent simulation; the output order
+/// (and, per cell, every metric) is identical for any worker count.
 pub fn run_fig5_with(cfg: &Fig5Config, runner: SweepRunner) -> Vec<Fig5Point> {
     let cells: Vec<(u64, u64, Scheme)> = cfg
         .sweep
@@ -202,7 +197,7 @@ mod tests {
         // Shrink the fabric via a custom run: reuse paper_eval but at this
         // scale the full 256-host build is still constructed; keep the
         // buffer tiny so the run is quick.
-        let points = run_fig5(&cfg);
+        let points = run_fig5_with(&cfg, SweepRunner::new(1));
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].scheme, Scheme::Ecmp);
         assert_eq!(points[1].scheme, Scheme::Themis);

@@ -1,14 +1,14 @@
-//! The harness parallelism knobs: what they mean and their environment
-//! fallbacks.
+//! The harness parallelism knobs: what they mean and the one
+//! environment fallback.
 //!
 //! The harness exposes **two orthogonal** parallelism axes, and every
 //! binary spells them the same way (the [`crate::cli`] tables share one
 //! declaration of each flag):
 //!
-//! * **`--jobs N` / `THEMIS_JOBS`** — *sweep-level* fan-out: how many
-//!   independent `(config, seed, scheme)` cells run concurrently, each
-//!   on its own worker thread with its own serial (or sharded) world.
-//!   See [`crate::sweep::SweepRunner`].
+//! * **`--jobs N`** — *sweep-level* fan-out: how many independent
+//!   `(config, seed, scheme)` cells run concurrently, each on its own
+//!   worker thread with its own serial (or sharded) world. See
+//!   [`crate::sweep::SweepRunner`]. The flag is the only way to set it.
 //! * **`--shards N` / `THEMIS_SHARDS`** — *within-run* parallelism: how
 //!   many engine shards one simulation is partitioned into
 //!   (conservative-window parallel discrete-event execution, see
@@ -20,8 +20,13 @@
 //! to 8 simulation threads. Large sweeps of small cells want jobs
 //! (perfect scaling, zero synchronization); single big runs want shards
 //! (windowed barrier synchronization, but speeds up the one run you are
-//! waiting on). The CLI flag always wins over the environment variable,
-//! which wins over the default of 1.
+//! waiting on).
+//!
+//! Only the shard count has an environment fallback, because tests
+//! cannot take flags: `scripts/ci.sh` re-runs whole test suites sharded
+//! by exporting `THEMIS_SHARDS=2`, and every config constructor reads it
+//! through [`shards_from_env`]. In the binaries `--shards` always wins
+//! over the variable, which wins over the default of 1.
 
 /// Shard count chosen by the `auto` spelling: the std runtime's view of
 /// available parallelism (respects cgroup CPU quotas), 1 when unknown.
@@ -39,20 +44,6 @@ pub fn parse_shards(s: &str) -> Option<usize> {
     } else {
         s.parse().ok()
     }
-}
-
-/// Value of a `usize` environment knob, or `default` when unset or
-/// unparsable.
-fn usize_from_env(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Sweep worker count from `THEMIS_JOBS` (default 1, clamped ≥ 1).
-pub fn jobs_from_env() -> usize {
-    usize_from_env("THEMIS_JOBS", 1).max(1)
 }
 
 /// Engine shard count from `THEMIS_SHARDS` (default 1 = serial,

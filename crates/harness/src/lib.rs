@@ -26,8 +26,8 @@
 //!   telemetry and a sliding-window oracle (`themis_load`).
 //! * [`cli`] — the one flag table and argv parser under all six
 //!   binaries; `<binary> --help` is rendered from it.
-//! * [`knobs`] — the `--jobs`/`THEMIS_JOBS` and `--shards`/`THEMIS_SHARDS`
-//!   parallelism axes: environment fallbacks and how the two compose.
+//! * [`knobs`] — the `--jobs` and `--shards`/`THEMIS_SHARDS` parallelism
+//!   axes: how the two compose, and the one environment fallback.
 //! * [`shrink`] — greedy delta-debugging (`ddmin`) shared by the fuzzer
 //!   and the parallel-engine property tests.
 //! * [`coverage`] — telemetry-derived coverage features and the
@@ -76,8 +76,8 @@ pub use experiment::{
     CompletionOutcome, ExperimentConfig, ExperimentResult, NicAggregate, SchemeAggregate,
 };
 pub use faults::{Fault, FaultEvent, FaultPlan, FaultSpace};
-pub use fig5::{run_fig5, run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, FatTreePoint};
-pub use knobs::{jobs_from_env, shards_from_env};
+pub use fig5::{run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, FatTreePoint};
+pub use knobs::shards_from_env;
 pub use load::{run_open_loop, InvalidConfig, LoadConfig, LoadReport};
 pub use mcheck::{brute_force_executions, explore, CheckConfig, CheckReport, EvictionMode};
 pub use oracle::{assert_conformant, OracleConfig, OracleReport, Violation};

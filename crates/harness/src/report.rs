@@ -1,5 +1,5 @@
-//! Plain-text report rendering: aligned tables and (time, value) series,
-//! matching the rows/figures the paper reports.
+//! Plain-text report rendering: aligned tables and `(time, value)`
+//! series charts, matching the rows/figures the paper reports.
 
 use simcore::time::TimeDelta;
 use std::fmt::Write as _;
@@ -79,35 +79,6 @@ pub fn fmt_ms(td: Option<TimeDelta>) -> String {
         Some(t) => format!("{:.3}", t.as_nanos() as f64 / 1e6),
         None => "DNF".to_string(),
     }
-}
-
-/// Format a ratio as a percentage.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Format Gbit/s.
-pub fn fmt_gbps(x: f64) -> String {
-    format!("{x:.2}")
-}
-
-/// Render a `(time µs, value)` series as a compact two-column listing,
-/// down-sampled to at most `max_points` evenly spaced points.
-pub fn render_series(title: &str, series: &[(f64, f64)], max_points: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "-- {title} --");
-    if series.is_empty() {
-        let _ = writeln!(out, "(empty)");
-        return out;
-    }
-    let step = series.len().div_ceil(max_points.max(1));
-    for chunk in series.chunks(step) {
-        // Average each chunk so down-sampling does not alias.
-        let t = chunk[0].0;
-        let v = chunk.iter().map(|p| p.1).sum::<f64>() / chunk.len() as f64;
-        let _ = writeln!(out, "{t:>12.1}us  {v:.4}");
-    }
-    out
 }
 
 /// Render a `(time µs, value)` series as a fixed-height ASCII chart —
@@ -204,8 +175,6 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_ms(Some(TimeDelta::from_micros(1500))), "1.500");
         assert_eq!(fmt_ms(None), "DNF");
-        assert_eq!(fmt_pct(0.163), "16.3%");
-        assert_eq!(fmt_gbps(86.0), "86.00");
     }
 
     #[test]
@@ -229,15 +198,5 @@ mod tests {
         let chart = render_ascii_chart("flat", &series, 10, 3);
         // Must not panic on zero range and must render something.
         assert!(chart.contains("flat"));
-    }
-
-    #[test]
-    fn series_downsamples() {
-        let series: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, 1.0)).collect();
-        let r = render_series("s", &series, 10);
-        let lines = r.lines().count();
-        assert!(lines <= 12, "{lines} lines");
-        assert!(r.contains("-- s --"));
-        assert_eq!(render_series("e", &[], 10).lines().count(), 2);
     }
 }

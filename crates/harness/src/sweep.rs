@@ -39,13 +39,6 @@ impl SweepRunner {
         SweepRunner { jobs: jobs.max(1) }
     }
 
-    /// A runner honouring the `THEMIS_JOBS` environment variable
-    /// (default 1; binaries let `--jobs` override it, see
-    /// [`crate::cli::Matches::jobs`]).
-    pub fn from_env() -> SweepRunner {
-        SweepRunner::new(crate::knobs::jobs_from_env())
-    }
-
     /// Configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs

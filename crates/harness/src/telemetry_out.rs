@@ -22,27 +22,32 @@ pub struct TelemetryArgs {
 }
 
 impl TelemetryArgs {
-    /// Whether any telemetry output was requested.
-    pub fn active(&self) -> bool {
-        self.out.is_some() || self.trace_last.is_some()
-    }
-
-    /// Write `report` to the configured path, if one was given.
-    /// Prints a confirmation line; exits with status 1 on I/O failure.
-    pub fn write(&self, report: &Report) {
+    /// Emit what the flags ask for, for one binary's runs, each given as
+    /// `(label, snapshot, completed)`: with `--telemetry PATH`, all of
+    /// them go into one report written to the path (confirmation line on
+    /// stdout; exit status 1 on I/O failure); with `--trace-last N`,
+    /// every run that did not complete has the tail of its event ring
+    /// dumped to stderr. Without either flag the runs are not looked at.
+    pub fn emit<'a, L: AsRef<str>>(
+        &self,
+        runs: impl IntoIterator<Item = (L, &'a RunReport, bool)>,
+    ) {
+        if self.out.is_none() && self.trace_last.is_none() {
+            return;
+        }
+        let mut report = Report::new();
+        for (label, run, completed) in runs {
+            report.add_run(label.as_ref(), run.clone());
+            if let (false, Some(n)) = (completed, self.trace_last) {
+                dump_trace_last(label.as_ref(), run, n);
+            }
+        }
         let Some(path) = &self.out else { return };
         if let Err(e) = report.write(path.as_ref()) {
             eprintln!("error: failed to write telemetry to {path}: {e}");
             std::process::exit(1);
         }
         println!("telemetry written to {path}");
-    }
-
-    /// Dump the tail of `run`'s event ring to stderr if `--trace-last`
-    /// was given. Call only on abnormal exit (incomplete run).
-    pub fn dump_trace(&self, label: &str, run: &RunReport) {
-        let Some(n) = self.trace_last else { return };
-        dump_trace_last(label, run, n);
     }
 }
 
@@ -69,8 +74,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dump_trace_noop_without_flag() {
-        // Must not panic on an empty run report.
-        TelemetryArgs::default().dump_trace("x", &RunReport::new());
+    fn emit_is_a_noop_without_flags() {
+        // Must not panic on an empty, incomplete run report.
+        TelemetryArgs::default().emit([("x", &RunReport::new(), false)]);
     }
 }

@@ -38,7 +38,6 @@ fn run(bin: &str, args: &[&str], cwd: &Path) -> (Output, Duration) {
     let mut child = Command::new(exe(bin))
         .args(args)
         .current_dir(cwd)
-        .env_remove("THEMIS_JOBS")
         .env_remove("THEMIS_SHARDS")
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -91,16 +90,16 @@ fn help_exits_zero_at_once_and_runs_nothing() {
     // ... and themis_serve did not bind its default socket.
     let left: Vec<_> = std::fs::read_dir(&dir).expect("scratch dir").collect();
     assert!(left.is_empty(), "--help left files behind: {left:?}");
-    let (out, _) = run("themis_sim", &["sweep", "--help"], &dir);
+    let (out, _) = run("themis_sim", &["collective", "--help"], &dir);
     assert_eq!(out.status.code(), Some(0));
-    assert!(text(&out.stdout).contains("USAGE: themis_sim sweep"));
+    assert!(text(&out.stdout).contains("USAGE: themis_sim collective"));
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
 #[test]
 fn malformed_command_lines_exit_two_with_usage_on_stderr() {
     let dir = scratch("usage");
-    let cases: [(&str, &[&str], &str); 16] = [
+    let cases: [(&str, &[&str], &str); 17] = [
         ("fig1", &["--bogus"], "unknown option '--bogus'"),
         ("fig1", &["--jobs", "2O"], "invalid value '2O'"),
         ("fig5", &["--sheme", "zoo"], "unknown option '--sheme'"),
@@ -108,6 +107,11 @@ fn malformed_command_lines_exit_two_with_usage_on_stderr() {
         ("themis_sim", &["p2p", "--sheme", "ar"], "unknown option"),
         ("themis_sim", &["p2p", "--mb", "-1"], "invalid value '-1'"),
         ("themis_sim", &[], "missing command"),
+        (
+            "themis_sim",
+            &["sweep", "--mb", "1"],
+            "unknown command 'sweep'",
+        ),
         ("themis_load", &["--sheme", "reps"], "unknown option"),
         ("themis_load", &["--jobs", "2O"], "invalid value '2O'"),
         ("themis_load", &["--seed", "--jobs", "5"], "needs a value"),

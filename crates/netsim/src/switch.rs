@@ -206,7 +206,6 @@ pub struct Switch {
     targeted_drops: FxHashSet<(QpId, u32)>,
     reverse_corrupt_ppm: u32,
     drop_log: Vec<DropRecord>,
-    tap: Option<Box<dyn crate::trace::PacketTap>>,
     telem: Option<crate::telem::SwitchTelem>,
     ctrl_priority: bool,
     pfc: Option<PfcConfig>,
@@ -235,7 +234,6 @@ impl Switch {
             targeted_drops: FxHashSet::default(),
             reverse_corrupt_ppm: 0,
             drop_log: Vec::new(),
-            tap: None,
             telem: None,
             ctrl_priority: cfg.ctrl_priority,
             pfc: cfg.pfc,
@@ -360,22 +358,6 @@ impl Switch {
         self.ports[idx].loss_rate = rate;
     }
 
-    /// Administratively take port `idx` down (blackhole) or up.
-    pub fn set_port_down(&mut self, idx: usize, down: bool) {
-        self.ports[idx].down = down;
-    }
-
-    /// Add extra propagation delay on port `idx` (delay-jitter spike).
-    pub fn set_port_extra_delay(&mut self, idx: usize, extra: TimeDelta) {
-        self.ports[idx].extra_delay = extra;
-    }
-
-    /// Drop reverse-direction packets (ACK/NACK/CNP) with the given
-    /// probability in parts per million (reverse-path corruption).
-    pub fn set_reverse_corrupt_rate(&mut self, rate_ppm: u32) {
-        self.reverse_corrupt_ppm = rate_ppm;
-    }
-
     /// Every drop this switch performed, in order, with its cause — the
     /// conformance oracle's ground truth.
     pub fn drop_log(&self) -> &[DropRecord] {
@@ -433,17 +415,6 @@ impl Switch {
     /// Mutable access to the installed hook (runtime reconfiguration).
     pub fn hook_mut(&mut self) -> Option<&mut (dyn TorHook + 'static)> {
         self.hook.as_deref_mut()
-    }
-
-    /// Attach a packet tap (tcpdump-style capture of forwarding
-    /// decisions); replaces any previous tap.
-    pub fn set_tap(&mut self, tap: Box<dyn crate::trace::PacketTap>) {
-        self.tap = Some(tap);
-    }
-
-    /// The attached tap, if any (downcast for extraction).
-    pub fn tap(&self) -> Option<&dyn crate::trace::PacketTap> {
-        self.tap.as_deref()
     }
 
     /// Install a telemetry handle; drop/ECN/hook counters and drop
@@ -540,7 +511,7 @@ impl Switch {
             }
         }
 
-        self.route_and_enqueue(pkt, uplink_override, true, in_port, ctx);
+        self.route_and_enqueue(pkt, uplink_override, true, ctx);
         self.flush_emitted(ctx);
     }
 
@@ -553,7 +524,6 @@ impl Switch {
         pkt: Packet,
         uplink_override: Option<usize>,
         run_downstream_hook: bool,
-        in_port: PortId,
         ctx: &mut Ctx<'_>,
     ) {
         let entry = self.routes.lookup(pkt.dst.index());
@@ -607,9 +577,6 @@ impl Switch {
             }
         }
 
-        if let Some(tap) = self.tap.as_mut() {
-            tap.on_forward(ctx.now(), &pkt, in_port, PortId(egress as u16));
-        }
         let ecn_before = self.ports[egress].stats.ecn_marked;
         let qp = pkt.qp.0 as u64;
         let psn = pkt.data_psn().unwrap_or(0) as u64;
@@ -669,8 +636,7 @@ impl Switch {
                 if let Some(t) = &self.telem {
                     t.on_hook_emitted();
                 }
-                // Hook-originated packets have no real ingress port.
-                self.route_and_enqueue(p, None, false, PortId(u16::MAX), ctx);
+                self.route_and_enqueue(p, None, false, ctx);
             }
             if self.emit_scratch.is_empty() {
                 // Hand the drained buffer back so its capacity is reused

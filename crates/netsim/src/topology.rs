@@ -133,11 +133,6 @@ impl FabricPlan {
         let hpl = self.hosts.len() / self.leaves.len();
         host.index() / hpl
     }
-
-    /// The ToR entity of `host`.
-    pub fn tor_of(&self, host: HostId) -> NodeId {
-        self.hosts[host.index()].tor
-    }
 }
 
 /// Build a leaf-spine fabric per `cfg`.

@@ -1,37 +1,14 @@
-//! Fabric-wide statistics aggregation and packet capture.
+//! Fabric-wide statistics aggregation and the per-switch drop log's
+//! record types.
 //!
 //! [`fabric_summary`] collects per-switch counters into a
 //! [`FabricSummary`] after a run — the raw material for the
 //! drop/mark/block columns of the experiment reports.
-//!
-//! [`RingTap`] is a bounded packet-capture buffer a test or debugging
-//! session can attach to any switch ([`Switch::set_tap`]): every
-//! forwarded packet is recorded (time, 5-tuple summary, ingress/egress
-//! ports), oldest-first eviction. Think `tcpdump -c N` on one switch.
 
-use crate::packet::{Packet, PacketKind};
 use crate::switch::Switch;
-use crate::types::{NodeId, PortId};
+use crate::types::NodeId;
 use crate::world::World;
 use simcore::time::Nanos;
-use std::collections::VecDeque;
-
-/// One captured forwarding decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TapRecord {
-    /// When the switch forwarded the packet.
-    pub at: Nanos,
-    /// Connection.
-    pub qp: crate::types::QpId,
-    /// PSN for data packets, the carried ePSN for ACK/NACK, 0 otherwise.
-    pub seq: u32,
-    /// Compact packet-kind label.
-    pub kind: &'static str,
-    /// Ingress port.
-    pub in_port: PortId,
-    /// Chosen egress port.
-    pub egress: PortId,
-}
 
 /// Why a switch dropped a packet (one entry per [`DropRecord`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,76 +44,6 @@ pub struct DropRecord {
     pub data: bool,
     /// Why it was dropped.
     pub cause: DropCause,
-}
-
-/// Observer invoked for every packet a switch forwards.
-pub trait PacketTap {
-    /// `pkt` is about to leave via `egress` after arriving on `in_port`.
-    fn on_forward(&mut self, at: Nanos, pkt: &Packet, in_port: PortId, egress: PortId);
-
-    /// Downcast support for post-run extraction.
-    fn as_any(&self) -> &dyn std::any::Any;
-}
-
-/// A bounded capture buffer (oldest records evicted first).
-#[derive(Debug)]
-pub struct RingTap {
-    records: VecDeque<TapRecord>,
-    capacity: usize,
-    /// Total packets observed (including evicted ones).
-    pub total_seen: u64,
-}
-
-impl RingTap {
-    /// A tap holding at most `capacity` records.
-    pub fn new(capacity: usize) -> RingTap {
-        RingTap {
-            records: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
-            total_seen: 0,
-        }
-    }
-
-    /// The captured records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TapRecord> {
-        self.records.iter()
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl PacketTap for RingTap {
-    fn on_forward(&mut self, at: Nanos, pkt: &Packet, in_port: PortId, egress: PortId) {
-        self.total_seen += 1;
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        let seq = match pkt.kind {
-            PacketKind::Data { psn, .. } => psn,
-            PacketKind::Ack { epsn, .. } | PacketKind::Nack { epsn, .. } => epsn,
-            _ => 0,
-        };
-        self.records.push_back(TapRecord {
-            at,
-            qp: pkt.qp,
-            seq,
-            kind: pkt.kind.label(),
-            in_port,
-            egress,
-        });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Aggregated counters across a set of switches.
@@ -208,78 +115,6 @@ mod tests {
         let s = fabric_summary(&plan.world, &all);
         assert_eq!(s, FabricSummary::default());
         assert_eq!(s.total_drops(), 0);
-    }
-
-    #[test]
-    fn ring_tap_captures_and_evicts() {
-        use crate::packet::Packet;
-        use crate::types::{HostId, QpId};
-        let mut tap = RingTap::new(3);
-        assert!(tap.is_empty());
-        for psn in 0..5u32 {
-            let pkt = Packet::data(QpId(1), HostId(0), HostId(1), 7, psn, 0, false, 100, false);
-            tap.on_forward(Nanos(psn as u64), &pkt, PortId(0), PortId(2));
-        }
-        assert_eq!(tap.total_seen, 5);
-        assert_eq!(tap.len(), 3);
-        let seqs: Vec<u32> = tap.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4], "oldest evicted");
-        assert!(tap
-            .records()
-            .all(|r| r.kind == "DATA" && r.egress == PortId(2)));
-    }
-
-    #[test]
-    fn tap_on_live_switch_sees_forwarded_traffic() {
-        use crate::event::Event;
-        use crate::packet::Packet;
-        use crate::port::{EgressPort, LinkSpec};
-        use crate::switch::{RouteEntry, Switch, SwitchConfig};
-        use crate::types::{HostId, QpId};
-        use crate::world::{Ctx, Entity};
-
-        struct Sink;
-        impl Entity for Sink {
-            fn handle(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-        }
-
-        let mut w = World::new();
-        let sink = w.add(Box::new(Sink));
-        let mut sw = Switch::new(&SwitchConfig::default());
-        sw.add_port(
-            EgressPort::new(sink, PortId(0), LinkSpec::gbps(100, 1)),
-            true,
-        );
-        sw.set_route(HostId(1), RouteEntry::Port(0));
-        sw.set_tap(Box::new(RingTap::new(16)));
-        let swid = w.add(Box::new(sw));
-        for psn in 0..4u32 {
-            let pkt = Packet::data(QpId(9), HostId(0), HostId(1), 7, psn, 0, false, 100, false);
-            w.seed_event(
-                Nanos(psn as u64),
-                swid,
-                Event::Packet {
-                    pkt,
-                    in_port: PortId(5),
-                },
-            );
-        }
-        w.run();
-        let sw: &Switch = w.get(swid).unwrap();
-        let tap = sw
-            .tap()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<RingTap>()
-            .unwrap();
-        assert_eq!(tap.total_seen, 4);
-        assert!(tap.records().all(|r| r.in_port == PortId(5)));
     }
 
     #[test]

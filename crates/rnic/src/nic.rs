@@ -221,12 +221,6 @@ impl Nic {
         self.send_qp(qp).map(QpDescriptor::of)
     }
 
-    /// Export handles for every sender QP on this NIC, in creation
-    /// order (deterministic: creation order is part of the run's seed).
-    pub fn export_qp_handles(&self) -> Vec<QpDescriptor> {
-        self.send_qps.iter().map(QpDescriptor::of).collect()
-    }
-
     /// Receiver QP state (stats extraction).
     pub fn recv_qp(&self, qp: QpId) -> Option<&RecvQp> {
         self.recv_index.get(&qp).map(|&i| &self.recv_qps[i])

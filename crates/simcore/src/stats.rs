@@ -83,11 +83,6 @@ impl TimeSeries {
         }
     }
 
-    /// Sum of samples in bin `i` (0.0 for empty bins).
-    pub fn bin_sum(&self, i: usize) -> f64 {
-        self.sums.get(i).copied().unwrap_or(0.0)
-    }
-
     /// `(bin_start_time, mean)` pairs for all non-empty bins.
     pub fn means(&self) -> Vec<(Nanos, f64)> {
         (0..self.num_bins())

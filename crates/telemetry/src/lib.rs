@@ -226,11 +226,6 @@ impl Sink {
         self.inner.borrow().registry.counter_value(id)
     }
 
-    /// Events recorded over the run (including overwritten ones).
-    pub fn events_total(&self) -> u64 {
-        self.inner.borrow().ring.total_seen()
-    }
-
     /// The most recent `n` events, oldest of those first.
     pub fn last_events(&self, n: usize) -> Vec<EventRecord> {
         self.inner.borrow().ring.last(n)

@@ -1,5 +1,8 @@
 //! Ablation studies of Themis's design choices (DESIGN.md experiment
-//! index; not a paper figure).
+//! index; not a paper figure). Buffers scale with the per-group size in
+//! MB given as the first argument (default 2).
+//!
+//! Run with: `cargo run --release --example ablations -- 2`
 //!
 //! 1. **NACK filtering** — PSN spraying with vs without Themis-D: how
 //!    much of the win is the filter rather than deterministic spraying.
@@ -20,14 +23,19 @@
 //!    reverse path is idle, so priority changes nothing; on the
 //!    bidirectional ring the feedback loops tighten slightly.
 
-use netsim::switch::Switch;
-use themis_core::config::ThemisConfig;
-use themis_core::ThemisMiddleware;
-use themis_harness::report::{fmt_ms, Table};
-use themis_harness::{run_collective, Collective, ExperimentConfig, Scheme};
+use themis::harness::report::{fmt_ms, Table};
+use themis::harness::{run_collective, Collective, ExperimentConfig, Scheme};
+use themis::netsim::switch::Switch;
+use themis::themis_core::config::ThemisConfig;
+use themis::themis_core::ThemisMiddleware;
+use themis::{collectives, harness, netsim, rnic, simcore, themis_core};
 
 fn main() {
-    let bytes = themis_bench::bench_bytes();
+    let mb: u64 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(2);
+    let bytes = mb << 20;
 
     // ---- 1. Filtering ablation -------------------------------------
     let mut t1 = Table::new(
@@ -61,7 +69,7 @@ fn main() {
         ("without compensation", Scheme::ThemisNoCompensation),
     ] {
         let cfg = ExperimentConfig::motivation_small(scheme, 13);
-        let mut cluster = themis_harness::build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+        let mut cluster = harness::build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
         // Inject random loss on every leaf uplink.
         for &leaf in &cluster.leaves.clone() {
             let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
@@ -107,7 +115,7 @@ fn main() {
     );
     for f in [50u32, 100, 150, 300] {
         let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 21);
-        let mut cluster = themis_harness::build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+        let mut cluster = harness::build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
         // Re-install middleware with the modified factor on every ToR.
         let line = cfg.fabric.host_link.bandwidth_bps;
         let rtt =
@@ -177,7 +185,7 @@ fn main() {
     );
     for scheme in [Scheme::Ecmp, Scheme::Flowlet, Scheme::Themis] {
         let cfg = ExperimentConfig::motivation_small(scheme, 23);
-        let (r, cluster) = themis_harness::run_collective_on(&cfg, Collective::RingOnce, bytes * 2);
+        let (r, cluster) = harness::run_collective_on(&cfg, Collective::RingOnce, bytes * 2);
         let repicks: u64 = cluster
             .leaves
             .iter()
@@ -249,11 +257,7 @@ struct ProbeStats {
 
 /// Run a single point-to-point message on a pre-built (possibly lossy or
 /// re-hooked) cluster and collect the metrics the ablations report.
-fn run_p2p_probe(
-    mut cluster: themis_harness::Cluster,
-    cfg: &ExperimentConfig,
-    bytes: u64,
-) -> ProbeStats {
+fn run_p2p_probe(mut cluster: harness::Cluster, cfg: &ExperimentConfig, bytes: u64) -> ProbeStats {
     use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
     use collectives::schedule::{Schedule, Transfer};
     use themis_core::ThemisMiddleware as TM;
@@ -290,7 +294,7 @@ fn run_p2p_probe(
     let ct = driver
         .tail_completion()
         .map(|t| t.since(driver.started_at().unwrap_or(simcore::time::Nanos::ZERO)));
-    let nics = themis_harness::experiment::aggregate_nics(&cluster);
+    let nics = harness::experiment::aggregate_nics(&cluster);
     let mut blocked = 0;
     let mut fwd_unknown = 0;
     let mut compensations = 0;

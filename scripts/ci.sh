@@ -41,7 +41,12 @@
 #      checkpoint must continue with byte-identical telemetry, both
 #      servers must shut down cleanly, and degenerate knob combinations
 #      must exit with usage errors (never a panic).
-#   9. perfbench floors (~45 s): BENCHMARK.json's command, 2 s per
+#   9. figure-door smoke (~25 s): each paper artefact's one Regenerate
+#      command from EXPERIMENTS.md runs at a small size — fig1; fig5
+#      serial vs --jobs 2 --shards 2 (equal but for the worker-count
+#      line); themis_sim memory at the Table 1 reference; the ablations
+#      example.
+#  10. perfbench floors (~45 s): BENCHMARK.json's command, 2 s per
 #      workload, against the last line of perfbench/BENCH_history.jsonl.
 #      All five workloads must report `correct:true`; the four engine
 #      workloads must keep payload_mb_per_s >= 0.70 x that line's value
@@ -219,6 +224,22 @@ grep -q "jobs" "$SRV_DIR/jobs0.err" || { echo "FAIL: --jobs 0 error message miss
 grep -q "no completions" "$SRV_DIR/nocomp.err" \
     || { echo "FAIL: zero-completion run must explain itself"; exit 1; }
 echo "OK: usage errors and zero-completion runs exit with messages, not panics"
+
+echo "== figure doors (one Regenerate command per paper artefact) =="
+FIG_DIR="$CI_TMP/fig"
+mkdir "$FIG_DIR"
+./target/release/fig1 2 --jobs 2 > /dev/null
+./target/release/fig5 allreduce 1 --seed 7 --jobs 1 | grep -v 'worker(s)' > "$FIG_DIR/fig5_serial.out"
+./target/release/fig5 allreduce 1 --seed 7 --jobs 2 --shards 2 | grep -v 'worker(s)' > "$FIG_DIR/fig5_par.out"
+grep -q 'Themis vs AR improvement range' "$FIG_DIR/fig5_serial.out" \
+    || { echo "FAIL: fig5 printed no improvement range"; exit 1; }
+cmp "$FIG_DIR/fig5_serial.out" "$FIG_DIR/fig5_par.out" \
+    || { echo "FAIL: fig5 --jobs 2 --shards 2 differs from the serial run"; exit 1; }
+./target/release/themis_sim memory > "$FIG_DIR/table1.out"
+grep -q '^M_total   = 192512 B' "$FIG_DIR/table1.out" \
+    || { echo "FAIL: themis_sim memory is off the Table 1 reference (192512 B)"; exit 1; }
+cargo run --release --quiet --example ablations -- 1 > /dev/null
+echo "OK: fig1, fig5 (serial == --jobs 2 --shards 2), Table 1 and the ablations regenerate"
 
 echo "== perfbench floors (vs the last line of perfbench/BENCH_history.jsonl) =="
 # check_floor NAME CURRENT BASELINE lower|upper FACTOR (bound = FACTOR x BASELINE)

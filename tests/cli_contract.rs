@@ -68,10 +68,16 @@ const DOCUMENTED: &[(&Cli, &[&str])] = &[
             "allreduce 8",
             "alltoall 8",
             "allreduce 1 --jobs 4",
+            "allreduce 2 --seed 7 --jobs 4",
+            "allreduce 1 --jobs 4 --shards 2",
             "allreduce 8 --jobs 4",
             "--jobs 2 --shards 2",
-            "allreduce 8 --jobs 4 --telemetry fig5a.json --trace-last 64",
-            "alltoall 8 --jobs 4 --telemetry fig5b.json --trace-last 64",
+            "allreduce 2",
+            "alltoall 2",
+            "allreduce 2 --seed 1 --jobs 4 --telemetry fig5a.json --trace-last 64",
+            "alltoall 2 --seed 1 --jobs 4 --telemetry fig5b.json --trace-last 64",
+            "allreduce 1 --seed 7 --jobs 1",
+            "allreduce 1 --seed 7 --jobs 2 --shards 2",
             "--scheme zoo allreduce 1",
             "--scheme zoo allreduce 1 --jobs 8",
             "--scheme zoo --fat-tree 1",
@@ -84,16 +90,14 @@ const DOCUMENTED: &[(&Cli, &[&str])] = &[
         &[
             "collective --collective alltoall --scheme ar --mb 8 --ti 10 --td 50",
             "p2p --fabric motivation --scheme spray-nofilter --mb 16 --pfc",
-            "sweep --mb 2",
+            "memory",
             "memory --paths 256",
+            "collective --scheme ecmp --mb 1 --ti 900 --td 4 --csv",
             "memory --paths 256 --qps 100 --nics 16",
             "p2p --scheme themis --mb 16 --telemetry p2p.json --trace-last 64",
             "collective --scheme spray-nofilter --mb 4 --telemetry out.json",
             "collective --scheme sprinklers --telemetry out.json",
             "p2p --scheme themis-nocomp",
-            "sweep --telemetry out.json",
-            "sweep --mb 1 --jobs 4 --seed 7",
-            "sweep --mb 1 --jobs 4 --shards 2",
             "p2p --mb 2 --shards 2 --telemetry t2.json",
             "p2p --mb 4 --horizon-s 0 --trace-last 8",
         ],
@@ -161,17 +165,21 @@ fn every_documented_command_line_parses() {
 }
 
 /// The flag names each binary read at the commit before the tables
-/// (`6ff9940`), collected from its argv loop: the tables must add none
-/// and drop none.
+/// (`6ff9940`), collected from its argv loop — less `themis_sim sweep`
+/// and its `jobs`, plus the `fig5 --seed` that replaced it: the tables
+/// must add none and drop none.
 #[test]
 fn flag_sets_are_the_ones_the_binaries_always_accepted() {
     let before: [(&Cli, &str); 6] = [
         (&FIG1, "jobs shards telemetry trace-last"),
-        (&FIG5, "scheme fat-tree jobs shards telemetry trace-last"),
+        (
+            &FIG5,
+            "scheme fat-tree seed jobs shards telemetry trace-last",
+        ),
         (
             &THEMIS_SIM,
             "scheme seed fabric leaves hosts spines gbps pfc transport ti td horizon-s shards \
-             collective mb csv telemetry trace-last jobs paths rtt-us mtu f100 nics qps",
+             collective mb csv telemetry trace-last paths rtt-us mtu f100 nics qps",
         ),
         (
             &THEMIS_LOAD,
@@ -215,7 +223,12 @@ fn flag_sets_are_the_ones_the_binaries_always_accepted() {
     assert_eq!(positionals(&FIG1), ["MB_PER_FLOW"]);
     assert_eq!(positionals(&FIG5), ["COLLECTIVE", "MB"]);
     let commands: Vec<_> = THEMIS_SIM.commands.iter().map(|c| c.name).collect();
-    assert_eq!(commands, ["collective", "p2p", "sweep", "memory"]);
+    assert_eq!(commands, ["collective", "p2p", "memory"]);
+    // The DCQCN sweep has one door: `fig5 allreduce 2 --seed 7 --jobs 4`.
+    assert_eq!(
+        parse(&THEMIS_SIM, "sweep --mb 2 --seed 7 --jobs 4").err(),
+        Some(UsageError::UnknownCommand("sweep".into()))
+    );
 }
 
 /// Each of these exited 0 at `6ff9940`, having ignored the bad token
@@ -278,7 +291,7 @@ fn what_used_to_be_silently_ignored_is_a_usage_error() {
     // One spelling per concept: `--shards auto` parses everywhere.
     for (cli, line) in [
         (&THEMIS_SIM, "p2p --shards auto"),
-        (&THEMIS_SIM, "sweep --shards auto"),
+        (&FIG5, "--shards auto"),
         (&THEMIS_LOAD, "--shards auto"),
         (&THEMIS_SERVE, "--shards auto"),
         (&THEMIS_FUZZ, "--shards auto"),
