@@ -125,31 +125,6 @@ impl FatTreePlan {
     }
 }
 
-/// One port to wire onto a switch: plain data, so pod blueprints can be
-/// produced on worker threads and instantiated on the main thread (the
-/// `Switch` itself is not `Send`).
-struct PortSpec {
-    peer: NodeId,
-    peer_in_port: PortId,
-    link: LinkSpec,
-    host_facing: bool,
-}
-
-/// Everything needed to instantiate one switch.
-struct SwitchBlueprint {
-    salt: u64,
-    ecmp_shift: u32,
-    ports: Vec<PortSpec>,
-    uplinks: Vec<usize>,
-    routes: RouteTable,
-}
-
-/// One pod's edge and aggregation switches.
-struct PodBlueprint {
-    edges: Vec<SwitchBlueprint>,
-    aggs: Vec<SwitchBlueprint>,
-}
-
 /// First entity slot of the edge tier: hosts occupy `0..n_hosts`, then
 /// edges, aggs, cores follow in installation order.
 fn edge_node(n_hosts: usize, i: usize) -> NodeId {
@@ -162,114 +137,24 @@ fn core_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
     NodeId((n_hosts + 2 * k * (k / 2) + i) as u32)
 }
 
-/// Blueprint for pod `p`: all its edge and agg switches, with interned
-/// route tables (one shared "everything via uplinks" table for edges —
-/// their local hosts are a closed-form window — and one table for the
-/// whole pod's aggs).
-fn build_pod_blueprint(
-    cfg: &FatTreeConfig,
-    p: usize,
-    uplinks_only: &Arc<[RouteEntry]>,
-) -> PodBlueprint {
-    let k = cfg.k;
-    let m = k / 2;
-    let n_hosts = cfg.n_hosts();
-    let host_id = |e: usize, s: usize| p * m * m + e * m + s;
-
-    let pod_table: Arc<[RouteEntry]> = (0..n_hosts)
-        .map(|h| {
-            if h / (m * m) == p {
-                RouteEntry::Port(((h / m) % m) as u16)
-            } else {
-                RouteEntry::Uplinks
-            }
-        })
-        .collect();
-
-    let edges = (0..m)
-        .map(|e| {
-            let mut ports = Vec::with_capacity(2 * m);
-            // Host ports 0..m.
-            for s in 0..m {
-                ports.push(PortSpec {
-                    peer: NodeId(host_id(e, s) as u32),
-                    peer_in_port: PortId(0),
-                    link: cfg.host_link,
-                    host_facing: true,
-                });
-            }
-            // Uplinks m..2m: to each agg of this pod. Our packets arrive
-            // at agg (p, a) on its downlink port e.
-            for a in 0..m {
-                ports.push(PortSpec {
-                    peer: agg_node(n_hosts, k, p * m + a),
-                    peer_in_port: PortId(e as u16),
-                    link: cfg.fabric_link,
-                    host_facing: false,
-                });
-            }
-            SwitchBlueprint {
-                salt: (p * m + e) as u64,
-                ecmp_shift: 0,
-                ports,
-                uplinks: (m..2 * m).collect(),
-                routes: RouteTable::Interned {
-                    base: uplinks_only.clone(),
-                    start: host_id(e, 0) as u32,
-                    len: m as u32,
-                    first_port: 0,
-                },
-            }
-        })
-        .collect();
-
-    let aggs = (0..m)
-        .map(|a| {
-            let mut ports = Vec::with_capacity(2 * m);
-            // Downlinks 0..m to edges; our packets arrive at edge (p, e)
-            // on its uplink port m + a.
-            for e in 0..m {
-                ports.push(PortSpec {
-                    peer: edge_node(n_hosts, p * m + e),
-                    peer_in_port: PortId((m + a) as u16),
-                    link: cfg.fabric_link,
-                    host_facing: false,
-                });
-            }
-            // Uplinks m..2m to cores a*m + j; arrive at core port p.
-            for j in 0..m {
-                ports.push(PortSpec {
-                    peer: core_node(n_hosts, k, a * m + j),
-                    peer_in_port: PortId(p as u16),
-                    link: cfg.fabric_link,
-                    host_facing: false,
-                });
-            }
-            SwitchBlueprint {
-                salt: 10_000 + (p * m + a) as u64,
-                ecmp_shift: AGG_ECMP_SHIFT,
-                ports,
-                uplinks: (m..2 * m).collect(),
-                routes: RouteTable::Interned {
-                    base: pod_table.clone(),
-                    start: 0,
-                    len: 0,
-                    first_port: 0,
-                },
-            }
-        })
-        .collect();
-
-    PodBlueprint { edges, aggs }
+/// A route table that is `base` for every destination.
+fn shared_routes(base: &Arc<[RouteEntry]>) -> RouteTable {
+    RouteTable::Interned {
+        base: base.clone(),
+        start: 0,
+        len: 0,
+        first_port: 0,
+    }
 }
 
 /// Build a `k`-ary fat-tree. Host `h` (pod `h / m²`, edge `(h / m) % m`,
 /// slot `h % m`) occupies entity slot `NodeId(h)`.
 ///
-/// Pods are laid out in parallel and all route tables are interned
-/// ([`RouteTable::Interned`]), so construction stays in the tens of
-/// milliseconds and a few MB even at k=32 (8192 hosts, 1280 switches),
-/// where dense per-switch tables alone would cost ~42 MB.
+/// All route tables are interned ([`RouteTable::Interned`]: one
+/// "everything via uplinks" table for every edge — their local hosts are
+/// a closed-form window — one per pod for its aggs, one for the cores),
+/// so a k=32 fabric (8192 hosts, 1280 switches) costs a few MB where
+/// dense per-switch tables alone would cost ~42 MB.
 pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     let k = cfg.k;
     let m = k / 2;
@@ -286,46 +171,21 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
         assert_eq!(node.0 as usize, h, "host node-id convention violated");
     }
 
-    // Shared tables: every edge routes "everything via uplinks" outside
-    // its local-host window; every core steers each host to its pod.
-    let uplinks_only: Arc<[RouteEntry]> = (0..n_hosts).map(|_| RouteEntry::Uplinks).collect();
-    let core_table: Arc<[RouteEntry]> = (0..n_hosts)
-        .map(|h| RouteEntry::Port((h / (m * m)) as u16))
-        .collect();
-
-    // Pod blueprints in parallel (one thread per pod; plain data out).
-    let mut pods: Vec<Option<PodBlueprint>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (p, slot) in pods.iter_mut().enumerate() {
-            let uplinks_only = &uplinks_only;
-            scope.spawn(move || {
-                *slot = Some(build_pod_blueprint(cfg, p, uplinks_only));
-            });
-        }
-    });
-    let mut pods: Vec<PodBlueprint> = pods
-        .into_iter()
-        .map(|p| p.expect("pod blueprint built"))
-        .collect();
-
-    let instantiate = |world: &mut World, bp: SwitchBlueprint| -> NodeId {
-        let mut sw = Switch::new(&SwitchConfig {
+    let new_switch = |salt: u64, ecmp_shift: u32| {
+        Switch::new(&SwitchConfig {
             buffer_bytes: cfg.buffer_bytes,
             lb: cfg.lb,
             oracle_loss_notify: cfg.oracle_loss_notify,
-            seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(bp.salt),
-            ecmp_shift: bp.ecmp_shift,
+            seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(salt),
+            ecmp_shift,
             pfc: cfg.pfc,
             ctrl_priority: cfg.ctrl_priority,
-        });
-        for ps in bp.ports {
-            sw.add_port(
-                EgressPort::new(ps.peer, ps.peer_in_port, ps.link),
-                ps.host_facing,
-            );
-        }
-        sw.set_uplinks(bp.uplinks);
-        sw.set_route_table(bp.routes);
+        })
+    };
+    let fabric_port = |peer: NodeId, peer_in_port: usize| {
+        EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
+    };
+    let install = |world: &mut World, mut sw: Switch| -> NodeId {
         if cfg.ecn {
             sw.set_ecn_all_ports(|pt| Some(EcnConfig::for_bandwidth(pt.link.bandwidth_bps)));
         }
@@ -333,64 +193,93 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     };
 
     // Installation order (edges, aggs, cores) must match the arithmetic
-    // node ids the blueprints were wired against.
+    // node ids the ports are wired against.
+
+    // Every edge routes "everything via uplinks" outside its local-host
+    // window.
+    let uplinks_only: Arc<[RouteEntry]> = (0..n_hosts).map(|_| RouteEntry::Uplinks).collect();
     let mut hosts = Vec::with_capacity(n_hosts);
     let mut edges = Vec::with_capacity(k * m);
-    for (p, pod) in pods.iter_mut().enumerate() {
-        for (e, bp) in pod.edges.drain(..).enumerate() {
-            let id = instantiate(&mut world, bp);
-            assert_eq!(id, edge_node(n_hosts, p * m + e), "edge node-id drift");
-            for s in 0..m {
-                let h = p * m * m + e * m + s;
-                hosts.push(HostAttachment {
-                    host: HostId(h as u32),
-                    node: host_nodes[h],
-                    tor: id,
-                    tor_port: PortId(s as u16),
-                    link: cfg.host_link,
-                });
-            }
-            edges.push(id);
+    for i in 0..k * m {
+        let (p, e) = (i / m, i % m);
+        let mut sw = new_switch(i as u64, 0);
+        // Host ports 0..m.
+        for s in 0..m {
+            let port = EgressPort::new(host_nodes[i * m + s], PortId(0), cfg.host_link);
+            sw.add_port(port, true);
         }
+        // Uplinks m..2m: to each agg of this pod. Our packets arrive
+        // at agg (p, a) on its downlink port e.
+        for a in 0..m {
+            sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), e), false);
+        }
+        sw.set_uplinks((m..2 * m).collect());
+        sw.set_route_table(RouteTable::Interned {
+            base: uplinks_only.clone(),
+            start: (i * m) as u32,
+            len: m as u32,
+            first_port: 0,
+        });
+        let id = install(&mut world, sw);
+        assert_eq!(id, edge_node(n_hosts, i), "edge node-id drift");
+        for s in 0..m {
+            hosts.push(HostAttachment {
+                host: HostId((i * m + s) as u32),
+                node: host_nodes[i * m + s],
+                tor: id,
+                tor_port: PortId(s as u16),
+                link: cfg.host_link,
+            });
+        }
+        edges.push(id);
     }
+
     let mut aggs = Vec::with_capacity(k * m);
-    for (p, pod) in pods.iter_mut().enumerate() {
-        for (a, bp) in pod.aggs.drain(..).enumerate() {
-            let id = instantiate(&mut world, bp);
+    for p in 0..k {
+        let pod_table: Arc<[RouteEntry]> = (0..n_hosts)
+            .map(|h| {
+                if h / (m * m) == p {
+                    RouteEntry::Port(((h / m) % m) as u16)
+                } else {
+                    RouteEntry::Uplinks
+                }
+            })
+            .collect();
+        for a in 0..m {
+            let mut sw = new_switch(10_000 + (p * m + a) as u64, AGG_ECMP_SHIFT);
+            // Downlinks 0..m to edges; our packets arrive at edge (p, e)
+            // on its uplink port m + a.
+            for e in 0..m {
+                sw.add_port(fabric_port(edge_node(n_hosts, p * m + e), m + a), false);
+            }
+            // Uplinks m..2m to cores a*m + j; arrive at core port p.
+            for j in 0..m {
+                sw.add_port(fabric_port(core_node(n_hosts, k, a * m + j), p), false);
+            }
+            sw.set_uplinks((m..2 * m).collect());
+            sw.set_route_table(shared_routes(&pod_table));
+            let id = install(&mut world, sw);
             assert_eq!(id, agg_node(n_hosts, k, p * m + a), "agg node-id drift");
             aggs.push(id);
         }
     }
+
+    // Every core steers each host to its pod.
+    let core_table: Arc<[RouteEntry]> = (0..n_hosts)
+        .map(|h| RouteEntry::Port((h / (m * m)) as u16))
+        .collect();
     let mut cores = Vec::with_capacity(m * m);
-    for a in 0..m {
-        for j in 0..m {
-            // Port p towards agg (p, a); arrives at agg uplink port m + j.
-            let ports = (0..k)
-                .map(|p| PortSpec {
-                    peer: agg_node(n_hosts, k, p * m + a),
-                    peer_in_port: PortId((m + j) as u16),
-                    link: cfg.fabric_link,
-                    host_facing: false,
-                })
-                .collect();
-            let id = instantiate(
-                &mut world,
-                SwitchBlueprint {
-                    salt: 20_000 + (a * m + j) as u64,
-                    ecmp_shift: 0,
-                    ports,
-                    uplinks: Vec::new(),
-                    routes: RouteTable::Interned {
-                        base: core_table.clone(),
-                        start: 0,
-                        len: 0,
-                        first_port: 0,
-                    },
-                },
-            );
-            assert_eq!(id, core_node(n_hosts, k, a * m + j), "core node-id drift");
-            cores.push(id);
+    for c in 0..m * m {
+        let (a, j) = (c / m, c % m);
+        let mut sw = new_switch(20_000 + c as u64, 0);
+        // Port p towards agg (p, a); arrives at agg uplink port m + j.
+        for p in 0..k {
+            sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), m + j), false);
         }
+        sw.set_route_table(shared_routes(&core_table));
+        let id = install(&mut world, sw);
+        assert_eq!(id, core_node(n_hosts, k, c), "core node-id drift");
+        cores.push(id);
     }
 
     FatTreePlan {
@@ -451,6 +340,55 @@ mod tests {
         // Hosts 0,1 share edge (0,0); hosts 2,3 share edge (0,1).
         assert_eq!(plan.edge_of(HostId(0)), plan.edge_of(HostId(1)));
         assert_ne!(plan.edge_of(HostId(0)), plan.edge_of(HostId(2)));
+    }
+
+    /// Every switch's wiring in node-id order, flattened: per port
+    /// `(peer, peer_in_port, bandwidth)`, the uplink group, and the
+    /// routing decision for every host.
+    fn wiring(plan: &FatTreePlan) -> Vec<u64> {
+        let n_hosts = plan.hosts.len();
+        let mut w = Vec::new();
+        for id in n_hosts..plan.world.len() {
+            let sw: &Switch = plan.world.get(NodeId(id as u32)).expect("switch slot");
+            w.push(sw.num_ports() as u64);
+            for i in 0..sw.num_ports() {
+                let p = sw.port(i);
+                w.extend([
+                    p.peer.0 as u64,
+                    p.peer_in_port.0 as u64,
+                    p.link.bandwidth_bps,
+                ]);
+            }
+            w.push(sw.uplinks().len() as u64);
+            w.extend(sw.uplinks().iter().map(|&u| u as u64));
+            w.extend((0..n_hosts).map(|h| match sw.route_table().lookup(h) {
+                RouteEntry::Port(p) => p as u64,
+                RouteEntry::Uplinks => 1 << 32,
+                RouteEntry::None => 2 << 32,
+            }));
+        }
+        w
+    }
+
+    /// Pins node ids, port order, link rates, uplink groups and routes
+    /// to what the blueprint-per-pod builder (PRs 5-21) produced; the
+    /// literals were computed by this test on that builder.
+    #[test]
+    fn wiring_fingerprint_is_pinned() {
+        use std::hash::{Hash, Hasher};
+        for (k, want) in [
+            (4, 0x0341_3bdc_d72d_a068_u64),
+            (8, 0x4117_32df_ff97_2592),
+            (16, 0xb4af_3f92_7712_1086),
+        ] {
+            let mut cfg = FatTreeConfig::small(k);
+            cfg.fabric_link = LinkSpec::gbps(400, 1);
+            let w = wiring(&build_fat_tree(&cfg));
+            assert_eq!(w, wiring(&build_fat_tree(&cfg)), "k={k}: builds differ");
+            let mut h = simcore::fx::FxHasher::default();
+            w.hash(&mut h);
+            assert_eq!(h.finish(), want, "k={k}: wiring drifted");
+        }
     }
 
     /// Sink that records arrivals.

@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod event;
 pub mod fat_tree;
 pub mod hash;

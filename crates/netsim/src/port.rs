@@ -12,7 +12,6 @@
 //! `kmax`, and always beyond `kmax`. Control packets (ACK/NACK/CNP) are
 //! never marked — RoCE switches only mark data traffic.
 
-use crate::arena::{PacketArena, PacketRef};
 use crate::packet::Packet;
 use crate::types::{NodeId, PortId};
 use crate::world::Ctx;
@@ -198,10 +197,8 @@ pub struct EgressPort {
     pub ctrl_priority: bool,
     /// Statistics.
     pub stats: PortStats,
-    /// Queued packets live in the owning entity's [`PacketArena`]; the
-    /// FIFOs hold 8-byte generation-checked handles.
-    queue: VecDeque<PacketRef>,
-    ctrl_queue: VecDeque<PacketRef>,
+    queue: VecDeque<Packet>,
+    ctrl_queue: VecDeque<Packet>,
     queued_bytes: u64,
     in_flight: Option<Packet>,
     paused: bool,
@@ -229,12 +226,11 @@ impl EgressPort {
     }
 
     /// Pop the next packet to transmit, respecting control priority.
-    fn pop_next(&mut self, arena: &mut PacketArena) -> Option<Packet> {
-        let r = match self.ctrl_queue.pop_front() {
-            Some(r) => r,
+    fn pop_next(&mut self) -> Option<Packet> {
+        let p = match self.ctrl_queue.pop_front() {
+            Some(p) => p,
             None => self.queue.pop_front()?,
         };
-        let p = arena.take(r);
         self.queued_bytes -= p.wire_bytes as u64;
         Some(p)
     }
@@ -266,16 +262,10 @@ impl EgressPort {
     /// Pause or resume this port (link-level flow control). The packet
     /// currently on the wire finishes; resuming restarts transmission
     /// from the queue.
-    pub fn set_paused(
-        &mut self,
-        paused: bool,
-        self_port: PortId,
-        ctx: &mut Ctx<'_>,
-        arena: &mut PacketArena,
-    ) {
+    pub fn set_paused(&mut self, paused: bool, self_port: PortId, ctx: &mut Ctx<'_>) {
         self.paused = paused;
         if !paused && self.in_flight.is_none() {
-            if let Some(next) = self.pop_next(arena) {
+            if let Some(next) = self.pop_next() {
                 self.start_tx(next, self_port, ctx);
             }
         }
@@ -285,9 +275,8 @@ impl EgressPort {
     ///
     /// `self_port` is this port's id within the owning entity (used to
     /// address the TxDone event back to it). `shared` is the owning
-    /// switch's buffer pool (None for NIC ports); `arena` its packet
-    /// pool. Marks data packets per WRED, applies loss injection, and
-    /// starts transmission when idle.
+    /// switch's buffer pool (None for NIC ports). Marks data packets per
+    /// WRED, applies loss injection, and starts transmission when idle.
     pub fn enqueue(
         &mut self,
         mut pkt: Packet,
@@ -295,7 +284,6 @@ impl EgressPort {
         ctx: &mut Ctx<'_>,
         shared: Option<&mut SharedBuffer>,
         rng: &mut Xoshiro256,
-        arena: &mut PacketArena,
     ) -> EnqueueOutcome {
         if self.down {
             self.stats.drops_injected += 1;
@@ -327,12 +315,10 @@ impl EgressPort {
         } else {
             self.queued_bytes += pkt.wire_bytes as u64;
             self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.queued_bytes);
-            let ctrl = self.ctrl_priority && !pkt.is_data();
-            let r = arena.alloc(pkt);
-            if ctrl {
-                self.ctrl_queue.push_back(r);
+            if self.ctrl_priority && !pkt.is_data() {
+                self.ctrl_queue.push_back(pkt);
             } else {
-                self.queue.push_back(r);
+                self.queue.push_back(pkt);
             }
             EnqueueOutcome::Queued
         }
@@ -353,7 +339,6 @@ impl EgressPort {
         self_port: PortId,
         ctx: &mut Ctx<'_>,
         shared: Option<&mut SharedBuffer>,
-        arena: &mut PacketArena,
     ) -> Packet {
         let pkt = self
             .in_flight
@@ -371,7 +356,7 @@ impl EgressPort {
             self.link.latency + self.extra_delay,
         );
         if !self.paused {
-            if let Some(next) = self.pop_next(arena) {
+            if let Some(next) = self.pop_next() {
                 self.start_tx(next, self_port, ctx);
             }
         }
@@ -433,21 +418,20 @@ mod tests {
         let mut engine: Engine<Routed> = Engine::new();
         let mut port = EgressPort::new(NodeId(1), PortId(0), LinkSpec::gbps(100, 1));
         let mut rng = Xoshiro256::seeded(3);
-        let mut arena = PacketArena::new();
         let pkt = |psn| Packet::data(QpId(0), HostId(0), HostId(1), 7, psn, 0, false, 1000, false);
 
         let mut ctx = crate::world::Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine);
         // Pause first, then enqueue: nothing starts.
-        port.set_paused(true, PortId(0), &mut ctx, &mut arena);
+        port.set_paused(true, PortId(0), &mut ctx);
         assert_eq!(
-            port.enqueue(pkt(0), PortId(0), &mut ctx, None, &mut rng, &mut arena),
+            port.enqueue(pkt(0), PortId(0), &mut ctx, None, &mut rng),
             EnqueueOutcome::Queued
         );
         assert!(!port.is_busy());
         assert!(port.is_paused());
         assert_eq!(port.queued_packets(), 1);
         // Resume: transmission starts from the queue.
-        port.set_paused(false, PortId(0), &mut ctx, &mut arena);
+        port.set_paused(false, PortId(0), &mut ctx);
         assert!(port.is_busy());
         assert_eq!(port.queued_packets(), 0);
     }
@@ -463,21 +447,20 @@ mod tests {
         let mut engine: Engine<Routed> = Engine::new();
         let mut port = EgressPort::new(NodeId(1), PortId(0), LinkSpec::gbps(100, 1));
         let mut rng = Xoshiro256::seeded(3);
-        let mut arena = PacketArena::new();
         let pkt = |psn| Packet::data(QpId(0), HostId(0), HostId(1), 7, psn, 0, false, 1000, false);
         let mut ctx = crate::world::Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine);
         // Start a transmission, queue another, then pause.
-        port.enqueue(pkt(0), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.enqueue(pkt(1), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.set_paused(true, PortId(0), &mut ctx, &mut arena);
+        port.enqueue(pkt(0), PortId(0), &mut ctx, None, &mut rng);
+        port.enqueue(pkt(1), PortId(0), &mut ctx, None, &mut rng);
+        port.set_paused(true, PortId(0), &mut ctx);
         assert!(port.is_busy(), "wire packet keeps going");
         // Completion: packet departs but the next one must NOT start.
-        let departed = port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
+        let departed = port.on_tx_done(PortId(0), &mut ctx, None);
         assert_eq!(departed.data_psn(), Some(0));
         assert!(!port.is_busy());
         assert_eq!(port.queued_packets(), 1, "psn 1 held back");
         // Resume releases it.
-        port.set_paused(false, PortId(0), &mut ctx, &mut arena);
+        port.set_paused(false, PortId(0), &mut ctx);
         assert!(port.is_busy());
     }
 
@@ -493,21 +476,20 @@ mod tests {
         let mut port = EgressPort::new(NodeId(1), PortId(0), LinkSpec::gbps(100, 1));
         port.ctrl_priority = true;
         let mut rng = Xoshiro256::seeded(3);
-        let mut arena = PacketArena::new();
         let data = |psn| Packet::data(QpId(0), HostId(0), HostId(1), 7, psn, 0, false, 1000, false);
         let cnp = Packet::cnp(QpId(0), HostId(1), HostId(0), 7);
         let mut ctx = crate::world::Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine);
         // First data starts immediately; second data and a CNP queue up.
-        port.enqueue(data(0), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.enqueue(data(1), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.enqueue(cnp, PortId(0), &mut ctx, None, &mut rng, &mut arena);
+        port.enqueue(data(0), PortId(0), &mut ctx, None, &mut rng);
+        port.enqueue(data(1), PortId(0), &mut ctx, None, &mut rng);
+        port.enqueue(cnp, PortId(0), &mut ctx, None, &mut rng);
         assert_eq!(port.queued_packets(), 2);
         // TxDone: the CNP must jump ahead of data packet 1.
-        let departed = port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
+        let departed = port.on_tx_done(PortId(0), &mut ctx, None);
         assert_eq!(departed.data_psn(), Some(0));
-        let next_done = port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
+        let next_done = port.on_tx_done(PortId(0), &mut ctx, None);
         assert!(matches!(next_done.kind, crate::packet::PacketKind::Cnp));
-        let last = port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
+        let last = port.on_tx_done(PortId(0), &mut ctx, None);
         assert_eq!(last.data_psn(), Some(1));
     }
 
@@ -522,15 +504,14 @@ mod tests {
         let mut engine: Engine<Routed> = Engine::new();
         let mut port = EgressPort::new(NodeId(1), PortId(0), LinkSpec::gbps(100, 1));
         let mut rng = Xoshiro256::seeded(3);
-        let mut arena = PacketArena::new();
         let data = |psn| Packet::data(QpId(0), HostId(0), HostId(1), 7, psn, 0, false, 1000, false);
         let cnp = Packet::cnp(QpId(0), HostId(1), HostId(0), 7);
         let mut ctx = crate::world::Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine);
-        port.enqueue(data(0), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.enqueue(data(1), PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.enqueue(cnp, PortId(0), &mut ctx, None, &mut rng, &mut arena);
-        port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
-        let second = port.on_tx_done(PortId(0), &mut ctx, None, &mut arena);
+        port.enqueue(data(0), PortId(0), &mut ctx, None, &mut rng);
+        port.enqueue(data(1), PortId(0), &mut ctx, None, &mut rng);
+        port.enqueue(cnp, PortId(0), &mut ctx, None, &mut rng);
+        port.on_tx_done(PortId(0), &mut ctx, None);
+        let second = port.on_tx_done(PortId(0), &mut ctx, None);
         assert_eq!(second.data_psn(), Some(1), "FIFO without priority");
     }
 

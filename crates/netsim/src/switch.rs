@@ -10,7 +10,6 @@
 //! normally but never re-enter hooks, matching a real P4 pipeline where
 //! recirculated packets carry a "generated" flag.
 
-use crate::arena::PacketArena;
 use crate::event::{ControlMsg, Event};
 use crate::hooks::{HookCtx, ReverseAction, TorHook};
 use crate::lb::{LbPolicy, LbState};
@@ -213,8 +212,6 @@ pub struct Switch {
     /// Forwarding statistics.
     pub stats: SwitchStats,
     emit_scratch: Vec<Packet>,
-    /// Pool backing every port queue of this switch.
-    arena: PacketArena,
 }
 
 impl Switch {
@@ -240,7 +237,6 @@ impl Switch {
             pfc_upstream_paused: false,
             stats: SwitchStats::default(),
             emit_scratch: Vec::new(),
-            arena: PacketArena::new(),
         }
     }
 
@@ -417,13 +413,6 @@ impl Switch {
         self.hook.as_deref_mut()
     }
 
-    /// Install a telemetry handle; drop/ECN/hook counters and drop
-    /// events are reported into it live alongside [`SwitchStats`].
-    /// The packet pool backing this switch's port queues.
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
-    }
-
     /// Attach the shared per-switch telemetry handles (counters + drop
     /// ring); installed by the cluster builders after construction.
     pub fn set_telemetry(&mut self, telem: crate::telem::SwitchTelem) {
@@ -586,7 +575,6 @@ impl Switch {
             ctx,
             Some(&mut self.buffer),
             &mut self.rng,
-            &mut self.arena,
         );
         match outcome {
             EnqueueOutcome::TxStarted | EnqueueOutcome::Queued => {
@@ -665,19 +653,12 @@ impl Entity for Switch {
         match ev {
             Event::Packet { pkt, in_port } => self.forward(pkt, in_port, ctx),
             Event::TxDone { port } => {
-                let idx = port.index();
-                // Split borrow: take the port out to satisfy the borrow
-                // checker cheaply (ports are small).
-                let _departed = {
-                    let (ports, buffer, arena) =
-                        (&mut self.ports, &mut self.buffer, &mut self.arena);
-                    ports[idx].on_tx_done(port, ctx, Some(buffer), arena)
-                };
+                self.ports[port.index()].on_tx_done(port, ctx, Some(&mut self.buffer));
                 self.check_pfc(ctx);
             }
             Event::Pfc { in_port, pause } => {
                 if let Some(p) = self.ports.get_mut(in_port.index()) {
-                    p.set_paused(pause, in_port, ctx, &mut self.arena);
+                    p.set_paused(pause, in_port, ctx);
                 }
             }
             Event::Control(ControlMsg::TorLinkFailure) => {

@@ -378,7 +378,7 @@ struct ShardCtx<'a> {
 
 /// The simulation world: all entities plus the event engine.
 pub struct World {
-    /// The discrete-event engine. Exposed for horizon / budget tuning.
+    /// The discrete-event engine. Exposed for horizon tuning.
     pub engine: Engine<Routed>,
     slots: Vec<Option<Box<dyn Entity>>>,
     /// Per-entity Lamport counters for canonical event keys.
@@ -407,8 +407,7 @@ impl World {
     }
 
     /// Install a partition: subsequent [`Self::run`] / [`Self::run_until`]
-    /// calls execute sharded when the plan has more than one shard (and no
-    /// event budget is set — budget accounting is inherently serial).
+    /// calls execute sharded when the plan has more than one shard.
     ///
     /// # Panics
     /// Panics if the plan does not cover every entity slot.
@@ -505,33 +504,26 @@ impl World {
             .schedule_keyed(at, seq, SEED_LANE, Routed { node, ev });
     }
 
-    /// Run until the event queue drains, the horizon passes, or the event
-    /// budget is exhausted.
+    /// Run until the event queue drains or the horizon passes.
     ///
-    /// Executes sharded when a multi-shard [`ShardPlan`] is installed and
-    /// no event budget is set; the result is bit-identical either way.
+    /// Executes sharded when a multi-shard [`ShardPlan`] is installed;
+    /// the result is bit-identical either way.
     pub fn run(&mut self) -> StopReason {
-        let sharded = self
-            .shard_plan
-            .as_ref()
-            .is_some_and(|p| p.n_shards > 1 && self.engine.max_events == u64::MAX);
-        if sharded {
+        if self.shard_plan.as_ref().is_some_and(|p| p.n_shards > 1) {
             return self.run_sharded();
         }
         loop {
             let Some(scheduled) = self.engine.step() else {
                 return if self.engine.pending() == 0 {
                     StopReason::QueueEmpty
-                } else if self.engine.dispatched() >= self.engine.max_events {
-                    StopReason::EventBudgetExhausted
                 } else {
                     StopReason::HorizonReached
                 };
             };
             let Routed { node, ev } = scheduled.payload;
             let idx = node.index();
-            let mut entity = self.slots[idx]
-                .take()
+            let entity = self.slots[idx]
+                .as_deref_mut()
                 .unwrap_or_else(|| panic!("event for missing entity {node}"));
             let mut ctx = Ctx {
                 self_id: node,
@@ -541,7 +533,6 @@ impl World {
             };
             entity.handle(ev, &mut ctx);
             self.lane_seq[idx] = ctx.lane_seq;
-            self.slots[idx] = Some(entity);
         }
     }
 
@@ -792,8 +783,8 @@ fn dispatch_window(state: &mut ShardState, sc: &ShardCtx<'_>) {
     while let Some(scheduled) = engine.step() {
         let Routed { node, ev } = scheduled.payload;
         let idx = node.index();
-        let mut entity = slots[idx]
-            .take()
+        let entity = slots[idx]
+            .as_deref_mut()
             .unwrap_or_else(|| panic!("event for entity {node} missing from shard {}", sc.me));
         let mut ctx = Ctx {
             self_id: node,
@@ -808,7 +799,6 @@ fn dispatch_window(state: &mut ShardState, sc: &ShardCtx<'_>) {
         };
         entity.handle(ev, &mut ctx);
         lane_seq[idx] = ctx.lane_seq;
-        slots[idx] = Some(entity);
     }
 }
 

@@ -17,7 +17,6 @@
 use crate::config::{NicConfig, TransportMode};
 use crate::dcqcn::Dcqcn;
 use crate::qp::{RecvQp, SendQp, SendTrace};
-use netsim::arena::PacketArena;
 use netsim::event::{ControlMsg, Event};
 use netsim::packet::{Packet, PacketKind};
 use netsim::port::EgressPort;
@@ -112,8 +111,6 @@ pub struct Nic {
     rng: Xoshiro256,
     rx_corrupt_ppm: u32,
     telem: Option<crate::telem::NicTelem>,
-    /// Pool backing the uplink port queue.
-    arena: PacketArena,
     /// NIC-level statistics.
     pub stats: NicStats,
 }
@@ -142,7 +139,6 @@ impl Nic {
             rng: Xoshiro256::seeded(cfg.seed ^ (host.0 as u64) << 32),
             rx_corrupt_ppm: 0,
             telem: None,
-            arena: PacketArena::new(),
             stats: NicStats::default(),
         }
     }
@@ -246,11 +242,6 @@ impl Nic {
         &self.port
     }
 
-    /// The packet pool backing the uplink port queue.
-    pub fn arena(&self) -> &PacketArena {
-        &self.arena
-    }
-
     // ------------------------------------------------------------------
     // Sending machinery
     // ------------------------------------------------------------------
@@ -259,9 +250,7 @@ impl Nic {
         while !self.port.is_busy() && !self.port.is_paused() {
             if let Some(p) = self.ctrl_queue.pop_front() {
                 self.stats.ctrl_tx += 1;
-                let _ = self
-                    .port
-                    .enqueue(p, PortId(0), ctx, None, &mut self.rng, &mut self.arena);
+                let _ = self.port.enqueue(p, PortId(0), ctx, None, &mut self.rng);
                 continue;
             }
             let now = ctx.now();
@@ -286,9 +275,7 @@ impl Nic {
                 self.arm_rto(i, ctx);
             }
             self.rr_cursor = (i + 1) % n;
-            let _ = self
-                .port
-                .enqueue(pkt, PortId(0), ctx, None, &mut self.rng, &mut self.arena);
+            let _ = self.port.enqueue(pkt, PortId(0), ctx, None, &mut self.rng);
         }
     }
 
@@ -575,14 +562,14 @@ impl Entity for Nic {
             }
             Event::TxDone { port } => {
                 debug_assert_eq!(port, PortId(0), "NIC has a single port");
-                let _ = self.port.on_tx_done(PortId(0), ctx, None, &mut self.arena);
+                let _ = self.port.on_tx_done(PortId(0), ctx, None);
                 self.try_send(ctx);
             }
             Event::Timer { token } => self.on_timer(token, ctx),
             Event::Control(msg) => self.on_control(msg, ctx),
             Event::Pfc { pause, .. } => {
                 // Single-port NIC: the frame always addresses port 0.
-                self.port.set_paused(pause, PortId(0), ctx, &mut self.arena);
+                self.port.set_paused(pause, PortId(0), ctx);
                 if !pause {
                     self.try_send(ctx);
                 }

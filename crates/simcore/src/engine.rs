@@ -1,50 +1,36 @@
 //! The simulation run loop.
 //!
-//! [`Engine`] owns the clock and the event queue and hands events to a
-//! dispatcher closure one at a time. Higher layers (the network `World`)
-//! decide what an event *means*; the engine only guarantees ordering,
-//! monotonic time, and the stopping conditions (horizon / event budget /
+//! [`Engine`] owns the clock and the event queue and hands events out
+//! one at a time through [`Engine::step`]. Higher layers (the network
+//! `World`) decide what an event *means*; the engine only guarantees
+//! ordering, monotonic time, and the stopping conditions (horizon /
 //! queue exhaustion).
 
 use crate::event::{EventQueue, Scheduled};
 use crate::time::{Nanos, TimeDelta};
 
-/// Why [`Engine::run_with`] returned.
+/// Why a run loop over [`Engine::step`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// The event queue drained completely.
     QueueEmpty,
     /// The next event lay beyond the configured time horizon.
     HorizonReached,
-    /// The configured maximum number of events was dispatched.
-    EventBudgetExhausted,
-    /// The dispatcher requested an early stop.
-    DispatcherStopped,
-}
-
-/// Flow-control decision returned by the dispatcher for each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Keep running.
-    Continue,
-    /// Stop after this event (e.g. the workload completed).
-    Stop,
 }
 
 /// A discrete-event engine over payload type `T`.
 ///
 /// ```
-/// use simcore::engine::{Control, Engine};
+/// use simcore::engine::Engine;
 /// use simcore::time::Nanos;
 ///
 /// let mut engine: Engine<&str> = Engine::new();
 /// engine.schedule_at(Nanos(20), "second");
 /// engine.schedule_at(Nanos(10), "first");
 /// let mut seen = Vec::new();
-/// engine.run_with(|_, ev| {
+/// while let Some(ev) = engine.step() {
 ///     seen.push(ev.payload);
-///     Control::Continue
-/// });
+/// }
 /// assert_eq!(seen, ["first", "second"]);
 /// assert_eq!(engine.now(), Nanos(20));
 /// ```
@@ -57,8 +43,6 @@ pub struct Engine<T> {
     stamp: Option<telemetry::SharedStamp>,
     /// Events at or beyond this time are not dispatched.
     pub horizon: Nanos,
-    /// Maximum number of events to dispatch (guard against runaway loops).
-    pub max_events: u64,
 }
 
 impl<T> Default for Engine<T> {
@@ -77,7 +61,6 @@ impl<T> Engine<T> {
             clock: None,
             stamp: None,
             horizon: Nanos::MAX,
-            max_events: u64::MAX,
         }
     }
 
@@ -169,9 +152,9 @@ impl<T> Engine<T> {
         self.queue.restore(ev);
     }
 
-    /// A fresh engine sharing this engine's clock position, horizon and
-    /// event budget, but with an empty queue, zero dispatch count, and no
-    /// telemetry attachments. Shards are forked off the main engine at the
+    /// A fresh engine sharing this engine's clock position and horizon,
+    /// but with an empty queue, zero dispatch count, and no telemetry
+    /// attachments. Shards are forked off the main engine at the
     /// start of a partitioned run.
     pub fn fork(&self) -> Engine<T> {
         Engine {
@@ -181,7 +164,6 @@ impl<T> Engine<T> {
             clock: None,
             stamp: None,
             horizon: self.horizon,
-            max_events: self.max_events,
         }
     }
 
@@ -201,14 +183,10 @@ impl<T> Engine<T> {
 
     /// Pop the next event and advance the clock to it.
     ///
-    /// Returns `None` when the queue is empty, the horizon is reached, or
-    /// the event budget is exhausted. This is the primitive [`Self::run_with`]
-    /// is built on; exposed so callers can interleave other work.
+    /// Returns `None` when the queue is empty or the next event lies
+    /// beyond the horizon ([`Self::pending`] tells the two apart).
     #[inline]
     pub fn step(&mut self) -> Option<Scheduled<T>> {
-        if self.dispatched >= self.max_events {
-            return None;
-        }
         let ev = self.queue.pop_at_or_before(self.horizon)?;
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
@@ -220,25 +198,6 @@ impl<T> Engine<T> {
         }
         self.dispatched += 1;
         Some(ev)
-    }
-
-    /// Run until a stopping condition, calling `dispatch` for each event.
-    pub fn run_with(
-        &mut self,
-        mut dispatch: impl FnMut(&mut Engine<T>, Scheduled<T>) -> Control,
-    ) -> StopReason {
-        while let Some(ev) = self.step() {
-            if let Control::Stop = dispatch(self, ev) {
-                return StopReason::DispatcherStopped;
-            }
-        }
-        if self.dispatched >= self.max_events {
-            StopReason::EventBudgetExhausted
-        } else if self.queue.is_empty() {
-            StopReason::QueueEmpty
-        } else {
-            StopReason::HorizonReached
-        }
     }
 }
 
@@ -270,7 +229,7 @@ mod tests {
         e.step().unwrap();
         assert_eq!(clock.now(), 75);
         e.schedule_at(Nanos(90), 2);
-        e.run_with(|_, _| Control::Continue);
+        e.step().unwrap();
         assert_eq!(clock.now(), 90);
     }
 
@@ -286,34 +245,30 @@ mod tests {
     }
 
     #[test]
-    fn run_with_drains_queue() {
+    fn step_drains_queue_in_order() {
         let mut e: Engine<u32> = Engine::new();
         for i in 0..10 {
             e.schedule_at(Nanos(i as u64), i);
         }
-        let mut seen = Vec::new();
-        let reason = e.run_with(|_, ev| {
-            seen.push(ev.payload);
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::QueueEmpty);
+        let seen: Vec<u32> = std::iter::from_fn(|| e.step())
+            .map(|ev| ev.payload)
+            .collect();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]
-    fn dispatcher_can_reschedule() {
+    fn handler_can_reschedule() {
         // A self-perpetuating timer that stops after 5 firings.
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(Nanos(0), 0);
         let mut count = 0;
-        let reason = e.run_with(|eng, ev| {
+        while let Some(ev) = e.step() {
             count += 1;
             if ev.payload < 4 {
-                eng.schedule_in(TimeDelta(10), ev.payload + 1);
+                e.schedule_in(TimeDelta(10), ev.payload + 1);
             }
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::QueueEmpty);
+        }
         assert_eq!(count, 5);
         assert_eq!(e.now(), Nanos(40));
     }
@@ -324,42 +279,10 @@ mod tests {
         e.horizon = Nanos(100);
         e.schedule_at(Nanos(50), 1);
         e.schedule_at(Nanos(150), 2);
-        let mut seen = Vec::new();
-        let reason = e.run_with(|_, ev| {
-            seen.push(ev.payload);
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::HorizonReached);
+        let seen: Vec<u32> = std::iter::from_fn(|| e.step())
+            .map(|ev| ev.payload)
+            .collect();
         assert_eq!(seen, vec![1]);
         assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    fn event_budget_stops_run() {
-        let mut e: Engine<u32> = Engine::new();
-        e.max_events = 3;
-        for i in 0..10 {
-            e.schedule_at(Nanos(i as u64), i);
-        }
-        let reason = e.run_with(|_, _| Control::Continue);
-        assert_eq!(reason, StopReason::EventBudgetExhausted);
-        assert_eq!(e.dispatched(), 3);
-    }
-
-    #[test]
-    fn dispatcher_stop_is_honored() {
-        let mut e: Engine<u32> = Engine::new();
-        for i in 0..10 {
-            e.schedule_at(Nanos(i as u64), i);
-        }
-        let reason = e.run_with(|_, ev| {
-            if ev.payload == 4 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(reason, StopReason::DispatcherStopped);
-        assert_eq!(e.dispatched(), 5);
     }
 }

@@ -8,16 +8,14 @@
 //!
 //! Alongside the analytic model, a live small-k fat-tree simulation is
 //! built and run, and its *measured* per-host memory (process RSS plus
-//! exact route-table and packet-arena accounting) is printed next to
-//! the §4 figures.
+//! exact route-table accounting) is printed next to the §4 figures.
 
 use std::collections::HashMap;
 use themis::harness::{run_fat_tree_rings, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::switch::{RouteEntry, Switch};
 use themis::netsim::topology::FatTreeDims;
-use themis::netsim::types::NodeId;
-use themis::rnic::{Nic, NicConfig};
+use themis::rnic::NicConfig;
 use themis::themis_core::memory::MemoryModel;
 
 /// Resident set size from `/proc/self/status`, if the platform has it.
@@ -48,11 +46,9 @@ fn measure_live(k: usize) {
     let rss_after = rss_bytes();
 
     // Exact accounting: route tables (owned + shared, each shared base
-    // counted once) and packet arenas across every entity.
+    // counted once).
     let mut route_owned = 0usize;
     let mut shared: HashMap<*const RouteEntry, usize> = HashMap::new();
-    let mut arena_bytes = 0usize;
-    let mut arena_peak = 0usize;
     for &sw_id in cluster.leaves.iter().chain(cluster.spines.iter()) {
         let sw: &Switch = cluster.world.get(sw_id).expect("switch");
         route_owned += sw.route_table().owned_heap_bytes();
@@ -62,13 +58,6 @@ fn measure_live(k: usize) {
                 base.len() * std::mem::size_of::<RouteEntry>(),
             );
         }
-        arena_bytes += sw.arena().heap_bytes();
-        arena_peak = arena_peak.max(sw.arena().peak_live());
-    }
-    for &h in &cluster.hosts {
-        let nic: &Nic = cluster.world.get(NodeId(h.0)).expect("nic");
-        arena_bytes += nic.arena().heap_bytes();
-        arena_peak = arena_peak.max(nic.arena().peak_live());
     }
     let route_shared: usize = shared.values().sum();
 
@@ -90,12 +79,8 @@ fn measure_live(k: usize) {
         shared.len()
     );
     println!(
-        "  arenas     = {:>10} B  (peak {} live packets in one pool)",
-        arena_bytes, arena_peak
-    );
-    println!(
-        "  per host   = {:>10} B  (routes + arenas) / {n_hosts} hosts",
-        (route_owned + route_shared + arena_bytes) / n_hosts
+        "  per host   = {:>10} B  (routes) / {n_hosts} hosts",
+        (route_owned + route_shared) / n_hosts
     );
     match (rss_before, rss_after) {
         (Some(b), Some(a)) => {

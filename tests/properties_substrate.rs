@@ -7,7 +7,7 @@
 use rnic::bitmap::OooBitmap;
 use rnic::dcqcn::Dcqcn;
 use rnic::CcConfig;
-use simcore::engine::{Control, Engine};
+use simcore::engine::Engine;
 use simcore::rng::Xoshiro256;
 use simcore::time::Nanos;
 use themis::collectives::ring::ring_allreduce;
@@ -31,11 +31,9 @@ fn engine_orders_any_schedule() {
         for (i, &t) in times.iter().enumerate() {
             e.schedule_at(Nanos(t), (t, i));
         }
-        let mut seen: Vec<(u64, usize)> = Vec::new();
-        e.run_with(|_, ev| {
-            seen.push(ev.payload);
-            Control::Continue
-        });
+        let seen: Vec<(u64, usize)> = std::iter::from_fn(|| e.step())
+            .map(|ev| ev.payload)
+            .collect();
         assert_eq!(seen.len(), times.len(), "case {case}");
         for w in seen.windows(2) {
             assert!(w[0].0 <= w[1].0, "case {case}: time order violated");
