@@ -222,14 +222,25 @@ pub fn setup_collective_striped(
     }
 }
 
+/// Runtime state of one transfer of an instance.
+#[derive(Debug, Clone, Default)]
+struct TransferState {
+    /// Dependencies not yet delivered.
+    remaining_deps: usize,
+    /// Transfers that list this one among their dependencies.
+    dependents: Vec<usize>,
+    post_time: Option<Nanos>,
+    /// `Some` once delivered; a second delivery is a stray.
+    delivery_time: Option<Nanos>,
+}
+
 #[derive(Debug)]
 struct InstanceState {
     spec: InstanceSpec,
-    remaining_deps: Vec<usize>,
-    dependents: Vec<Vec<usize>>,
-    delivered: Vec<bool>,
-    post_time: Vec<Option<Nanos>>,
-    delivery_time: Vec<Option<Nanos>>,
+    /// One entry per transfer of `spec.schedule`: a single allocation
+    /// per instance, which matters to callers that add an instance per
+    /// message (the service's `post_send`).
+    transfers: Vec<TransferState>,
     undelivered: usize,
     completion: Option<Nanos>,
     /// Deferred instances wait for their own `Timer { token: JOB_TOKEN_BASE + i }`
@@ -241,21 +252,16 @@ struct InstanceState {
 impl InstanceState {
     fn new(spec: InstanceSpec) -> InstanceState {
         let n = spec.schedule.transfers.len();
-        let mut dependents = vec![Vec::new(); n];
-        let mut remaining = vec![0usize; n];
+        let mut transfers = vec![TransferState::default(); n];
         for (i, t) in spec.schedule.transfers.iter().enumerate() {
-            remaining[i] = t.deps.len();
+            transfers[i].remaining_deps = t.deps.len();
             for &d in &t.deps {
-                dependents[d].push(i);
+                transfers[d].dependents.push(i);
             }
         }
         InstanceState {
             spec,
-            remaining_deps: remaining,
-            dependents,
-            delivered: vec![false; n],
-            post_time: vec![None; n],
-            delivery_time: vec![None; n],
+            transfers,
             undelivered: n,
             completion: None,
             deferred: false,
@@ -380,8 +386,8 @@ impl Driver {
 
     /// Per-transfer delivery timestamps of instance `i` (per-flow
     /// throughput extraction, Fig 1d).
-    pub fn delivery_times(&self, i: usize) -> &[Option<Nanos>] {
-        &self.instances[i].delivery_time
+    pub fn delivery_times(&self, i: usize) -> impl Iterator<Item = Option<Nanos>> + '_ {
+        self.instances[i].transfers.iter().map(|t| t.delivery_time)
     }
 
     /// The wired spec of instance `i` (QP ids for trace enablement).
@@ -394,9 +400,9 @@ impl Driver {
     pub fn latency_histogram(&self) -> LogHistogram {
         let mut h = LogHistogram::new();
         for st in &self.instances {
-            for (post, done) in st.post_time.iter().zip(&st.delivery_time) {
-                if let (Some(p), Some(d)) = (post, done) {
-                    h.record(d.since(*p).as_nanos());
+            for t in &st.transfers {
+                if let (Some(p), Some(d)) = (t.post_time, t.delivery_time) {
+                    h.record(d.since(p).as_nanos());
                 }
             }
         }
@@ -413,7 +419,7 @@ impl Driver {
 
     fn post(&mut self, inst: usize, transfer: usize, ctx: &mut Ctx<'_>) {
         let st = &mut self.instances[inst];
-        st.post_time[transfer] = Some(ctx.now());
+        st.transfers[transfer].post_time = Some(ctx.now());
         let t = &st.spec.schedule.transfers[transfer];
         let src_host = st.spec.hosts[t.src];
         ctx.control(
@@ -463,30 +469,33 @@ impl Driver {
             self.stray_deliveries += 1;
             return;
         };
-        if transfer >= st.delivered.len() || st.delivered[transfer] {
+        let Some(t) = st
+            .transfers
+            .get_mut(transfer)
+            .filter(|t| t.delivery_time.is_none())
+        else {
             self.stray_deliveries += 1;
             return;
-        }
-        st.delivered[transfer] = true;
-        st.delivery_time[transfer] = Some(ctx.now());
+        };
+        t.delivery_time = Some(ctx.now());
         if let Some((sink, hist)) = &self.telem {
-            if let Some(posted) = st.post_time[transfer] {
+            if let Some(posted) = t.post_time {
                 sink.observe(*hist, ctx.now().since(posted).as_nanos());
             }
         }
+        let dependents = std::mem::take(&mut t.dependents);
         st.undelivered -= 1;
         if st.undelivered == 0 {
             st.completion = Some(ctx.now());
         }
         let mut ready = Vec::new();
-        let dependents = std::mem::take(&mut st.dependents[transfer]);
         for &d in &dependents {
-            st.remaining_deps[d] -= 1;
-            if st.remaining_deps[d] == 0 {
+            st.transfers[d].remaining_deps -= 1;
+            if st.transfers[d].remaining_deps == 0 {
                 ready.push(d);
             }
         }
-        st.dependents[transfer] = dependents;
+        st.transfers[transfer].dependents = dependents;
         for d in ready {
             self.post(inst, d, ctx);
         }
@@ -785,6 +794,64 @@ mod tests {
         // Each 200 KB step takes at least its serialization time (~16 us).
         assert!(h.min().unwrap() > 10_000, "min {}ns", h.min().unwrap());
         assert!(h.quantile(0.99).unwrap() >= h.quantile(0.5).unwrap());
+    }
+
+    #[test]
+    fn fan_in_then_fan_out_posts_each_transfer_once_its_deps_are_delivered() {
+        // Transfers 0 and 1 feed 2; 2 feeds 3 and 4.
+        let (mut world, driver_node) = two_host_world();
+        let mut alloc = QpAllocator::new(7);
+        let transfer = |src, dst, deps: &[usize]| crate::schedule::Transfer {
+            src,
+            dst,
+            bytes: 100_000,
+            deps: deps.to_vec(),
+        };
+        let schedule = Schedule {
+            name: "fan-in-fan-out",
+            n_ranks: 2,
+            transfers: vec![
+                transfer(0, 1, &[]),
+                transfer(1, 0, &[]),
+                transfer(0, 1, &[0, 1]),
+                transfer(0, 1, &[2]),
+                transfer(1, 0, &[2]),
+            ],
+        };
+        let hosts = [HostId(0), HostId(1)];
+        let spec = setup_collective(&mut world, driver_node, &hosts, schedule, &mut alloc);
+        let mut driver = Driver::new();
+        driver.add_instance(spec);
+        world.install(driver_node, Box::new(driver));
+        world.seed_event(
+            Nanos::ZERO,
+            driver_node,
+            Event::Timer { token: START_TOKEN },
+        );
+        world.run_until(Nanos::from_millis(100));
+        let d: &Driver = world.get(driver_node).unwrap();
+        assert!(d.all_complete());
+        assert_eq!(d.stray_deliveries, 0);
+
+        let delivered: Vec<Option<Nanos>> = d.delivery_times(0).collect();
+        assert_eq!(delivered.len(), 5);
+        let at: Vec<Nanos> = delivered.into_iter().map(Option::unwrap).collect();
+        let posted: Vec<Nanos> = d.instances[0]
+            .transfers
+            .iter()
+            .map(|t| t.post_time.unwrap())
+            .collect();
+        assert_eq!(posted[0], Nanos::ZERO);
+        assert_eq!(posted[1], Nanos::ZERO);
+        // 2 waits for the later of its two dependencies.
+        assert_eq!(posted[2], at[0].max(at[1]));
+        // 3 and 4 are released together by 2's delivery.
+        assert_eq!(posted[3], at[2]);
+        assert_eq!(posted[4], at[2]);
+        for i in 0..5 {
+            assert!(at[i] > posted[i], "transfer {i} delivered after it posted");
+        }
+        assert_eq!(d.latency_histogram().count(), 5);
     }
 
     #[test]

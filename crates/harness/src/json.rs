@@ -108,7 +108,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact encoding of [`Json::to_string`] to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -176,6 +177,7 @@ const MAX_DEPTH: usize = 128;
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut p = Parser {
+        text,
         bytes,
         pos: 0,
         depth: 0,
@@ -190,6 +192,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The document; string runs are copied out of it as `&str` slices.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -315,13 +319,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one piece. Both
+            // are ASCII, so the run ends on a char boundary of the input
+            // and nothing is re-validated: the parse is linear.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped on a `\`.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -357,15 +371,6 @@ impl Parser<'_> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -462,5 +467,91 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn a_16_mb_string_parses_in_linear_time() {
+        // Plain ASCII, and a two-byte char every 7 bytes.
+        for unit in ["abcdefg", "abcde\u{e9}"] {
+            let s = unit.repeat((16 << 20) / 7);
+            let doc = Json::str(&s).to_string();
+            let t0 = std::time::Instant::now();
+            let v = parse(&doc).unwrap();
+            let took = t0.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(2),
+                "{unit:?}: {took:?}"
+            );
+            assert_eq!(v.as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn strings_roundtrip_whatever_opens_or_closes_a_run() {
+        // (raw, an escaped spelling) pieces, concatenated up to four deep
+        // so each one opens, closes or sits between runs.
+        let pieces = [
+            ("x", "x"),
+            ("\u{e9}", "\\u00e9"),
+            ("\u{263a}", "\u{263a}"),
+            ("\u{1F600}", "\\ud83d\\ude00"),
+            ("\"", "\\\""),
+            ("\\", "\\\\"),
+            ("\n", "\\n"),
+            ("/", "\\/"),
+        ];
+        let mut seqs = vec![(String::new(), String::new())];
+        let mut frontier = seqs.clone();
+        for _ in 0..4 {
+            frontier = frontier
+                .iter()
+                .flat_map(|(raw, esc)| {
+                    pieces
+                        .iter()
+                        .map(move |(r, e)| (format!("{raw}{r}"), format!("{esc}{e}")))
+                })
+                .collect();
+            seqs.extend(frontier.iter().cloned());
+        }
+        for (raw, esc) in &seqs {
+            let doc = Json::str(raw).to_string();
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.as_str(), Some(raw.as_str()), "{doc}");
+            assert_eq!(v.to_string(), doc);
+            assert_eq!(parse(&format!("\"{esc}\"")).unwrap(), v, "{esc}");
+        }
+        // Raw control bytes are accepted inside strings.
+        assert_eq!(
+            parse("\"a\u{1}\tb\nc\"").unwrap(),
+            Json::str("a\u{1}\tb\nc")
+        );
+    }
+
+    #[test]
+    fn error_offsets_after_a_long_run_are_pinned() {
+        // The offsets the per-character parser reported for these inputs.
+        let err = |doc: String| parse(&doc).unwrap_err();
+        let run = |unit: &str| unit.repeat(3000);
+        assert_eq!(
+            err(format!("\"{}", run("ab\u{e9}"))),
+            JsonError {
+                at: 12001,
+                msg: "unterminated string".into()
+            }
+        );
+        assert_eq!(
+            err(format!("\"{}\\q\"", run("x\u{263a}"))),
+            JsonError {
+                at: 12002,
+                msg: "bad escape".into()
+            }
+        );
+        assert_eq!(
+            err(format!("\"{}\\u00", run("y\u{e9}"))),
+            JsonError {
+                at: 9003,
+                msg: "truncated \\u escape".into()
+            }
+        );
     }
 }

@@ -265,7 +265,7 @@ impl SimService {
     }
 
     /// Rebuild a service from a snapshot document: parse the config,
-    /// build a fresh fabric and replay the journal. Deterministic
+    /// decode the journal, build a fresh fabric and replay. Deterministic
     /// replay makes the result bit-identical to the checkpointed
     /// instance — including its telemetry.
     pub fn from_snapshot(text: &str) -> Result<SimService, String> {
@@ -284,28 +284,52 @@ impl SimService {
             .get("journal")
             .and_then(Json::as_arr)
             .ok_or("snapshot: journal missing")?;
-        let mut svc = SimService::new(cfg).map_err(|e| e.to_string())?;
+        // Decode up to the first malformed entry and drop the parsed tree
+        // before the fabric is built, so restore never holds both. The
+        // errors keep journal order: an op that fails to apply before the
+        // malformed entry is the one reported.
+        let mut ops = Vec::with_capacity(journal.len());
+        let mut malformed = None;
         for entry in journal {
-            let op = JournalOp::from_json(entry)?;
+            match JournalOp::from_json(entry) {
+                Ok(op) => ops.push(op),
+                Err(e) => {
+                    malformed = Some(e);
+                    break;
+                }
+            }
+        }
+        drop(doc);
+        let mut svc = SimService::new(cfg).map_err(|e| e.to_string())?;
+        for op in ops {
             svc.apply(op)?;
         }
-        Ok(svc)
+        match malformed {
+            Some(e) => Err(e),
+            None => Ok(svc),
+        }
     }
 
     /// Serialize the checkpoint: config + journal, as a compact JSON
     /// document (stable field order, so identical histories produce
-    /// identical bytes).
+    /// identical bytes). The journal is written one op at a time.
     pub fn snapshot(&self) -> String {
-        Json::obj(vec![
+        let mut out = Json::obj(vec![
             ("kind", Json::str(SNAPSHOT_KIND)),
             ("v", Json::Int(SNAPSHOT_VERSION)),
             ("config", self.cfg.to_json()),
-            (
-                "journal",
-                Json::Arr(self.journal.iter().map(JournalOp::to_json).collect()),
-            ),
         ])
-        .to_string()
+        .to_string();
+        out.pop(); // the closing '}'
+        out.push_str(",\"journal\":[");
+        for (i, op) in self.journal.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            op.to_json().write(&mut out);
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Current simulated window boundary (the end of the last window an
@@ -1009,6 +1033,94 @@ mod tests {
         assert_eq!(
             continuous_docs[0], continuous_docs[1],
             "serial and 2-shard services must write the same document"
+        );
+    }
+
+    fn create_qp(client: &str, src: i64, dst: i64) -> Json {
+        req(vec![
+            ("op", Json::str("create_qp")),
+            ("client", Json::str(client)),
+            ("src", Json::Int(src)),
+            ("dst", Json::Int(dst)),
+        ])
+    }
+
+    fn post_send(client: &str, qp: i64, bytes: i64) -> Json {
+        req(vec![
+            ("op", Json::str("post_send")),
+            ("client", Json::str(client)),
+            ("qp", Json::Int(qp)),
+            ("bytes", Json::Int(bytes)),
+        ])
+    }
+
+    #[test]
+    fn snapshot_is_the_whole_document_encoding_byte_for_byte() {
+        let mut svc = SimService::new(ServiceConfig::small()).unwrap();
+        for r in [
+            create_qp("a", 0, 5),
+            create_qp("a\"b", 8, 13),
+            post_send("a", 0, 32 << 10),
+            post_send("a\"b", 1, 8 << 10),
+            advance(2),
+            post_send("a", 0, 4 << 10),
+            advance(1),
+        ] {
+            let reply = svc.handle(&r);
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        }
+        // The reference: the whole document as one tree, then encoded.
+        let reference = Json::obj(vec![
+            ("kind", Json::str(SNAPSHOT_KIND)),
+            ("v", Json::Int(SNAPSHOT_VERSION)),
+            ("config", svc.cfg.to_json()),
+            (
+                "journal",
+                Json::Arr(svc.journal.iter().map(JournalOp::to_json).collect()),
+            ),
+        ])
+        .to_string();
+        assert!(reference.contains(r#""client":"a\"b""#), "{reference}");
+        assert_eq!(svc.snapshot(), reference);
+        let restored = SimService::from_snapshot(&reference).unwrap();
+        assert_eq!(restored.snapshot(), reference);
+        assert_eq!(restored.telemetry_json(None), svc.telemetry_json(None));
+
+        let empty = SimService::new(ServiceConfig::small()).unwrap();
+        assert!(empty.snapshot().ends_with(r#""journal":[]}"#));
+    }
+
+    #[test]
+    fn restore_reports_the_first_bad_journal_entry_in_journal_order() {
+        // 999 valid entries, then a post_send without `bytes`.
+        let mut svc = SimService::new(ServiceConfig::small()).unwrap();
+        svc.handle(&create_qp("a", 0, 5));
+        for _ in 0..499 {
+            svc.handle(&post_send("a", 0, 1 << 10));
+            svc.handle(&advance(1));
+        }
+        assert_eq!(svc.journal.len(), 999);
+        let splice = |snap: &str, entry: &str| {
+            let body = snap.strip_suffix("]}").unwrap();
+            format!("{body},{entry}]}}")
+        };
+        let malformed = r#"{"op":"post_send","client":"a","qp":0}"#;
+        let snap = splice(&svc.snapshot(), malformed);
+        assert_eq!(
+            SimService::from_snapshot(&snap).err().as_deref(),
+            Some("request needs a non-negative \"bytes\" field")
+        );
+        // An entry that decodes but fails to apply comes first in the
+        // journal, so it is the error reported.
+        svc.journal[500] = JournalOp::PostSend {
+            client: "a".into(),
+            qp: 9,
+            bytes: 1,
+        };
+        let snap = splice(&svc.snapshot(), malformed);
+        assert_eq!(
+            SimService::from_snapshot(&snap).err().as_deref(),
+            Some("post_send: unknown qp 9")
         );
     }
 

@@ -52,11 +52,10 @@
 #      workloads must keep payload_mb_per_s >= 0.70 x that line's value
 #      and openloop1024 peak_rss_mb <= 1.5 x; a 1 s traced ring8_spray
 #      pass holds two kernels (shard merge, event queue at 100 k
-#      resident) to <= baseline / 0.70. serve_session has no throughput
-#      floor on purpose: its run_s read 8.5 / 9.5 / 14.3 s over three
-#      runs of one commit on this host, so 70 % would flake; the leg
-#      prints the link-order phase that moves it x1.45 (a NOTE, never a
-#      failure).
+#      resident) to <= baseline / 0.70 and the JSON parse of a 256 KB
+#      reply to >= 0.5 x the MB/s of a 1 KB one (a linearity tripwire
+#      needing no history line). serve_session has no throughput floor:
+#      the history line predates the linear JSON string parse.
 #
 # The floors are a coarse tripwire against a line taken on this host; the
 # per-PR gate is the parent-vs-change run at BENCHMARK.json's 0.25 bounds.
@@ -292,17 +291,6 @@ check_floor "openloop1024 peak_rss_mb" "$(metric peak_rss_mb)" \
     "$(hist workloads openloop1024 end_to_end peak_rss_mb)" upper 1.5
 run_workload serve_session 2 0
 echo "OK: serve_session correct (no throughput floor, see header)"
-# Its run_s also depends on where the linker put libcore's from_utf8
-# (DESIGN.md "Performance & benchmarking"): print the phase this binary
-# drew so a x1.45 reading is not taken for a regression. Never a failure.
-utf8_addr=$(nm -C perfbench/target/release/themis_benchmark 2>/dev/null \
-    | grep ' core::str::converts::from_utf8$' | cut -d' ' -f1 || true)
-if [ -n "$utf8_addr" ]; then
-    utf8_phase=$((16#$utf8_addr % 64))
-    echo "serve_session: core::str::converts::from_utf8 at $utf8_phase mod 64"
-    [ "$utf8_phase" -ne 0 ] \
-        || echo "NOTE: serve_session run_s reads ≈ 1.45 × on this binary; see DESIGN.md"
-fi
 
 # Two kernels no end-to-end number isolates: the per-window merge the
 # sharded engine adds and the event queue at 100 k resident. 1.43 = 1 / 0.70.
@@ -310,5 +298,10 @@ run_workload ring8_spray 1 1
 for k in telemetry.merge_ns_per_event simcore.hold_ns_p100k; do
     check_floor "$k" "$(metric "$k")" "$(hist workloads ring8_spray per_layer "$k")" upper 1.43
 done
+# The JSON parse must stay linear: a 256 KB reply parses at no less than
+# half the MB/s of a 1 KB one (a per-character re-validation read 0.31
+# against 85).
+check_floor "json parse 256k vs 1k" "$(metric harness.json.parse_mb_per_s_256k)" \
+    "$(metric harness.json.parse_mb_per_s_1k)" lower 0.5
 
 echo "== ci.sh passed =="
