@@ -185,7 +185,9 @@ impl<T> Engine<T> {
     ///
     /// Returns `None` when the queue is empty or the next event lies
     /// beyond the horizon ([`Self::pending`] tells the two apart).
-    #[inline]
+    // Always inlined, so that the payload popped off the queue lands
+    // directly in the caller's frame.
+    #[inline(always)]
     pub fn step(&mut self) -> Option<Scheduled<T>> {
         let ev = self.queue.pop_at_or_before(self.horizon)?;
         debug_assert!(ev.at >= self.now, "event queue went backwards");

@@ -52,8 +52,9 @@
 #      workloads must keep payload_mb_per_s >= 0.70 x that line's value
 #      and openloop1024 peak_rss_mb <= 1.5 x; a 1 s traced ring8_spray
 #      pass holds two kernels (shard merge, event queue at 100 k
-#      resident) to <= baseline / 0.70 and the JSON parse of a 256 KB
-#      reply to >= 0.5 x the MB/s of a 1 KB one (a linearity tripwire
+#      resident) to <= baseline / 0.70, the JSON parse of a 256 KB
+#      reply to >= 0.5 x the MB/s of a 1 KB one, and an event-queue hold
+#      at 100 k resident to <= 2.5 x one at 1 k (two scaling tripwires
 #      needing no history line). serve_session has no throughput floor:
 #      the history line predates the linear JSON string parse.
 #
@@ -303,5 +304,14 @@ done
 # against 85).
 check_floor "json parse 256k vs 1k" "$(metric harness.json.parse_mb_per_s_256k)" \
     "$(metric harness.json.parse_mb_per_s_1k)" lower 0.5
+# The event queue must stay population-insensitive: a hold at 100 k
+# resident costs at most 2.5 x one at 1 k (5 x before the ns slots, 1.5 x
+# after them, under 1 x since windows are sorted once). A miss is re-run
+# once, as the workload floors are.
+( check_floor "queue hold 100k vs 1k" "$(metric simcore.hold_ns_p100k)" \
+    "$(metric simcore.hold_ns_p1k)" upper 2.5 ) > /dev/null \
+    || { echo "note: queue hold 100k vs 1k above its bound once, re-running"; run_workload ring8_spray 1 1; }
+check_floor "queue hold 100k vs 1k" "$(metric simcore.hold_ns_p100k)" \
+    "$(metric simcore.hold_ns_p1k)" upper 2.5
 
 echo "== ci.sh passed =="

@@ -303,3 +303,185 @@ fn emptied_mid_bucket_then_refilled() {
     pair.churn(&mut rng, 5_000);
     pair.drain();
 }
+
+// ---- Payload conservation -----------------------------------------------
+//
+// The queue files keys at every level and keeps each payload once in a
+// slab. A `u64` payload cannot tell a leaked or twice-taken slab slot
+// from a correct one; a reference-counted payload that records its own
+// key can.
+
+use std::rc::Rc;
+
+/// What a tracked payload records about itself.
+#[derive(Debug, PartialEq)]
+struct Tag {
+    id: usize,
+    at: u64,
+    seq: u64,
+    lane: u32,
+}
+
+/// Two queues (plain pushes on lane 0 in `main`, keyed pushes on lanes
+/// ≥ 1 in `shard`, so keys stay unique when events move between them)
+/// and a ledger holding one extra owner of every payload ever pushed.
+struct Ledger {
+    main: EventQueue<Rc<Tag>>,
+    shard: EventQueue<Rc<Tag>>,
+    /// `main`'s insertion counter, mirrored.
+    main_seq: u64,
+    shard_seq: u64,
+    tags: Vec<Rc<Tag>>,
+    returned: Vec<bool>,
+}
+
+impl Ledger {
+    fn new() -> Self {
+        Ledger {
+            main: EventQueue::new(),
+            shard: EventQueue::new(),
+            main_seq: 0,
+            shard_seq: 0,
+            tags: Vec::new(),
+            returned: Vec::new(),
+        }
+    }
+
+    fn tag(&mut self, at: u64, seq: u64, lane: u32) -> Rc<Tag> {
+        let id = self.tags.len();
+        let tag = Rc::new(Tag { id, at, seq, lane });
+        self.tags.push(Rc::clone(&tag));
+        self.returned.push(false);
+        tag
+    }
+
+    fn push_main(&mut self, at: u64) {
+        let tag = self.tag(at, self.main_seq, 0);
+        self.main_seq += 1;
+        self.main.push(Nanos(at), tag);
+    }
+
+    fn push_shard(&mut self, at: u64, lane: u32) {
+        let tag = self.tag(at, self.shard_seq, lane);
+        self.shard_seq += 1;
+        self.shard.push_keyed(Nanos(at), tag.seq, lane, tag);
+    }
+
+    /// An event leaving the queues for good: it must carry its own key
+    /// and come back exactly once.
+    fn retire(&mut self, ev: Scheduled<Rc<Tag>>) -> u64 {
+        let tag = &ev.payload;
+        assert_eq!(
+            (ev.at.as_nanos(), ev.seq, ev.lane),
+            (tag.at, tag.seq, tag.lane),
+            "payload {} came back under another key",
+            tag.id
+        );
+        assert!(!self.returned[tag.id], "payload {} came back twice", tag.id);
+        self.returned[tag.id] = true;
+        ev.at.as_nanos()
+    }
+
+    /// Pop `main` (or `shard`) and retire what comes out.
+    fn pop(&mut self, shard: bool) -> Option<u64> {
+        let q = if shard {
+            &mut self.shard
+        } else {
+            &mut self.main
+        };
+        let ev = q.pop()?;
+        Some(self.retire(ev))
+    }
+
+    /// Half pushes, half pops on one queue, at the offsets `Pair::churn`
+    /// uses: same ns, same bucket, next bucket, beyond the page.
+    fn churn(&mut self, rng: &mut Xoshiro256, shard: bool, ops: u32) {
+        let mut now = 0;
+        for _ in 0..ops {
+            if rng.next_below(2) == 0 {
+                now = self.pop(shard).unwrap_or(now);
+                continue;
+            }
+            let q = if shard { &self.shard } else { &self.main };
+            now = q.peek_time().map_or(now, |t| t.as_nanos().max(now));
+            let bucket_last = now | (BUCKET - 1);
+            let at = match rng.next_below(8) {
+                0..=2 => now,
+                3..=5 => now + rng.next_below(bucket_last - now + 1),
+                6 => bucket_last + 1 + rng.next_below(BUCKET),
+                _ => now + PAGE + rng.next_below(3 * PAGE),
+            };
+            if shard {
+                self.push_shard(at, 1 + rng.next_below(64) as u32);
+            } else {
+                self.push_main(at);
+            }
+        }
+    }
+
+    /// Every payload is either pending (ledger + queue own it) or has
+    /// been retired (the ledger alone owns it).
+    fn check_owners(&self) {
+        for (tag, &back) in self.tags.iter().zip(&self.returned) {
+            let want = if back { 1 } else { 2 };
+            assert_eq!(Rc::strong_count(tag), want, "payload {}", tag.id);
+        }
+    }
+}
+
+#[test]
+fn every_payload_comes_back_exactly_once_with_its_key() {
+    let mut rng = Xoshiro256::seeded(0xC0AE);
+    let mut l = Ledger::new();
+
+    // A dense bucket on `main` (one early event so it fills through the
+    // wheel and is scattered into ns slots), churned.
+    let base = 40 * BUCKET;
+    l.push_main(base - 3 * BUCKET);
+    for _ in 0..DENSE {
+        l.push_main(base + rng.next_below(BUCKET));
+    }
+    l.pop(false);
+    l.churn(&mut rng, false, 20_000);
+    assert!(l.main.len() > 4_000, "still deep inside the bucket");
+    l.check_owners();
+
+    // Fork: drain `main` mid-bucket; every other event goes back into
+    // `main` (in reverse), the rest into `shard`, which also runs keyed
+    // pushes of its own.
+    let drained = l.main.drain_all();
+    assert_eq!(
+        drained.len() + l.returned.iter().filter(|&&b| b).count(),
+        l.tags.len()
+    );
+    l.check_owners();
+    for (i, ev) in drained.into_iter().enumerate().rev() {
+        if i % 2 == 0 {
+            l.main.restore(ev);
+        } else {
+            l.shard.restore(ev);
+        }
+    }
+    l.check_owners();
+    l.churn(&mut rng, true, 20_000);
+    l.churn(&mut rng, false, 10_000);
+    l.check_owners();
+
+    // Absorb: what `shard` still holds moves back into `main`.
+    for ev in l.shard.drain_all() {
+        l.main.restore(ev);
+    }
+    assert!(l.shard.is_empty());
+    l.churn(&mut rng, false, 10_000);
+    while l.pop(false).is_some() {}
+    assert!(l.main.is_empty());
+
+    assert!(l.returned.iter().all(|&b| b), "a payload never came back");
+    l.check_owners();
+    // A queue dropped with events pending releases their payloads.
+    l.push_main(7);
+    l.push_shard(9, 3);
+    drop(std::mem::take(&mut l.main));
+    drop(std::mem::take(&mut l.shard));
+    assert!(l.tags.iter().all(|t| Rc::strong_count(t) == 1));
+}
