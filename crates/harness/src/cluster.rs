@@ -138,9 +138,6 @@ pub(crate) struct Shape {
     units: usize,
     /// ToRs per partition unit (1, or `k/2`).
     tors_per_unit: usize,
-    /// Scalar cross-shard lookahead: the cheapest cross-shard
-    /// interaction is a fabric hop or a control-plane message.
-    lookahead: TimeDelta,
     /// The middleware configuration every ToR gets, if the scheme
     /// deploys Themis.
     themis: Option<ThemisConfig>,
@@ -210,14 +207,10 @@ impl Topology<'_> {
                 ..cfg
             }),
         };
-        let lookahead = CONTROL_PLANE_LATENCY
-            .as_nanos()
-            .min(fabric_link.latency.as_nanos());
         Ok(Shape {
             n_paths,
             units,
             tors_per_unit,
-            lookahead: TimeDelta::from_nanos(lookahead),
             themis,
         })
     }
@@ -311,6 +304,7 @@ impl Cluster {
                 agg.compensation_cancels += d.stats.compensation_cancels;
                 agg.compensation_suppressed += d.stats.compensation_suppressed;
                 agg.blocked_uncertain += d.stats.blocked_uncertain;
+                agg.evictions_deferred += d.stats.evictions_deferred;
                 agg.memory_bytes += m.memory_bytes() as u64;
             }
         }
@@ -340,6 +334,9 @@ pub struct ThemisAggregate {
     /// NACKs blocked with an uncertain verdict (ring-overflow evictions
     /// destroyed the ePSN-era context).
     pub blocked_uncertain: u64,
+    /// Guarded flow evictions refused because the entry still carried
+    /// protocol obligations.
+    pub evictions_deferred: u64,
     /// Total live Themis switch memory at run end.
     pub memory_bytes: u64,
 }
@@ -544,11 +541,8 @@ pub fn assemble(
     let driver = world.reserve();
 
     if n_shards > 1 {
-        // The per-pair matrix refines the scalar fallback lookahead for
-        // pairs joined only by costlier links.
         let matrix = lookahead_matrix(&world, &shard_of, n_shards, driver, oracle_loss_notify);
-        let mut plan = ShardPlan::new(shard_of, n_shards, shape.lookahead);
-        plan.set_lookahead_matrix(matrix);
+        let mut plan = ShardPlan::new(shard_of, n_shards, matrix);
         plan.telem = sinks.iter().map(|s| (s.clock(), s.stamp())).collect();
         world.set_shard_plan(plan);
     }

@@ -274,24 +274,6 @@ fn pick_hosts(rng: &mut Xoshiro256, n_hosts: usize, ranks: usize) -> Vec<HostId>
     chosen
 }
 
-/// Sum a Themis-D statistic over every leaf hook.
-fn sum_tor_stat(cluster: &Cluster, f: impl Fn(&themis_core::themis_d::ThemisDStats) -> u64) -> u64 {
-    let mut total = 0;
-    for &leaf in &cluster.leaves {
-        let Some(sw) = cluster.world.get::<Switch>(leaf) else {
-            continue;
-        };
-        let Some(hook) = sw.hook() else { continue };
-        let Some(m) = hook.as_any().downcast_ref::<ThemisMiddleware>() else {
-            continue;
-        };
-        if let Some(d) = m.d.as_ref() {
-            total += f(&d.stats);
-        }
-    }
-    total
-}
-
 /// Issue one guarded `evict_flow(qp)` on every Themis-D edge; returns
 /// whether any edge actually held (and released) the entry.
 fn evict_qp(cluster: &mut Cluster, qp: QpId) -> bool {
@@ -357,7 +339,7 @@ pub fn run_open_loop(cfg: &LoadConfig) -> Result<(LoadReport, Cluster), InvalidC
     }
     let cluster = &session.cluster;
 
-    let evictions_deferred = sum_tor_stat(cluster, |s| s.evictions_deferred);
+    let evictions_deferred = cluster.themis_stats().evictions_deferred;
 
     // Oracle: full invariant set over the accumulated tally.
     let sim_end = cluster.world.now();

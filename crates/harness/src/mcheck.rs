@@ -65,7 +65,7 @@ use netsim::packet::{Packet, PacketKind};
 use netsim::types::{HostId, QpId};
 use rnic::config::TransportMode;
 use rnic::qp::RecvQp;
-use rnic::reaction::OooReactionKind;
+use rnic::reaction::{OooReaction, OooReactionKind};
 use simcore::fx::{FxHashSet, FxHasher};
 use simcore::time::{Nanos, TimeDelta};
 use std::collections::VecDeque;
@@ -350,8 +350,8 @@ pub fn explore(cfg: &CheckConfig) -> CheckReport {
         TransportMode::SelectiveRepeat,
         1,
         TimeDelta::from_micros(50),
+        OooReaction::new(cfg.ooo),
     );
-    receiver.set_ooo_reaction(cfg.ooo.build());
     receiver.advance_to(cfg.psn_base);
     let init = State {
         heads: vec![0; cfg.n_paths],

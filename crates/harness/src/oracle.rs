@@ -41,7 +41,6 @@ use collectives::driver::Driver;
 use netsim::switch::Switch;
 use netsim::trace::{DropCause, DropRecord};
 use std::collections::HashSet;
-use themis_core::ThemisMiddleware;
 
 /// What the oracle may assume about the run it audits.
 #[derive(Debug, Clone)]
@@ -309,7 +308,7 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
     }
     r.control_dropped += nic_corrupted;
 
-    let themis = themis_totals(cluster);
+    let themis = cluster.themis_stats();
 
     // ---- Invariant 1: exactly-once delivery. ----------------------
     if let Some(v) = predicates::no_duplicate_delivery(stray) {
@@ -456,39 +455,6 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
     }
 
     r
-}
-
-/// Themis-D totals including the fields `ThemisAggregate` omits.
-#[derive(Debug, Clone, Copy, Default)]
-struct ThemisTotals {
-    nacks_blocked: u64,
-    nacks_forwarded_valid: u64,
-    nacks_forwarded_unknown: u64,
-    compensations: u64,
-    compensation_cancels: u64,
-    compensation_suppressed: u64,
-}
-
-fn themis_totals(cluster: &Cluster) -> ThemisTotals {
-    let mut t = ThemisTotals::default();
-    for &leaf in &cluster.leaves {
-        let Some(sw) = cluster.world.get::<Switch>(leaf) else {
-            continue;
-        };
-        let Some(hook) = sw.hook() else { continue };
-        let Some(m) = hook.as_any().downcast_ref::<ThemisMiddleware>() else {
-            continue;
-        };
-        if let Some(d) = &m.d {
-            t.nacks_blocked += d.stats.nacks_blocked;
-            t.nacks_forwarded_valid += d.stats.nacks_forwarded_valid;
-            t.nacks_forwarded_unknown += d.stats.nacks_forwarded_unknown;
-            t.compensations += d.stats.compensations;
-            t.compensation_cancels += d.stats.compensation_cancels;
-            t.compensation_suppressed += d.stats.compensation_suppressed;
-        }
-    }
-    t
 }
 
 /// The oracle's pure invariant predicates, shared with the exhaustive

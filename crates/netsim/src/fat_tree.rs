@@ -26,11 +26,10 @@
 
 use crate::lb::LbPolicy;
 use crate::port::{EcnConfig, EgressPort, LinkSpec};
-use crate::switch::{PfcConfig, RouteEntry, RouteTable, Switch, SwitchConfig};
+use crate::switch::{PfcConfig, Routes, Switch, SwitchConfig};
 use crate::topology::HostAttachment;
 use crate::types::{HostId, NodeId, PortId};
 use crate::world::World;
-use std::sync::Arc;
 
 /// Hash-view shift used by the aggregation tier (edges use shift 0).
 pub const AGG_ECMP_SHIFT: u32 = 8;
@@ -137,24 +136,9 @@ fn core_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
     NodeId((n_hosts + 2 * k * (k / 2) + i) as u32)
 }
 
-/// A route table that is `base` for every destination.
-fn shared_routes(base: &Arc<[RouteEntry]>) -> RouteTable {
-    RouteTable::Interned {
-        base: base.clone(),
-        start: 0,
-        len: 0,
-        first_port: 0,
-    }
-}
-
 /// Build a `k`-ary fat-tree. Host `h` (pod `h / m²`, edge `(h / m) % m`,
-/// slot `h % m`) occupies entity slot `NodeId(h)`.
-///
-/// All route tables are interned ([`RouteTable::Interned`]: one
-/// "everything via uplinks" table for every edge — their local hosts are
-/// a closed-form window — one per pod for its aggs, one for the cores),
-/// so a k=32 fabric (8192 hosts, 1280 switches) costs a few MB where
-/// dense per-switch tables alone would cost ~42 MB.
+/// slot `h % m`) occupies entity slot `NodeId(h)`. Every switch routes
+/// by its [`Routes`] rule: the hosts below it are one contiguous range.
 pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     let k = cfg.k;
     let m = k / 2;
@@ -171,8 +155,8 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
         assert_eq!(node.0 as usize, h, "host node-id convention violated");
     }
 
-    let new_switch = |salt: u64, ecmp_shift: u32| {
-        Switch::new(&SwitchConfig {
+    let new_switch = |salt: u64, ecmp_shift: u32, first: usize, span: usize, per_port: usize| {
+        let mut sw = Switch::new(&SwitchConfig {
             buffer_bytes: cfg.buffer_bytes,
             lb: cfg.lb,
             oracle_loss_notify: cfg.oracle_loss_notify,
@@ -180,7 +164,13 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
             ecmp_shift,
             pfc: cfg.pfc,
             ctrl_priority: cfg.ctrl_priority,
-        })
+        });
+        sw.set_routes(Routes {
+            first: first as u32,
+            span: span as u32,
+            per_port: per_port as u32,
+        });
+        sw
     };
     let fabric_port = |peer: NodeId, peer_in_port: usize| {
         EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
@@ -195,14 +185,11 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     // Installation order (edges, aggs, cores) must match the arithmetic
     // node ids the ports are wired against.
 
-    // Every edge routes "everything via uplinks" outside its local-host
-    // window.
-    let uplinks_only: Arc<[RouteEntry]> = (0..n_hosts).map(|_| RouteEntry::Uplinks).collect();
     let mut hosts = Vec::with_capacity(n_hosts);
     let mut edges = Vec::with_capacity(k * m);
     for i in 0..k * m {
         let (p, e) = (i / m, i % m);
-        let mut sw = new_switch(i as u64, 0);
+        let mut sw = new_switch(i as u64, 0, i * m, m, 1);
         // Host ports 0..m.
         for s in 0..m {
             let port = EgressPort::new(host_nodes[i * m + s], PortId(0), cfg.host_link);
@@ -214,12 +201,6 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
             sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), e), false);
         }
         sw.set_uplinks((m..2 * m).collect());
-        sw.set_route_table(RouteTable::Interned {
-            base: uplinks_only.clone(),
-            start: (i * m) as u32,
-            len: m as u32,
-            first_port: 0,
-        });
         let id = install(&mut world, sw);
         assert_eq!(id, edge_node(n_hosts, i), "edge node-id drift");
         for s in 0..m {
@@ -236,17 +217,9 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
 
     let mut aggs = Vec::with_capacity(k * m);
     for p in 0..k {
-        let pod_table: Arc<[RouteEntry]> = (0..n_hosts)
-            .map(|h| {
-                if h / (m * m) == p {
-                    RouteEntry::Port(((h / m) % m) as u16)
-                } else {
-                    RouteEntry::Uplinks
-                }
-            })
-            .collect();
         for a in 0..m {
-            let mut sw = new_switch(10_000 + (p * m + a) as u64, AGG_ECMP_SHIFT);
+            let salt = 10_000 + (p * m + a) as u64;
+            let mut sw = new_switch(salt, AGG_ECMP_SHIFT, p * m * m, m * m, m);
             // Downlinks 0..m to edges; our packets arrive at edge (p, e)
             // on its uplink port m + a.
             for e in 0..m {
@@ -257,7 +230,6 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
                 sw.add_port(fabric_port(core_node(n_hosts, k, a * m + j), p), false);
             }
             sw.set_uplinks((m..2 * m).collect());
-            sw.set_route_table(shared_routes(&pod_table));
             let id = install(&mut world, sw);
             assert_eq!(id, agg_node(n_hosts, k, p * m + a), "agg node-id drift");
             aggs.push(id);
@@ -265,18 +237,14 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     }
 
     // Every core steers each host to its pod.
-    let core_table: Arc<[RouteEntry]> = (0..n_hosts)
-        .map(|h| RouteEntry::Port((h / (m * m)) as u16))
-        .collect();
     let mut cores = Vec::with_capacity(m * m);
     for c in 0..m * m {
         let (a, j) = (c / m, c % m);
-        let mut sw = new_switch(20_000 + c as u64, 0);
+        let mut sw = new_switch(20_000 + c as u64, 0, 0, n_hosts, m * m);
         // Port p towards agg (p, a); arrives at agg uplink port m + j.
         for p in 0..k {
             sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), m + j), false);
         }
-        sw.set_route_table(shared_routes(&core_table));
         let id = install(&mut world, sw);
         assert_eq!(id, core_node(n_hosts, k, c), "core node-id drift");
         cores.push(id);
@@ -342,32 +310,8 @@ mod tests {
         assert_ne!(plan.edge_of(HostId(0)), plan.edge_of(HostId(2)));
     }
 
-    /// Every switch's wiring in node-id order, flattened: per port
-    /// `(peer, peer_in_port, bandwidth)`, the uplink group, and the
-    /// routing decision for every host.
     fn wiring(plan: &FatTreePlan) -> Vec<u64> {
-        let n_hosts = plan.hosts.len();
-        let mut w = Vec::new();
-        for id in n_hosts..plan.world.len() {
-            let sw: &Switch = plan.world.get(NodeId(id as u32)).expect("switch slot");
-            w.push(sw.num_ports() as u64);
-            for i in 0..sw.num_ports() {
-                let p = sw.port(i);
-                w.extend([
-                    p.peer.0 as u64,
-                    p.peer_in_port.0 as u64,
-                    p.link.bandwidth_bps,
-                ]);
-            }
-            w.push(sw.uplinks().len() as u64);
-            w.extend(sw.uplinks().iter().map(|&u| u as u64));
-            w.extend((0..n_hosts).map(|h| match sw.route_table().lookup(h) {
-                RouteEntry::Port(p) => p as u64,
-                RouteEntry::Uplinks => 1 << 32,
-                RouteEntry::None => 2 << 32,
-            }));
-        }
-        w
+        crate::topology::wiring(&plan.world, plan.hosts.len())
     }
 
     /// Pins node ids, port order, link rates, uplink groups and routes

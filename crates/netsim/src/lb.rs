@@ -9,8 +9,6 @@
 //!   Fig 1 motivation experiment.
 //! * [`LbPolicy::AdaptiveRouting`] — per-packet least-loaded uplink
 //!   selection, the "AR" baseline of Fig 5.
-//! * [`LbPolicy::RoundRobin`] — deterministic per-switch rotation; a
-//!   simple additional spraying baseline used in tests and ablations.
 //! * [`LbPolicy::Flowlet`] — flowlet switching (CONGA/LetFlow style):
 //!   re-pick the least-loaded uplink only when a flow pauses longer than
 //!   the gap threshold. The paper argues RNIC hardware pacing never
@@ -39,8 +37,6 @@ pub enum LbPolicy {
     /// Pick the uplink with the least queued bytes per packet, breaking
     /// ties uniformly at random.
     AdaptiveRouting,
-    /// Rotate through uplinks per packet.
-    RoundRobin,
     /// Flowlet switching: keep a flow's uplink while packets arrive
     /// within `gap` of each other; re-pick (least loaded) on a gap.
     Flowlet {
@@ -59,7 +55,6 @@ struct FlowletEntry {
 /// Mutable per-switch load-balancing state.
 #[derive(Debug)]
 pub struct LbState {
-    rr_cursor: usize,
     flowlets: FxHashMap<QpId, FlowletEntry>,
     rng: Xoshiro256,
     /// How many bits to shift the ECMP hash before taking the modulus.
@@ -74,7 +69,6 @@ impl LbState {
     /// Fresh state with its own RNG substream.
     pub fn new(seed: u64, ecmp_shift: u32) -> LbState {
         LbState {
-            rr_cursor: 0,
             flowlets: FxHashMap::default(),
             rng: Xoshiro256::substream(seed, 0x1b),
             ecmp_shift,
@@ -136,11 +130,6 @@ impl LbPolicy {
             }
             LbPolicy::RandomSpray => st.rng.next_index(n),
             LbPolicy::AdaptiveRouting => least_loaded(uplinks, ports, &mut st.rng),
-            LbPolicy::RoundRobin => {
-                let i = st.rr_cursor % n;
-                st.rr_cursor = (st.rr_cursor + 1) % n;
-                i
-            }
             LbPolicy::Flowlet { gap } => {
                 match st.flowlets.get_mut(&pkt.qp) {
                     Some(e) if now.since(e.last_seen) < *gap && e.uplink < n => {
@@ -256,20 +245,6 @@ mod tests {
         for c in counts {
             assert!((800..1200).contains(&c), "uneven spray: {counts:?}");
         }
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let ports = mk_ports(3);
-        let uplinks = [0, 1, 2];
-        let mut s = st();
-        let picks: Vec<usize> = (0..6)
-            .map(|psn| {
-                let p = data_pkt(1, 777, psn);
-                LbPolicy::RoundRobin.select(&p, &uplinks, &ports, Nanos::ZERO, &mut s)
-            })
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Output-queued switches.
 //!
-//! A [`Switch`] forwards packets by destination-host lookup. Leaf (ToR)
-//! switches have host-facing ports plus an *uplink group* over which a
-//! [`LbPolicy`] (or a Themis-S override) balances fabric-bound traffic;
-//! spine switches have exactly one route per destination.
+//! A [`Switch`] forwards packets by a closed-form rule on the destination
+//! host ([`Routes`]). Leaf (ToR) switches have host-facing ports plus an
+//! *uplink group* over which a [`LbPolicy`] (or a Themis-S override)
+//! balances fabric-bound traffic; spine switches have exactly one route
+//! per destination.
 //!
 //! ToR middleware ([`TorHook`]) is invoked at three pipeline points — see
 //! [`crate::hooks`]. Hook-emitted packets (compensated NACKs) are routed
@@ -33,77 +34,28 @@ pub enum RouteEntry {
     None,
 }
 
-/// Storage backing a switch's per-destination routing table.
+/// A switch's whole forwarding rule. In the Clos fabrics built here the
+/// hosts below a switch are one contiguous id range, split evenly over
+/// its first down ports: host `dst` in `[first, first + span)` leaves by
+/// port `(dst - first) / per_port`; every other host goes to the uplink
+/// group, or has no route on a switch without one. With `hpl` hosts per
+/// leaf and fat-tree radix `k = 2m`:
 ///
-/// Regular fat-trees have massively redundant tables — every core shares
-/// one table, every aggregation switch in a pod shares one, and edge
-/// switches differ from "everything via uplinks" only on their handful
-/// of directly attached hosts. Interning those shared tables behind
-/// `Arc` (plus a closed-form local-host window for edges) collapses the
-/// k=32 route state from `1280 switches × 8192 hosts` dense entries
-/// (~42 MB) to ~1 MB, and the `Arc`s are read-only during a run so
-/// sharded execution shares them safely across threads.
-#[derive(Debug, Clone)]
-pub enum RouteTable {
-    /// One privately owned entry per destination (default; grown lazily
-    /// by [`Switch::set_route`]).
-    Dense(Vec<RouteEntry>),
-    /// `base[dst]` for every destination except hosts in
-    /// `[start, start + len)`, which map to consecutive ports
-    /// `first_port + (dst - start)` (an edge switch's directly attached
-    /// hosts). `len == 0` degenerates to a pure shared table.
-    Interned {
-        /// The shared table (typically one per pod or per tier).
-        base: std::sync::Arc<[RouteEntry]>,
-        /// First destination handled by the local window.
-        start: u32,
-        /// Number of consecutive destinations in the local window.
-        len: u32,
-        /// Port for destination `start`; subsequent destinations use
-        /// subsequent ports.
-        first_port: u16,
-    },
-}
-
-impl RouteTable {
-    /// The routing decision for `dst`.
-    #[inline]
-    pub fn lookup(&self, dst: usize) -> RouteEntry {
-        match self {
-            RouteTable::Dense(v) => v.get(dst).copied().unwrap_or(RouteEntry::None),
-            RouteTable::Interned {
-                base,
-                start,
-                len,
-                first_port,
-            } => {
-                let d = dst as u64;
-                if d >= *start as u64 && d < *start as u64 + *len as u64 {
-                    RouteEntry::Port(first_port + (dst as u32 - start) as u16)
-                } else {
-                    base.get(dst).copied().unwrap_or(RouteEntry::None)
-                }
-            }
-        }
-    }
-
-    /// Heap bytes privately owned by this table (shared `Arc` storage is
-    /// excluded; count it once via [`Self::shared_table`]).
-    pub fn owned_heap_bytes(&self) -> usize {
-        match self {
-            RouteTable::Dense(v) => v.capacity() * std::mem::size_of::<RouteEntry>(),
-            RouteTable::Interned { .. } => 0,
-        }
-    }
-
-    /// The shared backing table, when interned (memory accounting:
-    /// deduplicate by `Arc::as_ptr`).
-    pub fn shared_table(&self) -> Option<&std::sync::Arc<[RouteEntry]>> {
-        match self {
-            RouteTable::Interned { base, .. } => Some(base),
-            RouteTable::Dense(_) => None,
-        }
-    }
+/// | switch            | `first`  | `span`    | `per_port` |
+/// |-------------------|----------|-----------|------------|
+/// | leaf `l`          | `l·hpl`  | `hpl`     | 1          |
+/// | spine             | 0        | `n_hosts` | `hpl`      |
+/// | fat-tree edge `i` | `i·m`    | `m`       | 1          |
+/// | agg of pod `p`    | `p·m²`   | `m²`      | `m`        |
+/// | core              | 0        | `n_hosts` | `m²`       |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routes {
+    /// First host below this switch.
+    pub first: u32,
+    /// Number of hosts below this switch.
+    pub span: u32,
+    /// Consecutive hosts behind each down port (≥ 1).
+    pub per_port: u32,
 }
 
 /// Hop-by-hop priority-flow-control thresholds on the shared buffer.
@@ -194,7 +146,7 @@ pub struct SwitchStats {
 pub struct Switch {
     ports: Vec<EgressPort>,
     host_facing: Vec<bool>,
-    routes: RouteTable,
+    routes: Routes,
     uplinks: Vec<usize>,
     lb: LbPolicy,
     lb_state: LbState,
@@ -220,7 +172,11 @@ impl Switch {
         Switch {
             ports: Vec::new(),
             host_facing: Vec::new(),
-            routes: RouteTable::Dense(Vec::new()),
+            routes: Routes {
+                first: 0,
+                span: 0,
+                per_port: 1,
+            },
             uplinks: Vec::new(),
             lb: cfg.lb,
             lb_state: LbState::new(cfg.seed, cfg.ecmp_shift),
@@ -281,38 +237,24 @@ impl Switch {
         self.uplinks = uplinks;
     }
 
-    /// Set the route for `dst`.
-    ///
-    /// An interned table is materialized into a private dense copy first
-    /// (route surgery is a cold path; interning only matters for the
-    /// untouched regular fabric).
-    pub fn set_route(&mut self, dst: HostId, entry: RouteEntry) {
-        if let RouteTable::Interned { .. } = self.routes {
-            let max_dst = match self.routes.shared_table() {
-                Some(base) => base.len().max(dst.index() + 1),
-                None => dst.index() + 1,
-            };
-            let dense: Vec<RouteEntry> = (0..max_dst).map(|d| self.routes.lookup(d)).collect();
-            self.routes = RouteTable::Dense(dense);
-        }
-        let RouteTable::Dense(routes) = &mut self.routes else {
-            unreachable!("interned table materialized above");
-        };
-        if routes.len() <= dst.index() {
-            routes.resize(dst.index() + 1, RouteEntry::None);
-        }
-        routes[dst.index()] = entry;
+    /// Install the forwarding rule (default: no hosts below, everything
+    /// via the uplink group).
+    pub fn set_routes(&mut self, routes: Routes) {
+        debug_assert!(routes.per_port > 0, "a down port carries at least one host");
+        self.routes = routes;
     }
 
-    /// Replace the whole routing table (topology builders interning
-    /// shared tables across switches).
-    pub fn set_route_table(&mut self, table: RouteTable) {
-        self.routes = table;
-    }
-
-    /// The routing table (memory accounting, inspection).
-    pub fn route_table(&self) -> &RouteTable {
-        &self.routes
+    /// The routing decision for `dst`.
+    #[inline]
+    pub fn route(&self, dst: HostId) -> RouteEntry {
+        let below = dst.0.wrapping_sub(self.routes.first);
+        if below < self.routes.span {
+            RouteEntry::Port((below / self.routes.per_port) as u16)
+        } else if self.uplinks.is_empty() {
+            RouteEntry::None
+        } else {
+            RouteEntry::Uplinks
+        }
     }
 
     /// Install ToR middleware.
@@ -515,8 +457,7 @@ impl Switch {
         run_downstream_hook: bool,
         ctx: &mut Ctx<'_>,
     ) {
-        let entry = self.routes.lookup(pkt.dst.index());
-        let egress = match entry {
+        let egress = match self.route(pkt.dst) {
             RouteEntry::Port(p) => p as usize,
             RouteEntry::Uplinks => {
                 let idx = match uplink_override {
@@ -755,6 +696,13 @@ mod tests {
         )
     }
 
+    /// Host 1 is the one host below the switch, on port 0.
+    const HOST1_ON_PORT0: Routes = Routes {
+        first: 1,
+        span: 1,
+        per_port: 1,
+    };
+
     /// World with: sink host at node 0 (HostId 0 unused), a switch, and a
     /// sink at node 1 reachable via port 0.
     fn one_switch_world() -> (World, NodeId, NodeId) {
@@ -765,7 +713,7 @@ mod tests {
             EgressPort::new(sink, PortId(0), LinkSpec::gbps(100, 1)),
             true,
         );
-        sw.set_route(HostId(1), RouteEntry::Port(0));
+        sw.set_routes(HOST1_ON_PORT0);
         let swid = w.add(Box::new(sw));
         (w, swid, sink)
     }
@@ -862,7 +810,7 @@ mod tests {
             ..SwitchConfig::default()
         });
         sw.add_port(EgressPort::new(sink, PortId(0), LinkSpec::gbps(1, 1)), true);
-        sw.set_route(HostId(1), RouteEntry::Port(0));
+        sw.set_routes(HOST1_ON_PORT0);
         let swid = w.add(Box::new(sw));
         for psn in 0..10 {
             w.seed_event(
@@ -886,12 +834,12 @@ mod tests {
     }
 
     #[test]
-    fn uplink_group_spreads_with_round_robin() {
+    fn uplink_group_spreads_with_random_spray() {
         let mut w = World::new();
         let sink_a = w.add(Box::new(Sink { got: vec![] }));
         let sink_b = w.add(Box::new(Sink { got: vec![] }));
         let mut sw = Switch::new(&SwitchConfig {
-            lb: LbPolicy::RoundRobin,
+            lb: LbPolicy::RandomSpray,
             ..SwitchConfig::default()
         });
         let pa = sw.add_port(
@@ -902,10 +850,10 @@ mod tests {
             EgressPort::new(sink_b, PortId(0), LinkSpec::gbps(100, 1)),
             false,
         );
+        // No hosts below: every destination takes the uplink group.
         sw.set_uplinks(vec![pa, pb]);
-        sw.set_route(HostId(1), RouteEntry::Uplinks);
         let swid = w.add(Box::new(sw));
-        for psn in 0..10 {
+        for psn in 0..64 {
             w.seed_event(
                 Nanos(psn as u64 * 1000),
                 swid,
@@ -918,8 +866,8 @@ mod tests {
         w.run();
         let a: &Sink = w.get(sink_a).unwrap();
         let b: &Sink = w.get(sink_b).unwrap();
-        assert_eq!(a.got.len(), 5);
-        assert_eq!(b.got.len(), 5);
+        assert_eq!(a.got.len() + b.got.len(), 64);
+        assert!((16..=48).contains(&a.got.len()), "uneven: {}", a.got.len());
     }
 
     /// Hook that blocks every NACK and emits a CNP marker per block.
@@ -959,7 +907,7 @@ mod tests {
         });
         // Slow link so the queue builds.
         sw.add_port(EgressPort::new(sink, PortId(0), LinkSpec::gbps(1, 1)), true);
-        sw.set_route(HostId(1), RouteEntry::Port(0));
+        sw.set_routes(HOST1_ON_PORT0);
         let swid = w.add(Box::new(sw));
         for psn in 0..12 {
             w.seed_event(
@@ -1032,7 +980,7 @@ mod tests {
             ..SwitchConfig::default()
         });
         sw.add_port(EgressPort::new(dst, PortId(0), LinkSpec::gbps(1, 1)), true);
-        sw.set_route(HostId(1), RouteEntry::Port(0));
+        sw.set_routes(HOST1_ON_PORT0);
         sw.set_telemetry(crate::telem::SwitchTelem::register(&sink));
         let swid = w.add(Box::new(sw));
         for psn in 0..10 {
@@ -1084,7 +1032,7 @@ mod tests {
             EgressPort::new(sink, PortId(0), LinkSpec::gbps(100, 1)),
             false,
         );
-        sw.set_route(HostId(5), RouteEntry::Port(up as u16));
+        sw.set_uplinks(vec![up]);
         sw.set_hook(Box::new(BlockAllNacks));
         let swid = w.add(Box::new(sw));
         // NACK from local host (in_port 0 is host-facing) toward host 5.
@@ -1115,11 +1063,11 @@ mod tests {
         let mut w = World::new();
         let sink = w.add(Box::new(Sink { got: vec![] }));
         let mut sw = Switch::new(&SwitchConfig::default());
-        let down = sw.add_port(
+        sw.add_port(
             EgressPort::new(sink, PortId(0), LinkSpec::gbps(100, 1)),
             true,
         );
-        sw.set_route(HostId(1), RouteEntry::Port(down as u16));
+        sw.set_routes(HOST1_ON_PORT0);
         sw.set_hook(Box::new(BlockAllNacks));
         let swid = w.add(Box::new(sw));
         let nack = Packet::nack(QpId(0), HostId(9), HostId(1), 7, 10, false);

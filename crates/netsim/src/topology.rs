@@ -19,7 +19,7 @@
 
 use crate::lb::LbPolicy;
 use crate::port::{EcnConfig, EgressPort, LinkSpec};
-use crate::switch::{PfcConfig, RouteEntry, Switch, SwitchConfig};
+use crate::switch::{PfcConfig, Routes, Switch, SwitchConfig};
 use crate::types::{HostId, NodeId, PortId};
 use crate::world::World;
 
@@ -150,118 +150,79 @@ pub fn build_leaf_spine(cfg: &LeafSpineConfig) -> FabricPlan {
         assert_eq!(node.0 as usize, h, "host node-id convention violated");
     }
 
-    // Create switches (empty; ports wired below).
-    let leaf_ids: Vec<NodeId> = (0..cfg.n_leaves)
-        .map(|l| {
-            world.add(Box::new(Switch::new(&SwitchConfig {
-                buffer_bytes: cfg.buffer_bytes,
-                lb: cfg.lb,
-                oracle_loss_notify: cfg.oracle_loss_notify,
-                seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(l as u64),
-                ecmp_shift: 0,
-                pfc: cfg.pfc,
-                ctrl_priority: cfg.ctrl_priority,
-            })))
-        })
-        .collect();
-    let spine_ids: Vec<NodeId> = (0..cfg.n_spines)
-        .map(|s| {
-            world.add(Box::new(Switch::new(&SwitchConfig {
-                buffer_bytes: cfg.buffer_bytes,
-                lb: cfg.lb,
-                oracle_loss_notify: cfg.oracle_loss_notify,
-                seed: cfg
-                    .seed
-                    .wrapping_mul(0x85EB_CA6B)
-                    .wrapping_add(1_000_000 + s as u64),
-                ecmp_shift: 0,
-                pfc: cfg.pfc,
-                ctrl_priority: cfg.ctrl_priority,
-            })))
-        })
-        .collect();
+    // Leaves take the slots after the hosts, spines the slots after
+    // those; each switch is built whole, wired against these ids.
+    let hpl = cfg.hosts_per_leaf;
+    let leaf_node = |l: usize| NodeId((n_hosts + l) as u32);
+    let spine_node = |s: usize| NodeId((n_hosts + cfg.n_leaves + s) as u32);
+    let new_switch = |seed: u64, first: usize, span: usize, per_port: usize| {
+        let mut sw = Switch::new(&SwitchConfig {
+            buffer_bytes: cfg.buffer_bytes,
+            lb: cfg.lb,
+            oracle_loss_notify: cfg.oracle_loss_notify,
+            seed,
+            ecmp_shift: 0,
+            pfc: cfg.pfc,
+            ctrl_priority: cfg.ctrl_priority,
+        });
+        sw.set_routes(Routes {
+            first: first as u32,
+            span: span as u32,
+            per_port: per_port as u32,
+        });
+        sw
+    };
+    let fabric_port = |peer: NodeId, peer_in_port: usize| {
+        EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
+    };
+    let install = |world: &mut World, mut sw: Switch, id: NodeId| {
+        if cfg.ecn {
+            sw.set_ecn_all_ports(|p| Some(EcnConfig::for_bandwidth(p.link.bandwidth_bps)));
+        }
+        assert_eq!(world.add(Box::new(sw)), id, "switch node-id drift");
+    };
 
+    // Leaf l: ports [0, hpl) to its hosts, port hpl + s up to spine s,
+    // arriving there on the spine's port l.
     let mut hosts = Vec::with_capacity(n_hosts);
-
-    // Wire leaves: ports [0..hpl) host-facing, ports [hpl..hpl+n_spines) uplinks.
-    for (l, &leaf) in leaf_ids.iter().enumerate() {
-        // Temporarily move the switch out to mutate it.
-        let mut sw = Switch::new(&SwitchConfig::default());
-        std::mem::swap(world.get_mut::<Switch>(leaf).expect("leaf exists"), &mut sw);
-
-        for j in 0..cfg.hosts_per_leaf {
-            let h = l * cfg.hosts_per_leaf + j;
-            let host_node = host_nodes[h];
-            let idx = sw.add_port(EgressPort::new(host_node, PortId(0), cfg.host_link), true);
-            debug_assert_eq!(idx, j);
+    for l in 0..cfg.n_leaves {
+        let seed = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(l as u64);
+        let mut sw = new_switch(seed, l * hpl, hpl, 1);
+        for j in 0..hpl {
+            let node = host_nodes[l * hpl + j];
+            sw.add_port(EgressPort::new(node, PortId(0), cfg.host_link), true);
             hosts.push(HostAttachment {
-                host: HostId(h as u32),
-                node: host_node,
-                tor: leaf,
+                host: HostId(node.0),
+                node,
+                tor: leaf_node(l),
                 tor_port: PortId(j as u16),
                 link: cfg.host_link,
             });
         }
-        let mut uplinks = Vec::with_capacity(cfg.n_spines);
-        for (s, &spine) in spine_ids.iter().enumerate() {
-            // Our packets arrive at the spine on its port `l`.
-            let idx = sw.add_port(
-                EgressPort::new(spine, PortId(l as u16), cfg.fabric_link),
-                false,
-            );
-            debug_assert_eq!(idx, cfg.hosts_per_leaf + s);
-            uplinks.push(idx);
+        for s in 0..cfg.n_spines {
+            sw.add_port(fabric_port(spine_node(s), l), false);
         }
-        sw.set_uplinks(uplinks);
-
-        // Routes: local hosts to their port; everyone else via uplinks.
-        for h in 0..n_hosts {
-            let entry = if h / cfg.hosts_per_leaf == l {
-                RouteEntry::Port((h % cfg.hosts_per_leaf) as u16)
-            } else {
-                RouteEntry::Uplinks
-            };
-            sw.set_route(HostId(h as u32), entry);
-        }
-        if cfg.ecn {
-            sw.set_ecn_all_ports(|p| Some(EcnConfig::for_bandwidth(p.link.bandwidth_bps)));
-        }
-        std::mem::swap(world.get_mut::<Switch>(leaf).expect("leaf exists"), &mut sw);
+        sw.set_uplinks((hpl..hpl + cfg.n_spines).collect());
+        install(&mut world, sw, leaf_node(l));
     }
 
-    // Wire spines: port l towards leaf l (arriving on the leaf's uplink
-    // port for this spine).
-    for (s, &spine) in spine_ids.iter().enumerate() {
-        let mut sw = Switch::new(&SwitchConfig::default());
-        std::mem::swap(
-            world.get_mut::<Switch>(spine).expect("spine exists"),
-            &mut sw,
-        );
-        for (l, &leaf) in leaf_ids.iter().enumerate() {
-            let leaf_in_port = PortId((cfg.hosts_per_leaf + s) as u16);
-            let idx = sw.add_port(EgressPort::new(leaf, leaf_in_port, cfg.fabric_link), false);
-            debug_assert_eq!(idx, l);
+    // Spine s: port l down to leaf l, arriving on that leaf's uplink
+    // port for this spine.
+    for s in 0..cfg.n_spines {
+        let salt = 1_000_000 + s as u64;
+        let seed = cfg.seed.wrapping_mul(0x85EB_CA6B).wrapping_add(salt);
+        let mut sw = new_switch(seed, 0, n_hosts, hpl);
+        for l in 0..cfg.n_leaves {
+            sw.add_port(fabric_port(leaf_node(l), hpl + s), false);
         }
-        for h in 0..n_hosts {
-            sw.set_route(
-                HostId(h as u32),
-                RouteEntry::Port((h / cfg.hosts_per_leaf) as u16),
-            );
-        }
-        if cfg.ecn {
-            sw.set_ecn_all_ports(|p| Some(EcnConfig::for_bandwidth(p.link.bandwidth_bps)));
-        }
-        std::mem::swap(
-            world.get_mut::<Switch>(spine).expect("spine exists"),
-            &mut sw,
-        );
+        install(&mut world, sw, spine_node(s));
     }
 
     FabricPlan {
         world,
         hosts,
-        leaves: leaf_ids,
-        spines: spine_ids,
+        leaves: (0..cfg.n_leaves).map(leaf_node).collect(),
+        spines: (0..cfg.n_spines).map(spine_node).collect(),
         n_paths: cfg.n_spines,
     }
 }
@@ -313,9 +274,57 @@ impl FatTreeDims {
     }
 }
 
+/// Every switch's wiring in node-id order, flattened: per port
+/// `(peer, peer_in_port, bandwidth)`, the uplink group, and the routing
+/// decision for every host. The builders' wiring-fingerprint tests hash
+/// this walk.
+#[cfg(test)]
+pub(crate) fn wiring(world: &World, n_hosts: usize) -> Vec<u64> {
+    use crate::switch::RouteEntry;
+    let mut w = Vec::new();
+    for id in n_hosts..world.len() {
+        let sw: &Switch = world.get(NodeId(id as u32)).expect("switch slot");
+        w.push(sw.num_ports() as u64);
+        for i in 0..sw.num_ports() {
+            let p = sw.port(i);
+            w.extend([
+                p.peer.0 as u64,
+                p.peer_in_port.0 as u64,
+                p.link.bandwidth_bps,
+            ]);
+        }
+        w.push(sw.uplinks().len() as u64);
+        w.extend(sw.uplinks().iter().map(|&u| u as u64));
+        w.extend((0..n_hosts).map(|h| match sw.route(HostId(h as u32)) {
+            RouteEntry::Port(p) => p as u64,
+            RouteEntry::Uplinks => 1 << 32,
+            RouteEntry::None => 2 << 32,
+        }));
+    }
+    w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins node ids, port order, link rates, uplink groups and routes
+    /// of both paper fabrics; the literals were computed by this test on
+    /// the builder that stored a dense per-destination route table.
+    #[test]
+    fn wiring_fingerprint_is_pinned() {
+        use std::hash::{Hash, Hasher};
+        for (cfg, want) in [
+            (LeafSpineConfig::motivation(), 0x8696_fa34_60ed_6236_u64),
+            (LeafSpineConfig::paper_eval(), 0x373b_3da4_43c7_08bc),
+        ] {
+            let plan = build_leaf_spine(&cfg);
+            let w = wiring(&plan.world, plan.hosts.len());
+            let mut h = simcore::fx::FxHasher::default();
+            w.hash(&mut h);
+            assert_eq!(h.finish(), want, "{} leaves: wiring drifted", cfg.n_leaves);
+        }
+    }
 
     #[test]
     fn paper_eval_dimensions() {

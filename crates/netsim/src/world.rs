@@ -39,7 +39,7 @@ use std::sync::{Arc, Barrier, Mutex};
 /// doorbells, driver queues) is never literally instantaneous; modelling
 /// it as a small fixed latency also gives every cross-entity edge a
 /// nonzero delay, which is exactly the lookahead a conservative parallel
-/// engine needs (see [`ShardPlan::lookahead`]).
+/// engine needs (see [`ShardPlan::new`]).
 pub const CONTROL_PLANE_LATENCY: TimeDelta = TimeDelta(500);
 
 /// The `lane` used for events seeded from outside the dispatch loop
@@ -200,24 +200,20 @@ pub struct LookaheadViolation {
 ///
 /// `owner[i]` names the shard that owns entity slot `i`; each shard runs
 /// on its own thread with its own engine, synchronized by conservative
-/// time windows of width [`ShardPlan::lookahead`].
+/// time windows bounded by the per-pair lookahead matrix.
 pub struct ShardPlan {
     /// Shard owning each entity slot (`owner.len() == world.len()`).
     pub owner: Vec<u16>,
     /// Number of shards (threads).
     pub n_shards: usize,
-    /// Conservative window width: a lower bound on the delivery latency
-    /// of *every* cross-shard edge. Partition builders derive it from
-    /// `min(link latency, CONTROL_PLANE_LATENCY)` over cut edges;
-    /// declaring it larger than the true minimum is unsound and is caught
-    /// by the always-on lookahead-safety check. Used as a uniform λ
-    /// matrix unless [`Self::set_lookahead_matrix`] installed a sharper
-    /// per-pair one.
-    pub lookahead: TimeDelta,
     /// Per-pair direct lookahead matrix, row-major `n_shards × n_shards`:
     /// `λ[i * n + j]` lower-bounds the latency of every edge crossing
     /// shard `i` → shard `j` (`u64::MAX` when no such edge exists).
-    lookahead_matrix: Option<Vec<u64>>,
+    /// Partition builders derive it from link latencies and
+    /// `CONTROL_PLANE_LATENCY` over cut edges; declaring an entry larger
+    /// than the true minimum is unsound and is caught by the always-on
+    /// lookahead-safety check.
+    lookahead_matrix: Vec<u64>,
     /// Per-shard telemetry attachments `(clock, stamp)`, mirrored into
     /// each shard engine so per-shard sinks stamp records correctly.
     pub telem: Vec<(telemetry::SharedClock, telemetry::SharedStamp)>,
@@ -228,61 +224,47 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan assigning each entity slot to `owner[slot]`, with no
-    /// telemetry attachments.
+    /// A plan assigning each entity slot to `owner[slot]`, with the
+    /// per-pair direct lookahead `matrix` (row-major `n_shards × n_shards`
+    /// nanoseconds; `u64::MAX` for pairs with no crossing edge) and no
+    /// telemetry attachments. Each shard's window extends to
+    /// `min_k(next_k + reach[k][me])` where `reach` is the min-plus
+    /// closure of the matrix.
     ///
     /// # Panics
-    /// Panics if an owner is out of range or `lookahead` is zero.
-    pub fn new(owner: Vec<u16>, n_shards: usize, lookahead: TimeDelta) -> ShardPlan {
+    /// Panics if an owner is out of range, or the matrix is not
+    /// `n_shards²` entries or contains a zero (a zero-latency cross-shard
+    /// edge admits no conservative window).
+    pub fn new(owner: Vec<u16>, n_shards: usize, matrix: Vec<u64>) -> ShardPlan {
         assert!(n_shards >= 1, "need at least one shard");
         assert!(
             owner.iter().all(|&o| (o as usize) < n_shards),
             "shard owner out of range"
         );
-        assert!(
-            lookahead.as_nanos() > 0,
-            "conservative windows need a positive lookahead"
-        );
-        ShardPlan {
-            owner,
-            n_shards,
-            lookahead,
-            lookahead_matrix: None,
-            telem: Vec::new(),
-            violations: None,
-        }
-    }
-
-    /// Install a per-pair direct lookahead matrix (row-major
-    /// `n_shards × n_shards` nanoseconds): `λ[i][j]` must lower-bound the
-    /// delivery latency of every edge crossing shard `i` → shard `j`;
-    /// use `u64::MAX` for pairs with no crossing edge. Sharper than the
-    /// uniform [`Self::lookahead`]: each shard's window extends to
-    /// `min_k(next_k + reach[k][me])` where `reach` is the min-plus
-    /// closure of `λ`, instead of `global_min + uniform_lookahead`.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not `n_shards²` entries or contains a zero
-    /// (a zero-latency cross-shard edge admits no conservative window).
-    pub fn set_lookahead_matrix(&mut self, matrix: Vec<u64>) {
         assert_eq!(
             matrix.len(),
-            self.n_shards * self.n_shards,
+            n_shards * n_shards,
             "lookahead matrix must be n_shards x n_shards"
         );
         assert!(
             matrix.iter().all(|&l| l > 0),
             "cross-shard lookahead entries must be positive"
         );
-        self.lookahead_matrix = Some(matrix);
+        ShardPlan {
+            owner,
+            n_shards,
+            lookahead_matrix: matrix,
+            telem: Vec::new(),
+            violations: None,
+        }
     }
 
-    /// The installed per-pair direct lookahead matrix, if any.
-    pub fn lookahead_matrix(&self) -> Option<&[u64]> {
-        self.lookahead_matrix.as_deref()
+    /// The per-pair direct lookahead matrix.
+    pub fn lookahead_matrix(&self) -> &[u64] {
+        &self.lookahead_matrix
     }
 
-    /// The min-plus closure of the effective lookahead matrix: `B[k][i]`
+    /// The min-plus closure of the lookahead matrix: `B[k][i]`
     /// is the smallest total latency of any ≥1-edge path of cross-shard
     /// hops from shard `k` to shard `i` (diagonal = shortest cycle). The
     /// window bound must use this closure rather than the direct matrix:
@@ -291,10 +273,7 @@ impl ShardPlan {
     /// below `min_k(next_k + B[k][i])`.
     fn reachability(&self) -> Vec<u64> {
         let n = self.n_shards;
-        let mut b = match &self.lookahead_matrix {
-            Some(m) => m.clone(),
-            None => vec![self.lookahead.as_nanos(); n * n],
-        };
+        let mut b = self.lookahead_matrix.clone();
         // Floyd–Warshall in the (min, +) semiring without zeroing the
         // diagonal, which yields min-weight non-empty walks (all entries
         // are positive, so these equal simple paths / simple cycles).
@@ -549,8 +528,7 @@ impl World {
     /// meets at a barrier; shard `i` then dispatches its local events
     /// strictly below its own window barrier
     /// `min_k(next_k + reach[k][i])`, where `reach` is the min-plus
-    /// closure of the per-pair lookahead matrix (uniform
-    /// [`ShardPlan::lookahead`] when no matrix is installed). Cross-shard
+    /// closure of the per-pair lookahead matrix. Cross-shard
     /// sends stage in worker-local buffers, flush to per-destination
     /// outboxes at a second barrier, and are drained by their receiver
     /// (such events provably land at or beyond the receiver's window
@@ -966,7 +944,8 @@ mod tests {
         serial.run();
 
         let (mut sharded, _, _) = ping_pong_world(50);
-        sharded.set_shard_plan(ShardPlan::new(vec![0, 1], 2, TimeDelta::from_micros(1)));
+        // Uniform 1 us, the diagonal included.
+        sharded.set_shard_plan(ShardPlan::new(vec![0, 1], 2, vec![1_000; 4]));
         let reason = sharded.run();
         assert_eq!(reason, StopReason::QueueEmpty);
 
@@ -986,8 +965,7 @@ mod tests {
 
         let (mut sharded, _, _) = ping_pong_world(50);
         // Honest direct matrix: 1 us each way, no self-edges.
-        let mut plan = ShardPlan::new(vec![0, 1], 2, TimeDelta::from_micros(1));
-        plan.set_lookahead_matrix(vec![u64::MAX, 1_000, 1_000, u64::MAX]);
+        let plan = ShardPlan::new(vec![0, 1], 2, vec![u64::MAX, 1_000, 1_000, u64::MAX]);
         sharded.set_shard_plan(plan);
         let reason = sharded.run();
         assert_eq!(reason, StopReason::QueueEmpty);
@@ -1006,13 +984,13 @@ mod tests {
         // 3 shards: 0->1 is 5 ns, 1->2 is 5 ns, 0->2 direct is 1000 ns.
         // The closure must discover the 10 ns relay path 0->1->2, and the
         // diagonal must become the shortest cycle through each shard.
-        let mut plan = ShardPlan::new(vec![0, 1, 2], 3, TimeDelta(1));
         let x = u64::MAX;
-        plan.set_lookahead_matrix(vec![
+        let matrix = vec![
             x, 5, 1000, //
             x, x, 5, //
             7, x, x,
-        ]);
+        ];
+        let plan = ShardPlan::new(vec![0, 1, 2], 3, matrix);
         let b = plan.reachability();
         assert_eq!(b[2], 10, "0->2 must relay through 1");
         assert_eq!(b[0], 17, "cycle 0->1->2->0");
@@ -1024,8 +1002,7 @@ mod tests {
     fn lying_matrix_is_caught() {
         let (mut w, _, _) = ping_pong_world(5);
         // True cross-shard latency is 1 us; declare 5 us pairwise.
-        let mut plan = ShardPlan::new(vec![0, 1], 2, TimeDelta::from_micros(1));
-        plan.set_lookahead_matrix(vec![u64::MAX, 5_000, 5_000, u64::MAX]);
+        let mut plan = ShardPlan::new(vec![0, 1], 2, vec![u64::MAX, 5_000, 5_000, u64::MAX]);
         let log = Arc::new(Mutex::new(Vec::new()));
         plan.violations = Some(log.clone());
         w.set_shard_plan(plan);
@@ -1041,7 +1018,7 @@ mod tests {
         // True cross-shard latency is 1 us; declare 5 us. The first
         // cross-shard send (at 1 us, window barrier 5 us) must trip the
         // lookahead-safety check.
-        let mut plan = ShardPlan::new(vec![0, 1], 2, TimeDelta::from_micros(5));
+        let mut plan = ShardPlan::new(vec![0, 1], 2, vec![5_000; 4]);
         let log = Arc::new(Mutex::new(Vec::new()));
         plan.violations = Some(log.clone());
         w.set_shard_plan(plan);

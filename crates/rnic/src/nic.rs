@@ -17,6 +17,7 @@
 use crate::config::{NicConfig, TransportMode};
 use crate::dcqcn::Dcqcn;
 use crate::qp::{RecvQp, SendQp, SendTrace};
+use crate::reaction::{OooReaction, SenderEntropy};
 use netsim::event::{ControlMsg, Event};
 use netsim::packet::{Packet, PacketKind};
 use netsim::port::EgressPort;
@@ -157,7 +158,10 @@ impl Nic {
     /// Create the sender half of a connection towards `dst`.
     pub fn create_send_qp(&mut self, qp: QpId, dst: HostId, sport: u16) {
         let cc = Dcqcn::new(self.cfg.cc, self.cfg.line_rate_bps);
-        let mut sqp = SendQp::new(
+        // Each QP draws its own deterministic stream, derived from the
+        // NIC seed so serial and sharded runs agree.
+        let seed = self.cfg.seed ^ 0x5EED_E4780 ^ ((self.host.0 as u64) << 32) ^ qp.0 as u64;
+        let sqp = SendQp::new(
             qp,
             self.host,
             dst,
@@ -165,13 +169,8 @@ impl Nic {
             self.cfg.mtu_payload,
             self.cfg.transport,
             cc,
+            SenderEntropy::new(self.cfg.reaction.entropy, seed),
         );
-        if self.cfg.reaction.entropy != crate::reaction::SenderEntropyKind::Fixed {
-            // Each QP draws its own deterministic stream, derived from
-            // the NIC seed so serial and sharded runs agree.
-            let seed = self.cfg.seed ^ 0x5EED_E4780 ^ ((self.host.0 as u64) << 32) ^ qp.0 as u64;
-            sqp.set_entropy(self.cfg.reaction.entropy.build(seed));
-        }
         self.send_index.insert(qp, self.send_qps.len());
         self.send_qps.push(sqp);
         self.alpha_armed.push(false);
@@ -183,7 +182,7 @@ impl Nic {
     /// `reverse_sport` is the entropy value stamped on ACK/NACK/CNP
     /// packets flowing back to the sender.
     pub fn create_recv_qp(&mut self, qp: QpId, peer: HostId, reverse_sport: u16) {
-        let mut rqp = RecvQp::new(
+        let rqp = RecvQp::new(
             qp,
             self.host,
             peer,
@@ -191,10 +190,8 @@ impl Nic {
             self.cfg.transport,
             self.cfg.ack_coalescing,
             self.cfg.cc.cnp_interval,
+            OooReaction::new(self.cfg.reaction.ooo),
         );
-        if self.cfg.reaction.ooo != crate::reaction::OooReactionKind::Eager {
-            rqp.set_ooo_reaction(self.cfg.reaction.ooo.build());
-        }
         self.recv_index.insert(qp, self.recv_qps.len());
         self.recv_qps.push(rqp);
     }

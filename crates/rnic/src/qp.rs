@@ -16,9 +16,7 @@ use crate::bitmap::OooBitmap;
 use crate::config::TransportMode;
 use crate::dcqcn::Dcqcn;
 use crate::psn::{extend24, wire_psn};
-use crate::reaction::{
-    EagerNack, EntropyStats, FixedEntropy, OooReaction, OooReactionStats, SenderEntropy,
-};
+use crate::reaction::{EntropyStats, OooReaction, OooReactionStats, SenderEntropy};
 use netsim::packet::Packet;
 use netsim::types::{HostId, QpId};
 use simcore::stats::{RateMeter, TimeSeries};
@@ -117,13 +115,14 @@ pub struct SendQp {
     /// slim (the trace payload is ~90 bytes and rarely enabled).
     pub trace: Option<Box<SendTrace>>,
     handshake_sent: bool,
-    /// Per-packet entropy policy (scheme zoo); [`FixedEntropy`] = the
-    /// commodity behaviour of using `sport` on every packet.
-    entropy: Box<dyn SenderEntropy>,
+    /// Per-packet entropy policy (scheme zoo); [`SenderEntropy::Fixed`]
+    /// = the commodity behaviour of using `sport` on every packet.
+    entropy: SenderEntropy,
 }
 
 impl SendQp {
     /// A fresh sender QP.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         qp: QpId,
         me: HostId,
@@ -132,6 +131,7 @@ impl SendQp {
         mtu: u32,
         transport: TransportMode,
         cc: Dcqcn,
+        entropy: SenderEntropy,
     ) -> SendQp {
         SendQp {
             qp,
@@ -152,13 +152,8 @@ impl SendQp {
             stats: SendQpStats::default(),
             trace: None,
             handshake_sent: false,
-            entropy: Box::new(FixedEntropy),
+            entropy,
         }
-    }
-
-    /// Install a sender entropy policy (default: [`FixedEntropy`]).
-    pub fn set_entropy(&mut self, entropy: Box<dyn SenderEntropy>) {
-        self.entropy = entropy;
     }
 
     /// Feed an ACK-echoed entropy value to the entropy policy.
@@ -270,7 +265,7 @@ impl SendQp {
         let retransmission = from_retx_queue || psn < self.snd_max;
         self.snd_max = self.snd_max.max(psn + 1);
         let (payload, last, tag) = self.payload_for(psn);
-        let sport = self.entropy.sport_for(self.sport, psn, retransmission);
+        let sport = self.entropy.sport_for(self.sport, retransmission);
         let pkt = Packet::data(
             self.qp,
             self.me,
@@ -448,9 +443,9 @@ pub struct RecvQp {
     last_cnp: Option<Nanos>,
     /// Statistics.
     pub stats: RecvQpStats,
-    /// OOO-escalation policy (scheme zoo); [`EagerNack`] = commodity
-    /// NIC-SR "every OOO arrival warrants a NACK".
-    ooo: Box<dyn OooReaction>,
+    /// OOO-escalation policy (scheme zoo); [`OooReaction::Eager`] =
+    /// commodity NIC-SR "every OOO arrival warrants a NACK".
+    ooo: OooReaction,
     /// Entropy value of the most recent data packet; echoed on ACKs.
     last_data_sport: u16,
 }
@@ -466,6 +461,7 @@ pub struct RecvOutcome {
 
 impl RecvQp {
     /// A fresh receiver QP.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         qp: QpId,
         me: HostId,
@@ -474,6 +470,7 @@ impl RecvQp {
         transport: TransportMode,
         ack_coalescing: u32,
         cnp_interval: TimeDelta,
+        ooo: OooReaction,
     ) -> RecvQp {
         RecvQp {
             qp,
@@ -491,14 +488,9 @@ impl RecvQp {
             oracle_lost: BTreeSet::new(),
             last_cnp: None,
             stats: RecvQpStats::default(),
-            ooo: Box::new(EagerNack::default()),
+            ooo,
             last_data_sport: reverse_sport,
         }
-    }
-
-    /// Install an OOO-escalation policy (default: [`EagerNack`]).
-    pub fn set_ooo_reaction(&mut self, ooo: Box<dyn OooReaction>) {
-        self.ooo = ooo;
     }
 
     /// OOO-reaction counters (`scheme.*` telemetry).
@@ -752,6 +744,7 @@ impl RecvQp {
 mod tests {
     use super::*;
     use crate::config::CcConfig;
+    use crate::reaction::OooReactionKind;
     use netsim::packet::PacketKind;
 
     const LINE: u64 = 100_000_000_000;
@@ -765,6 +758,7 @@ mod tests {
             1000,
             transport,
             Dcqcn::new(CcConfig::recommended(LINE), LINE),
+            SenderEntropy::Fixed,
         )
     }
 
@@ -777,6 +771,7 @@ mod tests {
             transport,
             1,
             TimeDelta::from_micros(50),
+            OooReaction::new(OooReactionKind::Eager),
         )
     }
 
@@ -1105,6 +1100,7 @@ mod tests {
             TransportMode::SelectiveRepeat,
             4,
             TimeDelta::from_micros(50),
+            OooReaction::new(OooReactionKind::Eager),
         );
         let mut acks = 0;
         for psn in 0..8u32 {

@@ -14,34 +14,35 @@
 //! [`SenderEntropy`] policy (per-packet entropy choice plus reaction to
 //! ACK-carried path feedback and loss signals) with an [`OooReaction`]
 //! (when the receiver escalates an out-of-order gap to a NACK). The
-//! default pair — [`FixedEntropy`] + [`EagerNack`] — reproduces the
-//! commodity NIC-SR behaviour of §2.2 exactly; the rival schemes of
-//! SCHEMES.md plug in here:
+//! default pair — [`SenderEntropy::Fixed`] + [`OooReaction::Eager`] —
+//! reproduces the commodity NIC-SR behaviour of §2.2 exactly; the rival
+//! schemes of SCHEMES.md are the other variants:
 //!
-//! * **REPS** (arXiv 2407.21625) — [`RepsEntropy`]: cache the entropy
+//! * **REPS** (arXiv 2407.21625) — [`SenderEntropy::Reps`]: cache the entropy
 //!   values echoed back by ACKs (proof the path worked) and recycle
 //!   them on subsequent sends; fall back to fresh random entropy when
 //!   the cache is empty and flush it on any loss signal.
-//! * **Sprinklers** (arXiv 1407.0006) — [`SprinklersEntropy`]: spray at
+//! * **Sprinklers** (arXiv 1407.0006) — [`SenderEntropy::Sprinklers`]: spray at
 //!   flowcell granularity — randomized variable-size stripes of
 //!   consecutive packets share one entropy value, bounding reordering
 //!   to stripe boundaries.
-//! * **Eunomia** (arXiv 2412.08540) — [`EunomiaReaction`]: an in-NIC
+//! * **Eunomia** (arXiv 2412.08540) — [`OooReaction::Eunomia`]: an in-NIC
 //!   per-QP ordering buffer with a bounded window. Out-of-order
 //!   arrivals are buffered silently; a NACK is generated only when the
 //!   window overflows or the head gap stays open past a timeout.
 //!
-//! All policy state is per-QP and driven in the canonical dispatch
-//! order, so every policy is bit-identical between the serial and
-//! sharded engines. Randomized policies derive their stream from the
-//! NIC seed (no global RNG).
+//! Each policy is a plain enum value owned by its QP: a new mechanism is
+//! a new variant plus its match arms. All policy state is per-QP and
+//! driven in the canonical dispatch order, so every policy is
+//! bit-identical between the serial and sharded engines. Randomized
+//! policies derive their stream from the NIC seed (no global RNG).
 
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
-// Configuration kinds (plain `Copy` data; the boxed policies are built
+// Configuration kinds (plain `Copy` data; each QP's policy is built
 // from these at QP-creation time).
 // ---------------------------------------------------------------------
 
@@ -110,34 +111,6 @@ impl Default for TransportReaction {
     }
 }
 
-impl SenderEntropyKind {
-    /// Build the boxed policy. `seed` must be unique per QP so
-    /// randomized policies draw independent deterministic streams.
-    pub fn build(self, seed: u64) -> Box<dyn SenderEntropy> {
-        match self {
-            SenderEntropyKind::Fixed => Box::new(FixedEntropy),
-            SenderEntropyKind::Reps { pool } => Box::new(RepsEntropy::new(pool as usize, seed)),
-            SenderEntropyKind::Sprinklers {
-                min_stripe,
-                max_stripe,
-            } => Box::new(SprinklersEntropy::new(min_stripe, max_stripe, seed)),
-        }
-    }
-}
-
-impl OooReactionKind {
-    /// Build the boxed policy.
-    pub fn build(self) -> Box<dyn OooReaction> {
-        match self {
-            OooReactionKind::Eager => Box::new(EagerNack::default()),
-            OooReactionKind::Eunomia {
-                window,
-                gap_timeout,
-            } => Box::new(EunomiaReaction::new(window, gap_timeout)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Sender half
 // ---------------------------------------------------------------------
@@ -169,41 +142,56 @@ impl EntropyStats {
     }
 }
 
-/// Sender-side per-packet entropy policy.
-///
-/// Implementations are pure per-QP state machines: they see the PSN
-/// stream, the ACK-echoed entropy feedback, and loss signals, and decide
-/// the UDP source port of every outgoing data packet.
-pub trait SenderEntropy: std::fmt::Debug {
-    /// Choose the UDP source port for the data packet carrying `psn`.
-    /// `base_sport` is the flow's allocator-assigned port (the value a
-    /// fixed-entropy flow would always use).
-    fn sport_for(&mut self, base_sport: u16, psn: u64, retransmission: bool) -> u16;
-
-    /// An ACK arrived echoing the entropy value its triggering data
-    /// packet travelled on — proof that path currently works.
-    fn on_ack_echo(&mut self, _echo: u16) {}
-
-    /// A loss signal arrived (NACK accepted or RTO fired): cached path
-    /// knowledge may be stale.
-    fn on_path_trouble(&mut self) {}
-
-    /// Counter snapshot.
-    fn stats(&self) -> EntropyStats;
-}
-
-/// The commodity policy: always the flow's base entropy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FixedEntropy;
-
-impl SenderEntropy for FixedEntropy {
-    fn sport_for(&mut self, base_sport: u16, _psn: u64, _retransmission: bool) -> u16 {
-        base_sport
-    }
-
-    fn stats(&self) -> EntropyStats {
-        EntropyStats::default()
-    }
+/// Sender-side per-packet entropy policy: a per-QP state machine that
+/// sees the PSN stream, the ACK-echoed entropy feedback and loss
+/// signals, and decides the UDP source port of every outgoing data
+/// packet.
+#[derive(Debug, Clone)]
+pub enum SenderEntropy {
+    /// The commodity policy: always the flow's base entropy.
+    Fixed,
+    /// REPS: recycle ACK-echoed entropy values, fresh entropy otherwise.
+    ///
+    /// The cache is a queue of *credits*: every ACK echo deposits one
+    /// (the echoed path just proved it can deliver), every data send
+    /// withdraws one. In steady state each delivered packet funds the
+    /// entropy of one future packet, so the flow keeps circulating over
+    /// paths that work. Any loss signal (accepted NACK or RTO) flushes
+    /// the cache — the failure-mitigation rule of the paper — after
+    /// which the flow explores with fresh random entropy until ACKs
+    /// refill it.
+    Reps {
+        /// Cached entropy credits, oldest first.
+        pool: VecDeque<u16>,
+        /// Cache capacity (≥ 1).
+        cap: usize,
+        /// Fresh-entropy stream.
+        rng: Xoshiro256,
+        /// Counters.
+        stats: EntropyStats,
+    },
+    /// Sprinklers: randomized variable-size striping.
+    ///
+    /// Consecutive packets share one entropy value for the length of a
+    /// *stripe*; stripe lengths are drawn uniformly from
+    /// `[min_stripe, max_stripe]` so stripe boundaries of competing flows
+    /// decorrelate. Reordering is confined to stripe boundaries — a
+    /// fraction `~1/stripe_len` of packets — instead of every packet as
+    /// in uniform spraying.
+    Sprinklers {
+        /// Shortest stripe in packets (≥ 1).
+        min_stripe: u64,
+        /// Longest stripe in packets (≥ `min_stripe`).
+        max_stripe: u64,
+        /// Entropy of the current stripe.
+        current: u16,
+        /// Packets left in the current stripe.
+        remaining: u64,
+        /// Stripe entropy and length stream.
+        rng: Xoshiro256,
+        /// Counters.
+        stats: EntropyStats,
+    },
 }
 
 /// Ephemeral-range random entropy: 0xC000..=0xFFFF, the range the QP
@@ -214,126 +202,110 @@ fn fresh_sport(rng: &mut Xoshiro256) -> u16 {
     0xC000 | (rng.next_below(1 << 14) as u16)
 }
 
-/// REPS: recycle ACK-echoed entropy values, fresh entropy otherwise.
-///
-/// The cache is a queue of *credits*: every ACK echo deposits one (the
-/// echoed path just proved it can deliver), every data send withdraws
-/// one. In steady state each delivered packet funds the entropy of one
-/// future packet, so the flow keeps circulating over paths that work.
-/// Any loss signal (accepted NACK or RTO) flushes the cache — the
-/// failure-mitigation rule of the paper — after which the flow explores
-/// with fresh random entropy until ACKs refill it.
-#[derive(Debug)]
-pub struct RepsEntropy {
-    pool: VecDeque<u16>,
-    cap: usize,
-    rng: Xoshiro256,
-    stats: EntropyStats,
-}
-
-impl RepsEntropy {
-    /// A REPS policy with the given cache capacity.
-    pub fn new(cap: usize, seed: u64) -> RepsEntropy {
-        RepsEntropy {
-            pool: VecDeque::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-            rng: Xoshiro256::seeded(seed),
-            stats: EntropyStats::default(),
-        }
-    }
-
-    /// Entropy credits currently cached.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-}
-
-impl SenderEntropy for RepsEntropy {
-    fn sport_for(&mut self, _base_sport: u16, _psn: u64, retransmission: bool) -> u16 {
-        // Retransmissions always explore a fresh path: the old one just
-        // failed to deliver this packet.
-        if !retransmission {
-            if let Some(ev) = self.pool.pop_front() {
-                self.stats.recycled_sends += 1;
-                return ev;
+impl SenderEntropy {
+    /// The policy `kind` names. `seed` must be unique per QP so
+    /// randomized policies draw independent deterministic streams.
+    pub fn new(kind: SenderEntropyKind, seed: u64) -> SenderEntropy {
+        match kind {
+            SenderEntropyKind::Fixed => SenderEntropy::Fixed,
+            SenderEntropyKind::Reps { pool } => {
+                let cap = (pool as usize).max(1);
+                SenderEntropy::Reps {
+                    pool: VecDeque::with_capacity(cap),
+                    cap,
+                    rng: Xoshiro256::seeded(seed),
+                    stats: EntropyStats::default(),
+                }
+            }
+            SenderEntropyKind::Sprinklers {
+                min_stripe,
+                max_stripe,
+            } => {
+                let lo = min_stripe.max(1) as u64;
+                SenderEntropy::Sprinklers {
+                    min_stripe: lo,
+                    max_stripe: (max_stripe as u64).max(lo),
+                    current: 0,
+                    remaining: 0,
+                    rng: Xoshiro256::seeded(seed),
+                    stats: EntropyStats::default(),
+                }
             }
         }
-        self.stats.fresh_sends += 1;
-        fresh_sport(&mut self.rng)
     }
 
-    fn on_ack_echo(&mut self, echo: u16) {
-        if self.pool.len() == self.cap {
-            self.pool.pop_front();
-            self.stats.pool_evictions += 1;
-        }
-        self.pool.push_back(echo);
-    }
-
-    fn on_path_trouble(&mut self) {
-        if !self.pool.is_empty() {
-            self.pool.clear();
-        }
-        self.stats.pool_clears += 1;
-    }
-
-    fn stats(&self) -> EntropyStats {
-        self.stats
-    }
-}
-
-/// Sprinklers: randomized variable-size striping.
-///
-/// Consecutive packets share one entropy value for the length of a
-/// *stripe*; stripe lengths are drawn uniformly from
-/// `[min_stripe, max_stripe]` so stripe boundaries of competing flows
-/// decorrelate. Reordering is confined to stripe boundaries — a fraction
-/// `~1/stripe_len` of packets — instead of every packet as in uniform
-/// spraying.
-#[derive(Debug)]
-pub struct SprinklersEntropy {
-    min_stripe: u64,
-    max_stripe: u64,
-    current: u16,
-    remaining: u64,
-    rng: Xoshiro256,
-    stats: EntropyStats,
-}
-
-impl SprinklersEntropy {
-    /// A Sprinklers policy with stripe lengths in
-    /// `[min_stripe, max_stripe]` packets.
-    pub fn new(min_stripe: u16, max_stripe: u16, seed: u64) -> SprinklersEntropy {
-        let lo = min_stripe.max(1) as u64;
-        let hi = (max_stripe as u64).max(lo);
-        SprinklersEntropy {
-            min_stripe: lo,
-            max_stripe: hi,
-            current: 0,
-            remaining: 0,
-            rng: Xoshiro256::seeded(seed),
-            stats: EntropyStats::default(),
+    /// Choose the UDP source port for the next data packet.
+    /// `base_sport` is the flow's allocator-assigned port (the value a
+    /// fixed-entropy flow always uses).
+    pub fn sport_for(&mut self, base_sport: u16, retransmission: bool) -> u16 {
+        match self {
+            SenderEntropy::Fixed => base_sport,
+            SenderEntropy::Reps {
+                pool, rng, stats, ..
+            } => {
+                // Retransmissions always explore a fresh path: the old
+                // one just failed to deliver this packet.
+                if !retransmission {
+                    if let Some(ev) = pool.pop_front() {
+                        stats.recycled_sends += 1;
+                        return ev;
+                    }
+                }
+                stats.fresh_sends += 1;
+                fresh_sport(rng)
+            }
+            SenderEntropy::Sprinklers {
+                min_stripe,
+                max_stripe,
+                current,
+                remaining,
+                rng,
+                stats,
+            } => {
+                if *remaining == 0 {
+                    *current = fresh_sport(rng);
+                    *remaining = *min_stripe + rng.next_below(*max_stripe - *min_stripe + 1);
+                    stats.stripes_started += 1;
+                    stats.fresh_sends += 1;
+                } else {
+                    stats.recycled_sends += 1;
+                }
+                *remaining -= 1;
+                *current
+            }
         }
     }
-}
 
-impl SenderEntropy for SprinklersEntropy {
-    fn sport_for(&mut self, _base_sport: u16, _psn: u64, _retransmission: bool) -> u16 {
-        if self.remaining == 0 {
-            self.current = fresh_sport(&mut self.rng);
-            let span = self.max_stripe - self.min_stripe + 1;
-            self.remaining = self.min_stripe + self.rng.next_below(span);
-            self.stats.stripes_started += 1;
-            self.stats.fresh_sends += 1;
-        } else {
-            self.stats.recycled_sends += 1;
+    /// An ACK arrived echoing the entropy value its triggering data
+    /// packet travelled on — proof that path currently works.
+    pub fn on_ack_echo(&mut self, echo: u16) {
+        if let SenderEntropy::Reps {
+            pool, cap, stats, ..
+        } = self
+        {
+            if pool.len() == *cap {
+                pool.pop_front();
+                stats.pool_evictions += 1;
+            }
+            pool.push_back(echo);
         }
-        self.remaining -= 1;
-        self.current
     }
 
-    fn stats(&self) -> EntropyStats {
-        self.stats
+    /// A loss signal arrived (NACK accepted or RTO fired): cached path
+    /// knowledge may be stale.
+    pub fn on_path_trouble(&mut self) {
+        if let SenderEntropy::Reps { pool, stats, .. } = self {
+            pool.clear();
+            stats.pool_clears += 1;
+        }
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> EntropyStats {
+        match self {
+            SenderEntropy::Fixed => EntropyStats::default(),
+            SenderEntropy::Reps { stats, .. } | SenderEntropy::Sprinklers { stats, .. } => *stats,
+        }
     }
 }
 
@@ -367,124 +339,111 @@ impl OooReactionStats {
 /// Receiver-side out-of-order escalation policy: decides *whether* an
 /// out-of-order arrival warrants a NACK right now. The QP still enforces
 /// the wire rule of at most one NACK per ePSN value on top.
-pub trait OooReaction: std::fmt::Debug {
+#[derive(Debug, Clone)]
+pub enum OooReaction {
+    /// Commodity NIC-SR: every out-of-order arrival warrants a NACK
+    /// immediately (§2.2 — the blind "expected packet must be lost"
+    /// assumption whose consequences motivate the paper).
+    Eager {
+        /// Counters.
+        stats: OooReactionStats,
+    },
+    /// Eunomia: bounded in-NIC ordering buffer with patient NACKs.
+    ///
+    /// Out-of-order arrivals are buffered silently while (a) the gap
+    /// fits the ordering window and (b) the head gap has been open for
+    /// less than `gap_timeout`. Either bound breaking forces a NACK. The
+    /// timeout is checked on arrivals (the model adds no new timers); a
+    /// gap with no subsequent arrivals is recovered by the sender's RTO
+    /// — a documented divergence from the published design, which runs
+    /// a receiver-side ordering timer.
+    Eunomia {
+        /// Ordering-buffer capacity in packets (≥ 1).
+        window: u64,
+        /// How long the head gap may stay open.
+        gap_timeout: TimeDelta,
+        /// When the current head gap opened, if one is open.
+        gap_open_since: Option<Nanos>,
+        /// Counters.
+        stats: OooReactionStats,
+    },
+}
+
+impl OooReaction {
+    /// The policy `kind` names.
+    pub fn new(kind: OooReactionKind) -> OooReaction {
+        match kind {
+            OooReactionKind::Eager => OooReaction::Eager {
+                stats: OooReactionStats::default(),
+            },
+            OooReactionKind::Eunomia {
+                window,
+                gap_timeout,
+            } => OooReaction::Eunomia {
+                window: window.max(1),
+                gap_timeout,
+                gap_open_since: None,
+                stats: OooReactionStats::default(),
+            },
+        }
+    }
+
     /// A data packet landed `gap` PSNs ahead of the expected PSN at
     /// `now`. Returns true when the transport should NACK.
-    fn nack_due(&mut self, gap: u64, now: Nanos) -> bool;
+    pub fn nack_due(&mut self, gap: u64, now: Nanos) -> bool {
+        match self {
+            OooReaction::Eager { stats } => {
+                stats.nacks_allowed += 1;
+                true
+            }
+            OooReaction::Eunomia {
+                window,
+                gap_timeout,
+                gap_open_since,
+                stats,
+            } => {
+                let opened = *gap_open_since.get_or_insert(now);
+                if gap > *window {
+                    stats.window_overflow_nacks += 1;
+                    stats.nacks_allowed += 1;
+                    return true;
+                }
+                if now.since(opened) >= *gap_timeout {
+                    stats.gap_timeout_nacks += 1;
+                    stats.nacks_allowed += 1;
+                    return true;
+                }
+                stats.nacks_held += 1;
+                false
+            }
+        }
+    }
 
     /// The expected PSN advanced — the head gap (if any) closed.
-    fn on_advance(&mut self);
+    pub fn on_advance(&mut self) {
+        if let OooReaction::Eunomia { gap_open_since, .. } = self {
+            *gap_open_since = None;
+        }
+    }
 
     /// Counter snapshot.
-    fn stats(&self) -> OooReactionStats;
-
-    /// Clone into a fresh boxed policy (model-checker state forking).
-    fn clone_box(&self) -> Box<dyn OooReaction>;
+    pub fn stats(&self) -> OooReactionStats {
+        match self {
+            OooReaction::Eager { stats } | OooReaction::Eunomia { stats, .. } => *stats,
+        }
+    }
 
     /// Digest of the *decision-relevant* mutable state — not the
     /// counters. Two policies with equal fingerprints (and equal
     /// configuration) react identically to every future arrival; the
     /// model checker folds this into its canonical state hash.
-    fn state_fingerprint(&self) -> u64 {
-        0
-    }
-}
-
-impl Clone for Box<dyn OooReaction> {
-    fn clone(&self) -> Box<dyn OooReaction> {
-        self.clone_box()
-    }
-}
-
-/// Commodity NIC-SR reaction: every out-of-order arrival warrants a
-/// NACK immediately (§2.2 — the blind "expected packet must be lost"
-/// assumption whose consequences motivate the paper).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EagerNack {
-    stats: OooReactionStats,
-}
-
-impl OooReaction for EagerNack {
-    fn nack_due(&mut self, _gap: u64, _now: Nanos) -> bool {
-        self.stats.nacks_allowed += 1;
-        true
-    }
-
-    fn on_advance(&mut self) {}
-
-    fn stats(&self) -> OooReactionStats {
-        self.stats
-    }
-
-    fn clone_box(&self) -> Box<dyn OooReaction> {
-        Box::new(*self)
-    }
-}
-
-/// Eunomia: bounded in-NIC ordering buffer with patient NACKs.
-///
-/// Out-of-order arrivals are buffered silently while (a) the gap fits
-/// the ordering window and (b) the head gap has been open for less than
-/// `gap_timeout`. Either bound breaking forces a NACK. The timeout is
-/// checked on arrivals (the model adds no new timers); a gap with no
-/// subsequent arrivals is recovered by the sender's RTO — a documented
-/// divergence from the published design, which runs a receiver-side
-/// ordering timer.
-#[derive(Debug, Clone)]
-pub struct EunomiaReaction {
-    window: u64,
-    gap_timeout: TimeDelta,
-    gap_open_since: Option<Nanos>,
-    stats: OooReactionStats,
-}
-
-impl EunomiaReaction {
-    /// An Eunomia reaction with the given window and gap timeout.
-    pub fn new(window: u64, gap_timeout: TimeDelta) -> EunomiaReaction {
-        EunomiaReaction {
-            window: window.max(1),
-            gap_timeout,
-            gap_open_since: None,
-            stats: OooReactionStats::default(),
-        }
-    }
-}
-
-impl OooReaction for EunomiaReaction {
-    fn nack_due(&mut self, gap: u64, now: Nanos) -> bool {
-        let opened = *self.gap_open_since.get_or_insert(now);
-        if gap > self.window {
-            self.stats.window_overflow_nacks += 1;
-            self.stats.nacks_allowed += 1;
-            return true;
-        }
-        if now.since(opened) >= self.gap_timeout {
-            self.stats.gap_timeout_nacks += 1;
-            self.stats.nacks_allowed += 1;
-            return true;
-        }
-        self.stats.nacks_held += 1;
-        false
-    }
-
-    fn on_advance(&mut self) {
-        self.gap_open_since = None;
-    }
-
-    fn stats(&self) -> OooReactionStats {
-        self.stats
-    }
-
-    fn clone_box(&self) -> Box<dyn OooReaction> {
-        Box::new(self.clone())
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        // The gap clock is the only mutable input to future verdicts
-        // (window and timeout are configuration, fixed per exploration).
-        match self.gap_open_since {
-            None => u64::MAX,
-            Some(t) => t.0,
+    pub fn state_fingerprint(&self) -> u64 {
+        match self {
+            OooReaction::Eager { .. } => 0,
+            // The gap clock is the only mutable input to future verdicts
+            // (window and timeout are configuration, fixed per
+            // exploration).
+            OooReaction::Eunomia { gap_open_since, .. } => gap_open_since.map_or(u64::MAX, |t| t.0),
         }
     }
 }
@@ -493,66 +452,94 @@ impl OooReaction for EunomiaReaction {
 mod tests {
     use super::*;
 
+    fn reps(pool: u16) -> SenderEntropy {
+        SenderEntropy::new(SenderEntropyKind::Reps { pool }, 7)
+    }
+
+    fn sprinklers(min_stripe: u16, max_stripe: u16, seed: u64) -> SenderEntropy {
+        let kind = SenderEntropyKind::Sprinklers {
+            min_stripe,
+            max_stripe,
+        };
+        SenderEntropy::new(kind, seed)
+    }
+
+    fn eunomia() -> OooReaction {
+        OooReaction::new(OooReactionKind::Eunomia {
+            window: 16,
+            gap_timeout: TimeDelta::from_micros(100),
+        })
+    }
+
+    fn pool_len(e: &SenderEntropy) -> usize {
+        match e {
+            SenderEntropy::Reps { pool, .. } => pool.len(),
+            _ => 0,
+        }
+    }
+
     #[test]
     fn fixed_entropy_is_the_identity() {
-        let mut e = FixedEntropy;
-        assert_eq!(e.sport_for(4242, 0, false), 4242);
-        assert_eq!(e.sport_for(4242, 99, true), 4242);
+        let mut e = SenderEntropy::new(SenderEntropyKind::Fixed, 1);
+        assert_eq!(e.sport_for(4242, false), 4242);
+        assert_eq!(e.sport_for(4242, true), 4242);
         e.on_ack_echo(1); // ignored
+        e.on_path_trouble(); // ignored
         assert_eq!(e.stats().fresh_sends, 0);
+        assert_eq!(e.stats().pool_clears, 0);
     }
 
     #[test]
     fn reps_recycles_echoed_entropy_in_fifo_order() {
-        let mut e = RepsEntropy::new(8, 7);
+        let mut e = reps(8);
         // No credits yet: fresh entropy.
-        let first = e.sport_for(4242, 0, false);
+        let first = e.sport_for(4242, false);
         assert!(first >= 0xC000);
         assert_eq!(e.stats().fresh_sends, 1);
         // Two echoes, recycled in arrival order.
         e.on_ack_echo(0xCAAA);
         e.on_ack_echo(0xCBBB);
-        assert_eq!(e.sport_for(4242, 1, false), 0xCAAA);
-        assert_eq!(e.sport_for(4242, 2, false), 0xCBBB);
+        assert_eq!(e.sport_for(4242, false), 0xCAAA);
+        assert_eq!(e.sport_for(4242, false), 0xCBBB);
         assert_eq!(e.stats().recycled_sends, 2);
         // Pool drained: fresh again.
-        let _ = e.sport_for(4242, 3, false);
+        let _ = e.sport_for(4242, false);
         assert_eq!(e.stats().fresh_sends, 2);
     }
 
     #[test]
     fn reps_flushes_pool_on_trouble_and_retransmits_fresh() {
-        let mut e = RepsEntropy::new(8, 7);
+        let mut e = reps(8);
         e.on_ack_echo(0xCAAA);
         e.on_path_trouble();
-        assert_eq!(e.pool_len(), 0);
+        assert_eq!(pool_len(&e), 0);
         assert_eq!(e.stats().pool_clears, 1);
         // A retransmission never reuses a cached value.
         e.on_ack_echo(0xCBBB);
-        let s = e.sport_for(4242, 5, true);
+        let s = e.sport_for(4242, true);
         assert_ne!(s, 0xCBBB);
-        assert_eq!(e.pool_len(), 1, "credit kept for the next first-send");
+        assert_eq!(pool_len(&e), 1, "credit kept for the next first-send");
     }
 
     #[test]
     fn reps_pool_is_bounded() {
-        let mut e = RepsEntropy::new(2, 7);
+        let mut e = reps(2);
         for ev in [0xC001, 0xC002, 0xC003] {
             e.on_ack_echo(ev);
         }
-        assert_eq!(e.pool_len(), 2);
+        assert_eq!(pool_len(&e), 2);
         assert_eq!(e.stats().pool_evictions, 1);
-        assert_eq!(e.sport_for(0, 0, false), 0xC002, "oldest was evicted");
+        assert_eq!(e.sport_for(0, false), 0xC002, "oldest was evicted");
     }
 
     #[test]
     fn sprinklers_holds_entropy_within_a_stripe() {
-        let mut e = SprinklersEntropy::new(4, 4, 11); // fixed stripe of 4
-        let s0 = e.sport_for(4242, 0, false);
-        for psn in 1..4 {
-            assert_eq!(e.sport_for(4242, psn, false), s0, "same stripe");
+        let mut e = sprinklers(4, 4, 11); // fixed stripe of 4
+        let s0 = e.sport_for(4242, false);
+        for _ in 1..4 {
+            assert_eq!(e.sport_for(4242, false), s0, "same stripe");
         }
-        let s1 = e.sport_for(4242, 4, false);
+        let s1 = e.sport_for(4242, false);
         assert_eq!(e.stats().stripes_started, 2);
         // 16k-value space: a collision is possible but not for this seed.
         assert_ne!(s0, s1, "new stripe re-rolls entropy");
@@ -560,12 +547,12 @@ mod tests {
 
     #[test]
     fn sprinklers_stripe_lengths_stay_in_range() {
-        let mut e = SprinklersEntropy::new(2, 5, 3);
+        let mut e = sprinklers(2, 5, 3);
         let mut lens = Vec::new();
-        let mut cur = e.sport_for(0, 0, false);
+        let mut cur = e.sport_for(0, false);
         let mut len = 1u64;
-        for psn in 1..200 {
-            let s = e.sport_for(0, psn, false);
+        for _ in 1..200 {
+            let s = e.sport_for(0, false);
             if s == cur {
                 len += 1;
             } else {
@@ -580,16 +567,17 @@ mod tests {
 
     #[test]
     fn eager_always_nacks() {
-        let mut r = EagerNack::default();
+        let mut r = OooReaction::new(OooReactionKind::Eager);
         assert!(r.nack_due(1, Nanos::ZERO));
         assert!(r.nack_due(500, Nanos(5)));
         assert_eq!(r.stats().nacks_allowed, 2);
         assert_eq!(r.stats().nacks_held, 0);
+        assert_eq!(r.state_fingerprint(), 0);
     }
 
     #[test]
     fn eunomia_holds_young_small_gaps() {
-        let mut r = EunomiaReaction::new(16, TimeDelta::from_micros(100));
+        let mut r = eunomia();
         assert!(!r.nack_due(3, Nanos::ZERO));
         assert!(!r.nack_due(10, Nanos::from_micros(50)));
         assert_eq!(r.stats().nacks_held, 2);
@@ -597,14 +585,14 @@ mod tests {
 
     #[test]
     fn eunomia_nacks_on_window_overflow() {
-        let mut r = EunomiaReaction::new(16, TimeDelta::from_micros(100));
+        let mut r = eunomia();
         assert!(r.nack_due(17, Nanos::ZERO));
         assert_eq!(r.stats().window_overflow_nacks, 1);
     }
 
     #[test]
     fn eunomia_nacks_when_gap_outlives_timeout() {
-        let mut r = EunomiaReaction::new(16, TimeDelta::from_micros(100));
+        let mut r = eunomia();
         assert!(!r.nack_due(2, Nanos::ZERO));
         assert!(r.nack_due(2, Nanos::from_micros(100)));
         assert_eq!(r.stats().gap_timeout_nacks, 1);
@@ -612,35 +600,14 @@ mod tests {
 
     #[test]
     fn eunomia_advance_resets_the_gap_clock() {
-        let mut r = EunomiaReaction::new(16, TimeDelta::from_micros(100));
-        assert!(!r.nack_due(2, Nanos::ZERO));
+        let mut r = eunomia();
+        assert_eq!(r.state_fingerprint(), u64::MAX);
+        assert!(!r.nack_due(2, Nanos(7)));
+        assert_eq!(r.state_fingerprint(), 7);
         r.on_advance();
+        assert_eq!(r.state_fingerprint(), u64::MAX);
         // A new gap opening at t=100µs is young again.
         assert!(!r.nack_due(2, Nanos::from_micros(100)));
         assert_eq!(r.stats().gap_timeout_nacks, 0);
-    }
-
-    #[test]
-    fn kinds_build_the_matching_policy() {
-        let mut f = SenderEntropyKind::Fixed.build(1);
-        assert_eq!(f.sport_for(99, 0, false), 99);
-        let mut reps = SenderEntropyKind::Reps { pool: 4 }.build(1);
-        reps.on_ack_echo(0xC123);
-        assert_eq!(reps.sport_for(99, 0, false), 0xC123);
-        let mut spr = SenderEntropyKind::Sprinklers {
-            min_stripe: 3,
-            max_stripe: 3,
-        }
-        .build(1);
-        let a = spr.sport_for(99, 0, false);
-        assert_eq!(spr.sport_for(99, 1, false), a);
-        let mut eager = OooReactionKind::Eager.build();
-        assert!(eager.nack_due(1, Nanos::ZERO));
-        let mut eu = OooReactionKind::Eunomia {
-            window: 8,
-            gap_timeout: TimeDelta::from_micros(10),
-        }
-        .build();
-        assert!(!eu.nack_due(1, Nanos::ZERO));
     }
 }

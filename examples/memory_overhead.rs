@@ -7,13 +7,11 @@
 //! Run with: `cargo run --example memory_overhead`
 //!
 //! Alongside the analytic model, a live small-k fat-tree simulation is
-//! built and run, and its *measured* per-host memory (process RSS plus
-//! exact route-table accounting) is printed next to the §4 figures.
+//! built and run, and its *measured* per-host memory (process RSS) is
+//! printed next to the §4 figures.
 
-use std::collections::HashMap;
 use themis::harness::{run_fat_tree_rings, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
-use themis::netsim::switch::{RouteEntry, Switch};
 use themis::netsim::topology::FatTreeDims;
 use themis::rnic::NicConfig;
 use themis::themis_core::memory::MemoryModel;
@@ -33,7 +31,7 @@ fn measure_live(k: usize) {
     let nic_cfg = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
     let n_hosts = fabric.n_hosts();
     let groups = (fabric.hosts_per_pod()).min(4);
-    let (result, cluster) = run_fat_tree_rings(
+    let (result, _cluster) = run_fat_tree_rings(
         &fabric,
         nic_cfg,
         Scheme::Themis,
@@ -44,22 +42,6 @@ fn measure_live(k: usize) {
         themis::simcore::time::Nanos::from_secs(2),
     );
     let rss_after = rss_bytes();
-
-    // Exact accounting: route tables (owned + shared, each shared base
-    // counted once).
-    let mut route_owned = 0usize;
-    let mut shared: HashMap<*const RouteEntry, usize> = HashMap::new();
-    for &sw_id in cluster.leaves.iter().chain(cluster.spines.iter()) {
-        let sw: &Switch = cluster.world.get(sw_id).expect("switch");
-        route_owned += sw.route_table().owned_heap_bytes();
-        if let Some(base) = sw.route_table().shared_table() {
-            shared.insert(
-                base.as_ptr(),
-                base.len() * std::mem::size_of::<RouteEntry>(),
-            );
-        }
-    }
-    let route_shared: usize = shared.values().sum();
 
     println!("— measured, live k={k} fat-tree ({n_hosts} hosts, {groups} rings) —");
     println!(
@@ -72,16 +54,6 @@ fn measure_live(k: usize) {
         result.group_cts.iter().filter(|c| c.is_some()).count(),
     );
     println!("  events     = {:>10}", result.events);
-    println!(
-        "  routes     = {:>10} B owned + {} B shared ({} interned tables)",
-        route_owned,
-        route_shared,
-        shared.len()
-    );
-    println!(
-        "  per host   = {:>10} B  (routes) / {n_hosts} hosts",
-        (route_owned + route_shared) / n_hosts
-    );
     match (rss_before, rss_after) {
         (Some(b), Some(a)) => {
             println!(

@@ -118,7 +118,8 @@ fn build(
     let log = Arc::new(Mutex::new(Vec::new()));
     if let Some((n_shards, lookahead_ns)) = shards {
         let owner: Vec<u16> = (0..n_entities).map(|i| (i % n_shards) as u16).collect();
-        let mut plan = ShardPlan::new(owner, n_shards, TimeDelta::from_nanos(lookahead_ns));
+        let matrix = vec![lookahead_ns; n_shards * n_shards];
+        let mut plan = ShardPlan::new(owner, n_shards, matrix);
         plan.violations = Some(log.clone());
         w.set_shard_plan(plan);
     }

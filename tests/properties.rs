@@ -15,6 +15,7 @@
 use rnic::config::TransportMode;
 use rnic::psn::{extend24, wire_psn};
 use rnic::qp::RecvQp;
+use rnic::reaction::{OooReaction, OooReactionKind, SenderEntropy};
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 use themis::netsim::hash::{ecmp_hash, FiveTuple};
@@ -34,6 +35,7 @@ fn recv_qp() -> RecvQp {
         TransportMode::SelectiveRepeat,
         1,
         TimeDelta::from_micros(50),
+        OooReaction::new(OooReactionKind::Eager),
     )
 }
 
@@ -210,6 +212,7 @@ fn sender_psn_space_is_contiguous() {
             1000,
             TransportMode::SelectiveRepeat,
             Dcqcn::new(CcConfig::disabled(100_000_000_000), 100_000_000_000),
+            SenderEntropy::Fixed,
         );
         let mut expected_first = 0u64;
         let mut last_end = 0u64;

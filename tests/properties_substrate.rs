@@ -186,11 +186,10 @@ fn lb_policies_stay_in_range() {
             .map(|i| EgressPort::new(NodeId(i as u32), PortId(0), LinkSpec::gbps(100, 1)))
             .collect();
         let uplinks: Vec<usize> = (0..n_uplinks).collect();
-        let policy = match rng.next_below(5) {
+        let policy = match rng.next_below(4) {
             0 => LbPolicy::Ecmp,
             1 => LbPolicy::RandomSpray,
             2 => LbPolicy::AdaptiveRouting,
-            3 => LbPolicy::RoundRobin,
             _ => LbPolicy::Flowlet {
                 gap: simcore::time::TimeDelta::from_micros(50),
             },
