@@ -34,12 +34,10 @@ pub mod middleware;
 pub mod pathmap;
 pub mod policy;
 pub mod psn_queue;
-pub mod telem;
 pub mod themis_d;
 pub mod themis_s;
 
 pub use config::ThemisConfig;
 pub use middleware::ThemisMiddleware;
-pub use telem::ThemisTelem;
 pub use themis_d::ThemisD;
 pub use themis_s::{SprayMode, ThemisS};

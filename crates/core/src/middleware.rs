@@ -17,6 +17,7 @@ use crate::themis_s::ThemisS;
 use netsim::hooks::{HookCtx, ReverseAction, TorHook};
 use netsim::packet::{Packet, PacketKind};
 use std::any::Any;
+use telemetry::{EventKind, Sink};
 
 /// One ToR's Themis instance.
 #[derive(Debug)]
@@ -27,7 +28,7 @@ pub struct ThemisMiddleware {
     /// spray-without-filtering ablation.
     pub d: Option<ThemisD>,
     cfg: ThemisConfig,
-    telem: Option<crate::telem::ThemisTelem>,
+    sink: Option<Sink>,
 }
 
 impl ThemisMiddleware {
@@ -41,14 +42,15 @@ impl ThemisMiddleware {
             s,
             d,
             cfg,
-            telem: None,
+            sink: None,
         }
     }
 
-    /// Install a telemetry handle; spray-policy and NACK-classification
-    /// counters (and block/compensation events) report into it.
-    pub fn set_telemetry(&mut self, telem: crate::telem::ThemisTelem) {
-        self.telem = Some(telem);
+    /// Install a telemetry sink for the NACK block and compensation
+    /// events. The spray and verdict counters are [`ThemisS::stats`] and
+    /// [`ThemisD::stats`].
+    pub fn set_telemetry(&mut self, sink: Sink) {
+        self.sink = Some(sink);
     }
 
     /// The configuration this instance was built from.
@@ -107,14 +109,7 @@ impl TorHook for ThemisMiddleware {
             "direct-egress Themis configured for {} paths but ToR has {n_uplinks} uplinks",
             self.s.n_paths()
         );
-        let sprayed_before = self.s.stats.sprayed;
-        let choice = self.s.spray(pkt);
-        if self.s.stats.sprayed > sprayed_before {
-            if let Some(t) = &self.telem {
-                t.on_sprayed();
-            }
-        }
-        choice
+        self.s.spray(pkt)
     }
 
     fn on_downstream(&mut self, pkt: &Packet, ctx: &mut HookCtx<'_>) {
@@ -124,10 +119,8 @@ impl TorHook for ThemisMiddleware {
         match pkt.kind {
             PacketKind::Data { .. } => {
                 if let Some(comp) = d.on_downstream_data(pkt) {
-                    if let Some(t) = &self.telem {
-                        if let PacketKind::Nack { epsn, .. } = comp.kind {
-                            t.on_nack_compensated(comp.qp.0 as u64, epsn as u64);
-                        }
+                    if let (Some(sink), PacketKind::Nack { epsn, .. }) = (&self.sink, comp.kind) {
+                        sink.event(EventKind::NackCompensated, comp.qp.0 as u64, epsn as u64);
                     }
                     ctx.emit.push(comp);
                 }
@@ -143,18 +136,9 @@ impl TorHook for ThemisMiddleware {
         };
         match pkt.kind {
             PacketKind::Nack { epsn, .. } => {
-                let before = d.stats;
                 let action = d.on_reverse_nack(pkt.qp, epsn);
-                if let Some(t) = &self.telem {
-                    if d.stats.nacks_blocked > before.nacks_blocked {
-                        t.on_nack_blocked(pkt.qp.0 as u64, epsn as u64);
-                    }
-                    if d.stats.nacks_forwarded_valid > before.nacks_forwarded_valid {
-                        t.on_nack_forwarded_valid();
-                    }
-                    if d.stats.nacks_forwarded_unknown > before.nacks_forwarded_unknown {
-                        t.on_nack_forwarded_unknown();
-                    }
+                if let (Some(sink), ReverseAction::Block) = (&self.sink, action) {
+                    sink.event(EventKind::NackBlocked, pkt.qp.0 as u64, epsn as u64);
                 }
                 action
             }
@@ -259,7 +243,7 @@ mod tests {
     fn telemetry_counts_classification_verdicts() {
         let sink = telemetry::Sink::new(16);
         let mut m = ThemisMiddleware::new(cfg());
-        m.set_telemetry(crate::telem::ThemisTelem::register(&sink));
+        m.set_telemetry(sink.clone());
         let mut emit = Vec::new();
 
         let mut up = data(5);
@@ -272,16 +256,6 @@ mod tests {
         m.on_downstream(&data(4), &mut hook_ctx(&mut emit));
 
         let snap = sink.snapshot();
-        assert_eq!(snap.counter("themis.sprayed"), Some(1));
-        assert_eq!(snap.counter("themis.nacks.blocked"), Some(1));
-        assert_eq!(snap.counter("themis.nacks.compensated"), Some(1));
-        assert_eq!(snap.counter("themis.nacks.forwarded_valid"), Some(0));
-        // Live counters match the ThemisD aggregate.
-        let d = m.d.as_ref().unwrap();
-        assert_eq!(
-            snap.counter("themis.nacks.blocked"),
-            Some(d.stats.nacks_blocked)
-        );
         let kinds: Vec<&str> = snap.events.ring.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["nack_blocked", "nack_compensated"]);
         // Both events carry the blocked/compensated ePSN.

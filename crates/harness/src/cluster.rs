@@ -13,10 +13,10 @@ use netsim::switch::Switch;
 use netsim::topology::{build_leaf_spine, LeafSpineConfig};
 use netsim::types::{HostId, NodeId};
 use netsim::world::{ShardPlan, World, CONTROL_PLANE_LATENCY};
-use rnic::{Nic, NicConfig, NicTelem, TransportMode};
+use rnic::{Nic, NicConfig, TransportMode};
 use simcore::time::TimeDelta;
 use themis_core::themis_s::SprayMode;
-use themis_core::{ThemisConfig, ThemisMiddleware, ThemisTelem};
+use themis_core::{ThemisConfig, ThemisMiddleware};
 
 /// Event-ring capacity of every cluster's telemetry sink: large enough
 /// to hold the full anomaly tail of a figure run, small enough that the
@@ -238,8 +238,9 @@ pub struct Cluster {
     /// build this is *the* cluster sink; in a sharded build it is where
     /// driver-side instruments report.
     pub telemetry: telemetry::Sink,
-    /// One telemetry sink per shard (length 1 for a serial build). Every
-    /// sink registers the same instrument names, so
+    /// One telemetry sink per shard (length 1 for a serial build): the
+    /// time-binned histograms and the event ring of the entities that
+    /// shard runs. Every sink registers the same histogram names, so
     /// [`Cluster::snapshot_merged`] can fold them into one report.
     pub sinks: Vec<telemetry::Sink>,
 }
@@ -272,28 +273,76 @@ impl Cluster {
 
     /// Snapshot this cluster's telemetry as one report: the serial sink
     /// directly, or the per-shard sinks merged by
-    /// [`telemetry::RunReport::merge`]. A sharded run's merged report is
-    /// byte-identical (once serialized) to the serial run's snapshot.
+    /// [`telemetry::RunReport::merge`], plus every `fabric.*`, `rnic.*`
+    /// and (when the scheme deploys Themis) `themis.*` counter, read from
+    /// the switches, NICs and middleware at call time. A sharded run's
+    /// merged report is byte-identical (once serialized) to the serial
+    /// run's snapshot.
     pub fn snapshot_merged(&self) -> telemetry::RunReport {
-        if self.sinks.len() == 1 {
+        let mut report = if self.sinks.len() == 1 {
             self.sinks[0].snapshot()
         } else {
             telemetry::RunReport::merge(self.sinks.iter().map(|s| s.snapshot()).collect())
+        };
+        let f = netsim::trace::fabric_summary(&self.world, &self.all_switches());
+        let mut counters = vec![
+            ("fabric.drops.buffer", f.drops_buffer),
+            ("fabric.drops.no_route", f.drops_no_route),
+            ("fabric.drops.targeted", f.drops_targeted),
+            ("fabric.ecn_marked", f.ecn_marked),
+            ("fabric.hook_blocked", f.hook_blocked),
+            ("fabric.hook_emitted", f.hook_emitted),
+            ("fabric.flowlet_switches", f.flowlet_switches),
+        ];
+        if self.scheme.deploys_themis() {
+            let t = self.themis_counters();
+            counters.extend([
+                ("themis.sprayed", t.sprayed),
+                ("themis.nacks.blocked", t.nacks_blocked),
+                ("themis.nacks.forwarded_valid", t.nacks_forwarded_valid),
+                ("themis.nacks.forwarded_unknown", t.nacks_forwarded_unknown),
+                ("themis.nacks.compensated", t.compensations),
+            ]);
         }
+        let mut nics = rnic::nic::NicStats::default();
+        for &h in &self.hosts {
+            let s = &self.nic(h).stats;
+            nics.nacks_issued += s.nacks_issued;
+            nics.rto_fired += s.rto_fired;
+            nics.rate_cuts += s.rate_cuts;
+        }
+        counters.extend([
+            ("rnic.nacks_issued", nics.nacks_issued),
+            ("rnic.rto_fired", nics.rto_fired),
+            ("rnic.rate_cuts", nics.rate_cuts),
+        ]);
+        for (name, value) in counters {
+            report.push_counter(name, value);
+        }
+        if self.sinks.len() > 1 {
+            // `merge` returns its lists sorted by name: keep that order.
+            report.sort();
+        }
+        report
     }
 
     /// Aggregated Themis middleware stats across all ToRs (zeros when the
     /// scheme has no Themis).
     pub fn themis_stats(&self) -> ThemisAggregate {
+        let mut agg = self.themis_counters();
+        agg.memory_bytes = self
+            .middlewares()
+            .filter(|m| m.d.is_some())
+            .map(|m| m.memory_bytes() as u64)
+            .sum();
+        agg
+    }
+
+    /// [`Cluster::themis_stats`] without `memory_bytes`, which walks every
+    /// flow entry: what a per-window snapshot can afford.
+    fn themis_counters(&self) -> ThemisAggregate {
         let mut agg = ThemisAggregate::default();
-        for &leaf in &self.leaves {
-            let Some(sw) = self.world.get::<Switch>(leaf) else {
-                continue;
-            };
-            let Some(hook) = sw.hook() else { continue };
-            let Some(m) = hook.as_any().downcast_ref::<ThemisMiddleware>() else {
-                continue;
-            };
+        for m in self.middlewares() {
             agg.sprayed += m.s.stats.sprayed;
             if let Some(d) = &m.d {
                 agg.nacks_seen += d.stats.nacks_seen;
@@ -305,10 +354,20 @@ impl Cluster {
                 agg.compensation_suppressed += d.stats.compensation_suppressed;
                 agg.blocked_uncertain += d.stats.blocked_uncertain;
                 agg.evictions_deferred += d.stats.evictions_deferred;
-                agg.memory_bytes += m.memory_bytes() as u64;
             }
         }
         agg
+    }
+
+    /// The Themis middleware of every ToR that runs one.
+    fn middlewares(&self) -> impl Iterator<Item = &ThemisMiddleware> + '_ {
+        self.leaves.iter().filter_map(|&leaf| {
+            self.world
+                .get::<Switch>(leaf)?
+                .hook()?
+                .as_any()
+                .downcast_ref()
+        })
     }
 }
 
@@ -479,17 +538,18 @@ pub fn assemble(
     let n_shards = n_shards.clamp(1, shape.units);
 
     // Telemetry: one sink per shard; each shard engine mirrors its clock
-    // and dispatch stamp into its own sink. All instrument families are
-    // registered on every sink — in the same order — so the per-shard
-    // registries carry identical name sets and merge cleanly.
+    // and dispatch stamp into its own sink, and each entity reports
+    // events into its shard's sink. `rnic.ooo_gap` is registered on every
+    // sink so the per-shard registries carry identical name sets and
+    // merge cleanly.
     let sinks: Vec<telemetry::Sink> = (0..n_shards)
         .map(|_| telemetry::Sink::new(EVENT_RING_CAPACITY))
         .collect();
     world.engine.attach_clock(sinks[0].clock());
     world.engine.attach_stamp(sinks[0].stamp());
-    let switch_telems: Vec<netsim::telem::SwitchTelem> = sinks
+    let ooo_gaps: Vec<telemetry::HistId> = sinks
         .iter()
-        .map(netsim::telem::SwitchTelem::register)
+        .map(|s| s.time_hist("rnic.ooo_gap", Nic::OOO_GAP_BIN_NS, Nic::OOO_GAP_BINS))
         .collect();
 
     // Unit-aligned partition: `tors` and the pod-local `spines` are
@@ -509,32 +569,33 @@ pub fn assemble(
         shard_of[att.node.index()] = shard_of[att.tor.index()];
     }
 
+    let sink_of = |id: NodeId| sinks[shard_of[id.index()] as usize].clone();
+
     for &sw_id in tors.iter().chain(spines.iter()) {
         world
             .get_mut::<Switch>(sw_id)
             .expect("the netsim builder installed a switch at every id it returned")
-            .set_telemetry(switch_telems[shard_of[sw_id.index()] as usize].clone());
+            .set_telemetry(sink_of(sw_id));
     }
 
     // Themis middleware on every ToR — and only there.
     if let Some(themis_cfg) = shape.themis {
-        let themis_telems: Vec<ThemisTelem> = sinks.iter().map(ThemisTelem::register).collect();
         for &tor in &tors {
             let sw = world
                 .get_mut::<Switch>(tor)
                 .expect("the netsim builder installed a switch at every ToR id");
             let mut mw = ThemisMiddleware::new(themis_cfg);
-            mw.set_telemetry(themis_telems[shard_of[tor.index()] as usize].clone());
+            mw.set_telemetry(sink_of(tor));
             sw.set_hook(Box::new(mw));
         }
     }
 
     // NICs.
-    let nic_telems: Vec<NicTelem> = sinks.iter().map(NicTelem::register).collect();
     for att in &hosts {
         let port = EgressPort::new(att.tor, att.tor_port, att.link);
         let mut nic = Nic::new(att.host, nic_cfg, port);
-        nic.set_telemetry(nic_telems[shard_of[att.node.index()] as usize].clone());
+        let shard = shard_of[att.node.index()] as usize;
+        nic.set_telemetry(sinks[shard].clone(), ooo_gaps[shard]);
         world.install(att.node, Box::new(nic));
     }
 
@@ -834,6 +895,107 @@ mod tests {
             t <= a,
             "Themis ({t}) must not lose to AR ({a}) on the fat-tree"
         );
+    }
+
+    /// Every `fabric.*`, `rnic.*` and `themis.*` counter of
+    /// [`Cluster::snapshot_merged`], serial and over 2 shards. The
+    /// literals were taken when these counters were still mirrored live
+    /// into the sinks; reading them from entity state must not move one.
+    #[test]
+    fn live_counters_are_pinned() {
+        use crate::experiment::{run_collective_with_faults, Collective, ExperimentConfig};
+        use crate::faults::{Fault, FaultEvent, FaultPlan};
+        // Lossy Themis allreduce: uplink loss drops data (blocked and
+        // compensated NACKs), reverse corruption drops ACKs (RTOs).
+        let mut lossy = FaultPlan::none();
+        for leaf in 0..4 {
+            for fault in [
+                Fault::UplinkLoss {
+                    leaf,
+                    uplink: 0,
+                    rate_ppm: 3000,
+                },
+                Fault::ReverseCorrupt {
+                    leaf,
+                    rate_ppm: 20_000,
+                },
+            ] {
+                lossy.events.push(FaultEvent {
+                    at: Nanos::ZERO,
+                    fault,
+                });
+            }
+        }
+        let themis: &[(&str, u64)] = &[
+            ("fabric.drops.buffer", 0),
+            ("fabric.drops.no_route", 0),
+            ("fabric.drops.targeted", 585),
+            ("fabric.ecn_marked", 0),
+            ("fabric.flowlet_switches", 0),
+            ("fabric.hook_blocked", 690),
+            ("fabric.hook_emitted", 25),
+            ("rnic.nacks_issued", 714),
+            ("rnic.rate_cuts", 29),
+            ("rnic.rto_fired", 6),
+            ("themis.nacks.blocked", 690),
+            ("themis.nacks.compensated", 25),
+            ("themis.nacks.forwarded_unknown", 0),
+            ("themis.nacks.forwarded_valid", 6),
+            ("themis.sprayed", 16835),
+        ];
+        // Flowlet ring through a 256 KB switch buffer: buffer drops,
+        // ECN marks, flowlet switches and RTOs.
+        let flowlet: &[(&str, u64)] = &[
+            ("fabric.drops.buffer", 666),
+            ("fabric.drops.no_route", 0),
+            ("fabric.drops.targeted", 0),
+            ("fabric.ecn_marked", 151),
+            ("fabric.flowlet_switches", 3032),
+            ("fabric.hook_blocked", 0),
+            ("fabric.hook_emitted", 0),
+            ("rnic.nacks_issued", 496),
+            ("rnic.rate_cuts", 504),
+            ("rnic.rto_fired", 170),
+        ];
+        let cases = [
+            (
+                Scheme::Themis,
+                Collective::Allreduce,
+                lossy,
+                64 << 20,
+                themis,
+            ),
+            (
+                Scheme::Flowlet,
+                Collective::RingOnce,
+                FaultPlan::none(),
+                256 << 10,
+                flowlet,
+            ),
+        ];
+        for (scheme, collective, plan, buffer_bytes, want) in &cases {
+            for shards in [1, 2] {
+                let mut cfg = ExperimentConfig {
+                    shards,
+                    ..ExperimentConfig::motivation_small(*scheme, 7)
+                };
+                cfg.fabric.buffer_bytes = *buffer_bytes;
+                let (_, cluster) = run_collective_with_faults(&cfg, *collective, 2 << 20, plan);
+                let snap = cluster.snapshot_merged();
+                let mut got: Vec<(&str, u64)> = snap
+                    .counters
+                    .iter()
+                    .filter(|(n, _)| {
+                        ["fabric.", "rnic.", "themis."]
+                            .iter()
+                            .any(|p| n.starts_with(p))
+                    })
+                    .map(|(n, v)| (n.as_str(), *v))
+                    .collect();
+                got.sort();
+                assert_eq!(&got[..], *want, "{} / {shards} shard(s)", scheme.label());
+            }
+        }
     }
 
     #[test]

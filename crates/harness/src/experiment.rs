@@ -204,8 +204,9 @@ pub struct ExperimentResult {
     pub msg_latency_p50: Option<TimeDelta>,
     /// 99th-percentile per-transfer latency.
     pub msg_latency_p99: Option<TimeDelta>,
-    /// Full telemetry snapshot: live counters, histograms, the event
-    /// ring, plus snapshot-time `agg.*` / `run.*` exports.
+    /// Full telemetry snapshot ([`Cluster::snapshot_merged`]): counters,
+    /// histograms, the event ring, plus end-of-run `agg.*` / `run.*`
+    /// exports.
     pub telemetry: telemetry::RunReport,
 }
 
@@ -590,9 +591,8 @@ fn collect_result(cluster: &Cluster) -> ExperimentResult {
     result
 }
 
-/// Snapshot the cluster's live telemetry and append the end-of-run
-/// `agg.*` (entity-stat aggregates) and `run.*` (run-level) exports, so
-/// one JSON document carries both views and they can be cross-checked.
+/// Snapshot the cluster's telemetry and append the end-of-run `agg.*`
+/// (entity-stat aggregates) and `run.*` (run-level) exports.
 fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::RunReport {
     let mut t = snapshot_with_run_counters(cluster);
 

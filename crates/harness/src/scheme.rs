@@ -230,6 +230,11 @@ impl Scheme {
         self.row().lb
     }
 
+    /// Whether the scheme deploys Themis middleware on the ToRs.
+    pub fn deploys_themis(&self) -> bool {
+        !matches!(self.row().tor, Tor::None)
+    }
+
     /// The Themis middleware configuration this scheme deploys on the
     /// ToRs, if any. `base` supplies the fabric-derived parameters.
     pub fn themis_config(&self, base: ThemisConfig) -> Option<ThemisConfig> {

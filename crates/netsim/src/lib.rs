@@ -33,7 +33,6 @@ pub mod lb;
 pub mod packet;
 pub mod port;
 pub mod switch;
-pub mod telem;
 pub mod topology;
 pub mod trace;
 pub mod types;

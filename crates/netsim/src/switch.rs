@@ -22,6 +22,7 @@ use crate::world::{Ctx, Entity};
 use simcore::fx::FxHashSet;
 use simcore::rng::Xoshiro256;
 use simcore::time::TimeDelta;
+use telemetry::{EventKind, Sink};
 
 /// Per-destination routing decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,7 +172,7 @@ pub struct Switch {
     targeted_drops: FxHashSet<(QpId, u32)>,
     reverse_corrupt_ppm: u32,
     drop_log: Vec<DropRecord>,
-    telem: Option<crate::telem::SwitchTelem>,
+    sink: Option<Sink>,
     ctrl_priority: bool,
     pfc: Option<PfcConfig>,
     pfc_upstream_paused: bool,
@@ -201,7 +202,7 @@ impl Switch {
             targeted_drops: FxHashSet::default(),
             reverse_corrupt_ppm: 0,
             drop_log: Vec::new(),
-            telem: None,
+            sink: None,
             ctrl_priority: cfg.ctrl_priority,
             pfc: cfg.pfc,
             pfc_upstream_paused: false,
@@ -324,19 +325,52 @@ impl Switch {
         std::mem::take(&mut self.drop_log)
     }
 
-    fn log_drop(&mut self, at: simcore::time::Nanos, pkt: &Packet, cause: DropCause) {
+    /// Drop `pkt` for `cause`: count it, put a `PacketDrop` event in the
+    /// ring and a record in the drop log, and — under the Ideal
+    /// transport — tell the destination NIC which data PSN died. A
+    /// missing route and reverse-path corruption never notify.
+    fn drop_packet(&mut self, pkt: &Packet, cause: DropCause, ctx: &mut Ctx<'_>) {
+        match cause {
+            DropCause::Buffer => self.stats.drops_buffer += 1,
+            DropCause::NoRoute => self.stats.drops_no_route += 1,
+            DropCause::Targeted
+            | DropCause::Injected
+            | DropCause::PortDown
+            | DropCause::ReverseCorrupt => self.stats.drops_targeted += 1,
+        }
         let psn = match pkt.kind {
             PacketKind::Data { psn, .. } => psn,
             PacketKind::Ack { epsn, .. } | PacketKind::Nack { epsn, .. } => epsn,
             _ => 0,
         };
+        if let Some(sink) = &self.sink {
+            // The event argument is the data PSN, or the control ePSN
+            // for reverse-path corruption; a missing route reports 0.
+            let arg = match cause {
+                DropCause::NoRoute => 0,
+                DropCause::ReverseCorrupt => psn,
+                _ if pkt.is_data() => psn,
+                _ => 0,
+            };
+            sink.event(EventKind::PacketDrop, pkt.qp.0 as u64, arg as u64);
+        }
         self.drop_log.push(DropRecord {
-            at,
+            at: ctx.now(),
             qp: pkt.qp,
             psn,
             data: pkt.is_data(),
             cause,
         });
+        if self.oracle_loss_notify
+            && pkt.is_data()
+            && !matches!(cause, DropCause::NoRoute | DropCause::ReverseCorrupt)
+        {
+            // Node-id convention: host h is entity h.
+            ctx.control(
+                NodeId(pkt.dst.0),
+                ControlMsg::OracleLoss { qp: pkt.qp, psn },
+            );
+        }
     }
 
     /// Immutable port access (stats, tests).
@@ -369,10 +403,12 @@ impl Switch {
         self.hook.as_deref_mut()
     }
 
-    /// Attach the shared per-switch telemetry handles (counters + drop
-    /// ring); installed by the cluster builders after construction.
-    pub fn set_telemetry(&mut self, telem: crate::telem::SwitchTelem) {
-        self.telem = Some(telem);
+    /// Attach the telemetry sink that drop and flowlet events go to;
+    /// installed by the cluster builders after construction. Counters
+    /// are not mirrored into it: they are read from [`Switch::stats`],
+    /// the ports and [`Switch::lb_state`].
+    pub fn set_telemetry(&mut self, sink: Sink) {
+        self.sink = Some(sink);
     }
 
     /// Sum of buffer-full drops across ports plus pool-level drops.
@@ -386,12 +422,7 @@ impl Switch {
         // Targeted loss injection (tests / failure studies).
         if let PacketKind::Data { psn, .. } = pkt.kind {
             if !self.targeted_drops.is_empty() && self.targeted_drops.remove(&(pkt.qp, psn)) {
-                self.stats.drops_targeted += 1;
-                if let Some(t) = &self.telem {
-                    t.on_targeted_drop(pkt.qp.0 as u64, psn as u64);
-                }
-                self.log_drop(ctx.now(), &pkt, DropCause::Targeted);
-                self.notify_oracle_loss(&pkt, ctx);
+                self.drop_packet(&pkt, DropCause::Targeted, ctx);
                 return;
             }
         }
@@ -405,15 +436,7 @@ impl Switch {
             )
             && self.rng.next_below(1_000_000) < self.reverse_corrupt_ppm as u64
         {
-            self.stats.drops_targeted += 1;
-            if let Some(t) = &self.telem {
-                let seq = match pkt.kind {
-                    PacketKind::Ack { epsn, .. } | PacketKind::Nack { epsn, .. } => epsn,
-                    _ => 0,
-                };
-                t.on_targeted_drop(pkt.qp.0 as u64, seq as u64);
-            }
-            self.log_drop(ctx.now(), &pkt, DropCause::ReverseCorrupt);
+            self.drop_packet(&pkt, DropCause::ReverseCorrupt, ctx);
             return;
         }
 
@@ -425,29 +448,19 @@ impl Switch {
 
         // --- ToR hook pipeline ---------------------------------------
         let mut uplink_override = None;
-        if self.hook.is_some() && from_host {
+        if let Some(hook) = self.hook.as_mut().filter(|_| from_host) {
+            let mut hctx = HookCtx {
+                now: ctx.now(),
+                emit: &mut self.emit_scratch,
+            };
             match pkt.kind {
                 PacketKind::Data { .. } => {
-                    let n_uplinks = self.uplinks.len();
-                    let hook = self.hook.as_mut().expect("checked above");
-                    let mut hctx = HookCtx {
-                        now: ctx.now(),
-                        emit: &mut self.emit_scratch,
-                    };
-                    uplink_override = hook.on_upstream_data(&mut pkt, n_uplinks, &mut hctx);
+                    uplink_override =
+                        hook.on_upstream_data(&mut pkt, self.uplinks.len(), &mut hctx);
                 }
                 PacketKind::Ack { .. } | PacketKind::Nack { .. } | PacketKind::Cnp => {
-                    let hook = self.hook.as_mut().expect("checked above");
-                    let mut hctx = HookCtx {
-                        now: ctx.now(),
-                        emit: &mut self.emit_scratch,
-                    };
-                    let action = hook.on_reverse(&pkt, &mut hctx);
-                    if action == ReverseAction::Block {
+                    if hook.on_reverse(&pkt, &mut hctx) == ReverseAction::Block {
                         self.stats.hook_blocked += 1;
-                        if let Some(t) = &self.telem {
-                            t.on_hook_blocked();
-                        }
                         self.flush_emitted(ctx);
                         return;
                     }
@@ -490,8 +503,8 @@ impl Switch {
                             &mut self.lb_state,
                         );
                         if self.lb_state.flowlet_switches > switches_before {
-                            if let Some(t) = &self.telem {
-                                t.on_flowlet_switch(pkt.qp.0 as u64, idx as u64);
+                            if let Some(sink) = &self.sink {
+                                sink.event(EventKind::FlowletSwitch, pkt.qp.0 as u64, idx as u64);
                             }
                         }
                         idx
@@ -500,11 +513,7 @@ impl Switch {
                 self.uplinks[idx]
             }
             RouteEntry::None => {
-                self.stats.drops_no_route += 1;
-                if let Some(t) = &self.telem {
-                    t.on_no_route_drop(pkt.qp.0 as u64);
-                }
-                self.log_drop(ctx.now(), &pkt, DropCause::NoRoute);
+                self.drop_packet(&pkt, DropCause::NoRoute, ctx);
                 return;
             }
         };
@@ -521,9 +530,6 @@ impl Switch {
             }
         }
 
-        let ecn_before = self.ports[egress].stats.ecn_marked;
-        let qp = pkt.qp.0 as u64;
-        let psn = pkt.data_psn().unwrap_or(0) as u64;
         let outcome = self.ports[egress].enqueue(
             pkt,
             PortId(egress as u16),
@@ -534,38 +540,20 @@ impl Switch {
         match outcome {
             EnqueueOutcome::TxStarted | EnqueueOutcome::Queued => {
                 self.stats.forwarded += 1;
-                if let Some(t) = &self.telem {
-                    let marked = self.ports[egress].stats.ecn_marked - ecn_before;
-                    if marked > 0 {
-                        t.on_ecn_marked(marked);
-                    }
-                }
                 self.check_pfc(ctx);
             }
             EnqueueOutcome::DroppedInjected => {
                 // Injected losses (random per-port loss, down ports) are
                 // deliberate faults, not congestion: they count with the
                 // targeted drops, never as buffer drops.
-                self.stats.drops_targeted += 1;
-                if let Some(t) = &self.telem {
-                    t.on_targeted_drop(qp, psn);
-                }
                 let cause = if self.ports[egress].down {
                     DropCause::PortDown
                 } else {
                     DropCause::Injected
                 };
-                self.log_drop(ctx.now(), &pkt, cause);
-                self.notify_oracle_loss(&pkt, ctx);
+                self.drop_packet(&pkt, cause, ctx);
             }
-            EnqueueOutcome::DroppedBuffer => {
-                self.stats.drops_buffer += 1;
-                if let Some(t) = &self.telem {
-                    t.on_buffer_drop(qp, psn);
-                }
-                self.log_drop(ctx.now(), &pkt, DropCause::Buffer);
-                self.notify_oracle_loss(&pkt, ctx);
-            }
+            EnqueueOutcome::DroppedBuffer => self.drop_packet(&pkt, DropCause::Buffer, ctx),
         }
     }
 
@@ -576,9 +564,6 @@ impl Switch {
             let mut batch = std::mem::take(&mut self.emit_scratch);
             for p in batch.drain(..) {
                 self.stats.hook_emitted += 1;
-                if let Some(t) = &self.telem {
-                    t.on_hook_emitted();
-                }
                 self.route_and_enqueue(p, None, false, ctx);
             }
             if self.emit_scratch.is_empty() {
@@ -586,19 +571,6 @@ impl Switch {
                 // instead of reallocated on the next hook emission.
                 self.emit_scratch = batch;
             }
-        }
-    }
-
-    fn notify_oracle_loss(&self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        if !self.oracle_loss_notify {
-            return;
-        }
-        if let PacketKind::Data { psn, .. } = pkt.kind {
-            // Node-id convention: host h is entity h.
-            ctx.control(
-                NodeId(pkt.dst.0),
-                ControlMsg::OracleLoss { qp: pkt.qp, psn },
-            );
         }
     }
 }
@@ -1010,7 +982,7 @@ mod tests {
         });
         sw.add_port(EgressPort::new(dst, PortId(0), LinkSpec::gbps(1, 1)), true);
         sw.set_routes(HOST1_ON_PORT0);
-        sw.set_telemetry(crate::telem::SwitchTelem::register(&sink));
+        sw.set_telemetry(sink.clone());
         let swid = w.add(Box::new(sw));
         for psn in 0..10 {
             w.seed_event(
@@ -1034,11 +1006,7 @@ mod tests {
         w.run();
         let sw: &Switch = w.get(swid).unwrap();
         let snap = sink.snapshot();
-        assert_eq!(
-            snap.counter("fabric.drops.buffer"),
-            Some(sw.stats.drops_buffer)
-        );
-        assert_eq!(snap.counter("fabric.drops.no_route"), Some(1));
+        assert_eq!(sw.stats.drops_no_route, 1);
         // Every drop left a PacketDrop record stamped with simulated time.
         assert_eq!(
             snap.events.total,

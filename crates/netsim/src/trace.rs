@@ -65,6 +65,8 @@ pub struct FabricSummary {
     pub hook_blocked: u64,
     /// Packets originated by ToR hooks (compensated NACKs).
     pub hook_emitted: u64,
+    /// Flowlets started by the switches' load balancers.
+    pub flowlet_switches: u64,
     /// Peak shared-buffer usage over all switches, in bytes.
     pub peak_buffer_bytes: u64,
 }
@@ -90,6 +92,7 @@ pub fn fabric_summary(world: &World, switches: &[NodeId]) -> FabricSummary {
         sum.drops_no_route += sw.stats.drops_no_route;
         sum.hook_blocked += sw.stats.hook_blocked;
         sum.hook_emitted += sw.stats.hook_emitted;
+        sum.flowlet_switches += sw.lb_state().flowlet_switches;
         sum.peak_buffer_bytes = sum.peak_buffer_bytes.max(sw.buffer().peak_used);
         for p in 0..sw.num_ports() {
             sum.ecn_marked += sw.port(p).stats.ecn_marked;

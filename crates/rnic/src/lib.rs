@@ -30,7 +30,6 @@ pub mod nic;
 pub mod psn;
 pub mod qp;
 pub mod reaction;
-pub mod telem;
 
 pub use config::{CcConfig, NicConfig, TransportMode};
 pub use dcqcn::Dcqcn;
@@ -40,4 +39,3 @@ pub use reaction::{
     EntropyStats, OooReaction, OooReactionKind, OooReactionStats, SenderEntropy, SenderEntropyKind,
     TransportReaction,
 };
-pub use telem::NicTelem;

@@ -27,6 +27,7 @@ use simcore::fx::FxHashMap;
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 use std::collections::VecDeque;
+use telemetry::{EventKind, HistId, Sink};
 
 /// Timer token kinds (low 3 bits of the token).
 const TIMER_ALPHA: u64 = 0;
@@ -51,6 +52,14 @@ pub struct NicStats {
     /// Received ACK/NACK/CNP packets discarded by injected receive-path
     /// corruption ([`ControlMsg::SetRxCorruptRate`]).
     pub corrupted_rx: u64,
+    /// NACKs the receiver QPs generated on the data path. NACKs issued
+    /// for an oracle loss notification are not counted here (they are in
+    /// [`crate::qp::RecvQpStats::nacks_sent`] with the rest).
+    pub nacks_issued: u64,
+    /// Retransmission timeouts that fired with data outstanding.
+    pub rto_fired: u64,
+    /// DCQCN rate cuts (on a NACK or a CNP).
+    pub rate_cuts: u64,
 }
 
 /// The externally-visible state of one sender QP — the "queue pair
@@ -111,7 +120,8 @@ pub struct Nic {
     wakeup_at: Option<Nanos>,
     rng: Xoshiro256,
     rx_corrupt_ppm: u32,
-    telem: Option<crate::telem::NicTelem>,
+    /// Where events go, and the id of `rnic.ooo_gap` in that sink.
+    telem: Option<(Sink, HistId)>,
     /// NIC-level statistics.
     pub stats: NicStats,
 }
@@ -149,10 +159,18 @@ impl Nic {
         self.driver = Some(driver);
     }
 
-    /// Install a telemetry handle; NACK/RTO/rate-cut counters, the
-    /// out-of-order-gap histogram, and their events report into it.
-    pub fn set_telemetry(&mut self, telem: crate::telem::NicTelem) {
-        self.telem = Some(telem);
+    /// Time-bin width of the `rnic.ooo_gap` histogram.
+    pub const OOO_GAP_BIN_NS: u64 = 1_000_000; // 1 ms
+    /// Number of time bins of the `rnic.ooo_gap` histogram.
+    pub const OOO_GAP_BINS: usize = 512;
+
+    /// Install a telemetry sink: NACK, RTO and rate-cut events go to its
+    /// ring, and each out-of-order arrival's PSN gap is observed into
+    /// `ooo_gap` (registered on `sink` with [`Nic::OOO_GAP_BIN_NS`] and
+    /// [`Nic::OOO_GAP_BINS`]). The matching counters live in
+    /// [`Nic::stats`].
+    pub fn set_telemetry(&mut self, sink: Sink, ooo_gap: HistId) {
+        self.telem = Some((sink, ooo_gap));
     }
 
     /// Create the sender half of a connection towards `dst`.
@@ -324,17 +342,16 @@ impl Nic {
     // Receive paths
     // ------------------------------------------------------------------
 
-    fn on_data_packet(&mut self, pkt: &Packet, ctx: &mut Ctx<'_>) {
-        let PacketKind::Data {
-            psn,
-            msg_tag,
-            last,
-            payload,
-            ..
-        } = pkt.kind
-        else {
-            unreachable!("on_data_packet called with non-data");
-        };
+    /// `pkt` is a data packet; its fields arrive destructured by the caller.
+    fn on_data_packet(
+        &mut self,
+        pkt: &Packet,
+        psn: u32,
+        msg_tag: u64,
+        last: bool,
+        payload: u32,
+        ctx: &mut Ctx<'_>,
+    ) {
         let Some(&i) = self.recv_index.get(&pkt.qp) else {
             self.stats.unknown_qp += 1;
             return;
@@ -342,20 +359,21 @@ impl Nic {
         // Remember the entropy this packet travelled on so the ACK it
         // may trigger can echo it (REPS feedback loop).
         self.recv_qps[i].note_data_sport(pkt.udp_sport);
-        if let Some(t) = &self.telem {
+        if let Some((sink, ooo_gap)) = &self.telem {
             // Out-of-order arrival depth: how far ahead of the expected
             // PSN this packet landed (0 for in-order arrivals).
             let epsn = self.recv_qps[i].epsn();
             let ext = crate::psn::extend24(psn, epsn);
             if ext > epsn {
-                t.on_ooo_gap(ext - epsn);
+                sink.observe(*ooo_gap, ext - epsn);
             }
         }
         let out = self.recv_qps[i].on_data(psn, msg_tag, last, payload, pkt.ecn_ce, ctx.now());
         for resp in out.responses {
-            if let Some(t) = &self.telem {
-                if let PacketKind::Nack { epsn, .. } = resp.kind {
-                    t.on_nack_issued(resp.qp.0 as u64, epsn as u64);
+            if let PacketKind::Nack { epsn, .. } = resp.kind {
+                self.stats.nacks_issued += 1;
+                if let Some((sink, _)) = &self.telem {
+                    sink.event(EventKind::NackIssued, resp.qp.0 as u64, epsn as u64);
                 }
             }
             self.ctrl_queue.push_back(resp);
@@ -408,10 +426,15 @@ impl Nic {
         self.arm_cc_timers(i, ctx);
     }
 
-    fn record_rate_cut(&self, i: usize) {
-        if let Some(t) = &self.telem {
+    fn record_rate_cut(&mut self, i: usize) {
+        self.stats.rate_cuts += 1;
+        if let Some((sink, _)) = &self.telem {
             let q = &self.send_qps[i];
-            t.on_rate_cut(q.qp.0 as u64, (q.cc.rate_bps() / 1e6) as u64);
+            sink.event(
+                EventKind::RateChange,
+                q.qp.0 as u64,
+                (q.cc.rate_bps() / 1e6) as u64,
+            );
         }
     }
 
@@ -456,8 +479,9 @@ impl Nic {
                     Some(d) if d <= now => {
                         if self.send_qps[i].has_unacked() {
                             self.send_qps[i].on_rto();
-                            if let Some(t) = &self.telem {
-                                t.on_rto_fired(self.send_qps[i].qp.0 as u64);
+                            self.stats.rto_fired += 1;
+                            if let Some((sink, _)) = &self.telem {
+                                sink.event(EventKind::RtoFired, self.send_qps[i].qp.0 as u64, 0);
                             }
                             self.arm_rto(i, ctx);
                             self.try_send(ctx);
@@ -537,7 +561,13 @@ impl Entity for Nic {
                     return;
                 }
                 match pkt.kind {
-                    PacketKind::Data { .. } => self.on_data_packet(&pkt, ctx),
+                    PacketKind::Data {
+                        psn,
+                        msg_tag,
+                        last,
+                        payload,
+                        ..
+                    } => self.on_data_packet(&pkt, psn, msg_tag, last, payload, ctx),
                     PacketKind::Ack { epsn, echo_sport } => {
                         self.on_ack_packet(pkt.qp, epsn, Some(echo_sport), ctx)
                     }

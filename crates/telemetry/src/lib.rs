@@ -18,10 +18,15 @@
 //!   structured events ([`EventKind`]), for post-mortem `--trace-last`
 //!   dumps.
 //! * [`Sink`] — the shared handle components hold. Cloning a sink is
-//!   cheap (two `Rc` bumps) and all clones report into the same
-//!   registry and ring. Sinks are deliberately **not** `Send`: a sink
-//!   belongs to one simulated world, and worlds never cross threads —
-//!   sweep workers return plain-data [`RunReport`] snapshots instead.
+//!   cheap (three `Rc` bumps) and all clones report into the same
+//!   registry and ring. The simulator's entities keep their counters as
+//!   plain fields and use a sink for histograms and events only; the
+//!   harness reads the counters at snapshot time. Sinks are **not**
+//!   `Send`, yet a sharded run moves each shard's sink clones onto a
+//!   worker thread and back: that is sound only because one shard's
+//!   clones never meet another thread's while it runs, as argued at
+//!   `ShardCell` in `netsim::world`. Sweep workers return plain-data
+//!   [`RunReport`] snapshots instead.
 //! * [`RunReport`] / [`Report`] — `Send + Clone` snapshots and the
 //!   versioned `themis-telemetry` JSON document (see [`report`]).
 //!

@@ -18,12 +18,16 @@
 #   fig5 alltoall 1, serial and --jobs 2 --shards 2
 #   themis_sim collective on the motivation fabric, one run per scheme
 #     that changes the NIC or the ToR (themis, reps, eunomia, sprinklers,
-#     oracle)
+#     oracle), plus flowlet (the only run that moves
+#     fabric.flowlet_switches)
 #   themis_sim collective --collective ringonce --scheme spray on the
 #     motivation fabric (the ring8_spray benchmark path), plain, with
 #     --transport gbn and with --pfc
 #   themis_load --seed 11, serial and --shards 2 (k=4 fat-tree)
 #   the scripted themis_serve session of scripts/ci.sh
+#   themis_fuzz --replay-corpus tests/corpus (its feature count is read
+#     from the telemetry counters: fault-plan drop causes, RTOs, NACK
+#     verdicts)
 #
 # A full cold build of REV takes a few minutes. The temporary directory
 # lives under $TMPDIR (default /tmp) and is removed on exit, as is a
@@ -65,7 +69,7 @@ run_all() {
     "$bin/fig5" alltoall 1 --telemetry fig5.json | mask fig5.out
     "$bin/fig5" alltoall 1 --jobs 2 --shards 2 --telemetry fig5_par.json \
         | mask fig5_par.out
-    for scheme in themis reps eunomia sprinklers oracle; do
+    for scheme in themis reps eunomia sprinklers oracle flowlet; do
         "$bin/themis_sim" collective --fabric motivation --collective alltoall \
             --mb 2 --scheme "$scheme" --telemetry "sim_$scheme.json" \
             | mask "sim_$scheme.out"
@@ -105,6 +109,7 @@ run_all() {
 EOF
     wait "$SERVE_PID"
     SERVE_PID=
+    "$bin/themis_fuzz" --replay-corpus "$ROOT/tests/corpus" > fuzz_replay.out
     cd "$ROOT"
 }
 

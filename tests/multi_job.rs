@@ -67,7 +67,7 @@ fn run_two_jobs(
         sim_end: cluster.world.now(),
         msg_latency_p50: None,
         msg_latency_p99: None,
-        telemetry: cluster.telemetry.snapshot(),
+        telemetry: cluster.snapshot_merged(),
     };
     (completions, r)
 }

@@ -83,7 +83,7 @@ fn run_with_drops(
         sim_end: cluster.world.now(),
         msg_latency_p50: None,
         msg_latency_p99: None,
-        telemetry: cluster.telemetry.snapshot(),
+        telemetry: cluster.snapshot_merged(),
     };
     (ct, result)
 }
