@@ -518,14 +518,6 @@ impl Entity for Driver {
             _ => debug_assert!(false, "unexpected event at driver: {ev:?}"),
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use crate::themis_d::ThemisD;
 use crate::themis_s::ThemisS;
 use netsim::hooks::{HookCtx, ReverseAction, TorHook};
 use netsim::packet::{Packet, PacketKind};
-use std::any::Any;
 use telemetry::{EventKind, Sink};
 
 /// One ToR's Themis instance.
@@ -156,14 +155,6 @@ impl TorHook for ThemisMiddleware {
 
     fn on_admin_spray(&mut self, enabled: bool) {
         self.s.set_enabled(enabled);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -105,7 +105,7 @@ fn run_client(endpoint: &Endpoint) {
                 if reply.get("ok") != Some(&Json::Bool(true)) {
                     any_failed = true;
                 }
-                println!("{}", reply.to_string());
+                println!("{reply}");
             }
             Err(e) => {
                 eprintln!("error: call failed: {e}");

@@ -458,9 +458,9 @@ fn lookahead_matrix(
         }
     }
     if oracle_loss_notify {
-        for id in 0..world.len() {
+        for (id, &me) in shard_of.iter().enumerate().take(world.len()) {
             if world.get::<Switch>(NodeId(id as u32)).is_some() {
-                let me = shard_of[id] as usize;
+                let me = me as usize;
                 for (s, &has) in shard_has_nic.iter().enumerate() {
                     if has {
                         tighten(&mut lam, me, s, cpl);
@@ -655,7 +655,10 @@ pub fn build_fat_tree_cluster_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::aggregate_nics;
+    use crate::experiment::{
+        aggregate_nics, run_collective_with_faults, Collective, ExperimentConfig,
+    };
+    use crate::faults::{Fault, FaultEvent, FaultPlan};
     use crate::session::{Session, Start};
     use collectives::ring::ring_once;
     use simcore::time::{Nanos, TimeDelta};
@@ -897,16 +900,9 @@ mod tests {
         );
     }
 
-    /// Every `fabric.*`, `rnic.*` and `themis.*` counter of
-    /// [`Cluster::snapshot_merged`], serial and over 2 shards. The
-    /// literals were taken when these counters were still mirrored live
-    /// into the sinks; reading them from entity state must not move one.
-    #[test]
-    fn live_counters_are_pinned() {
-        use crate::experiment::{run_collective_with_faults, Collective, ExperimentConfig};
-        use crate::faults::{Fault, FaultEvent, FaultPlan};
-        // Lossy Themis allreduce: uplink loss drops data (blocked and
-        // compensated NACKs), reverse corruption drops ACKs (RTOs).
+    /// Uplink loss drops data (blocked and compensated NACKs), reverse
+    /// corruption drops ACKs (RTOs): the lossy Themis allreduce's faults.
+    fn lossy_plan() -> FaultPlan {
         let mut lossy = FaultPlan::none();
         for leaf in 0..4 {
             for fault in [
@@ -926,6 +922,16 @@ mod tests {
                 });
             }
         }
+        lossy
+    }
+
+    /// Every `fabric.*`, `rnic.*` and `themis.*` counter of
+    /// [`Cluster::snapshot_merged`], serial and over 2 shards. The
+    /// literals were taken when these counters were still mirrored live
+    /// into the sinks; reading them from entity state must not move one.
+    #[test]
+    fn live_counters_are_pinned() {
+        let lossy = lossy_plan();
         let themis: &[(&str, u64)] = &[
             ("fabric.drops.buffer", 0),
             ("fabric.drops.no_route", 0),
@@ -995,6 +1001,38 @@ mod tests {
                 got.sort();
                 assert_eq!(&got[..], *want, "{} / {shards} shard(s)", scheme.label());
             }
+        }
+    }
+
+    /// A cluster is `Send` by construction: the lossy Themis allreduce
+    /// of `live_counters_are_pinned` runs to completion on another thread,
+    /// serial and over 2 shards, and the cluster it hands back writes the
+    /// same document as the same run on this thread.
+    #[test]
+    fn a_cluster_runs_on_another_thread_byte_for_byte() {
+        let doc = |cluster: &Cluster| {
+            let mut report = telemetry::Report::new();
+            report.add_run("lossy", cluster.snapshot_merged());
+            report.to_json()
+        };
+        for shards in [1, 2] {
+            let mut cfg = ExperimentConfig {
+                shards,
+                ..ExperimentConfig::motivation_small(Scheme::Themis, 7)
+            };
+            cfg.fabric.buffer_bytes = 64 << 20;
+            let run = move || {
+                run_collective_with_faults(&cfg, Collective::Allreduce, 2 << 20, &lossy_plan()).1
+            };
+            let here = doc(&run.clone()());
+            assert!(
+                here.contains("\"themis.nacks.blocked\": 690"),
+                "{shards} shard(s)"
+            );
+            let there = std::thread::spawn(run)
+                .join()
+                .expect("the run on the spawned thread completes");
+            assert_eq!(here, doc(&there), "{shards} shard(s)");
         }
     }
 

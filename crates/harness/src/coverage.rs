@@ -66,7 +66,7 @@ pub enum Mode {
 /// 4..7 → 3, … — a counter only yields a new feature when it changes
 /// magnitude, not on every ±1.
 pub fn bucket(v: u64) -> u32 {
-    (64 - v.leading_zeros()) as u32
+    64 - v.leading_zeros()
 }
 
 /// The set of coverage features seen so far. Feature identities are

@@ -467,6 +467,8 @@ pub fn expected_delivered_bytes(
 /// (and, under sharding, every shard boundary); with
 /// `groups == (k/2)²` every host in the fabric participates. This is the
 /// workload of the `paper_fabric_x10` benchmark and its CI smoke leg.
+// Eight plain knobs of one experiment; a config struct would only rename them.
+#[allow(clippy::too_many_arguments)]
 pub fn run_fat_tree_rings(
     fabric_cfg: &netsim::fat_tree::FatTreeConfig,
     nic_cfg: NicConfig,

@@ -99,16 +99,7 @@ impl Json {
         Json::Str(s.to_string())
     }
 
-    /// Serialize to compact JSON (no whitespace), deterministically:
-    /// object fields in insertion order, `\u` escapes only for control
-    /// characters.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    /// Append the compact encoding of [`Json::to_string`] to `out`.
+    /// Append the compact encoding (see the `Display` impl) to `out`.
     pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -156,6 +147,16 @@ pub struct JsonError {
     pub at: usize,
     /// What went wrong.
     pub msg: String,
+}
+
+/// Compact JSON (no whitespace), deterministically: object fields in
+/// insertion order, `\u` escapes only for control characters.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
 }
 
 impl std::fmt::Display for JsonError {

@@ -86,3 +86,19 @@ pub use service::{serve, Client, Endpoint, ServiceConfig, SimService};
 pub use shrink::ddmin;
 pub use sweep::SweepRunner;
 pub use telemetry_out::TelemetryArgs;
+
+#[cfg(test)]
+mod tests {
+    /// What a sharded run moves onto its workers, and what a caller may
+    /// hand to another thread, is `Send` by derivation: no `unsafe impl`.
+    #[test]
+    fn simulation_state_is_send() {
+        fn send<T: Send>() {}
+        send::<netsim::world::World>();
+        send::<crate::Cluster>();
+        send::<crate::SimService>();
+        send::<telemetry::Sink>();
+        send::<telemetry::SharedClock>();
+        send::<telemetry::SharedStamp>();
+    }
+}

@@ -264,12 +264,13 @@ pub fn audit(cluster: &Cluster, cfg: &OracleConfig) -> OracleReport {
 /// bounded-memory path for long runs that drained switch logs window by
 /// window ([`DropTally::drain_window`]).
 pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally) -> OracleReport {
-    let mut r = OracleReport::default();
-
     // ---- Gather ground truth. -------------------------------------
-    r.data_dropped = drops.data_dropped;
-    r.control_dropped = drops.control_dropped;
-    r.distinct_losses = drops.distinct_losses;
+    let mut r = OracleReport {
+        data_dropped: drops.data_dropped,
+        control_dropped: drops.control_dropped,
+        distinct_losses: drops.distinct_losses,
+        ..OracleReport::default()
+    };
 
     let mut stray = 0u64;
     let mut incomplete = 0usize;

@@ -104,7 +104,6 @@ struct Row {
     lb: LbPolicy,
     tor: Tor,
     nic: Nic,
-    sprays: bool,
 }
 
 const FLOWLET: LbPolicy = LbPolicy::Flowlet {
@@ -139,23 +138,21 @@ const SPRINKLERS: Nic = Nic::Reaction(
 /// follows its flow's ECMP path. REPS and Sprinklers likewise ride on
 /// plain ECMP — the *sender* re-rolls the entropy the switches hash on,
 /// which is the whole point of sender-driven spraying over commodity
-/// fabrics. Flowlet switching only re-routes across genuine gaps, which
-/// cannot reorder packets within a flowlet, so it does not count as
-/// spraying.
+/// fabrics.
 #[rustfmt::skip]
 const TABLE: [Row; 12] = [
-    Row { scheme: Scheme::Ecmp, label: "ECMP", names: &["ecmp"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Unchanged, sprays: false },
-    Row { scheme: Scheme::AdaptiveRouting, label: "AdaptiveRouting", names: &["ar", "adaptive"], lb: LbPolicy::AdaptiveRouting, tor: Tor::None, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::RandomSpray, label: "RandomSpray", names: &["spray", "random"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::Flowlet, label: "Flowlet", names: &["flowlet"], lb: FLOWLET, tor: Tor::None, nic: Nic::Unchanged, sprays: false },
-    Row { scheme: Scheme::Themis, label: "Themis", names: &["themis"], lb: LbPolicy::Ecmp, tor: Tor::Direct, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::ThemisPathMap, label: "Themis(PathMap)", names: &["themis-pathmap"], lb: LbPolicy::Ecmp, tor: Tor::PathMap, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::ThemisNoCompensation, label: "Themis(no-comp)", names: &["themis-nocomp"], lb: LbPolicy::Ecmp, tor: Tor::NoCompensation, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::SprayNoFilter, label: "Spray(no-filter)", names: &["spray-nofilter"], lb: LbPolicy::Ecmp, tor: Tor::NoFilter, nic: Nic::Unchanged, sprays: true },
-    Row { scheme: Scheme::Oracle, label: "Oracle", names: &["oracle", "ideal"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::IdealNoCc, sprays: true },
-    Row { scheme: Scheme::Reps, label: "REPS", names: &["reps"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: REPS, sprays: true },
-    Row { scheme: Scheme::Eunomia, label: "Eunomia", names: &["eunomia"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: EUNOMIA, sprays: true },
-    Row { scheme: Scheme::Sprinklers, label: "Sprinklers", names: &["sprinklers"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: SPRINKLERS, sprays: true },
+    Row { scheme: Scheme::Ecmp, label: "ECMP", names: &["ecmp"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Unchanged },
+    Row { scheme: Scheme::AdaptiveRouting, label: "AdaptiveRouting", names: &["ar", "adaptive"], lb: LbPolicy::AdaptiveRouting, tor: Tor::None, nic: Nic::Unchanged },
+    Row { scheme: Scheme::RandomSpray, label: "RandomSpray", names: &["spray", "random"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::Unchanged },
+    Row { scheme: Scheme::Flowlet, label: "Flowlet", names: &["flowlet"], lb: FLOWLET, tor: Tor::None, nic: Nic::Unchanged },
+    Row { scheme: Scheme::Themis, label: "Themis", names: &["themis"], lb: LbPolicy::Ecmp, tor: Tor::Direct, nic: Nic::Unchanged },
+    Row { scheme: Scheme::ThemisPathMap, label: "Themis(PathMap)", names: &["themis-pathmap"], lb: LbPolicy::Ecmp, tor: Tor::PathMap, nic: Nic::Unchanged },
+    Row { scheme: Scheme::ThemisNoCompensation, label: "Themis(no-comp)", names: &["themis-nocomp"], lb: LbPolicy::Ecmp, tor: Tor::NoCompensation, nic: Nic::Unchanged },
+    Row { scheme: Scheme::SprayNoFilter, label: "Spray(no-filter)", names: &["spray-nofilter"], lb: LbPolicy::Ecmp, tor: Tor::NoFilter, nic: Nic::Unchanged },
+    Row { scheme: Scheme::Oracle, label: "Oracle", names: &["oracle", "ideal"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::IdealNoCc },
+    Row { scheme: Scheme::Reps, label: "REPS", names: &["reps"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: REPS },
+    Row { scheme: Scheme::Eunomia, label: "Eunomia", names: &["eunomia"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: EUNOMIA },
+    Row { scheme: Scheme::Sprinklers, label: "Sprinklers", names: &["sprinklers"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: SPRINKLERS },
 ];
 
 impl Scheme {
@@ -270,11 +267,6 @@ impl Scheme {
             },
         }
     }
-
-    /// Whether the scheme sprays packets (out-of-order arrivals expected).
-    pub fn sprays(&self) -> bool {
-        self.row().sprays
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +355,6 @@ mod tests {
                 gap: Scheme::FLOWLET_GAP
             }
         );
-        assert!(!Scheme::Flowlet.sprays());
     }
 
     #[test]
@@ -386,8 +377,6 @@ mod tests {
             Scheme::AdaptiveRouting.lb_policy(),
             LbPolicy::AdaptiveRouting
         );
-        assert!(!Scheme::Ecmp.sprays());
-        assert!(Scheme::Themis.sprays());
     }
 
     #[test]
@@ -439,14 +428,6 @@ mod tests {
         assert_eq!(Scheme::Sprinklers.lb_policy(), LbPolicy::Ecmp);
         assert_eq!(Scheme::Eunomia.lb_policy(), LbPolicy::RandomSpray);
         assert_eq!(Scheme::Oracle.lb_policy(), LbPolicy::RandomSpray);
-        for s in [
-            Scheme::Oracle,
-            Scheme::Reps,
-            Scheme::Eunomia,
-            Scheme::Sprinklers,
-        ] {
-            assert!(s.sprays());
-        }
     }
 
     #[test]

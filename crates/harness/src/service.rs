@@ -473,7 +473,7 @@ impl SimService {
         let qps: Vec<Json> = self
             .qps
             .iter()
-            .filter(|r| scope.map_or(true, |c| r.client == c))
+            .filter(|r| scope.is_none_or(|c| r.client == c))
             .map(|r| {
                 Json::obj(vec![
                     ("qp", Json::Int(r.qp.0 as i64)),
@@ -769,13 +769,13 @@ type ForwardedRequest = (Json, mpsc::Sender<Json>);
 /// Serve `service` on `endpoint` until a client sends `shutdown` (or
 /// `stop` is set externally).
 ///
-/// The cluster is not `Send` (its telemetry sinks are `Rc`-based), so
-/// the service never leaves this thread: connection threads only read
-/// frames and forward parsed requests over an mpsc channel; the serve
-/// loop executes them one at a time against the owned [`SimService`].
-/// Concurrent clients therefore serialize into one deterministic
-/// journal order by construction. Returns after the acceptor drains —
-/// a clean shutdown, which the CI leg gates on.
+/// One consumer: connection threads only read frames and forward
+/// parsed requests over an mpsc channel; this loop, on the calling
+/// thread, executes them one at a time against the owned
+/// [`SimService`]. Concurrent clients therefore serialize into one
+/// journal admission order by construction — the order a restore
+/// replays. Returns after the acceptor drains — a clean shutdown, which
+/// the CI leg gates on.
 pub fn serve(
     mut service: SimService,
     endpoint: &Endpoint,

@@ -345,12 +345,6 @@ mod tests {
                 self.got.push(pkt);
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// Inject packets at a source edge and verify they reach the right

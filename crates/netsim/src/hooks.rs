@@ -46,8 +46,9 @@ pub struct HookCtx<'a> {
 /// A programmable-ToR extension.
 ///
 /// All methods have pass-through defaults so implementations override only
-/// the pipeline stages they care about.
-pub trait TorHook {
+/// the pipeline stages they care about. `Send` because a hook lives in its
+/// switch, which a sharded run moves onto a worker thread.
+pub trait TorHook: Any + Send {
     /// Data packet from a local host about to be load-balanced upstream.
     ///
     /// May rewrite the packet header (PathMap mode). Returning `Some(i)`
@@ -78,13 +79,19 @@ pub trait TorHook {
     /// enabling/disabling Themis on a live ToR), distinct from the
     /// link-failure fallback. Default: ignore.
     fn on_admin_spray(&mut self, _enabled: bool) {}
+}
 
+impl dyn TorHook {
     /// Downcast support for stats extraction.
-    fn as_any(&self) -> &dyn Any;
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
 
     /// Mutable downcast support (runtime reconfiguration, e.g. reverting
     /// to ECMP on link failure, §6).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    pub fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 /// A hook that blocks nothing and records nothing; useful as a control in
@@ -92,14 +99,7 @@ pub trait TorHook {
 #[derive(Debug, Default)]
 pub struct NullHook;
 
-impl TorHook for NullHook {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl TorHook for NullHook {}
 
 #[cfg(test)]
 mod tests {

@@ -31,7 +31,7 @@ use simcore::event::Scheduled;
 use simcore::time::{Nanos, TimeDelta};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
 /// Delivery latency of the "control plane" edges ([`Ctx::control`]):
 /// workload-driver commands to NICs, NIC completion notifications back to
@@ -48,15 +48,12 @@ pub const CONTROL_PLANE_LATENCY: TimeDelta = TimeDelta(500);
 pub const SEED_LANE: u32 = u32::MAX;
 
 /// A simulated component: switch, NIC, or workload driver.
-pub trait Entity: Any {
+///
+/// `Any` gives typed access ([`World::get`]) by upcasting; `Send` lets a
+/// sharded run move each entity onto its shard's worker thread.
+pub trait Entity: Any + Send {
     /// Handle one event. `ctx` allows scheduling follow-up events.
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>);
-
-    /// Downcast support (stats collection, test inspection).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// Where a [`Ctx`] routes the events an entity schedules.
@@ -305,33 +302,11 @@ struct ShardState {
     stage: Vec<Vec<Scheduled<Routed>>>,
 }
 
-/// Wrapper that moves a [`ShardState`] onto a worker thread.
-///
-/// SAFETY: `ShardState` is not `Send` because entities and the engine's
-/// telemetry attachments hold `Rc`/`Cell` handles. Every such handle
-/// reachable from one shard's state points either (a) into that same
-/// shard — the partition builder gives each shard its own sink, shared
-/// only by that shard's entities and engine — or (b) at main-thread
-/// clones (e.g. the harness keeps a `Sink` per shard) which are never
-/// touched while the workers run: the spawning thread blocks in
-/// `thread::scope` until every worker has been joined, and spawn/join
-/// establish happens-before edges around each worker's accesses. So no
-/// `Rc` count or `Cell` content is ever accessed from two threads
-/// without synchronization.
-struct ShardCell(ShardState);
-unsafe impl Send for ShardCell {}
-
-impl ShardCell {
-    /// Unwrap on the worker thread. A method (rather than destructuring
-    /// at the capture site) so the closure captures the whole `ShardCell`
-    /// — edition-2021 precise capture would otherwise capture the inner,
-    /// non-`Send` `ShardState` field directly.
-    fn into_inner(self) -> ShardState {
-        self.0
-    }
-}
-
 /// Everything a shard worker shares with its peers.
+///
+/// Every mutex here guards a plain `Vec`, and entity panics are caught
+/// before any lock is taken, so a poisoned lock still holds consistent
+/// data: lockers take it back with `PoisonError::into_inner`.
 struct ShardCtx<'a> {
     me: usize,
     n: usize,
@@ -449,20 +424,14 @@ impl World {
 
     /// Immutable typed access to an entity.
     pub fn get<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.slots
-            .get(id.index())?
-            .as_deref()?
-            .as_any()
-            .downcast_ref::<T>()
+        let e: &dyn Any = self.slots.get(id.index())?.as_deref()?;
+        e.downcast_ref()
     }
 
     /// Mutable typed access to an entity.
     pub fn get_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        self.slots
-            .get_mut(id.index())?
-            .as_deref_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let e: &mut dyn Any = self.slots.get_mut(id.index())?.as_deref_mut()?;
+        e.downcast_mut()
     }
 
     /// Iterate over installed entities.
@@ -585,8 +554,7 @@ impl World {
             let handles: Vec<_> = shards
                 .drain(..)
                 .enumerate()
-                .map(|(me, state)| {
-                    let cell = ShardCell(state);
+                .map(|(me, mut state)| {
                     let sc = ShardCtx {
                         me,
                         n,
@@ -601,16 +569,15 @@ impl World {
                         panics: &panic_log,
                     };
                     scope.spawn(move || {
-                        let mut state = cell.into_inner();
                         shard_worker(&mut state, &sc);
-                        ShardCell(state)
+                        state
                     })
                 })
                 .collect();
             shards = handles
                 .into_iter()
                 .map(|h| match h.join() {
-                    Ok(ShardCell(state)) => state,
+                    Ok(state) => state,
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
                 .collect();
@@ -635,19 +602,22 @@ impl World {
 
         if let Some(payload) = panic_log
             .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
         {
             std::panic::resume_unwind(payload);
         }
         let found = violation_log
             .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
+            .unwrap_or_else(PoisonError::into_inner);
         let recording = plan.violations.clone();
         self.shard_plan = Some(plan);
         if !found.is_empty() {
             match recording {
-                Some(sink) => sink.lock().expect("violation sink poisoned").extend(found),
+                Some(sink) => sink
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(found),
                 None => {
                     let v = found[0];
                     panic!(
@@ -707,7 +677,10 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
             dispatch_window(state, sc);
         }));
         if let Err(payload) = dispatched {
-            sc.panics.lock().expect("panic log poisoned").push(payload);
+            sc.panics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(payload);
             sc.abort.store(true, Ordering::SeqCst);
         }
         state.engine.horizon = sc.horizon;
@@ -717,7 +690,7 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
             if !staged.is_empty() {
                 sc.outboxes[sc.me][dst]
                     .lock()
-                    .expect("shard outbox poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .append(staged);
             }
         }
@@ -725,7 +698,7 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
         for src in 0..sc.n {
             let mut inbox = sc.outboxes[src][sc.me]
                 .lock()
-                .expect("shard inbox poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             for ev in inbox.drain(..) {
                 if ev.at.as_nanos() < window_end {
                     // Lookahead-safety invariant: a conservative window
@@ -733,14 +706,15 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
                     // cross-shard event can land before it. Seeing one
                     // means the declared lookahead exceeded the true
                     // minimum cross-shard latency.
-                    sc.violations.lock().expect("violation log poisoned").push(
-                        LookaheadViolation {
+                    sc.violations
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(LookaheadViolation {
                             at_ns: ev.at.as_nanos(),
                             window_end_ns: window_end,
                             from_shard: src as u16,
                             to_shard: sc.me as u16,
-                        },
-                    );
+                        });
                     sc.abort.store(true, Ordering::SeqCst);
                     continue;
                 }
@@ -803,12 +777,6 @@ mod tests {
                 }
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]
@@ -869,12 +837,6 @@ mod tests {
                     _ => panic!("unexpected event"),
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut w = World::new();
         let id = w.add(Box::new(T { fired: vec![] }));
@@ -890,12 +852,6 @@ mod tests {
         impl Entity for Forever {
             fn handle(&mut self, _ev: Event, ctx: &mut Ctx<'_>) {
                 ctx.timer_in(TimeDelta::from_micros(10), 0);
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut w = World::new();
@@ -1059,12 +1015,6 @@ mod tests {
         struct Other;
         impl Entity for Other {
             fn handle(&mut self, _: Event, _: &mut Ctx<'_>) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         assert!(w.get::<Other>(id).is_none());
     }

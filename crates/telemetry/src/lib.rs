@@ -6,27 +6,25 @@
 //! so any crate in the workspace can report into it. Simulated time
 //! enters through a [`SharedClock`] that the simulation engine updates
 //! on every event dispatch; components never pass timestamps
-//! explicitly on the hot path.
+//! explicitly on the hot path. Every handle here is `Send`, so the
+//! entities that hold one can move onto a shard worker thread.
 //!
 //! # Architecture
 //!
-//! * [`Registry`] — counters, gauges and time-bucketed histograms.
+//! * [`Registry`] — counters and time-bucketed histograms.
 //!   Registration by name happens at assembly time and allocates ids;
 //!   recording afterwards is an indexed store (see the id-allocation
 //!   rules in [`registry`]).
 //! * [`EventRing`] — fixed-capacity, overwrite-oldest buffer of
 //!   structured events ([`EventKind`]), for post-mortem `--trace-last`
 //!   dumps.
-//! * [`Sink`] — the shared handle components hold. Cloning a sink is
-//!   cheap (three `Rc` bumps) and all clones report into the same
-//!   registry and ring. The simulator's entities keep their counters as
-//!   plain fields and use a sink for histograms and events only; the
-//!   harness reads the counters at snapshot time. Sinks are **not**
-//!   `Send`, yet a sharded run moves each shard's sink clones onto a
-//!   worker thread and back: that is sound only because one shard's
-//!   clones never meet another thread's while it runs, as argued at
-//!   `ShardCell` in `netsim::world`. Sweep workers return plain-data
-//!   [`RunReport`] snapshots instead.
+//! * [`Sink`] — the shared handle components hold: an
+//!   `Arc<Mutex<…>>` over one registry and ring, plus the clock and
+//!   stamp. Cloning a sink is three `Arc` bumps and all clones report
+//!   into the same state. The simulator's entities keep their counters
+//!   as plain fields and use a sink for histograms and events only; the
+//!   harness reads the counters at snapshot time. In a sharded run each
+//!   shard has its own sink, so a lock is never contended.
 //! * [`RunReport`] / [`Report`] — `Send + Clone` snapshots and the
 //!   versioned `themis-telemetry` JSON document (see [`report`]).
 //!
@@ -57,23 +55,25 @@ pub mod registry;
 pub mod report;
 pub mod ring;
 
-pub use registry::{BinStat, CounterId, GaugeId, HistId, Registry, TimeHist};
+pub use registry::{BinStat, CounterId, HistId, Registry, TimeHist};
 pub use report::{
     write_json_str, BinSnapshot, EventSnapshot, EventsSnapshot, HistSnapshot, Report, RunReport,
     WindowedReport, SCHEMA_NAME, SCHEMA_VERSION, WINDOWED_SCHEMA_NAME, WINDOWED_SCHEMA_VERSION,
 };
 pub use ring::{EventKind, EventRecord, EventRing};
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared simulated-time clock (nanoseconds).
 ///
 /// The simulation engine owns the authoritative clock and mirrors it
 /// into this cell after each advance; every [`Sink`] clone reads it
 /// when stamping observations and events. Cloning shares the cell.
+/// `Relaxed` suffices: one shard's thread both writes and reads it, and
+/// thread spawn and join order the handoff between threads.
 #[derive(Debug, Clone, Default)]
-pub struct SharedClock(Rc<Cell<u64>>);
+pub struct SharedClock(Arc<AtomicU64>);
 
 impl SharedClock {
     /// A clock starting at 0 ns.
@@ -84,13 +84,13 @@ impl SharedClock {
     /// Current simulated time in nanoseconds.
     #[inline]
     pub fn now(&self) -> u64 {
-        self.0.get()
+        self.0.load(Relaxed)
     }
 
     /// Set the simulated time (called by the engine).
     #[inline]
     pub fn set(&self, ns: u64) {
-        self.0.set(ns);
+        self.0.store(ns, Relaxed);
     }
 }
 
@@ -101,9 +101,15 @@ impl SharedClock {
 /// different shards of a partitioned run can be merged back into the
 /// exact serial dispatch order: `(at_ns, seq, lane)` is a total order
 /// over dispatches. The stamp never reaches the JSON schema — it is
-/// merge metadata only.
+/// merge metadata only. Ordering is `Relaxed`, as for [`SharedClock`].
 #[derive(Debug, Clone, Default)]
-pub struct SharedStamp(Rc<Cell<(u64, u32)>>);
+pub struct SharedStamp(Arc<StampCell>);
+
+#[derive(Debug, Default)]
+struct StampCell {
+    seq: AtomicU64,
+    lane: AtomicU32,
+}
 
 impl SharedStamp {
     /// A stamp starting at `(0, 0)`.
@@ -114,13 +120,14 @@ impl SharedStamp {
     /// The `(seq, lane)` key of the current dispatch.
     #[inline]
     pub fn get(&self) -> (u64, u32) {
-        self.0.get()
+        (self.0.seq.load(Relaxed), self.0.lane.load(Relaxed))
     }
 
     /// Set the current dispatch key (called by the engine).
     #[inline]
     pub fn set(&self, seq: u64, lane: u32) {
-        self.0.set((seq, lane));
+        self.0.seq.store(seq, Relaxed);
+        self.0.lane.store(lane, Relaxed);
     }
 }
 
@@ -133,14 +140,14 @@ struct SinkInner {
 /// The shared telemetry handle held by every instrumented component.
 ///
 /// All clones of a sink share one [`Registry`], one [`EventRing`] and
-/// one [`SharedClock`]. Recording operations borrow the shared state
-/// for the duration of one indexed store — zero allocation, no event
+/// one [`SharedClock`]. Recording operations lock the shared state for
+/// the duration of one indexed store — zero allocation, no event
 /// scheduling, no effect on simulation determinism.
 #[derive(Debug, Clone)]
 pub struct Sink {
     clock: SharedClock,
     stamp: SharedStamp,
-    inner: Rc<RefCell<SinkInner>>,
+    inner: Arc<Mutex<SinkInner>>,
 }
 
 impl Sink {
@@ -149,11 +156,19 @@ impl Sink {
         Sink {
             clock: SharedClock::new(),
             stamp: SharedStamp::new(),
-            inner: Rc::new(RefCell::new(SinkInner {
+            inner: Arc::new(Mutex::new(SinkInner {
                 registry: Registry::new(),
                 ring: EventRing::new(ring_capacity),
             })),
         }
+    }
+
+    /// The shared state. Every critical section is one store into plain
+    /// vectors, so a lock poisoned by a panicking holder still guards
+    /// consistent data.
+    #[inline]
+    fn lock(&self) -> MutexGuard<'_, SinkInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The clock all observations are stamped with. Hand this to the
@@ -170,45 +185,31 @@ impl Sink {
 
     /// Register (or look up) a counter by name.
     pub fn counter(&self, name: &str) -> CounterId {
-        self.inner.borrow_mut().registry.counter(name)
-    }
-
-    /// Register (or look up) a gauge by name.
-    pub fn gauge(&self, name: &str) -> GaugeId {
-        self.inner.borrow_mut().registry.gauge(name)
+        self.lock().registry.counter(name)
     }
 
     /// Register (or look up) a time-bucketed histogram by name.
     pub fn time_hist(&self, name: &str, bin_width_ns: u64, bins: usize) -> HistId {
-        self.inner
-            .borrow_mut()
-            .registry
-            .time_hist(name, bin_width_ns, bins)
+        self.lock().registry.time_hist(name, bin_width_ns, bins)
     }
 
     /// Increment a counter by one.
     #[inline]
     pub fn inc(&self, id: CounterId) {
-        self.inner.borrow_mut().registry.inc(id);
+        self.lock().registry.inc(id);
     }
 
     /// Add `n` to a counter.
     #[inline]
     pub fn add(&self, id: CounterId, n: u64) {
-        self.inner.borrow_mut().registry.add(id, n);
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn set_gauge(&self, id: GaugeId, v: f64) {
-        self.inner.borrow_mut().registry.set(id, v);
+        self.lock().registry.add(id, n);
     }
 
     /// Record `value` in a histogram at the current simulated time.
     #[inline]
     pub fn observe(&self, id: HistId, value: u64) {
         let now = self.clock.now();
-        self.inner.borrow_mut().registry.observe(id, now, value);
+        self.lock().registry.observe(id, now, value);
     }
 
     /// Record a structured event at the current simulated time.
@@ -216,7 +217,7 @@ impl Sink {
     pub fn event(&self, kind: EventKind, qp: u64, arg: u64) {
         let at_ns = self.clock.now();
         let (seq, lane) = self.stamp.get();
-        self.inner.borrow_mut().ring.push(EventRecord {
+        self.lock().ring.push(EventRecord {
             at_ns,
             seq,
             lane,
@@ -226,19 +227,9 @@ impl Sink {
         });
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.inner.borrow().registry.counter_value(id)
-    }
-
-    /// The most recent `n` events, oldest of those first.
-    pub fn last_events(&self, n: usize) -> Vec<EventRecord> {
-        self.inner.borrow().ring.last(n)
-    }
-
     /// Snapshot the registry and ring into a `Send + Clone` report.
     pub fn snapshot(&self) -> RunReport {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         RunReport::from_parts(&inner.registry, &inner.ring)
     }
 }
@@ -256,13 +247,14 @@ mod tests {
         assert_eq!(c, c2);
         other.inc(c2);
         sink.add(c, 2);
-        assert_eq!(sink.counter_value(c), 3);
+        assert_eq!(sink.snapshot().counter("shared"), Some(3));
 
         sink.clock().set(777);
         other.event(EventKind::RtoFired, 9, 0);
-        let evs = sink.last_events(1);
-        assert_eq!(evs[0].at_ns, 777);
-        assert_eq!(evs[0].qp, 9);
+        let snap = sink.snapshot();
+        let last = snap.events.ring.last().expect("one event");
+        assert_eq!(last.at_ns, 777);
+        assert_eq!(last.qp, 9);
     }
 
     #[test]

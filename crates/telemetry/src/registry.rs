@@ -1,5 +1,5 @@
-//! The metric registry: counters, gauges and time-bucketed histograms
-//! keyed by small integer ids.
+//! The metric registry: counters and time-bucketed histograms keyed by
+//! small integer ids.
 //!
 //! Registration (by name) happens once at assembly time and may
 //! allocate; every recording operation afterwards is an indexed store
@@ -19,10 +19,6 @@
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(pub(crate) u16);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(pub(crate) u16);
 
 /// Handle to a registered time-bucketed histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,15 +122,6 @@ impl TimeHist {
     pub fn clamped(&self) -> u64 {
         self.clamped
     }
-
-    /// Mean observed value (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// The id-keyed metric store. See the module docs for the allocation
@@ -143,8 +130,6 @@ impl TimeHist {
 pub struct Registry {
     counter_names: Vec<String>,
     counters: Vec<u64>,
-    gauge_names: Vec<String>,
-    gauges: Vec<f64>,
     hist_names: Vec<String>,
     hists: Vec<TimeHist>,
 }
@@ -167,17 +152,6 @@ impl Registry {
         self.counter_names.push(name.to_string());
         self.counters.push(0);
         CounterId((self.counters.len() - 1) as u16)
-    }
-
-    /// Register (or look up) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauge_names.iter().position(|n| n == name) {
-            return GaugeId(i as u16);
-        }
-        assert!(self.gauges.len() < u16::MAX as usize, "gauge space full");
-        self.gauge_names.push(name.to_string());
-        self.gauges.push(0.0);
-        GaugeId((self.gauges.len() - 1) as u16)
     }
 
     /// Register (or look up) a time-bucketed histogram by name. The
@@ -207,31 +181,10 @@ impl Registry {
         self.add(id, 1);
     }
 
-    /// Set a gauge to `v`.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0 as usize] = v;
-    }
-
     /// Record `value` at simulated time `at_ns` in a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistId, at_ns: u64, value: u64) {
         self.hists[id.0 as usize].record(at_ns, value);
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize]
-    }
-
-    /// Read access to a histogram.
-    pub fn hist(&self, id: HistId) -> &TimeHist {
-        &self.hists[id.0 as usize]
     }
 
     /// `(name, value)` for every registered counter, registration order.
@@ -240,14 +193,6 @@ impl Registry {
             .iter()
             .map(|n| n.as_str())
             .zip(self.counters.iter().copied())
-    }
-
-    /// `(name, value)` for every registered gauge, registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauge_names
-            .iter()
-            .map(|n| n.as_str())
-            .zip(self.gauges.iter().copied())
     }
 
     /// `(name, hist)` for every registered histogram, registration order.
@@ -263,6 +208,11 @@ impl Registry {
 mod tests {
     use super::*;
 
+    /// A counter's value, read the way snapshots read it.
+    fn value(r: &Registry, name: &str) -> u64 {
+        r.counters().find(|&(n, _)| n == name).map_or(0, |(_, v)| v)
+    }
+
     #[test]
     fn counter_register_is_idempotent() {
         let mut r = Registry::new();
@@ -273,8 +223,8 @@ mod tests {
         assert_ne!(a, b);
         r.inc(a);
         r.add(a2, 4);
-        assert_eq!(r.counter_value(a), 5);
-        assert_eq!(r.counter_value(b), 0);
+        assert_eq!(value(&r, "x"), 5);
+        assert_eq!(value(&r, "y"), 0);
     }
 
     #[test]
@@ -283,18 +233,9 @@ mod tests {
         let c = r.counter("sat");
         r.add(c, u64::MAX - 1);
         r.add(c, 10);
-        assert_eq!(r.counter_value(c), u64::MAX);
+        assert_eq!(value(&r, "sat"), u64::MAX);
         r.inc(c);
-        assert_eq!(r.counter_value(c), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_set_and_read() {
-        let mut r = Registry::new();
-        let g = r.gauge("rate");
-        assert_eq!(r.gauge_value(g), 0.0);
-        r.set(g, 99.5);
-        assert_eq!(r.gauge_value(g), 99.5);
+        assert_eq!(value(&r, "sat"), u64::MAX);
     }
 
     #[test]
@@ -313,7 +254,6 @@ mod tests {
         assert_eq!(h.bins()[3].count, 2);
         assert_eq!(h.bins()[3].min, 30);
         assert_eq!(h.bins()[3].max, 40);
-        assert!((h.mean() - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -329,7 +269,6 @@ mod tests {
     fn empty_registry_iterates_nothing() {
         let r = Registry::new();
         assert_eq!(r.counters().count(), 0);
-        assert_eq!(r.gauges().count(), 0);
         assert_eq!(r.hists().count(), 0);
     }
 }

@@ -1,8 +1,9 @@
 //! Snapshot types and the versioned JSON report writer.
 //!
 //! A [`RunReport`] is a plain-data snapshot of one run's metrics —
-//! unlike [`crate::Sink`] it is `Send + Clone`, so sweep workers can
-//! return it across threads. A [`Report`] maps run labels to snapshots
+//! unlike a [`crate::Sink`] it shares no state, so sweep workers can
+//! return it across threads and merge it freely. Gauges enter it only
+//! at snapshot time, through [`RunReport::push_gauge`]. A [`Report`] maps run labels to snapshots
 //! and serializes to the `themis-telemetry` JSON schema:
 //!
 //! ```json
@@ -147,7 +148,7 @@ impl RunReport {
                 .counters()
                 .map(|(n, v)| (n.to_string(), v))
                 .collect(),
-            gauges: registry.gauges().map(|(n, v)| (n.to_string(), v)).collect(),
+            gauges: Vec::new(),
             hists: registry
                 .hists()
                 .map(|(n, h)| (n.to_string(), HistSnapshot::from_hist(h)))

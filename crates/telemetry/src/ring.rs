@@ -122,13 +122,6 @@ impl EventRing {
         };
         older.iter().chain(newer.iter())
     }
-
-    /// The most recent `n` events, oldest of those first.
-    pub fn last(&self, n: usize) -> Vec<EventRecord> {
-        let events: Vec<EventRecord> = self.iter_in_order().copied().collect();
-        let skip = events.len().saturating_sub(n);
-        events[skip..].to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -171,23 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn last_n_truncates_and_handles_short_rings() {
-        let mut r = EventRing::new(8);
-        for t in 0..5 {
-            r.push(ev(t));
-        }
-        let last2: Vec<u64> = r.last(2).iter().map(|e| e.at_ns).collect();
-        assert_eq!(last2, vec![3, 4]);
-        let all: Vec<u64> = r.last(100).iter().map(|e| e.at_ns).collect();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn empty_ring() {
         let r = EventRing::new(4);
         assert!(r.is_empty());
         assert_eq!(r.iter_in_order().count(), 0);
-        assert!(r.last(3).is_empty());
     }
 
     #[test]

@@ -5,6 +5,9 @@
 #
 # Steps:
 #   1. cargo fmt --check
+#   1b. cargo clippy --workspace --all-targets -- -D warnings: every
+#      lint warning fails, and the workspace's `unsafe_code = "forbid"`
+#      (Cargo.toml) makes any `unsafe` a compile error in every step.
 #   2. cargo build --release
 #   3. cargo test -q            (tier-1 suite)
 #   3b. cargo test --workspace -q: every crate's unit tests, the
@@ -75,6 +78,9 @@ trap cleanup EXIT
 
 echo "== fmt =="
 cargo fmt --check
+
+echo "== clippy (warnings denied) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== build (release) =="
 # --workspace so member binaries (themis_fuzz, themis_sim, fig1, fig5)

@@ -52,12 +52,6 @@ impl Entity for Relay {
             }
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A seed event: inject a packet at `at_ns` into entity `target`.

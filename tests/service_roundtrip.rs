@@ -49,9 +49,8 @@ fn two_concurrent_clients_on_one_warm_k16_fabric() {
     let service = SimService::new(cfg).expect("valid config");
     let stop = Arc::new(AtomicBool::new(false));
 
-    // The service (and its cluster) is deliberately not `Send`, so
-    // `serve` runs right here on the test thread; all client traffic
-    // happens on a coordinator thread.
+    // `serve` runs right here on the test thread, the one consumer of
+    // every request; all client traffic happens on a coordinator thread.
     let sock_for_clients = sock.clone();
     let client_endpoint = endpoint.clone();
     let coordinator = std::thread::spawn(move || {

@@ -28,15 +28,11 @@ fn synthetic_report() -> Report {
     let sink = Sink::new(4); // tiny ring so overwrite is exercised
     let packets = sink.counter("fabric.packets");
     let drops = sink.counter("fabric.drops.buffer");
-    let rate = sink.gauge("run.goodput_gbps");
-    let odd = sink.gauge("gauge.with \"quotes\"\\backslash");
     let lat = sink.time_hist("collective.msg_latency", 1_000, 4);
 
     sink.clock().set(500);
     sink.add(packets, 7);
     sink.inc(drops);
-    sink.set_gauge(rate, 98.5);
-    sink.set_gauge(odd, 2.0); // integral-valued float keeps its ".0"
     sink.observe(lat, 10);
     sink.observe(lat, 30);
     sink.event(EventKind::PacketDrop, 3, 41);
@@ -51,8 +47,13 @@ fn synthetic_report() -> Report {
     sink.observe(lat, 1_000_000); // clamped into the last bin
     sink.event(EventKind::RtoFired, 9, 0); // overwrites the oldest event
 
+    // Gauges are snapshot-time exports, as every document's are.
+    let mut run = sink.snapshot();
+    run.push_gauge("run.goodput_gbps", 98.5);
+    run.push_gauge("gauge.with \"quotes\"\\backslash", 2.0); // integral-valued float keeps its ".0"
+
     let mut report = Report::new();
-    report.add_run("synthetic", sink.snapshot());
+    report.add_run("synthetic", run);
     report.add_run("empty", themis::telemetry::RunReport::new());
     report
 }
