@@ -4,29 +4,20 @@
 //! deterministic fraction of every flow onto the dead path. The paper's
 //! remedy: upon failure detection (via external monitoring such as
 //! Pingmesh \[17\]), the affected ToR *disables Themis and reverts to ECMP*
-//! until the failure clears.
+//! until the failure clears. That transition is an engine event: the
+//! monitor sends [`ControlMsg::TorLinkFailure`] and later
+//! [`ControlMsg::TorLinkRecovery`] to each ToR, whose switch reverts its
+//! LB policy and tells its hook ([`ThemisMiddleware::on_link_failure`] /
+//! [`ThemisMiddleware::on_link_recovery`]).
 //!
-//! [`apply_failure_fallback`] performs that switch-local transition on a
-//! live [`Switch`]: the LB policy becomes ECMP and the Themis-S sprayer is
-//! disabled (in-flight NACK filtering remains armed so packets already in
-//! the fabric are still handled). [`restore_after_repair`] reverses it.
+//! For a partial failure, [`apply_pathset_restriction`] keeps Themis on
+//! but narrows it to the surviving paths.
+//!
+//! [`ControlMsg::TorLinkFailure`]: netsim::event::ControlMsg::TorLinkFailure
+//! [`ControlMsg::TorLinkRecovery`]: netsim::event::ControlMsg::TorLinkRecovery
 
 use crate::middleware::ThemisMiddleware;
-use netsim::lb::LbPolicy;
 use netsim::switch::Switch;
-
-/// Revert a ToR to ECMP after a link failure. Returns true if a Themis
-/// middleware was present and disabled.
-pub fn apply_failure_fallback(sw: &mut Switch) -> bool {
-    sw.set_lb(LbPolicy::Ecmp);
-    if let Some(hook) = sw.hook_mut() {
-        if let Some(m) = hook.as_any_mut().downcast_mut::<ThemisMiddleware>() {
-            m.on_link_failure();
-            return true;
-        }
-    }
-    false
-}
 
 /// Restrict a ToR's Themis instance to a path subset (§6: dynamic
 /// pathset adjustment around partial failures). Returns true if a Themis
@@ -43,25 +34,18 @@ pub fn apply_pathset_restriction(sw: &mut Switch, pathset: Option<Vec<usize>>) -
     false
 }
 
-/// Re-enable Themis after the failed link is repaired.
-pub fn restore_after_repair(sw: &mut Switch, lb: LbPolicy) -> bool {
-    sw.set_lb(lb);
-    if let Some(hook) = sw.hook_mut() {
-        if let Some(m) = hook.as_any_mut().downcast_mut::<ThemisMiddleware>() {
-            m.on_link_recovery();
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ThemisConfig;
     use crate::themis_s::SprayMode;
+    use netsim::event::{ControlMsg, Event, Routed};
+    use netsim::lb::LbPolicy;
     use netsim::switch::SwitchConfig;
-    use simcore::time::TimeDelta;
+    use netsim::types::NodeId;
+    use netsim::world::{Ctx, Entity};
+    use simcore::engine::Engine;
+    use simcore::time::Nanos;
 
     fn tor_with_themis() -> Switch {
         let mut sw = Switch::new(&SwitchConfig {
@@ -76,49 +60,49 @@ mod tests {
             filtering: true,
         };
         sw.set_hook(Box::new(ThemisMiddleware::new(cfg)));
-        let _ = TimeDelta::ZERO;
         sw
     }
 
-    #[test]
-    fn fallback_reverts_to_ecmp_and_disables_spray() {
-        let mut sw = tor_with_themis();
-        assert!(apply_failure_fallback(&mut sw));
-        assert_eq!(sw.lb(), LbPolicy::Ecmp);
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
-        assert!(!m.s.is_enabled());
+    /// Deliver `msg` to `sw` the way the engine does.
+    fn control(sw: &mut Switch, msg: ControlMsg) {
+        let mut engine: Engine<Routed> = Engine::new();
+        sw.handle(
+            Event::Control(msg),
+            &mut Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine),
+        );
+    }
+
+    fn themis(sw: &Switch) -> &ThemisMiddleware {
+        sw.hook().unwrap().as_any().downcast_ref().unwrap()
     }
 
     #[test]
-    fn restore_resumes_spraying() {
+    fn failure_message_reverts_to_ecmp_and_disables_spray() {
         let mut sw = tor_with_themis();
-        apply_failure_fallback(&mut sw);
-        assert!(restore_after_repair(&mut sw, LbPolicy::RandomSpray));
+        control(&mut sw, ControlMsg::TorLinkFailure);
+        assert_eq!(sw.lb(), LbPolicy::Ecmp);
+        assert!(!themis(&sw).s.is_enabled());
+    }
+
+    #[test]
+    fn recovery_message_resumes_spraying() {
+        let mut sw = tor_with_themis();
+        control(&mut sw, ControlMsg::TorLinkFailure);
+        control(
+            &mut sw,
+            ControlMsg::TorLinkRecovery {
+                lb: LbPolicy::RandomSpray,
+            },
+        );
         assert_eq!(sw.lb(), LbPolicy::RandomSpray);
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
-        assert!(m.s.is_enabled());
+        assert!(themis(&sw).s.is_enabled());
     }
 
     #[test]
     fn pathset_restriction_applies_to_both_halves() {
         let mut sw = tor_with_themis();
         assert!(apply_pathset_restriction(&mut sw, Some(vec![0])));
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
+        let m = themis(&sw);
         assert_eq!(m.s.effective_modulus(), 1);
         assert_eq!(m.d.as_ref().unwrap().n_paths(), 1);
     }
@@ -131,14 +115,14 @@ mod tests {
         // permanently desync this ToR from the rest of the fabric.
         let mut sw = tor_with_themis();
         assert!(apply_pathset_restriction(&mut sw, Some(vec![0])));
-        apply_failure_fallback(&mut sw);
-        assert!(restore_after_repair(&mut sw, LbPolicy::RandomSpray));
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
+        control(&mut sw, ControlMsg::TorLinkFailure);
+        control(
+            &mut sw,
+            ControlMsg::TorLinkRecovery {
+                lb: LbPolicy::RandomSpray,
+            },
+        );
+        let m = themis(&sw);
         assert!(m.s.is_enabled());
         assert_eq!(m.s.effective_modulus(), 2, "pathset restriction cleared");
         assert_eq!(m.d.as_ref().unwrap().n_paths(), 2, "Eq. 3 modulus restored");
@@ -151,9 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn fallback_without_themis_reports_false() {
-        let mut sw = Switch::new(&SwitchConfig::default());
-        assert!(!apply_failure_fallback(&mut sw));
+    fn failure_message_without_themis_still_reverts_to_ecmp() {
+        let mut sw = Switch::new(&SwitchConfig {
+            lb: LbPolicy::RandomSpray,
+            ..SwitchConfig::default()
+        });
+        control(&mut sw, ControlMsg::TorLinkFailure);
         assert_eq!(sw.lb(), LbPolicy::Ecmp);
     }
 }

@@ -9,7 +9,6 @@
 //! themis_sim p2p --fabric motivation --scheme spray-nofilter --mb 16 --pfc
 //! ```
 
-use netsim::switch::PfcConfig;
 use netsim::topology::LeafSpineConfig;
 use rnic::{CcConfig, NicConfig, TransportMode};
 use simcore::time::{Nanos, TimeDelta};
@@ -38,9 +37,7 @@ fn build_config(args: &Matches) -> ExperimentConfig {
         };
     }
     fabric.seed = seed;
-    if args.given("pfc") {
-        fabric.pfc = Some(PfcConfig::for_buffer(fabric.buffer_bytes));
-    }
+    fabric.pfc = args.given("pfc");
 
     let line = fabric.host_link.bandwidth_bps;
     let mut nic = match args.text("transport").as_deref() {
@@ -52,7 +49,7 @@ fn build_config(args: &Matches) -> ExperimentConfig {
         _ => NicConfig::nic_sr(line),
     };
     if args.given("ti") || args.given("td") {
-        nic.cc = CcConfig::with_ti_td(line, args.num("ti"), args.num("td"));
+        nic.cc = CcConfig::with_ti_td(args.num("ti"), args.num("td"));
     }
 
     let cfg = ExperimentConfig {

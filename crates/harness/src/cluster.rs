@@ -516,19 +516,11 @@ pub fn assemble(
     // their pod's shard, the rest are spread round-robin.
     let (mut world, hosts, tors, spines, pod_local) = match topology {
         Topology::LeafSpine(c) => {
-            let p = build_leaf_spine(&LeafSpineConfig {
-                lb,
-                oracle_loss_notify,
-                ..c.clone()
-            });
+            let p = build_leaf_spine(c, lb, oracle_loss_notify);
             (p.world, p.hosts, p.leaves, p.spines, 0)
         }
         Topology::FatTree(c) => {
-            let p = build_fat_tree(&FatTreeConfig {
-                lb,
-                oracle_loss_notify,
-                ..c.clone()
-            });
+            let p = build_fat_tree(c, lb, oracle_loss_notify);
             let (mut spines, pod_local) = (p.aggs, p.edges.len());
             spines.extend(p.cores);
             (p.world, p.hosts, p.edges, spines, pod_local)
@@ -692,9 +684,17 @@ mod tests {
                     // PathMap, a 2-tier ToR never does.
                     let base = ThemisConfig::for_fabric(n_paths, line, TimeDelta::ZERO, 1500);
                     let deploys = scheme.themis_config(base).is_some();
+                    // Every switch — ToR, spine, agg, core — runs the
+                    // scheme's LB policy and ECN-marks on every port.
+                    for id in c.all_switches() {
+                        let sw = c.switch(id).expect("live switch");
+                        assert_eq!(sw.lb(), scheme.lb_policy(), "{at}: {id:?}");
+                        for p in 0..sw.num_ports() {
+                            assert!(sw.port(p).ecn.is_some(), "{at}: {id:?} port {p}");
+                        }
+                    }
                     for &tor in &c.leaves {
                         let sw = c.switch(tor).expect("live ToR");
-                        assert_eq!(sw.lb(), scheme.lb_policy(), "{at}");
                         assert_eq!(sw.hook().is_some(), deploys, "{at}");
                         if let Some(hook) = sw.hook() {
                             let mw: &ThemisMiddleware =

@@ -120,7 +120,7 @@ impl ExperimentConfig {
         };
         let line = fabric.host_link.bandwidth_bps;
         let mut nic = NicConfig::nic_sr(line);
-        nic.cc = CcConfig::with_ti_td(line, ti_us, td_us);
+        nic.cc = CcConfig::with_ti_td(ti_us, td_us);
         ExperimentConfig {
             fabric,
             nic,

@@ -84,7 +84,7 @@ pub fn run_fig1_sharded(
     // sending-rate sawtooth averaging ~86% of line rate with dips toward
     // 50%, and a double-digit retransmission ratio. See EXPERIMENTS.md.
     if transport == Fig1Transport::NicSr {
-        cfg.nic.cc = rnic::CcConfig::with_ti_td(line, 10, 100);
+        cfg.nic.cc = rnic::CcConfig::with_ti_td(10, 100);
     }
     cfg.horizon = Nanos::from_secs(60);
 

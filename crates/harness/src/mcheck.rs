@@ -67,7 +67,7 @@ use rnic::config::TransportMode;
 use rnic::qp::RecvQp;
 use rnic::reaction::{OooReaction, OooReactionKind};
 use simcore::fx::{FxHashSet, FxHasher};
-use simcore::time::{Nanos, TimeDelta};
+use simcore::time::Nanos;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use themis_core::themis_d::ThemisD;
@@ -349,7 +349,6 @@ pub fn explore(cfg: &CheckConfig) -> CheckReport {
         4000,
         TransportMode::SelectiveRepeat,
         1,
-        TimeDelta::from_micros(50),
         OooReaction::new(cfg.ooo),
     );
     receiver.advance_to(cfg.psn_base);

@@ -258,7 +258,7 @@ impl Scheme {
             Nic::Unchanged => base,
             Nic::IdealNoCc => NicConfig {
                 transport: TransportMode::IdealOracle,
-                cc: CcConfig::disabled(base.line_rate_bps),
+                cc: CcConfig::disabled(),
                 ..base
             },
             Nic::Reaction(entropy, ooo) => NicConfig {
@@ -383,7 +383,7 @@ mod tests {
     fn zoo_schemes_configure_their_nic_half() {
         let oracle = Scheme::Oracle.nic_config(base_nic());
         assert_eq!(oracle.transport, TransportMode::IdealOracle);
-        assert!(!oracle.cc.enabled && !oracle.cc.nack_slowdown);
+        assert!(!oracle.cc.enabled);
 
         let reps = Scheme::Reps.nic_config(base_nic());
         assert_eq!(

@@ -45,14 +45,9 @@ pub struct FatTreeConfig {
     pub fabric_link: LinkSpec,
     /// Per-switch shared buffer.
     pub buffer_bytes: u64,
-    /// Uplink LB policy on edges and aggs.
-    pub lb: LbPolicy,
-    /// Enable WRED/ECN marking on all ports.
-    pub ecn: bool,
-    /// Enable the loss oracle.
-    pub oracle_loss_notify: bool,
-    /// Hop-by-hop PFC on every switch; `None` = lossy fabric.
-    pub pfc: Option<PfcConfig>,
+    /// Hop-by-hop PFC on every switch, with thresholds derived from
+    /// `buffer_bytes` ([`PfcConfig::for_buffer`]); `false` = lossy fabric.
+    pub pfc: bool,
     /// Strict control-packet priority on every switch port.
     pub ctrl_priority: bool,
     /// Root seed.
@@ -68,10 +63,7 @@ impl FatTreeConfig {
             host_link: LinkSpec::gbps(100, 1),
             fabric_link: LinkSpec::gbps(100, 1),
             buffer_bytes: 64 * 1024 * 1024,
-            lb: LbPolicy::Ecmp,
-            ecn: true,
-            oracle_loss_notify: false,
-            pfc: None,
+            pfc: false,
             ctrl_priority: false,
             seed: 1,
         }
@@ -136,10 +128,13 @@ fn core_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
     NodeId((n_hosts + 2 * k * (k / 2) + i) as u32)
 }
 
-/// Build a `k`-ary fat-tree. Host `h` (pod `h / m²`, edge `(h / m) % m`,
-/// slot `h % m`) occupies entity slot `NodeId(h)`. Every switch routes
-/// by its [`Routes`] rule: the hosts below it are one contiguous range.
-pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
+/// Build a `k`-ary fat-tree with uplink policy `lb` on every switch,
+/// WRED/ECN marking on every switch port, and the loss oracle's drop
+/// notifications when `oracle_loss_notify` is set. Host `h` (pod
+/// `h / m²`, edge `(h / m) % m`, slot `h % m`) occupies entity slot
+/// `NodeId(h)`. Every switch routes by its [`Routes`] rule: the hosts
+/// below it are one contiguous range.
+pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: bool) -> FatTreePlan {
     let k = cfg.k;
     let m = k / 2;
     assert!(k >= 2 && k.is_multiple_of(2), "fat-tree radix must be even");
@@ -158,11 +153,11 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
     let new_switch = |salt: u64, ecmp_shift: u32, first: usize, span: usize, per_port: usize| {
         let mut sw = Switch::new(&SwitchConfig {
             buffer_bytes: cfg.buffer_bytes,
-            lb: cfg.lb,
-            oracle_loss_notify: cfg.oracle_loss_notify,
+            lb,
+            oracle_loss_notify,
             seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(salt),
             ecmp_shift,
-            pfc: cfg.pfc,
+            pfc: cfg.pfc.then(|| PfcConfig::for_buffer(cfg.buffer_bytes)),
             ctrl_priority: cfg.ctrl_priority,
         });
         sw.set_routes(Routes {
@@ -176,9 +171,7 @@ pub fn build_fat_tree(cfg: &FatTreeConfig) -> FatTreePlan {
         EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
     };
     let install = |world: &mut World, mut sw: Switch| -> NodeId {
-        if cfg.ecn {
-            sw.set_ecn_all_ports(|pt| Some(EcnConfig::for_bandwidth(pt.link.bandwidth_bps)));
-        }
+        sw.set_ecn_all_ports(|pt| Some(EcnConfig::for_bandwidth(pt.link.bandwidth_bps)));
         world.add(Box::new(sw))
     };
 
@@ -275,7 +268,7 @@ mod tests {
         let cfg = FatTreeConfig::small(4);
         assert_eq!(cfg.n_hosts(), 16);
         assert_eq!(cfg.n_paths(), 4);
-        let plan = build_fat_tree(&cfg);
+        let plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         assert_eq!(plan.hosts.len(), 16);
         assert_eq!(plan.edges.len(), 8);
         assert_eq!(plan.aggs.len(), 8);
@@ -286,7 +279,7 @@ mod tests {
     #[test]
     fn k8_dimensions() {
         let cfg = FatTreeConfig::small(8);
-        let plan = build_fat_tree(&cfg);
+        let plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         assert_eq!(plan.hosts.len(), 128);
         assert_eq!(plan.n_paths, 16);
         assert_eq!(plan.cores.len(), 16);
@@ -295,12 +288,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_k6() {
-        build_fat_tree(&FatTreeConfig::small(6));
+        build_fat_tree(&FatTreeConfig::small(6), LbPolicy::Ecmp, false);
     }
 
     #[test]
     fn pods_and_edges_assigned_correctly() {
-        let plan = build_fat_tree(&FatTreeConfig::small(4));
+        let plan = build_fat_tree(&FatTreeConfig::small(4), LbPolicy::Ecmp, false);
         assert_eq!(plan.pod_of(HostId(0)), 0);
         assert_eq!(plan.pod_of(HostId(3)), 0);
         assert_eq!(plan.pod_of(HostId(4)), 1);
@@ -327,8 +320,12 @@ mod tests {
         ] {
             let mut cfg = FatTreeConfig::small(k);
             cfg.fabric_link = LinkSpec::gbps(400, 1);
-            let w = wiring(&build_fat_tree(&cfg));
-            assert_eq!(w, wiring(&build_fat_tree(&cfg)), "k={k}: builds differ");
+            let w = wiring(&build_fat_tree(&cfg, LbPolicy::Ecmp, false));
+            assert_eq!(
+                w,
+                wiring(&build_fat_tree(&cfg, LbPolicy::Ecmp, false)),
+                "k={k}: builds differ"
+            );
             let mut h = simcore::fx::FxHasher::default();
             w.hash(&mut h);
             assert_eq!(h.finish(), want, "k={k}: wiring drifted");
@@ -352,7 +349,7 @@ mod tests {
     #[test]
     fn inter_pod_forwarding_reaches_destination_on_every_path() {
         let cfg = FatTreeConfig::small(4);
-        let mut plan = build_fat_tree(&cfg);
+        let mut plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         // Install sinks at every host slot.
         for att in &plan.hosts {
             plan.world.install(att.node, Box::new(Sink { got: vec![] }));
@@ -393,7 +390,7 @@ mod tests {
     #[test]
     fn intra_pod_cross_edge_goes_via_agg_only() {
         let cfg = FatTreeConfig::small(4);
-        let mut plan = build_fat_tree(&cfg);
+        let mut plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         for att in &plan.hosts {
             plan.world.install(att.node, Box::new(Sink { got: vec![] }));
         }
@@ -423,7 +420,7 @@ mod tests {
     #[test]
     fn ecmp_uses_all_four_inter_pod_paths() {
         let cfg = FatTreeConfig::small(4);
-        let mut plan = build_fat_tree(&cfg);
+        let mut plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         for att in &plan.hosts {
             plan.world.install(att.node, Box::new(Sink { got: vec![] }));
         }

@@ -94,22 +94,19 @@ impl dyn TorHook {
     }
 }
 
-/// A hook that blocks nothing and records nothing; useful as a control in
-/// A/B tests (hook dispatch overhead without Themis logic).
-#[derive(Debug, Default)]
-pub struct NullHook;
-
-impl TorHook for NullHook {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::Packet;
     use crate::types::{HostId, QpId};
 
+    /// A hook that overrides nothing.
+    struct Passive;
+    impl TorHook for Passive {}
+
     #[test]
-    fn null_hook_passes_everything() {
-        let mut h = NullHook;
+    fn default_hook_passes_everything() {
+        let mut h = Passive;
         let mut emit = Vec::new();
         let mut ctx = HookCtx {
             now: Nanos::ZERO,

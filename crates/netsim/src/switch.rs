@@ -277,12 +277,6 @@ impl Switch {
         self.hook = Some(hook);
     }
 
-    /// Replace the load-balancing policy (used by failure handling to
-    /// revert a ToR to ECMP, §6).
-    pub fn set_lb(&mut self, lb: LbPolicy) {
-        self.lb = lb;
-    }
-
     /// Current load-balancing policy.
     pub fn lb(&self) -> LbPolicy {
         self.lb

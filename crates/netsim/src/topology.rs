@@ -38,14 +38,9 @@ pub struct LeafSpineConfig {
     pub fabric_link: LinkSpec,
     /// Per-switch shared buffer (paper: 64 MB).
     pub buffer_bytes: u64,
-    /// Uplink load-balancing policy installed on every leaf.
-    pub lb: LbPolicy,
-    /// Enable WRED/ECN marking on all switch ports.
-    pub ecn: bool,
-    /// Enable the loss oracle (Ideal baseline of Fig 1d).
-    pub oracle_loss_notify: bool,
-    /// Hop-by-hop PFC on every switch; `None` = lossy fabric.
-    pub pfc: Option<PfcConfig>,
+    /// Hop-by-hop PFC on every switch, with thresholds derived from
+    /// `buffer_bytes` ([`PfcConfig::for_buffer`]); `false` = lossy fabric.
+    pub pfc: bool,
     /// Strict control-packet priority on every switch port.
     pub ctrl_priority: bool,
     /// Root seed; each switch gets an independent substream.
@@ -63,10 +58,7 @@ impl LeafSpineConfig {
             host_link: LinkSpec::gbps(400, 1),
             fabric_link: LinkSpec::gbps(400, 1),
             buffer_bytes: 64 * 1024 * 1024,
-            lb: LbPolicy::Ecmp,
-            ecn: true,
-            oracle_loss_notify: false,
-            pfc: None,
+            pfc: false,
             ctrl_priority: false,
             seed: 1,
         }
@@ -83,10 +75,7 @@ impl LeafSpineConfig {
             host_link: LinkSpec::gbps(100, 1),
             fabric_link: LinkSpec::gbps(100, 1),
             buffer_bytes: 64 * 1024 * 1024,
-            lb: LbPolicy::RandomSpray,
-            ecn: true,
-            oracle_loss_notify: false,
-            pfc: None,
+            pfc: false,
             ctrl_priority: false,
             seed: 1,
         }
@@ -135,11 +124,18 @@ impl FabricPlan {
     }
 }
 
-/// Build a leaf-spine fabric per `cfg`.
+/// Build a leaf-spine fabric per `cfg`, with uplink policy `lb` on every
+/// switch, WRED/ECN marking on every switch port, and — when
+/// `oracle_loss_notify` is set (the Ideal baseline of Fig 1d) — drop
+/// notifications to the affected NIC.
 ///
 /// Host `h` lives on leaf `h / hosts_per_leaf` and occupies entity slot
 /// `NodeId(h)`; switches occupy the following slots.
-pub fn build_leaf_spine(cfg: &LeafSpineConfig) -> FabricPlan {
+pub fn build_leaf_spine(
+    cfg: &LeafSpineConfig,
+    lb: LbPolicy,
+    oracle_loss_notify: bool,
+) -> FabricPlan {
     assert!(cfg.n_leaves > 0 && cfg.hosts_per_leaf > 0 && cfg.n_spines > 0);
     let n_hosts = cfg.n_hosts();
     let mut world = World::new();
@@ -158,11 +154,11 @@ pub fn build_leaf_spine(cfg: &LeafSpineConfig) -> FabricPlan {
     let new_switch = |seed: u64, first: usize, span: usize, per_port: usize| {
         let mut sw = Switch::new(&SwitchConfig {
             buffer_bytes: cfg.buffer_bytes,
-            lb: cfg.lb,
-            oracle_loss_notify: cfg.oracle_loss_notify,
+            lb,
+            oracle_loss_notify,
             seed,
             ecmp_shift: 0,
-            pfc: cfg.pfc,
+            pfc: cfg.pfc.then(|| PfcConfig::for_buffer(cfg.buffer_bytes)),
             ctrl_priority: cfg.ctrl_priority,
         });
         sw.set_routes(Routes {
@@ -176,9 +172,7 @@ pub fn build_leaf_spine(cfg: &LeafSpineConfig) -> FabricPlan {
         EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
     };
     let install = |world: &mut World, mut sw: Switch, id: NodeId| {
-        if cfg.ecn {
-            sw.set_ecn_all_ports(|p| Some(EcnConfig::for_bandwidth(p.link.bandwidth_bps)));
-        }
+        sw.set_ecn_all_ports(|p| Some(EcnConfig::for_bandwidth(p.link.bandwidth_bps)));
         assert_eq!(world.add(Box::new(sw)), id, "switch node-id drift");
     };
 
@@ -314,11 +308,19 @@ mod tests {
     #[test]
     fn wiring_fingerprint_is_pinned() {
         use std::hash::{Hash, Hasher};
-        for (cfg, want) in [
-            (LeafSpineConfig::motivation(), 0x8696_fa34_60ed_6236_u64),
-            (LeafSpineConfig::paper_eval(), 0x373b_3da4_43c7_08bc),
+        for (cfg, lb, want) in [
+            (
+                LeafSpineConfig::motivation(),
+                LbPolicy::RandomSpray,
+                0x8696_fa34_60ed_6236_u64,
+            ),
+            (
+                LeafSpineConfig::paper_eval(),
+                LbPolicy::Ecmp,
+                0x373b_3da4_43c7_08bc,
+            ),
         ] {
-            let plan = build_leaf_spine(&cfg);
+            let plan = build_leaf_spine(&cfg, lb, false);
             let w = wiring(&plan.world, plan.hosts.len());
             let mut h = simcore::fx::FxHasher::default();
             w.hash(&mut h);
@@ -330,7 +332,7 @@ mod tests {
     fn paper_eval_dimensions() {
         let cfg = LeafSpineConfig::paper_eval();
         assert_eq!(cfg.n_hosts(), 256);
-        let plan = build_leaf_spine(&cfg);
+        let plan = build_leaf_spine(&cfg, LbPolicy::Ecmp, false);
         assert_eq!(plan.hosts.len(), 256);
         assert_eq!(plan.leaves.len(), 16);
         assert_eq!(plan.spines.len(), 16);
@@ -340,7 +342,7 @@ mod tests {
 
     #[test]
     fn motivation_dimensions() {
-        let plan = build_leaf_spine(&LeafSpineConfig::motivation());
+        let plan = build_leaf_spine(&LeafSpineConfig::motivation(), LbPolicy::RandomSpray, false);
         assert_eq!(plan.hosts.len(), 8);
         assert_eq!(plan.n_paths, 2);
         // Ring neighbours h -> h+2 are always on different leaves
@@ -357,7 +359,7 @@ mod tests {
 
     #[test]
     fn node_id_convention_holds() {
-        let plan = build_leaf_spine(&LeafSpineConfig::motivation());
+        let plan = build_leaf_spine(&LeafSpineConfig::motivation(), LbPolicy::RandomSpray, false);
         for att in &plan.hosts {
             assert_eq!(att.node.0, att.host.0);
         }
@@ -365,7 +367,7 @@ mod tests {
 
     #[test]
     fn leaf_ports_are_wired_consistently() {
-        let plan = build_leaf_spine(&LeafSpineConfig::motivation());
+        let plan = build_leaf_spine(&LeafSpineConfig::motivation(), LbPolicy::RandomSpray, false);
         let leaf0: &Switch = plan.world.get(plan.leaves[0]).unwrap();
         // 2 host ports + 2 uplinks.
         assert_eq!(leaf0.num_ports(), 4);
@@ -380,7 +382,7 @@ mod tests {
     #[test]
     fn spine_ports_point_back_at_leaf_uplinks() {
         let cfg = LeafSpineConfig::motivation();
-        let plan = build_leaf_spine(&cfg);
+        let plan = build_leaf_spine(&cfg, LbPolicy::RandomSpray, false);
         let spine1: &Switch = plan.world.get(plan.spines[1]).unwrap();
         // Spine 1 port l -> leaf l, arriving on leaf port hpl+1.
         for l in 0..cfg.n_leaves {

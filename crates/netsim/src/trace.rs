@@ -104,11 +104,12 @@ pub fn fabric_summary(world: &World, switches: &[NodeId]) -> FabricSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lb::LbPolicy;
     use crate::topology::{build_leaf_spine, LeafSpineConfig};
 
     #[test]
     fn summary_over_idle_fabric_is_zero() {
-        let plan = build_leaf_spine(&LeafSpineConfig::motivation());
+        let plan = build_leaf_spine(&LeafSpineConfig::motivation(), LbPolicy::RandomSpray, false);
         let all: Vec<NodeId> = plan
             .leaves
             .iter()
@@ -122,7 +123,7 @@ mod tests {
 
     #[test]
     fn missing_entities_are_skipped() {
-        let plan = build_leaf_spine(&LeafSpineConfig::motivation());
+        let plan = build_leaf_spine(&LeafSpineConfig::motivation(), LbPolicy::RandomSpray, false);
         // Host slots are reserved but empty; including them must not panic.
         let mut ids: Vec<NodeId> = (0..plan.world.len() as u32).map(NodeId).collect();
         ids.push(NodeId(9999)); // out of range: also skipped

@@ -19,61 +19,31 @@ pub enum TransportMode {
     IdealOracle,
 }
 
-/// DCQCN parameters (Zhu et al., SIGCOMM'15), exposing the paper's
-/// evaluation knobs `T_I` (rate-increase timer) and `T_D` (rate-decrease
-/// interval).
+/// DCQCN on/off plus the paper's two evaluation knobs, `T_I`
+/// (rate-increase timer) and `T_D` (rate-decrease interval). The
+/// algorithm's fixed parameters (gain, alpha timer, increase steps, byte
+/// counter, rate floor, CNP spacing, NACK cut) are constants in
+/// [`crate::dcqcn`].
 #[derive(Debug, Clone, Copy)]
 pub struct CcConfig {
-    /// Master switch; disabled = fixed line rate (Ideal baseline).
+    /// Master switch; disabled = fixed line rate and no NACK slowdown
+    /// (the Ideal baseline). Enabled, a NACK cuts the rate like a CNP —
+    /// the "unnecessary slow start" of commodity NIC-SR (§2.2).
     pub enabled: bool,
     /// Rate-increase timer T_I: period of recovery events at the sender.
     pub ti: TimeDelta,
     /// Rate-decrease interval T_D: minimum spacing between rate cuts.
     pub td: TimeDelta,
-    /// EWMA gain `g` for the congestion-extent estimate alpha.
-    pub g: f64,
-    /// Alpha-update timer (55 µs in the DCQCN paper).
-    pub alpha_timer: TimeDelta,
-    /// Additive-increase step in bits/s.
-    pub rai_bps: f64,
-    /// Hyper-increase step in bits/s.
-    pub rhai_bps: f64,
-    /// Number of fast-recovery iterations before additive increase.
-    pub fast_recovery_threshold: u32,
-    /// Byte counter: every this many transmitted bytes also triggers an
-    /// increase event.
-    pub byte_counter: u64,
-    /// Rate floor in bits/s.
-    pub min_rate_bps: f64,
-    /// Notification-point minimum CNP spacing per QP (50 µs typical).
-    pub cnp_interval: TimeDelta,
-    /// Whether a NACK triggers a rate cut — the "unnecessary slow start"
-    /// of §2.2. True for commodity NIC-SR; false for the Ideal baseline.
-    pub nack_slowdown: bool,
-    /// Multiplicative factor applied to the current rate on a NACK cut.
-    pub nack_cut_factor: f64,
 }
 
 impl CcConfig {
-    /// DCQCN with the recommended parameters of HPCC/DCQCN deployments,
-    /// scaled to `line_rate_bps`: T_I = 900 µs, T_D = 4 µs (the leftmost
-    /// configuration of Fig 5).
-    pub fn recommended(line_rate_bps: u64) -> CcConfig {
-        CcConfig {
-            enabled: true,
-            ti: TimeDelta::from_micros(900),
-            td: TimeDelta::from_micros(4),
-            g: 1.0 / 256.0,
-            alpha_timer: TimeDelta::from_micros(55),
-            rai_bps: line_rate_bps as f64 / 2000.0,
-            rhai_bps: line_rate_bps as f64 / 200.0,
-            fast_recovery_threshold: 5,
-            byte_counter: 10 * 1024 * 1024,
-            min_rate_bps: line_rate_bps as f64 / 1000.0,
-            cnp_interval: TimeDelta::from_micros(50),
-            nack_slowdown: true,
-            nack_cut_factor: 0.5,
-        }
+    /// DCQCN with the recommended parameters of HPCC/DCQCN deployments:
+    /// T_I = 900 µs, T_D = 4 µs (the leftmost configuration of Fig 5).
+    /// The rate-scaled constants follow the line rate the
+    /// [`crate::Dcqcn`] is built for; `_line_rate_bps` stays because the
+    /// benchmark crate calls this signature.
+    pub fn recommended(_line_rate_bps: u64) -> CcConfig {
+        CcConfig::with_ti_td(900, 4)
     }
 
     /// The paper's Fig 5 sweep points: `(T_I, T_D)` in microseconds.
@@ -81,22 +51,20 @@ impl CcConfig {
         [(900, 4), (300, 4), (10, 4), (10, 50), (10, 200)]
     }
 
-    /// A configuration with explicit `(T_I, T_D)` microsecond values,
-    /// other parameters as [`CcConfig::recommended`].
-    pub fn with_ti_td(line_rate_bps: u64, ti_us: u64, td_us: u64) -> CcConfig {
+    /// DCQCN enabled with explicit `(T_I, T_D)` microsecond values.
+    pub fn with_ti_td(ti_us: u64, td_us: u64) -> CcConfig {
         CcConfig {
+            enabled: true,
             ti: TimeDelta::from_micros(ti_us),
             td: TimeDelta::from_micros(td_us),
-            ..CcConfig::recommended(line_rate_bps)
         }
     }
 
     /// Congestion control disabled (fixed line rate, no NACK slowdown).
-    pub fn disabled(line_rate_bps: u64) -> CcConfig {
+    pub fn disabled() -> CcConfig {
         CcConfig {
             enabled: false,
-            nack_slowdown: false,
-            ..CcConfig::recommended(line_rate_bps)
+            ..CcConfig::with_ti_td(900, 4)
         }
     }
 }
@@ -119,8 +87,6 @@ pub struct NicConfig {
     pub line_rate_bps: u64,
     /// Congestion-control parameters.
     pub cc: CcConfig,
-    /// RNG seed (sport selection etc.).
-    pub seed: u64,
     /// Sender entropy + receiver OOO-escalation policies (the scheme
     /// zoo's transport half; commodity NIC-SR by default).
     pub reaction: TransportReaction,
@@ -136,7 +102,6 @@ impl NicConfig {
             rto: TimeDelta::from_millis(1),
             line_rate_bps,
             cc: CcConfig::recommended(line_rate_bps),
-            seed: 7,
             reaction: TransportReaction::COMMODITY,
         }
     }
@@ -145,7 +110,7 @@ impl NicConfig {
     pub fn ideal(line_rate_bps: u64) -> NicConfig {
         NicConfig {
             transport: TransportMode::IdealOracle,
-            cc: CcConfig::disabled(line_rate_bps),
+            cc: CcConfig::disabled(),
             ..NicConfig::nic_sr(line_rate_bps)
         }
     }
@@ -166,7 +131,6 @@ mod tests {
         assert_eq!(cc.ti, TimeDelta::from_micros(900));
         assert_eq!(cc.td, TimeDelta::from_micros(4));
         assert!(cc.enabled);
-        assert!(cc.nack_slowdown);
     }
 
     #[test]
@@ -180,11 +144,10 @@ mod tests {
     #[test]
     fn with_ti_td_overrides_only_timers() {
         let a = CcConfig::recommended(100_000_000_000);
-        let b = CcConfig::with_ti_td(100_000_000_000, 10, 200);
+        let b = CcConfig::with_ti_td(10, 200);
         assert_eq!(b.ti, TimeDelta::from_micros(10));
         assert_eq!(b.td, TimeDelta::from_micros(200));
-        assert_eq!(a.g, b.g);
-        assert_eq!(a.rai_bps, b.rai_bps);
+        assert_eq!(a.enabled, b.enabled);
     }
 
     #[test]
@@ -192,7 +155,6 @@ mod tests {
         let n = NicConfig::ideal(100_000_000_000);
         assert_eq!(n.transport, TransportMode::IdealOracle);
         assert!(!n.cc.enabled);
-        assert!(!n.cc.nack_slowdown);
     }
 
     #[test]

@@ -14,9 +14,35 @@
 //! **alpha timer** decays the congestion estimate `alpha` when no CNPs
 //! arrive. On commodity NIC-SR, *NACKs also cut the rate* — the paper's
 //! "unnecessary slow start" (§2.2) — modeled by [`Dcqcn::on_nack`].
+//!
+//! Everything but T_I, T_D and the on/off switch is fixed at the values
+//! of HPCC/DCQCN deployments (the constants below). The rate-scaled ones
+//! are divisors of the QP's line rate, always applied as
+//! `line_rate / DIVISOR`: a reciprocal multiply can differ in the last
+//! bit, and every rate trajectory would drift with it.
 
 use crate::config::CcConfig;
-use simcore::time::Nanos;
+use simcore::time::{Nanos, TimeDelta};
+
+/// EWMA gain `g` for the congestion-extent estimate alpha.
+pub const G: f64 = 1.0 / 256.0;
+/// Alpha-update timer period (55 µs in the DCQCN paper).
+pub const ALPHA_TIMER: TimeDelta = TimeDelta::from_micros(55);
+/// Additive-increase step: line rate / 2000.
+pub const RAI_DIVISOR: f64 = 2000.0;
+/// Hyper-increase step: line rate / 200.
+pub const RHAI_DIVISOR: f64 = 200.0;
+/// Rate floor: line rate / 1000.
+pub const MIN_RATE_DIVISOR: f64 = 1000.0;
+/// Recovery iterations of one event stream before additive increase.
+pub const FAST_RECOVERY_THRESHOLD: u32 = 5;
+/// Byte counter: every this many transmitted bytes is also an increase
+/// event.
+pub const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Notification-point minimum CNP spacing per receiver QP.
+pub const CNP_INTERVAL: TimeDelta = TimeDelta::from_micros(50);
+/// Factor applied to the current rate by a NACK cut.
+pub const NACK_CUT_FACTOR: f64 = 0.5;
 
 /// Per-QP DCQCN reaction-point state.
 ///
@@ -102,9 +128,14 @@ impl Dcqcn {
         }
     }
 
+    /// Rate floor in bits/s.
+    fn min_rate(&self) -> f64 {
+        self.line_rate / MIN_RATE_DIVISOR
+    }
+
     fn after_cut(&mut self, now: Nanos) {
-        self.rc = self.rc.max(self.cfg.min_rate_bps);
-        self.rt = self.rt.max(self.cfg.min_rate_bps);
+        self.rc = self.rc.max(self.min_rate());
+        self.rt = self.rt.max(self.min_rate());
         self.timer_events = 0;
         self.byte_events = 0;
         self.bytes_accum = 0;
@@ -118,7 +149,7 @@ impl Dcqcn {
         }
         self.cnp_since_alpha_tick = true;
         // Alpha rises on every CNP regardless of the T_D gate.
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         if !self.cut_allowed(now) {
             return false;
         }
@@ -132,14 +163,14 @@ impl Dcqcn {
     /// A NACK arrived — commodity NIC-SR treats this as congestion and
     /// slows down (§2.2). Returns true if a cut was applied.
     pub fn on_nack(&mut self, now: Nanos) -> bool {
-        if !self.cfg.enabled || !self.cfg.nack_slowdown {
+        if !self.cfg.enabled {
             return false;
         }
         if !self.cut_allowed(now) {
             return false;
         }
         self.rt = self.rc;
-        self.rc *= self.cfg.nack_cut_factor;
+        self.rc *= NACK_CUT_FACTOR;
         self.after_cut(now);
         self.nack_cuts += 1;
         true
@@ -152,7 +183,7 @@ impl Dcqcn {
             return;
         }
         if !self.cnp_since_alpha_tick {
-            self.alpha *= 1.0 - self.cfg.g;
+            self.alpha *= 1.0 - G;
         }
         self.cnp_since_alpha_tick = false;
     }
@@ -173,8 +204,8 @@ impl Dcqcn {
             return;
         }
         self.bytes_accum += bytes;
-        while self.bytes_accum >= self.cfg.byte_counter {
-            self.bytes_accum -= self.cfg.byte_counter;
+        while self.bytes_accum >= BYTE_COUNTER {
+            self.bytes_accum -= BYTE_COUNTER;
             self.byte_events += 1;
             self.increase();
         }
@@ -184,25 +215,23 @@ impl Dcqcn {
     /// passes the threshold, then additive increase, then hyper increase
     /// when both counters pass it.
     fn increase(&mut self) {
-        let f = self.cfg.fast_recovery_threshold;
-        let timer_past = self.timer_events > f;
-        let byte_past = self.byte_events > f;
+        let timer_past = self.timer_events > FAST_RECOVERY_THRESHOLD;
+        let byte_past = self.byte_events > FAST_RECOVERY_THRESHOLD;
         if timer_past && byte_past {
-            self.rt += self.cfg.rhai_bps;
+            self.rt += self.line_rate / RHAI_DIVISOR;
         } else if timer_past || byte_past {
-            self.rt += self.cfg.rai_bps;
+            self.rt += self.line_rate / RAI_DIVISOR;
         }
         // Fast recovery (and every phase): close half the gap to target.
         self.rt = self.rt.min(self.line_rate);
         self.rc = (self.rt + self.rc) / 2.0;
-        self.rc = self.rc.clamp(self.cfg.min_rate_bps, self.line_rate);
+        self.rc = self.rc.clamp(self.min_rate(), self.line_rate);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::time::TimeDelta;
 
     const LINE: u64 = 100_000_000_000;
 
@@ -250,19 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn nack_slowdown_can_be_disabled() {
-        let cfg = CcConfig {
-            nack_slowdown: false,
-            ..CcConfig::recommended(LINE)
-        };
-        let mut d = Dcqcn::new(cfg, LINE);
-        assert!(!d.on_nack(Nanos::from_micros(10)));
-        assert_eq!(d.rate_bps(), LINE as f64);
-    }
-
-    #[test]
     fn disabled_cc_never_moves() {
-        let mut d = Dcqcn::new(CcConfig::disabled(LINE), LINE);
+        let mut d = Dcqcn::new(CcConfig::disabled(), LINE);
         d.on_cnp(Nanos::from_micros(5));
         d.on_nack(Nanos::from_micros(50));
         d.on_increase_timer();
@@ -302,7 +320,7 @@ mod tests {
         assert!(d.rt > t0, "additive increase raises rt");
         let before_hyper = d.rt;
         // Now push the byte counter past the threshold too -> hyper.
-        d.on_bytes_sent(d.cfg.byte_counter * 7);
+        d.on_bytes_sent(BYTE_COUNTER * 7);
         assert!(d.rt >= before_hyper);
         assert!(d.rc <= LINE as f64 + 1.0);
     }
@@ -326,7 +344,7 @@ mod tests {
             t += 10;
             d.on_cnp(Nanos::from_micros(t));
         }
-        assert!(d.rate_bps() >= d.cfg.min_rate_bps);
+        assert!(d.rate_bps() >= d.min_rate());
         for _ in 0..100_000 {
             d.on_increase_timer();
         }
@@ -341,7 +359,7 @@ mod tests {
         // timer events produces the same rate trajectory regardless of
         // wall spacing (the NIC schedules them at T_I intervals).
         let mut a = mk();
-        let mut b = Dcqcn::new(CcConfig::with_ti_td(LINE, 10, 4), LINE);
+        let mut b = Dcqcn::new(CcConfig::with_ti_td(10, 4), LINE);
         a.on_nack(Nanos::from_micros(10));
         b.on_nack(Nanos::from_micros(10));
         for _ in 0..5 {
@@ -349,6 +367,75 @@ mod tests {
             b.on_increase_timer();
         }
         assert!((a.rate_bps() - b.rate_bps()).abs() < 1.0);
-        let _ = TimeDelta::ZERO;
+    }
+
+    /// Bit patterns of the current and target rate (`rate_bps()`, `rt`)
+    /// after each phase, in order: a CNP cut; alpha after an alpha-timer
+    /// decay, then a second CNP cut that reads it; five fast-recovery
+    /// ticks; additive increase; the byte counter one byte short of and
+    /// then exactly at an event; hyper increase through the byte counter;
+    /// the floor after repeated cuts past T_D; six recovery ticks and a
+    /// hyper increase from the floor; a NACK cut.
+    fn phase_bits(line: u64) -> Vec<u64> {
+        let us = Nanos::from_micros;
+        let mut d = Dcqcn::new(CcConfig::recommended(line), line);
+        let mut out = Vec::new();
+        let rec =
+            |d: &Dcqcn, out: &mut Vec<u64>| out.extend([d.rate_bps().to_bits(), d.rt.to_bits()]);
+        d.on_cnp(us(10));
+        assert_eq!(d.rate_bps(), line as f64 / 2.0, "first cut");
+        rec(&d, &mut out);
+        d.on_alpha_timer();
+        d.on_alpha_timer();
+        out.push(d.alpha().to_bits());
+        d.on_cnp(us(20));
+        rec(&d, &mut out);
+        for _ in 0..6 {
+            d.on_increase_timer();
+            rec(&d, &mut out);
+        }
+        const MIB10: u64 = 10 * 1024 * 1024;
+        for bytes in [MIB10 - 1, 1, 5 * MIB10] {
+            d.on_bytes_sent(bytes);
+            rec(&d, &mut out);
+        }
+        let mut t = 30;
+        for _ in 0..200 {
+            t += 10;
+            d.on_cnp(us(t));
+        }
+        assert_eq!(d.rate_bps(), line as f64 / 1000.0, "rate floor");
+        rec(&d, &mut out);
+        for _ in 0..6 {
+            d.on_increase_timer();
+            rec(&d, &mut out);
+        }
+        d.on_bytes_sent(6 * MIB10);
+        rec(&d, &mut out);
+        d.on_nack(us(t + 10));
+        rec(&d, &mut out);
+        out
+    }
+
+    /// Pins every fixed parameter bit for bit at 100 G, 400 G and an odd
+    /// 12.000000074 G. A drifted constant changes the trace, and so does
+    /// a divide by the line rate turned into a reciprocal multiply: at
+    /// round rates `x / d == x * (1.0 / d)` for all three divisors, but
+    /// at the odd rate each of the three changes a rounding in this
+    /// trace. The fingerprints were taken from the configuration that
+    /// stored each parameter as a field.
+    #[test]
+    fn fixed_parameters_are_pinned_bit_for_bit() {
+        use std::hash::{Hash, Hasher};
+        for (line, want) in [
+            (LINE, 0x323c_5fd8_cbc5_8480_u64),
+            (4 * LINE, 0x9eb4_0a00_c58c_1d24),
+            (12_000_000_074, 0x643e_2d87_ab16_f4cf),
+        ] {
+            let bits = phase_bits(line);
+            let mut h = simcore::fx::FxHasher::default();
+            bits.hash(&mut h);
+            assert_eq!(h.finish(), want, "{line} b/s: {bits:#x?}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! DCQCN — the same split as real RNIC hardware.
 
 use crate::config::{NicConfig, TransportMode};
-use crate::dcqcn::Dcqcn;
+use crate::dcqcn::{self, Dcqcn};
 use crate::qp::{RecvQp, SendQp, SendTrace};
 use crate::reaction::{OooReaction, SenderEntropy};
 use netsim::event::{ControlMsg, Event};
@@ -34,6 +34,10 @@ const TIMER_ALPHA: u64 = 0;
 const TIMER_INCREASE: u64 = 1;
 const TIMER_RTO: u64 = 2;
 const TIMER_WAKEUP: u64 = 3;
+
+/// Root of every NIC's random streams (the NIC-level stream and each
+/// sender QP's entropy stream), salted per host and QP.
+const NIC_SEED: u64 = 7;
 
 #[inline]
 fn token(kind: u64, qp_idx: usize) -> u64 {
@@ -147,7 +151,7 @@ impl Nic {
             rr_cursor: 0,
             ctrl_queue: VecDeque::new(),
             wakeup_at: None,
-            rng: Xoshiro256::seeded(cfg.seed ^ (host.0 as u64) << 32),
+            rng: Xoshiro256::seeded(NIC_SEED ^ (host.0 as u64) << 32),
             rx_corrupt_ppm: 0,
             telem: None,
             stats: NicStats::default(),
@@ -178,7 +182,7 @@ impl Nic {
         let cc = Dcqcn::new(self.cfg.cc, self.cfg.line_rate_bps);
         // Each QP draws its own deterministic stream, derived from the
         // NIC seed so serial and sharded runs agree.
-        let seed = self.cfg.seed ^ 0x5EED_E4780 ^ ((self.host.0 as u64) << 32) ^ qp.0 as u64;
+        let seed = NIC_SEED ^ 0x5EED_E4780 ^ ((self.host.0 as u64) << 32) ^ qp.0 as u64;
         let sqp = SendQp::new(
             qp,
             self.host,
@@ -207,7 +211,6 @@ impl Nic {
             reverse_sport,
             self.cfg.transport,
             self.cfg.ack_coalescing,
-            self.cfg.cc.cnp_interval,
             OooReaction::new(self.cfg.reaction.ooo),
         );
         self.recv_index.insert(qp, self.recv_qps.len());
@@ -325,7 +328,7 @@ impl Nic {
         }
         if !self.alpha_armed[i] {
             self.alpha_armed[i] = true;
-            ctx.timer_in(self.cfg.cc.alpha_timer, token(TIMER_ALPHA, i));
+            ctx.timer_in(dcqcn::ALPHA_TIMER, token(TIMER_ALPHA, i));
         }
         if !self.increase_armed[i] {
             self.increase_armed[i] = true;
@@ -452,7 +455,7 @@ impl Nic {
                 }
                 self.send_qps[i].cc.on_alpha_timer();
                 if self.qp_active(i) {
-                    ctx.timer_in(self.cfg.cc.alpha_timer, token(TIMER_ALPHA, i));
+                    ctx.timer_in(dcqcn::ALPHA_TIMER, token(TIMER_ALPHA, i));
                 } else {
                     self.alpha_armed[i] = false;
                 }

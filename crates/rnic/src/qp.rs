@@ -14,7 +14,7 @@
 
 use crate::bitmap::OooBitmap;
 use crate::config::TransportMode;
-use crate::dcqcn::Dcqcn;
+use crate::dcqcn::{Dcqcn, CNP_INTERVAL};
 use crate::psn::{extend24, wire_psn};
 use crate::reaction::{EntropyStats, OooReaction, OooReactionStats, SenderEntropy};
 use netsim::packet::Packet;
@@ -433,7 +433,6 @@ pub struct RecvQp {
     pub reverse_sport: u16,
     transport: TransportMode,
     ack_coalescing: u32,
-    cnp_interval: TimeDelta,
     epsn: u64,
     bitmap: OooBitmap,
     last_nacked: Option<u64>,
@@ -461,7 +460,6 @@ pub struct RecvOutcome {
 
 impl RecvQp {
     /// A fresh receiver QP.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         qp: QpId,
         me: HostId,
@@ -469,7 +467,6 @@ impl RecvQp {
         reverse_sport: u16,
         transport: TransportMode,
         ack_coalescing: u32,
-        cnp_interval: TimeDelta,
         ooo: OooReaction,
     ) -> RecvQp {
         RecvQp {
@@ -479,7 +476,6 @@ impl RecvQp {
             reverse_sport,
             transport,
             ack_coalescing: ack_coalescing.max(1),
-            cnp_interval,
             epsn: 0,
             bitmap: OooBitmap::new(),
             last_nacked: None,
@@ -604,11 +600,11 @@ impl RecvQp {
         self.stats.data_packets += 1;
 
         // Notification point: CE-marked data may trigger a CNP, paced at
-        // one per cnp_interval per QP.
+        // one per CNP_INTERVAL per QP.
         if ecn_ce {
             let due = match self.last_cnp {
                 None => true,
-                Some(t) => now.since(t) >= self.cnp_interval,
+                Some(t) => now.since(t) >= CNP_INTERVAL,
             };
             if due {
                 self.last_cnp = Some(now);
@@ -770,7 +766,6 @@ mod tests {
             4000,
             transport,
             1,
-            TimeDelta::from_micros(50),
             OooReaction::new(OooReactionKind::Eager),
         )
     }
@@ -1099,7 +1094,6 @@ mod tests {
             4000,
             TransportMode::SelectiveRepeat,
             4,
-            TimeDelta::from_micros(50),
             OooReaction::new(OooReactionKind::Eager),
         );
         let mut acks = 0;

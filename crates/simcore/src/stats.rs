@@ -1,5 +1,5 @@
-//! Measurement utilities: counters, binned time series, rate meters and
-//! log-bucket histograms.
+//! Measurement utilities: binned time series, rate meters and log-bucket
+//! histograms.
 //!
 //! These are the building blocks for reproducing the paper's figures:
 //! Fig 1b (retransmission ratio over time) and Fig 1c (sending rate over
@@ -7,30 +7,6 @@
 //! Fig 1d and Fig 5 are scalar summaries.
 
 use crate::time::{Nanos, TimeDelta};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// A time series that accumulates samples into fixed-width time bins.
 ///
@@ -276,14 +252,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn timeseries_bins_and_means() {

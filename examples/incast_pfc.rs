@@ -8,7 +8,6 @@
 //! Run with: `cargo run --release --example incast_pfc`
 
 use themis::harness::{Collective, ExperimentConfig, Scheme};
-use themis::netsim::switch::PfcConfig;
 use themis::netsim::topology::LeafSpineConfig;
 use themis::simcore::time::Nanos;
 
@@ -19,10 +18,9 @@ fn main() {
         "fabric", "ct(ms)", "drops", "retx", "rto", "pauses", "blocked"
     );
     for pfc in [false, true] {
-        let buffer_bytes = 256 * 1024;
         let fabric = LeafSpineConfig {
-            buffer_bytes,
-            pfc: pfc.then(|| PfcConfig::for_buffer(buffer_bytes)),
+            buffer_bytes: 256 * 1024,
+            pfc,
             ..LeafSpineConfig::motivation()
         };
         let cfg = ExperimentConfig {

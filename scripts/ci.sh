@@ -23,9 +23,11 @@
 #      composition — what a run-loop refactor breaks and nothing else
 #      here sees before the benchmark gate.
 #   4. THEMIS_SHARDS=2 matrix leg: the model checker, the oracle e2e
-#      suites, PFC/failure runs, and the scheme-zoo matrix repeated on
-#      the sharded engine — every assertion must hold bit-identically
-#      on both engines.
+#      suites, PFC/failure runs (the ToR failure fallback arrives as a
+#      seeded control message, routed to each leaf's owner shard),
+#      pathset restriction, and the scheme-zoo matrix repeated on the
+#      sharded engine — every assertion must hold bit-identically on
+#      both engines.
 #   5. cargo doc --no-deps      (rustdoc warnings denied)
 #   6. fixed-seed conformance-fuzz smoke: themis_fuzz runs a bounded
 #      budget of coverage-guided fault scenarios under the
@@ -102,11 +104,12 @@ cargo test --offline --manifest-path perfbench/Cargo.toml --test benchmark_smoke
 
 echo "== tests (sharded engine matrix leg, THEMIS_SHARDS=2) =="
 # The harness threads THEMIS_SHARDS into every ExperimentConfig, so this
-# reruns the model checker, the oracle e2e suites, and the PFC/failure
-# scenarios on the partitioned engine. Sharding is proven bit-identical
+# reruns the model checker, the oracle e2e suites, the PFC/failure
+# scenarios and the pathset restriction on the partitioned engine. Sharding is proven bit-identical
 # (tests/parallel_equivalence.rs), so identical assertions must pass.
 THEMIS_SHARDS=2 cargo test -q \
     --test model_check --test collectives_e2e --test pfc --test dynamic_failure \
+    --test failure_fallback --test pathset \
     --test scheme_zoo
 
 echo "== docs (rustdoc, warnings denied) =="

@@ -2,14 +2,15 @@
 //!
 //! On failure notification a ToR reverts to ECMP and stops spraying;
 //! traffic then stays on single flow-hashed paths (no out-of-order
-//! arrivals), and recovery restores spraying.
+//! arrivals), and recovery restores spraying. The notifications are
+//! engine events seeded on every leaf at t = 0, so a sharded run
+//! (`THEMIS_SHARDS`) delivers each one on its leaf's owner shard.
 
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
+use themis::harness::{build_cluster_sharded, Cluster, ExperimentConfig, Scheme};
+use themis::netsim::event::{ControlMsg, Event};
 use themis::netsim::lb::LbPolicy;
 use themis::netsim::switch::Switch;
 use themis::simcore::time::Nanos;
-use themis::themis_core::failure::{apply_failure_fallback, restore_after_repair};
 use themis::themis_core::ThemisMiddleware;
 
 use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
@@ -28,17 +29,37 @@ fn p2p_schedule(bytes: u64) -> Schedule {
     }
 }
 
+/// Seed `msgs` on every leaf at t = 0, in order.
+fn notify_every_leaf(cluster: &mut Cluster, msgs: &[ControlMsg]) {
+    for &leaf in &cluster.leaves.clone() {
+        for &msg in msgs {
+            cluster
+                .world
+                .seed_event(Nanos::ZERO, leaf, Event::Control(msg));
+        }
+    }
+}
+
+/// Every leaf's switch and its Themis middleware.
+fn leaf_themis(cluster: &Cluster) -> Vec<(&Switch, &ThemisMiddleware)> {
+    cluster
+        .leaves
+        .iter()
+        .map(|&leaf| {
+            let sw = cluster.world.get::<Switch>(leaf).expect("leaf");
+            let m = sw.hook().expect("Themis hook").as_any();
+            (sw, m.downcast_ref().expect("Themis hook"))
+        })
+        .collect()
+}
+
 #[test]
 fn failed_tor_reverts_to_ecmp_and_flow_stays_in_order() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 5);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
 
     // Declare a failure on every ToR before traffic starts.
-    for &leaf in &cluster.leaves.clone() {
-        let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
-        assert!(apply_failure_fallback(sw));
-        assert_eq!(sw.lb(), LbPolicy::Ecmp);
-    }
+    notify_every_leaf(&mut cluster, &[ControlMsg::TorLinkFailure]);
 
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
@@ -60,6 +81,10 @@ fn failed_tor_reverts_to_ecmp_and_flow_stays_in_order() {
     );
     cluster.world.run_until(cfg.horizon);
 
+    for (sw, m) in leaf_themis(&cluster) {
+        assert_eq!(sw.lb(), LbPolicy::Ecmp);
+        assert!(!m.s.is_enabled());
+    }
     let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
     assert!(driver.all_complete(), "flow completes in ECMP fallback");
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
@@ -75,19 +100,15 @@ fn failed_tor_reverts_to_ecmp_and_flow_stays_in_order() {
 #[test]
 fn recovery_restores_spraying() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 5);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
-    for &leaf in &cluster.leaves.clone() {
-        let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
-        apply_failure_fallback(sw);
-        assert!(restore_after_repair(sw, Scheme::Themis.lb_policy()));
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
-        assert!(m.s.is_enabled());
-    }
+    let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
+    let lb = Scheme::Themis.lb_policy();
+    notify_every_leaf(
+        &mut cluster,
+        &[
+            ControlMsg::TorLinkFailure,
+            ControlMsg::TorLinkRecovery { lb },
+        ],
+    );
 
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
@@ -109,6 +130,10 @@ fn recovery_restores_spraying() {
     );
     cluster.world.run_until(cfg.horizon);
 
+    for (sw, m) in leaf_themis(&cluster) {
+        assert_eq!(sw.lb(), lb);
+        assert!(m.s.is_enabled());
+    }
     let agg = cluster.themis_stats();
     assert!(agg.sprayed > 0, "spraying active again after repair");
     let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");

@@ -6,7 +6,7 @@
 //! to concrete uplinks, so the failed spine receives no traffic at all,
 //! while NACK filtering continues at the reduced modulus.
 
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
+use themis::harness::{build_cluster_sharded, ExperimentConfig, Scheme};
 use themis::netsim::event::Event;
 use themis::netsim::port::LinkSpec;
 use themis::netsim::switch::Switch;
@@ -35,7 +35,7 @@ fn run_ring_with_pathset(pathset: Option<Vec<usize>>) -> themis::harness::Cluste
         horizon: Nanos::from_secs(2),
         shards: themis::harness::shards_from_env(),
     };
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
     if let Some(ps) = pathset {
         for &leaf in &cluster.leaves.clone() {
             let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");

@@ -12,18 +12,16 @@
 
 use themis::harness::oracle::{assert_conformant, OracleConfig};
 use themis::harness::{ExperimentConfig, Scheme};
-use themis::netsim::switch::PfcConfig;
 use themis::netsim::topology::LeafSpineConfig;
 use themis::simcore::time::Nanos;
 
 fn tiny_buffer_fabric(pfc: bool) -> LeafSpineConfig {
-    let buffer_bytes = 256 * 1024; // 256 KB shared — tight under incast
+    // 256 KB shared — tight under incast. DCQCN (every switch port
+    // ECN-marks) eventually tames the incast, but the transient
+    // overflows the tiny buffer first (without PFC).
     LeafSpineConfig {
-        buffer_bytes,
-        pfc: pfc.then(|| PfcConfig::for_buffer(buffer_bytes)),
-        // ECN stays on: DCQCN eventually tames the incast, but the
-        // transient overflows the tiny buffer first (without PFC).
-        ecn: true,
+        buffer_bytes: 256 * 1024,
+        pfc,
         ..LeafSpineConfig::motivation()
     }
 }
@@ -109,7 +107,7 @@ fn pfc_and_themis_compose_on_ring_traffic() {
     // paths carry unequal transient load), Themis blocks every NACK, and
     // nothing is ever retransmitted.
     let fabric = LeafSpineConfig {
-        pfc: Some(PfcConfig::for_buffer(64 * 1024 * 1024)),
+        pfc: true,
         ..LeafSpineConfig::motivation()
     };
     let cfg = ExperimentConfig {

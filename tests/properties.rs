@@ -17,7 +17,7 @@ use rnic::psn::{extend24, wire_psn};
 use rnic::qp::RecvQp;
 use rnic::reaction::{OooReaction, OooReactionKind, SenderEntropy};
 use simcore::rng::Xoshiro256;
-use simcore::time::{Nanos, TimeDelta};
+use simcore::time::Nanos;
 use themis::netsim::hash::{ecmp_hash, FiveTuple};
 use themis::netsim::types::{HostId, QpId};
 use themis::themis_core::pathmap::PathMap;
@@ -34,7 +34,6 @@ fn recv_qp() -> RecvQp {
         4000,
         TransportMode::SelectiveRepeat,
         1,
-        TimeDelta::from_micros(50),
         OooReaction::new(OooReactionKind::Eager),
     )
 }
@@ -211,7 +210,7 @@ fn sender_psn_space_is_contiguous() {
             4000,
             1000,
             TransportMode::SelectiveRepeat,
-            Dcqcn::new(CcConfig::disabled(100_000_000_000), 100_000_000_000),
+            Dcqcn::new(CcConfig::disabled(), 100_000_000_000),
             SenderEntropy::Fixed,
         );
         let mut expected_first = 0u64;

@@ -5,7 +5,7 @@
 //! loops so the workspace builds with no external crates.
 
 use rnic::bitmap::OooBitmap;
-use rnic::dcqcn::Dcqcn;
+use rnic::dcqcn::{Dcqcn, MIN_RATE_DIVISOR};
 use rnic::CcConfig;
 use simcore::engine::Engine;
 use simcore::rng::Xoshiro256;
@@ -51,8 +51,8 @@ fn dcqcn_rate_always_bounded() {
     const LINE: u64 = 100_000_000_000;
     for case in 0..CASES {
         let mut rng = Xoshiro256::substream(0x5A2, case);
-        let cfg = CcConfig::recommended(LINE);
-        let mut d = Dcqcn::new(cfg, LINE);
+        let mut d = Dcqcn::new(CcConfig::recommended(LINE), LINE);
+        let min_rate = LINE as f64 / MIN_RATE_DIVISOR;
         let n_ops = 1 + rng.next_index(299);
         let mut now = 0u64;
         for _ in 0..n_ops {
@@ -69,7 +69,7 @@ fn dcqcn_rate_always_bounded() {
                 _ => d.on_bytes_sent(rng.next_below(1 << 22)),
             }
             assert!(
-                d.rate_bps() >= cfg.min_rate_bps - 1.0 && d.rate_bps() <= LINE as f64 + 1.0,
+                d.rate_bps() >= min_rate - 1.0 && d.rate_bps() <= LINE as f64 + 1.0,
                 "case {case}: rate {} out of bounds",
                 d.rate_bps()
             );
