@@ -53,9 +53,10 @@ use netsim::fat_tree::FatTreeConfig;
 use netsim::types::{HostId, QpId};
 use rnic::{Nic, NicConfig};
 use simcore::time::{Nanos, TimeDelta};
-use std::io::{Read, Write};
+use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const GBPS100: u64 = 100_000_000_000;
 
@@ -95,14 +96,6 @@ impl ServiceConfig {
             seed: 1,
             shards: 1,
             window: TimeDelta::from_micros(500),
-        }
-    }
-
-    /// The warm acceptance fabric: k=16 (1024 hosts).
-    pub fn k16() -> ServiceConfig {
-        ServiceConfig {
-            k: 16,
-            ..ServiceConfig::small()
         }
     }
 
@@ -421,12 +414,14 @@ impl SimService {
     /// Completions for `client` with `wr >= since`, oldest first.
     /// Read-only (poll again with a higher `since` to page): the reap
     /// cursor lives client-side so polling never perturbs the journal.
+    /// `work` is in `wr` order, so a poll starts at `since`: its cost
+    /// follows the page, not the service's whole history.
     fn poll_cq(&self, client: &str, since: u64) -> Json {
         let driver = driver_of(&self.session.cluster);
-        let completions: Vec<Json> = self
-            .work
+        let first = self.work.partition_point(|w| (w.wr as u64) < since);
+        let completions: Vec<Json> = self.work[first..]
             .iter()
-            .filter(|w| w.client == client && (w.wr as u64) >= since)
+            .filter(|w| w.client == client)
             .filter_map(|w| {
                 let fct = driver.fct_of(w.wr)?;
                 let start = driver.start_of(w.wr)?;
@@ -557,7 +552,7 @@ impl SimService {
     pub fn handle(&mut self, req: &Json) -> Json {
         match self.dispatch(req) {
             Ok(reply) => reply,
-            Err(msg) => Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::str(&msg))]),
+            Err(msg) => error_reply(&msg),
         }
     }
 
@@ -611,16 +606,31 @@ impl SimService {
 // ---------------------------------------------------------------------
 
 /// Write one length-prefixed frame (4-byte big-endian length + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = vec![0; 4];
+    frame.extend_from_slice(payload);
+    write_reserved(w, frame)
+}
+
+/// Encode `doc` as one frame, behind four bytes reserved for the header.
+fn send(w: &mut impl Write, doc: &Json) -> io::Result<()> {
+    let mut frame = String::from("\0\0\0\0");
+    doc.write(&mut frame);
+    write_reserved(w, frame.into_bytes())
+}
+
+/// Fill in the four header bytes reserved at the front of `frame` and
+/// send it in one `write_all`, so the payload is never copied again.
+fn write_reserved(w: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -629,8 +639,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
             if filled == 0 {
                 return Ok(None);
             }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            return Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
                 "truncated frame header",
             ));
         }
@@ -638,8 +648,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_be_bytes(hdr);
     if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(io::Error::new(
+            ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds cap"),
         ));
     }
@@ -666,60 +676,37 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-enum Stream {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
+/// A connected Unix or TCP socket.
+trait Conn: Read + Write + Send {}
+impl<T: Read + Write + Send> Conn for T {}
+type Stream = Box<dyn Conn>;
 
 /// A blocking protocol client: connect, then [`Client::call`] per
 /// request.
 pub struct Client {
-    stream: Stream,
+    conn: BufReader<Stream>,
 }
 
 impl Client {
     /// Connect to a listening server.
-    pub fn connect(ep: &Endpoint) -> std::io::Result<Client> {
-        let stream = match ep {
-            Endpoint::Unix(path) => Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
-            Endpoint::Tcp(addr) => Stream::Tcp(std::net::TcpStream::connect(addr)?),
+    pub fn connect(ep: &Endpoint) -> io::Result<Client> {
+        let stream: Stream = match ep {
+            Endpoint::Unix(path) => Box::new(std::os::unix::net::UnixStream::connect(path)?),
+            Endpoint::Tcp(addr) => Box::new(std::net::TcpStream::connect(addr)?),
         };
-        Ok(Client { stream })
+        Ok(Client {
+            conn: BufReader::new(stream),
+        })
     }
 
     /// Send one request, wait for its reply.
-    pub fn call(&mut self, req: &Json) -> std::io::Result<Json> {
-        write_frame(&mut self.stream, req.to_string().as_bytes())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed mid-call")
-        })?;
-        let text = String::from_utf8(payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        json::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    pub fn call(&mut self, req: &Json) -> io::Result<Json> {
+        send(self.conn.get_mut(), req)?;
+        let payload = read_frame(&mut self.conn)?
+            .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "server closed mid-call"))?;
+        let text =
+            String::from_utf8(payload).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
+        json::parse(&text).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))
     }
 }
 
@@ -729,7 +716,7 @@ enum Listener {
 }
 
 impl Listener {
-    fn bind(ep: &Endpoint) -> std::io::Result<Listener> {
+    fn bind(ep: &Endpoint) -> io::Result<Listener> {
         match ep {
             Endpoint::Unix(path) => {
                 // A previous unclean exit may have left the socket file.
@@ -746,117 +733,129 @@ impl Listener {
         }
     }
 
-    fn accept(&self) -> std::io::Result<Stream> {
+    fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nonblocking(false)?;
-                Ok(Stream::Unix(s))
+                Ok(Box::new(s))
             }
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nonblocking(false)?;
-                Ok(Stream::Tcp(s))
+                Ok(Box::new(s))
             }
         }
     }
 }
-
-/// One forwarded request: the parsed document plus the channel its
-/// reply goes back on.
-type ForwardedRequest = (Json, mpsc::Sender<Json>);
 
 /// Serve `service` on `endpoint` until a client sends `shutdown` (or
 /// `stop` is set externally).
 ///
-/// One consumer: connection threads only read frames and forward
-/// parsed requests over an mpsc channel; this loop, on the calling
-/// thread, executes them one at a time against the owned
-/// [`SimService`]. Concurrent clients therefore serialize into one
-/// journal admission order by construction — the order a restore
-/// replays. Returns after the acceptor drains — a clean shutdown, which
-/// the CI leg gates on.
-pub fn serve(
-    mut service: SimService,
-    endpoint: &Endpoint,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
+/// The calling thread only accepts. Each connection's thread reads a
+/// request, runs it under one lock on the service and writes the reply,
+/// so the journal admission order, the order a restore replays, is the
+/// lock order. `stop` is checked under the lock: a request after
+/// `shutdown`, or after one that panicked the service (poisoning the
+/// lock; never run on state a panic may have torn), is answered
+/// `"server is shutting down"`. Returns once no request is mid-handle:
+/// `Ok` on a clean shutdown, which the CI leg gates on, and an error
+/// when accepting failed or a request panicked the service.
+pub fn serve(service: SimService, endpoint: &Endpoint, stop: Arc<AtomicBool>) -> io::Result<()> {
+    const FIRST_POLL: Duration = Duration::from_micros(50);
+    const MAX_POLL: Duration = Duration::from_millis(5);
     let listener = Listener::bind(endpoint)?;
-    let (tx, rx) = mpsc::channel::<ForwardedRequest>();
-    let acceptor_stop = Arc::clone(&stop);
-    let acceptor = std::thread::spawn(move || accept_loop(listener, tx, acceptor_stop));
-    while !stop.load(Ordering::SeqCst) {
-        match rx.recv_timeout(std::time::Duration::from_millis(20)) {
-            Ok((req, reply_tx)) => {
-                let is_shutdown = req.get("op").and_then(Json::as_str) == Some("shutdown");
-                let reply = service.handle(&req);
-                let _ = reply_tx.send(reply);
-                if is_shutdown {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+    let server = Arc::new(Server {
+        service: Mutex::new(service),
+        stop,
+        acceptor: std::thread::current(),
+    });
+    // The accept poll backs off while no client connects; `shutdown`
+    // unparks it.
+    let mut poll = FIRST_POLL;
+    let accepted = loop {
+        if server.stop.load(Ordering::SeqCst) || server.service.is_poisoned() {
+            break Ok(());
         }
-    }
-    let _ = acceptor.join();
+        match listener.accept() {
+            Ok(stream) => {
+                poll = FIRST_POLL;
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || server.serve_connection(stream));
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::park_timeout(poll);
+                poll = (poll * 2).min(MAX_POLL);
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    // Refuse whatever comes next, then wait out a request mid-handle.
+    server.stop.store(true, Ordering::SeqCst);
+    let settled = server.service.lock().map(drop);
     if let Endpoint::Unix(path) = endpoint {
         let _ = std::fs::remove_file(path);
     }
-    Ok(())
+    accepted.and(settled.map_err(|_| io::Error::other("a request panicked the service")))
 }
 
-fn accept_loop(listener: Listener, tx: mpsc::Sender<ForwardedRequest>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(mut stream) => {
-                let tx = tx.clone();
-                std::thread::spawn(move || serve_connection(&mut stream, &tx));
+/// What the accept loop shares with every connection thread.
+struct Server {
+    service: Mutex<SimService>,
+    stop: Arc<AtomicBool>,
+    /// The accept loop's thread, unparked once `stop` is set.
+    acceptor: std::thread::Thread,
+}
+
+impl Server {
+    fn serve_connection(&self, stream: Stream) {
+        let mut conn = BufReader::new(stream);
+        while let Ok(Some(payload)) = read_frame(&mut conn) {
+            let sent = match std::str::from_utf8(&payload)
+                .map_err(|e| e.to_string())
+                .and_then(|t| json::parse(t).map_err(|e| e.to_string()))
+            {
+                Ok(req) => self.run_request(&req, conn.get_mut()),
+                Err(msg) => send(conn.get_mut(), &error_reply(&format!("bad request: {msg}"))),
+            };
+            if sent.is_err() {
+                return;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err(_) => break,
         }
+    }
+
+    /// Run `req` under the service lock and write its reply to `out`.
+    fn run_request(&self, req: &Json, out: &mut impl Write) -> io::Result<()> {
+        let mut svc = match self.service.lock() {
+            Ok(svc) if !self.stop.load(Ordering::SeqCst) => svc,
+            // Stopped, or poisoned by a panic in `handle`.
+            _ => {
+                self.stop();
+                return send(out, &error_reply("server is shutting down"));
+            }
+        };
+        let reply = svc.handle(req);
+        // `shutdown` replies under the lock and only then stops: once
+        // `serve` sees `stop`, it returns and the process may exit.
+        let shutdown = req.get("op").and_then(Json::as_str) == Some("shutdown");
+        if !shutdown {
+            drop(svc);
+        }
+        let sent = send(out, &reply);
+        if shutdown {
+            self.stop();
+        }
+        sent
+    }
+
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.acceptor.unpark();
     }
 }
 
-fn serve_connection(stream: &mut Stream, tx: &mpsc::Sender<ForwardedRequest>) {
-    loop {
-        let payload = match read_frame(stream) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
-        };
-        let reply = match std::str::from_utf8(&payload)
-            .map_err(|e| e.to_string())
-            .and_then(|t| json::parse(t).map_err(|e| e.to_string()))
-        {
-            Ok(req) => {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if tx.send((req, reply_tx)).is_err() {
-                    // Serve loop gone: tell the client and drop the
-                    // connection.
-                    let bye = Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::str("server is shutting down")),
-                    ]);
-                    let _ = write_frame(stream, bye.to_string().as_bytes());
-                    return;
-                }
-                match reply_rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => return,
-                }
-            }
-            Err(msg) => Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::str(&format!("bad request: {msg}"))),
-            ]),
-        };
-        if write_frame(stream, reply.to_string().as_bytes()).is_err() {
-            return;
-        }
-    }
+fn error_reply(msg: &str) -> Json {
+    Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::str(msg))])
 }
 
 #[cfg(test)]
@@ -878,13 +877,15 @@ mod tests {
         ]));
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
         let qp = r.get("qp").and_then(Json::as_i64).unwrap();
-        let r = svc.handle(&req(vec![
-            ("op", Json::str("post_send")),
-            ("client", Json::str("a")),
-            ("qp", Json::Int(qp)),
-            ("bytes", Json::Int(64 << 10)),
-        ]));
-        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");
+        for wr in 0..3 {
+            let r = svc.handle(&req(vec![
+                ("op", Json::str("post_send")),
+                ("client", Json::str("a")),
+                ("qp", Json::Int(qp)),
+                ("bytes", Json::Int(64 << 10)),
+            ]));
+            assert_eq!(r.get("wr"), Some(&Json::Int(wr)), "{r:?}");
+        }
         let r = svc.handle(&req(vec![
             ("op", Json::str("advance")),
             ("windows", Json::Int(4)),
@@ -895,8 +896,28 @@ mod tests {
             ("client", Json::str("a")),
         ]));
         let completions = r.get("completions").and_then(Json::as_arr).unwrap();
-        assert_eq!(completions.len(), 1, "the posted send must complete: {r:?}");
+        assert_eq!(
+            completions.len(),
+            3,
+            "the posted sends must complete: {r:?}"
+        );
         assert!(completions[0].get("fct_ns").and_then(Json::as_i64).unwrap() > 0);
+        // `since` pages from the start, the middle and past the end.
+        for (since, wrs) in [(0, vec![0, 1, 2]), (1, vec![1, 2]), (3, vec![])] {
+            let r = svc.handle(&req(vec![
+                ("op", Json::str("poll_cq")),
+                ("client", Json::str("a")),
+                ("since", Json::Int(since)),
+            ]));
+            let got: Vec<i64> = r
+                .get("completions")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|c| c.get("wr").and_then(Json::as_i64).unwrap())
+                .collect();
+            assert_eq!(got, wrs, "since {since}: {r:?}");
+        }
     }
 
     #[test]
@@ -1141,7 +1162,7 @@ mod tests {
         assert_eq!(svc.boundary(), Nanos::ZERO, "and the clock did not move");
 
         // A billion idle windows cost one engine run, not a billion
-        // loop iterations (seconds of a blocked serve loop).
+        // loop iterations (seconds of a held service lock).
         let t0 = std::time::Instant::now();
         let r = svc.handle(&advance(1_000_000_000));
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r:?}");

@@ -545,20 +545,34 @@ fn write_run(out: &mut String, run: &RunReport) {
 
 /// Append `s` to `out` as a JSON string literal (quotes included).
 /// The one escaper behind every JSON writer in the workspace: this
-/// module's documents and `themis_harness::json`.
+/// module's documents and `themis_harness::json`. Each maximal run of
+/// bytes that needs no escape is copied with one `push_str`; every byte
+/// that does is ASCII, so the runs split `s` on character boundaries.
 pub fn write_json_str(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -762,5 +776,54 @@ mod tests {
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(3.0), "3.0");
+    }
+
+    /// The character-at-a-time escaper `write_json_str` replaced: the
+    /// reference its output must match byte for byte.
+    fn write_json_str_by_chars(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn escaping_by_runs_matches_the_character_escaper() {
+        // Every control character, the two escaped ASCII characters,
+        // DEL, plain ASCII and 2-, 3- and 4-byte UTF-8.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend([
+            '"', '\\', '\u{7f}', 'a', 'Z', ' ', '/', 'é', '€', '\u{ffff}', '😀',
+        ]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..2000 {
+            let len = (next() % 64) as usize;
+            let mut s: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect();
+            if case % 2 == 0 {
+                // Long clean runs between the escapes.
+                s = s.replace('a', "abcdefghijklmnopqrstuvwxyz0123456789");
+            }
+            let (mut runs, mut chars) = (String::from("x"), String::from("x"));
+            write_json_str(&s, &mut runs);
+            write_json_str_by_chars(&s, &mut chars);
+            assert_eq!(runs, chars, "{s:?}");
+        }
     }
 }

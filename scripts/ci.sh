@@ -62,6 +62,10 @@
 #      at 100 k resident to <= 2.5 x one at 1 k (two scaling tripwires
 #      needing no history line). serve_session has no throughput floor:
 #      the history line predates the linear JSON string parse.
+#  11. same-host paired timing (~3 min on 2 vCPU): scripts/same_speed.sh
+#      runs 5 alternating pairs of 1 s runs per workload, HEAD~1 against
+#      this tree, and fails when a workload's median run_s is more than
+#      1.25 x HEAD~1's and the tree lost at least 4 of the 5 pairs.
 #
 # The floors are a coarse tripwire against a line taken on this host; the
 # per-PR gate is the parent-vs-change run at BENCHMARK.json's 0.25 bounds.
@@ -323,5 +327,11 @@ check_floor "json parse 256k vs 1k" "$(metric harness.json.parse_mb_per_s_256k)"
     || { echo "note: queue hold 100k vs 1k above its bound once, re-running"; run_workload ring8_spray 1 1; }
 check_floor "queue hold 100k vs 1k" "$(metric simcore.hold_ns_p100k)" \
     "$(metric simcore.hold_ns_p1k)" upper 2.5
+
+echo "== same-host paired timing against HEAD~1 =="
+# The floors above compare with a line taken on another day; these pairs
+# run both trees back to back on this host. HEAD~1's perfbench is built
+# once under target/same_speed/ and reused by later runs.
+scripts/same_speed.sh --seconds 1 HEAD~1
 
 echo "== ci.sh passed =="

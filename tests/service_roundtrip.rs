@@ -49,8 +49,9 @@ fn two_concurrent_clients_on_one_warm_k16_fabric() {
     let service = SimService::new(cfg).expect("valid config");
     let stop = Arc::new(AtomicBool::new(false));
 
-    // `serve` runs right here on the test thread, the one consumer of
-    // every request; all client traffic happens on a coordinator thread.
+    // `serve` runs right here on the test thread and only accepts; each
+    // connection's requests run on its own thread under the service
+    // lock. All client traffic happens on a coordinator thread.
     let sock_for_clients = sock.clone();
     let client_endpoint = endpoint.clone();
     let coordinator = std::thread::spawn(move || {
@@ -220,6 +221,46 @@ fn hostile_frames_are_answered_and_the_server_keeps_serving() {
         );
     }
     assert_eq!(fabric.get("hosts").and_then(Json::as_i64), Some(16));
+}
+
+/// `stop` is checked under the service lock: once one connection's
+/// `shutdown` is served, a request on another connection that is still
+/// open is answered "server is shutting down" (it used to be dropped
+/// without a reply), and `serve` still returns cleanly.
+#[test]
+fn a_request_after_shutdown_is_refused_under_the_lock() {
+    let sock =
+        std::env::temp_dir().join(format!("themis-serve-shutdown-{}.sock", std::process::id()));
+    let endpoint = Endpoint::Unix(sock.clone());
+    let service = SimService::new(ServiceConfig::small()).expect("valid config");
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let client_endpoint = endpoint.clone();
+    let coordinator = std::thread::spawn(move || {
+        let connect = || {
+            for _ in 0..500 {
+                if let Ok(c) = Client::connect(&client_endpoint) {
+                    return c;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            panic!("server never came up")
+        };
+        let (mut a, mut b) = (connect(), connect());
+        let query = req(vec![("op", Json::str("query_fabric"))]);
+        call_ok(&mut b, &query);
+        call_ok(&mut a, &req(vec![("op", Json::str("shutdown"))]));
+        b.call(&query).expect("a reply, not a dropped connection")
+    });
+
+    serve(service, &endpoint, stop).expect("clean shutdown");
+    let late = coordinator.join().expect("coordinator");
+    assert_eq!(late.get("ok"), Some(&Json::Bool(false)), "{late:?}");
+    assert_eq!(
+        late.get("error").and_then(Json::as_str),
+        Some("server is shutting down")
+    );
+    assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
 
 /// Regression (ISSUE 10): a driver with zero instances used to make
