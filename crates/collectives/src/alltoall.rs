@@ -34,41 +34,6 @@ pub fn alltoall(n: usize, total_bytes: u64) -> Schedule {
     }
 }
 
-/// Alltoall serialized into rounds (round r: rank i sends to i ⊕ r — the
-/// classic hypercube/pairwise exchange). Each round depends on the
-/// previous one; used as a less bursty ablation of [`alltoall`].
-/// Requires `n` to be a power of two.
-pub fn alltoall_rounds(n: usize, total_bytes: u64) -> Schedule {
-    assert!(
-        n >= 2 && n.is_power_of_two(),
-        "pairwise exchange needs 2^k ranks"
-    );
-    let chunk = (total_bytes / n as u64).max(1);
-    let mut transfers = Vec::with_capacity(n * (n - 1));
-    for round in 1..n {
-        for src in 0..n {
-            let dst = src ^ round;
-            let deps = if round == 1 {
-                vec![]
-            } else {
-                // Wait for this rank's transfer of the previous round.
-                vec![(round - 2) * n + src]
-            };
-            transfers.push(Transfer {
-                src,
-                dst,
-                bytes: chunk,
-                deps,
-            });
-        }
-    }
-    Schedule {
-        name: "alltoall-rounds",
-        n_ranks: n,
-        transfers,
-    }
-}
-
 /// N-to-1 incast: every rank sends `bytes_per_source` to rank 0, all at
 /// once. The classic buffer-pressure stress (distributed storage reads,
 /// parameter-server fan-in): the sink's last hop sees `N−1` line-rate
@@ -119,23 +84,6 @@ mod tests {
         let total = 300u64 << 20;
         let s = alltoall(n as usize, total);
         assert_eq!(s.bytes_sent_by(0), (n - 1) * (total / n));
-    }
-
-    #[test]
-    fn rounds_variant_chains_rounds() {
-        let n = 8;
-        let s = alltoall_rounds(n, 1 << 20);
-        assert_eq!(s.transfers.len(), n * (n - 1));
-        assert_eq!(s.validate(), n - 2, "n-1 rounds chained");
-        // Round 1 uses XOR partners.
-        assert_eq!(s.transfers[0].src, 0);
-        assert_eq!(s.transfers[0].dst, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k")]
-    fn rounds_variant_rejects_non_power_of_two() {
-        alltoall_rounds(6, 1 << 20);
     }
 
     #[test]

@@ -485,14 +485,16 @@ pub fn mutate_plan(
                 let scale = |v: u64, lo: u64, hi: u64, rng: &mut Xoshiro256| {
                     (v * rng.next_range(50, 201) / 100).clamp(lo, hi)
                 };
+                // A neutral value is a clear: scaling it would turn it
+                // into an injection (and spend a draw).
                 match &mut ev.fault {
-                    Fault::DelaySpike { extra_ns, .. } => {
+                    Fault::DelaySpike { extra_ns, .. } if *extra_ns > 0 => {
                         *extra_ns = scale(*extra_ns, 1_000, 40_000, rng);
                     }
-                    Fault::UplinkLoss { rate_ppm, .. } => {
+                    Fault::UplinkLoss { rate_ppm, .. } if *rate_ppm > 0 => {
                         *rate_ppm = scale(*rate_ppm as u64, 100, 50_000, rng) as u32;
                     }
-                    Fault::ReverseCorrupt { rate_ppm, .. } => {
+                    Fault::ReverseCorrupt { rate_ppm, .. } if *rate_ppm > 0 => {
                         *rate_ppm = scale(*rate_ppm as u64, 100, 20_000, rng) as u32;
                     }
                     Fault::TargetedDrop { psn, .. } => {
@@ -538,21 +540,10 @@ pub fn mutate_plan(
 /// a protocol bug. Orphan clears are left alone (clearing an inactive
 /// fault is a no-op).
 pub fn repair_pairing(plan: &mut FaultPlan, space: &FaultSpace) {
-    let clear_of = |f: &Fault| -> Option<Fault> {
-        Some(match *f {
-            Fault::UplinkDown { leaf, uplink } => Fault::UplinkUp { leaf, uplink },
-            Fault::DelaySpike { leaf, uplink, .. } => Fault::DelayClear { leaf, uplink },
-            Fault::UplinkLoss { leaf, uplink, .. } => Fault::UplinkLossClear { leaf, uplink },
-            Fault::ReverseCorrupt { leaf, .. } => Fault::ReverseCorruptClear { leaf },
-            Fault::SprayOff { leaf } => Fault::SprayOn { leaf },
-            Fault::TorFail { leaf } => Fault::TorRecover { leaf },
-            _ => return None,
-        })
-    };
     let h_us = space.horizon.as_nanos() / 1_000;
     let mut appended = Vec::new();
     for ev in &plan.events {
-        let Some(clear) = clear_of(&ev.fault) else {
+        let Some(clear) = ev.fault.cleared() else {
             continue;
         };
         let healed = plan

@@ -18,7 +18,12 @@
 //! the paper's deployment model: uplink (cable) failure and flapping,
 //! per-uplink delay spikes and random loss, corrupted reverse-path control
 //! traffic (ACK/NACK ICRC failures), operator enable/disable of Themis
-//! mid-run, and the §6 monitor-driven ECMP fallback cycle.
+//! mid-run, and the §6 monitor-driven ECMP fallback cycle. Each is one
+//! [`Fault`] variant carrying the value it sets, and its neutral value
+//! ([`Fault::cleared`]) is the clear: the variant maps to one
+//! [`ControlMsg`], the value to the message's field. The v1 text form
+//! keeps separate set and clear kind names (`uplink_down` /
+//! `uplink_up`, …), 13 in all.
 
 use crate::cluster::Cluster;
 use netsim::event::{ControlMsg, Event};
@@ -29,26 +34,25 @@ use simcore::time::Nanos;
 
 /// One fault, addressed by leaf index (position in `Cluster::leaves`) and,
 /// where relevant, uplink index (0-based within the uplink group, i.e.
-/// path index).
+/// path index). Every variant but [`Fault::TargetedDrop`] carries the
+/// value it sets; its neutral value (`false`, `0`, spraying `on`)
+/// clears the fault, and [`Fault::cleared`] names that value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Take a leaf uplink down: blackholes data *and* control, like a
-    /// dead cable. Queued packets drain first.
+    /// Take a leaf uplink down (`down: true`): blackholes data *and*
+    /// control, like a dead cable. Queued packets drain first.
+    /// `down: false` restores it.
     UplinkDown {
         /// Leaf index.
         leaf: u16,
         /// Uplink (path) index.
         uplink: u16,
-    },
-    /// Restore a downed uplink.
-    UplinkUp {
-        /// Leaf index.
-        leaf: u16,
-        /// Uplink (path) index.
-        uplink: u16,
+        /// Whether the uplink is down.
+        down: bool,
     },
     /// Add a fixed latency penalty to one uplink (congestion elsewhere,
     /// rerouted optics): widens path skew without dropping anything.
+    /// `extra_ns: 0` clears it.
     DelaySpike {
         /// Leaf index.
         leaf: u16,
@@ -57,14 +61,8 @@ pub enum Fault {
         /// Extra one-way latency in nanoseconds.
         extra_ns: u64,
     },
-    /// Clear a delay spike.
-    DelayClear {
-        /// Leaf index.
-        leaf: u16,
-        /// Uplink (path) index.
-        uplink: u16,
-    },
-    /// Random data-packet loss on one uplink at `rate_ppm` / 1e6.
+    /// Random data-packet loss on one uplink at `rate_ppm` / 1e6;
+    /// `rate_ppm: 0` clears it.
     UplinkLoss {
         /// Leaf index.
         leaf: u16,
@@ -73,45 +71,30 @@ pub enum Fault {
         /// Loss probability in packets-per-million.
         rate_ppm: u32,
     },
-    /// Clear an uplink loss rate.
-    UplinkLossClear {
-        /// Leaf index.
-        leaf: u16,
-        /// Uplink (path) index.
-        uplink: u16,
-    },
     /// Corrupt reverse-path control (ACK/NACK/CNP) transiting this leaf
-    /// at `rate_ppm` / 1e6 — the lost-ACK regime of §3.4.
+    /// at `rate_ppm` / 1e6 — the lost-ACK regime of §3.4. `rate_ppm: 0`
+    /// clears it.
     ReverseCorrupt {
         /// Leaf index.
         leaf: u16,
         /// Drop probability in packets-per-million.
         rate_ppm: u32,
     },
-    /// Clear reverse-path corruption at a leaf.
-    ReverseCorruptClear {
+    /// Operator disables (`on: false`) or re-enables Themis spraying on
+    /// one ToR mid-run.
+    Spray {
         /// Leaf index.
         leaf: u16,
+        /// Whether spraying is enabled.
+        on: bool,
     },
-    /// Operator disables Themis spraying on one ToR mid-run.
-    SprayOff {
-        /// Leaf index.
-        leaf: u16,
-    },
-    /// Operator re-enables Themis spraying.
-    SprayOn {
-        /// Leaf index.
-        leaf: u16,
-    },
-    /// §6 monitor event: the ToR reverts to ECMP and parks its hook.
+    /// §6 monitor event: the ToR reverts to ECMP and parks its hook
+    /// (`failed: true`), or restores the scheme's LB policy and the hook.
     TorFail {
         /// Leaf index.
         leaf: u16,
-    },
-    /// §6 monitor event: restore the scheme's LB policy and the hook.
-    TorRecover {
-        /// Leaf index.
-        leaf: u16,
+        /// Whether the monitor reports the ToR's links failed.
+        failed: bool,
     },
     /// Arm a one-shot targeted drop of `(qp, psn)` at this leaf. Armed
     /// before the run regardless of the event's timestamp (the switch
@@ -127,22 +110,53 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Stable lowercase tag used in the v1 text form.
+    /// The same fault at its neutral value — what ends this injection —
+    /// or `None` when it already is neutral or is a [`Fault::TargetedDrop`]
+    /// (a one-shot with nothing to clear).
+    pub fn cleared(&self) -> Option<Fault> {
+        let clear = match *self {
+            Fault::UplinkDown { leaf, uplink, .. } => Fault::UplinkDown {
+                leaf,
+                uplink,
+                down: false,
+            },
+            Fault::DelaySpike { leaf, uplink, .. } => Fault::DelaySpike {
+                leaf,
+                uplink,
+                extra_ns: 0,
+            },
+            Fault::UplinkLoss { leaf, uplink, .. } => Fault::UplinkLoss {
+                leaf,
+                uplink,
+                rate_ppm: 0,
+            },
+            Fault::ReverseCorrupt { leaf, .. } => Fault::ReverseCorrupt { leaf, rate_ppm: 0 },
+            Fault::Spray { leaf, .. } => Fault::Spray { leaf, on: true },
+            Fault::TorFail { leaf, .. } => Fault::TorFail {
+                leaf,
+                failed: false,
+            },
+            Fault::TargetedDrop { .. } => return None,
+        };
+        (clear != *self).then_some(clear)
+    }
+
+    /// Stable lowercase tag used in the v1 text form: the variant's
+    /// injection name, or its clear name at the neutral value.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Fault::UplinkDown { .. } => "uplink_down",
-            Fault::UplinkUp { .. } => "uplink_up",
-            Fault::DelaySpike { .. } => "delay_spike",
-            Fault::DelayClear { .. } => "delay_clear",
-            Fault::UplinkLoss { .. } => "uplink_loss",
-            Fault::UplinkLossClear { .. } => "uplink_loss_clear",
-            Fault::ReverseCorrupt { .. } => "reverse_corrupt",
-            Fault::ReverseCorruptClear { .. } => "reverse_corrupt_clear",
-            Fault::SprayOff { .. } => "spray_off",
-            Fault::SprayOn { .. } => "spray_on",
-            Fault::TorFail { .. } => "tor_fail",
-            Fault::TorRecover { .. } => "tor_recover",
-            Fault::TargetedDrop { .. } => "targeted_drop",
+        let (set, clear) = match self {
+            Fault::UplinkDown { .. } => ("uplink_down", "uplink_up"),
+            Fault::DelaySpike { .. } => ("delay_spike", "delay_clear"),
+            Fault::UplinkLoss { .. } => ("uplink_loss", "uplink_loss_clear"),
+            Fault::ReverseCorrupt { .. } => ("reverse_corrupt", "reverse_corrupt_clear"),
+            Fault::Spray { .. } => ("spray_off", "spray_on"),
+            Fault::TorFail { .. } => ("tor_fail", "tor_recover"),
+            Fault::TargetedDrop { .. } => return "targeted_drop",
+        };
+        if self.cleared().is_some() {
+            set
+        } else {
+            clear
         }
     }
 
@@ -150,20 +164,36 @@ impl Fault {
     /// the transport's point of view), so an oracle must not insist on
     /// zero RTOs or exact retransmission counts.
     pub fn is_random_loss(&self) -> bool {
-        matches!(
-            self,
-            Fault::UplinkLoss { .. } | Fault::ReverseCorrupt { .. } | Fault::UplinkDown { .. }
-        )
+        match *self {
+            Fault::UplinkLoss { rate_ppm, .. } | Fault::ReverseCorrupt { rate_ppm, .. } => {
+                rate_ppm > 0
+            }
+            Fault::UplinkDown { down, .. } => down,
+            _ => false,
+        }
     }
 
     /// Whether this fault can destroy control packets (ACK/NACK/CNP or
     /// handshakes), which excuses `nacks_forwarded_unknown` at Themis-D
     /// and sender RTOs.
     pub fn drops_control(&self) -> bool {
-        matches!(
-            self,
-            Fault::UplinkDown { .. } | Fault::ReverseCorrupt { .. }
-        )
+        match *self {
+            Fault::UplinkDown { down, .. } => down,
+            Fault::ReverseCorrupt { rate_ppm, .. } => rate_ppm > 0,
+            _ => false,
+        }
+    }
+
+    fn leaf(&self) -> u16 {
+        match *self {
+            Fault::UplinkDown { leaf, .. }
+            | Fault::DelaySpike { leaf, .. }
+            | Fault::UplinkLoss { leaf, .. }
+            | Fault::ReverseCorrupt { leaf, .. }
+            | Fault::Spray { leaf, .. }
+            | Fault::TorFail { leaf, .. }
+            | Fault::TargetedDrop { leaf, .. } => leaf,
+        }
     }
 }
 
@@ -220,40 +250,34 @@ impl FaultPlan {
     }
 
     /// Schedule every event into the cluster. Uplink indices address
-    /// ports `hosts_per_leaf + uplink` at the leaf; events whose leaf or
-    /// uplink is out of range for this fabric are skipped (a shrunk plan
-    /// must stay installable on smaller topologies).
+    /// ports `hosts_per_leaf + uplink` at the leaf. Events whose leaf is
+    /// out of range for this fabric are skipped, as are `UplinkDown`
+    /// events whose uplink is (a shrunk plan must stay installable on
+    /// smaller topologies); the other per-uplink faults are still seeded
+    /// and the switch ignores a port it does not have.
     pub fn install(&self, cluster: &mut Cluster) {
         let hpl = cluster.hosts.len() / cluster.leaves.len().max(1);
         let n_up = cluster.n_paths;
         for ev in &self.events {
-            let Some(&node) = cluster.leaves.get(leaf_of(&ev.fault) as usize) else {
+            let Some(&node) = cluster.leaves.get(ev.fault.leaf() as usize) else {
                 continue;
             };
             let port = |uplink: u16| (hpl + uplink as usize) as u16;
             let msg = match ev.fault {
-                Fault::UplinkDown { uplink, .. } | Fault::UplinkUp { uplink, .. }
-                    if uplink as usize >= n_up =>
-                {
-                    continue;
+                Fault::UplinkDown { uplink, down, .. } => {
+                    if uplink as usize >= n_up {
+                        continue;
+                    }
+                    ControlMsg::SetPortDown {
+                        port: port(uplink),
+                        down,
+                    }
                 }
-                Fault::UplinkDown { uplink, .. } => ControlMsg::SetPortDown {
-                    port: port(uplink),
-                    down: true,
-                },
-                Fault::UplinkUp { uplink, .. } => ControlMsg::SetPortDown {
-                    port: port(uplink),
-                    down: false,
-                },
                 Fault::DelaySpike {
                     uplink, extra_ns, ..
                 } => ControlMsg::SetPortExtraDelay {
                     port: port(uplink),
                     extra_ns,
-                },
-                Fault::DelayClear { uplink, .. } => ControlMsg::SetPortExtraDelay {
-                    port: port(uplink),
-                    extra_ns: 0,
                 },
                 Fault::UplinkLoss {
                     uplink, rate_ppm, ..
@@ -261,22 +285,19 @@ impl FaultPlan {
                     port: port(uplink),
                     rate_ppm,
                 },
-                Fault::UplinkLossClear { uplink, .. } => ControlMsg::SetPortLossRate {
-                    port: port(uplink),
-                    rate_ppm: 0,
-                },
                 Fault::ReverseCorrupt { rate_ppm, .. } => {
                     ControlMsg::SetReverseCorruptRate { rate_ppm }
                 }
-                Fault::ReverseCorruptClear { .. } => {
-                    ControlMsg::SetReverseCorruptRate { rate_ppm: 0 }
+                Fault::Spray { on, .. } => ControlMsg::SetSprayEnabled { on },
+                Fault::TorFail { failed, .. } => {
+                    if failed {
+                        ControlMsg::TorLinkFailure
+                    } else {
+                        ControlMsg::TorLinkRecovery {
+                            lb: cluster.scheme.lb_policy(),
+                        }
+                    }
                 }
-                Fault::SprayOff { .. } => ControlMsg::SetSprayEnabled { on: false },
-                Fault::SprayOn { .. } => ControlMsg::SetSprayEnabled { on: true },
-                Fault::TorFail { .. } => ControlMsg::TorLinkFailure,
-                Fault::TorRecover { .. } => ControlMsg::TorLinkRecovery {
-                    lb: cluster.scheme.lb_policy(),
-                },
                 Fault::TargetedDrop { qp, psn, .. } => {
                     if let Some(sw) = cluster.world.get_mut::<Switch>(node) {
                         sw.inject_targeted_drop(QpId(qp), psn);
@@ -352,56 +373,34 @@ pub struct FaultSpace {
     pub targets: Vec<(u32, u32)>,
 }
 
-fn leaf_of(f: &Fault) -> u16 {
-    match *f {
-        Fault::UplinkDown { leaf, .. }
-        | Fault::UplinkUp { leaf, .. }
-        | Fault::DelaySpike { leaf, .. }
-        | Fault::DelayClear { leaf, .. }
-        | Fault::UplinkLoss { leaf, .. }
-        | Fault::UplinkLossClear { leaf, .. }
-        | Fault::ReverseCorrupt { leaf, .. }
-        | Fault::ReverseCorruptClear { leaf, .. }
-        | Fault::SprayOff { leaf }
-        | Fault::SprayOn { leaf }
-        | Fault::TorFail { leaf }
-        | Fault::TorRecover { leaf }
-        | Fault::TargetedDrop { leaf, .. } => leaf,
-    }
-}
-
+/// One v1 line. A clear line names no value: its kind says it.
 fn event_line(ev: &FaultEvent) -> String {
-    let t = ev.at.as_nanos();
-    let k = ev.fault.kind();
-    match ev.fault {
-        Fault::UplinkDown { leaf, uplink }
-        | Fault::UplinkUp { leaf, uplink }
-        | Fault::DelayClear { leaf, uplink }
-        | Fault::UplinkLossClear { leaf, uplink } => {
-            format!("at={t} kind={k} leaf={leaf} uplink={uplink}")
-        }
+    let f = ev.fault;
+    let mut line = format!(
+        "at={} kind={} leaf={}",
+        ev.at.as_nanos(),
+        f.kind(),
+        f.leaf()
+    );
+    let (uplink, value) = match f {
+        Fault::UplinkDown { uplink, .. } => (Some(uplink), None),
         Fault::DelaySpike {
-            leaf,
-            uplink,
-            extra_ns,
-        } => format!("at={t} kind={k} leaf={leaf} uplink={uplink} extra_ns={extra_ns}"),
+            uplink, extra_ns, ..
+        } => (Some(uplink), Some(("extra_ns", extra_ns))),
         Fault::UplinkLoss {
-            leaf,
-            uplink,
-            rate_ppm,
-        } => format!("at={t} kind={k} leaf={leaf} uplink={uplink} rate_ppm={rate_ppm}"),
-        Fault::ReverseCorrupt { leaf, rate_ppm } => {
-            format!("at={t} kind={k} leaf={leaf} rate_ppm={rate_ppm}")
-        }
-        Fault::ReverseCorruptClear { leaf }
-        | Fault::SprayOff { leaf }
-        | Fault::SprayOn { leaf }
-        | Fault::TorFail { leaf }
-        | Fault::TorRecover { leaf } => format!("at={t} kind={k} leaf={leaf}"),
-        Fault::TargetedDrop { leaf, qp, psn } => {
-            format!("at={t} kind={k} leaf={leaf} qp={qp} psn={psn}")
-        }
+            uplink, rate_ppm, ..
+        } => (Some(uplink), Some(("rate_ppm", rate_ppm as u64))),
+        Fault::ReverseCorrupt { rate_ppm, .. } => (None, Some(("rate_ppm", rate_ppm as u64))),
+        Fault::Spray { .. } | Fault::TorFail { .. } => (None, None),
+        Fault::TargetedDrop { qp, psn, .. } => return format!("{line} qp={qp} psn={psn}"),
+    };
+    if let Some(uplink) = uplink {
+        line.push_str(&format!(" uplink={uplink}"));
     }
+    if let Some((name, v)) = value.filter(|&(_, v)| v > 0) {
+        line.push_str(&format!(" {name}={v}"));
+    }
+    line
 }
 
 fn parse_event_line(line: &str) -> Result<FaultEvent, String> {
@@ -435,49 +434,54 @@ fn parse_event_line(line: &str) -> Result<FaultEvent, String> {
             .ok_or_else(|| format!("missing {k}= in {line:?}"))
     };
     let leaf = get("leaf")? as u16;
+    let uplink = || get("uplink").map(|u| u as u16);
+    // A clear line carries no value: its kind names the neutral one.
+    let value = |k: &str| {
+        if kind.ends_with("_clear") {
+            Ok(0)
+        } else {
+            get(k)
+        }
+    };
     let fault = match kind {
-        "uplink_down" => Fault::UplinkDown {
+        "uplink_down" | "uplink_up" => Fault::UplinkDown {
             leaf,
-            uplink: get("uplink")? as u16,
+            uplink: uplink()?,
+            down: kind == "uplink_down",
         },
-        "uplink_up" => Fault::UplinkUp {
+        "delay_spike" | "delay_clear" => Fault::DelaySpike {
             leaf,
-            uplink: get("uplink")? as u16,
+            uplink: uplink()?,
+            extra_ns: value("extra_ns")?,
         },
-        "delay_spike" => Fault::DelaySpike {
+        "uplink_loss" | "uplink_loss_clear" => Fault::UplinkLoss {
             leaf,
-            uplink: get("uplink")? as u16,
-            extra_ns: get("extra_ns")?,
+            uplink: uplink()?,
+            rate_ppm: value("rate_ppm")? as u32,
         },
-        "delay_clear" => Fault::DelayClear {
+        "reverse_corrupt" | "reverse_corrupt_clear" => Fault::ReverseCorrupt {
             leaf,
-            uplink: get("uplink")? as u16,
+            rate_ppm: value("rate_ppm")? as u32,
         },
-        "uplink_loss" => Fault::UplinkLoss {
+        "spray_off" | "spray_on" => Fault::Spray {
             leaf,
-            uplink: get("uplink")? as u16,
-            rate_ppm: get("rate_ppm")? as u32,
+            on: kind == "spray_on",
         },
-        "uplink_loss_clear" => Fault::UplinkLossClear {
+        "tor_fail" | "tor_recover" => Fault::TorFail {
             leaf,
-            uplink: get("uplink")? as u16,
+            failed: kind == "tor_fail",
         },
-        "reverse_corrupt" => Fault::ReverseCorrupt {
-            leaf,
-            rate_ppm: get("rate_ppm")? as u32,
-        },
-        "reverse_corrupt_clear" => Fault::ReverseCorruptClear { leaf },
-        "spray_off" => Fault::SprayOff { leaf },
-        "spray_on" => Fault::SprayOn { leaf },
-        "tor_fail" => Fault::TorFail { leaf },
-        "tor_recover" => Fault::TorRecover { leaf },
         "targeted_drop" => Fault::TargetedDrop {
             leaf,
             qp: get("qp")? as u32,
             psn: get("psn")? as u32,
         },
-        other => return Err(format!("unknown fault kind {other:?}")),
+        other => return Err(format!("unknown fault kind {other:?} in {line:?}")),
     };
+    // A set kind at its neutral value would re-serialize as the clear.
+    if fault.kind() != kind {
+        return Err(format!("{kind} with a neutral value in {line:?}"));
+    }
     Ok(FaultEvent { at, fault })
 }
 
@@ -510,90 +514,44 @@ fn sample_episode(
     let t1 = rng.next_range(t0 + 1, hi);
     let (t0, t1) = (Nanos(t0 * 1_000), Nanos(t1 * 1_000));
 
-    match class {
+    let fault = match class {
         0 => {
             // Uplink down/up — possibly flapping (1–3 sub-windows).
             let flaps = rng.next_range(1, 4);
             let span = (t1.as_nanos() - t0.as_nanos()) / flaps;
+            let fault = Fault::UplinkDown {
+                leaf,
+                uplink,
+                down: true,
+            };
             for i in 0..flaps {
                 let s = Nanos(t0.as_nanos() + i * span);
                 let e = Nanos(s.as_nanos() + span / 2 + 1_000);
-                out.push(FaultEvent {
-                    at: s,
-                    fault: Fault::UplinkDown { leaf, uplink },
-                });
-                out.push(FaultEvent {
-                    at: e,
-                    fault: Fault::UplinkUp { leaf, uplink },
-                });
+                push_episode(out, fault, s, e);
             }
+            return;
         }
-        1 => {
-            // Delay spike: 1–40 µs of extra one-way latency.
-            let extra_ns = rng.next_range(1, 41) * 1_000;
-            out.push(FaultEvent {
-                at: t0,
-                fault: Fault::DelaySpike {
-                    leaf,
-                    uplink,
-                    extra_ns,
-                },
-            });
-            out.push(FaultEvent {
-                at: t1,
-                fault: Fault::DelayClear { leaf, uplink },
-            });
-        }
-        2 => {
-            // Random uplink loss: 100 ppm – 5%.
-            let rate_ppm = rng.next_range(100, 50_001) as u32;
-            out.push(FaultEvent {
-                at: t0,
-                fault: Fault::UplinkLoss {
-                    leaf,
-                    uplink,
-                    rate_ppm,
-                },
-            });
-            out.push(FaultEvent {
-                at: t1,
-                fault: Fault::UplinkLossClear { leaf, uplink },
-            });
-        }
-        3 => {
-            // Reverse-path control corruption: 100 ppm – 2%.
-            let rate_ppm = rng.next_range(100, 20_001) as u32;
-            out.push(FaultEvent {
-                at: t0,
-                fault: Fault::ReverseCorrupt { leaf, rate_ppm },
-            });
-            out.push(FaultEvent {
-                at: t1,
-                fault: Fault::ReverseCorruptClear { leaf },
-            });
-        }
-        4 => {
-            // Operator toggles Themis off/on.
-            out.push(FaultEvent {
-                at: t0,
-                fault: Fault::SprayOff { leaf },
-            });
-            out.push(FaultEvent {
-                at: t1,
-                fault: Fault::SprayOn { leaf },
-            });
-        }
-        5 => {
-            // §6 failure-monitor fallback cycle.
-            out.push(FaultEvent {
-                at: t0,
-                fault: Fault::TorFail { leaf },
-            });
-            out.push(FaultEvent {
-                at: t1,
-                fault: Fault::TorRecover { leaf },
-            });
-        }
+        // Delay spike: 1–40 µs of extra one-way latency.
+        1 => Fault::DelaySpike {
+            leaf,
+            uplink,
+            extra_ns: rng.next_range(1, 41) * 1_000,
+        },
+        // Random uplink loss: 100 ppm – 5%.
+        2 => Fault::UplinkLoss {
+            leaf,
+            uplink,
+            rate_ppm: rng.next_range(100, 50_001) as u32,
+        },
+        // Reverse-path control corruption: 100 ppm – 2%.
+        3 => Fault::ReverseCorrupt {
+            leaf,
+            rate_ppm: rng.next_range(100, 20_001) as u32,
+        },
+        // Operator toggles Themis off/on.
+        4 => Fault::Spray { leaf, on: false },
+        // §6 failure-monitor fallback cycle.
+        5 => Fault::TorFail { leaf, failed: true },
         _ => {
             // Targeted drops: 1–4 distinct (qp, psn) kills. PSNs stay
             // clear of the message tail so a same-path successor exists
@@ -615,8 +573,16 @@ fn sample_episode(
                     fault: Fault::TargetedDrop { leaf, qp, psn },
                 });
             }
+            return;
         }
-    }
+    };
+    push_episode(out, fault, t0, t1);
+}
+
+/// Inject `fault` at `from` and clear it at `to`.
+fn push_episode(out: &mut Vec<FaultEvent>, fault: Fault, from: Nanos, to: Nanos) {
+    out.push(FaultEvent { at: from, fault });
+    out.extend(fault.cleared().map(|fault| FaultEvent { at: to, fault }));
 }
 
 #[cfg(test)]
@@ -654,30 +620,14 @@ mod tests {
         for seed in 0..100 {
             let plan = sample_plan(seed);
             for ev in &plan.events {
-                let pair = |clear: &dyn Fn(&Fault) -> bool| {
-                    assert!(
-                        plan.events.iter().any(|e| e.at > ev.at && clear(&e.fault)),
-                        "unpaired {:?} (seed {seed})",
-                        ev.fault
-                    );
+                let Some(clear) = ev.fault.cleared() else {
+                    continue;
                 };
-                match ev.fault {
-                    Fault::UplinkDown { leaf, uplink } => {
-                        pair(&|f| *f == Fault::UplinkUp { leaf, uplink })
-                    }
-                    Fault::DelaySpike { leaf, uplink, .. } => {
-                        pair(&|f| *f == Fault::DelayClear { leaf, uplink })
-                    }
-                    Fault::UplinkLoss { leaf, uplink, .. } => {
-                        pair(&|f| *f == Fault::UplinkLossClear { leaf, uplink })
-                    }
-                    Fault::ReverseCorrupt { leaf, .. } => {
-                        pair(&|f| *f == Fault::ReverseCorruptClear { leaf })
-                    }
-                    Fault::SprayOff { leaf } => pair(&|f| *f == Fault::SprayOn { leaf }),
-                    Fault::TorFail { leaf } => pair(&|f| *f == Fault::TorRecover { leaf }),
-                    _ => {}
-                }
+                assert!(
+                    plan.events.iter().any(|e| e.at > ev.at && e.fault == clear),
+                    "unpaired {:?} (seed {seed})",
+                    ev.fault
+                );
             }
         }
     }
@@ -686,10 +636,19 @@ mod tests {
     fn rejects_bad_header_and_bad_lines() {
         assert!(FaultPlan::from_text("").is_err());
         assert!(FaultPlan::from_text("themis-faultplan v9\n").is_err());
-        let bad = format!("{FAULTPLAN_HEADER_V1}\nat=1 kind=warp_core_breach leaf=0\n");
-        assert!(FaultPlan::from_text(&bad).is_err());
-        let missing = format!("{FAULTPLAN_HEADER_V1}\nkind=tor_fail leaf=0\n");
-        assert!(FaultPlan::from_text(&missing).is_err());
+        // The last three are set kinds at their neutral value, which
+        // would re-serialize as the clear kind.
+        for line in [
+            "at=1 kind=warp_core_breach leaf=0",
+            "kind=tor_fail leaf=0",
+            "at=1 kind=uplink_loss leaf=0 uplink=1 rate_ppm=0",
+            "at=1 kind=delay_spike leaf=0 uplink=1 extra_ns=0",
+            "at=1 kind=reverse_corrupt leaf=0 rate_ppm=0",
+        ] {
+            let err =
+                FaultPlan::from_text(&format!("{FAULTPLAN_HEADER_V1}\n{line}\n")).expect_err(line);
+            assert!(err.contains(line), "error {err:?} does not name {line:?}");
+        }
     }
 
     #[test]
@@ -697,46 +656,52 @@ mod tests {
         let text = format!("{FAULTPLAN_HEADER_V1}\n\n# a comment\nat=5000 kind=spray_off leaf=1\n");
         let plan = FaultPlan::from_text(&text).unwrap();
         assert_eq!(plan.len(), 1);
-        assert_eq!(plan.events[0].fault, Fault::SprayOff { leaf: 1 });
+        assert_eq!(plan.events[0].fault, Fault::Spray { leaf: 1, on: false });
     }
 
     /// The v1 text form round-trips every one of the 13 fault kinds —
+    /// each of the 7 variants set, and each but `TargetedDrop` cleared —
     /// constructed explicitly rather than trusted to the sampler (which
     /// only emits kinds its episode classes happen to draw). A new enum
     /// variant without text-form support shows up here as a mismatch,
     /// not as a silent corpus-file parse failure months later.
     #[test]
     fn text_roundtrip_covers_every_fault_kind() {
-        let all = [
-            Fault::UplinkDown { leaf: 1, uplink: 2 },
-            Fault::UplinkUp { leaf: 1, uplink: 2 },
+        let set = [
+            Fault::UplinkDown {
+                leaf: 1,
+                uplink: 2,
+                down: true,
+            },
             Fault::DelaySpike {
                 leaf: 3,
                 uplink: 0,
                 extra_ns: 12_345,
             },
-            Fault::DelayClear { leaf: 3, uplink: 0 },
             Fault::UplinkLoss {
                 leaf: 0,
                 uplink: 7,
                 rate_ppm: 40_000,
             },
-            Fault::UplinkLossClear { leaf: 0, uplink: 7 },
             Fault::ReverseCorrupt {
                 leaf: 5,
                 rate_ppm: 9_999,
             },
-            Fault::ReverseCorruptClear { leaf: 5 },
-            Fault::SprayOff { leaf: 6 },
-            Fault::SprayOn { leaf: 6 },
-            Fault::TorFail { leaf: 7 },
-            Fault::TorRecover { leaf: 7 },
+            Fault::Spray { leaf: 6, on: false },
+            Fault::TorFail {
+                leaf: 7,
+                failed: true,
+            },
             Fault::TargetedDrop {
                 leaf: 2,
                 qp: 0xABCD,
                 psn: (1 << 24) - 1,
             },
         ];
+        let all: Vec<Fault> = set
+            .iter()
+            .flat_map(|f| std::iter::once(*f).chain(f.cleared()))
+            .collect();
         let kinds: std::collections::BTreeSet<&str> = all.iter().map(|f| f.kind()).collect();
         assert_eq!(kinds.len(), 13, "expected all 13 distinct fault kinds");
         let plan = FaultPlan {

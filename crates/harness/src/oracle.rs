@@ -31,8 +31,9 @@
 //!    as an inequality otherwise), and the drop log reconciles with the
 //!    switch counters: nothing vanishes without a [`DropRecord`].
 //!
-//! The low-level predicates live in [`predicates`] so the exhaustive
-//! model checker (`tests/model_check.rs`) can reuse them verbatim on its
+//! The low-level predicates live in [`predicates`], pure functions of
+//! the counters they judge. The exhaustive model checker
+//! (`tests/model_check.rs`) checks the same properties inline on its
 //! abstract executions.
 
 use crate::cluster::Cluster;
@@ -71,19 +72,7 @@ impl OracleConfig {
     /// Baseline expectations for a fault-free, sized-to-complete run of
     /// `scheme` (the e2e-test configuration).
     pub fn for_scheme(scheme: Scheme) -> OracleConfig {
-        let (filtering, compensation) = match scheme {
-            Scheme::Themis | Scheme::ThemisPathMap => (true, true),
-            Scheme::ThemisNoCompensation => (true, false),
-            Scheme::Ecmp
-            | Scheme::AdaptiveRouting
-            | Scheme::RandomSpray
-            | Scheme::Flowlet
-            | Scheme::SprayNoFilter
-            | Scheme::Oracle
-            | Scheme::Reps
-            | Scheme::Eunomia
-            | Scheme::Sprinklers => (false, false),
-        };
+        let (filtering, compensation) = scheme.nack_filtering();
         OracleConfig {
             expect_complete: true,
             filtering,
@@ -458,8 +447,7 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
     r
 }
 
-/// The oracle's pure invariant predicates, shared with the exhaustive
-/// model checker. Each returns `None` on pass.
+/// The oracle's pure invariant predicates. Each returns `None` on pass.
 pub mod predicates {
     use super::Violation;
 
@@ -503,30 +491,6 @@ pub mod predicates {
                 "spurious retransmission ratio {ratio:.4} exceeds {bound} \
                  ({retx_packets}/{total}) with zero data drops"
             ),
-        })
-    }
-
-    /// Model-checker form of invariant 3: every NACK that reached the
-    /// sender names the one genuinely lost PSN (no collateral damage).
-    pub fn no_collateral_nacks(sender_nacks: &[u32], lost: Option<u32>) -> Option<Violation> {
-        let bad: Vec<u32> = sender_nacks
-            .iter()
-            .copied()
-            .filter(|&e| Some(e) != lost)
-            .collect();
-        (!bad.is_empty()).then(|| Violation {
-            invariant: "filtering",
-            detail: format!("collateral NACKs {bad:?} for loss {lost:?}"),
-        })
-    }
-
-    /// Model-checker form of invariant 4 (liveness): when a same-path
-    /// successor proves the loss after the NACK armed compensation, the
-    /// sender must have been told about exactly that PSN.
-    pub fn loss_signalled(compensable: bool, sender_nacks: &[u32], lost: u32) -> Option<Violation> {
-        (compensable && !sender_nacks.contains(&lost)).then(|| Violation {
-            invariant: "compensation",
-            detail: format!("provable loss of PSN {lost} never signalled to the sender"),
         })
     }
 
@@ -582,15 +546,6 @@ mod tests {
         assert!(spurious_retx_bounded(0, 0, 0.01).is_none());
         assert!(spurious_retx_bounded(1000, 5, 0.01).is_none());
         assert!(spurious_retx_bounded(1000, 50, 0.01).is_some());
-
-        assert!(no_collateral_nacks(&[7], Some(7)).is_none());
-        assert!(no_collateral_nacks(&[7, 8], Some(7)).is_some());
-        assert!(no_collateral_nacks(&[], None).is_none());
-        assert!(no_collateral_nacks(&[3], None).is_some());
-
-        assert!(loss_signalled(true, &[5], 5).is_none());
-        assert!(loss_signalled(true, &[], 5).is_some());
-        assert!(loss_signalled(false, &[], 5).is_none());
     }
 
     #[test]

@@ -248,6 +248,17 @@ impl Scheme {
         }
     }
 
+    /// `(filtering, compensation)` of the Themis-D this scheme deploys —
+    /// the two flags [`Scheme::themis_config`] sets — or `(false, false)`
+    /// without Themis. What the oracle may expect of the ToRs.
+    pub fn nack_filtering(&self) -> (bool, bool) {
+        match self.row().tor {
+            Tor::None | Tor::NoFilter => (false, false),
+            Tor::Direct | Tor::PathMap => (true, true),
+            Tor::NoCompensation => (true, false),
+        }
+    }
+
     /// The NIC configuration this scheme needs, derived from `base`.
     /// Applied once by [`crate::cluster::assemble`], so every runner —
     /// point to point, collectives, fat-tree rings, fuzzer — gets it
@@ -368,6 +379,16 @@ mod tests {
         assert!(nc.filtering && !nc.compensation);
         let nf = Scheme::SprayNoFilter.themis_config(base()).unwrap();
         assert!(!nf.filtering);
+    }
+
+    #[test]
+    fn nack_filtering_is_what_themis_config_sets() {
+        for s in Scheme::ALL {
+            let want = s
+                .themis_config(base())
+                .map_or((false, false), |t| (t.filtering, t.compensation));
+            assert_eq!(s.nack_filtering(), want, "{}", s.label());
+        }
     }
 
     #[test]

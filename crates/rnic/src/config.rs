@@ -114,11 +114,6 @@ impl NicConfig {
             ..NicConfig::nic_sr(line_rate_bps)
         }
     }
-
-    /// Packets needed for a message of `bytes`.
-    pub fn packets_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.mtu_payload as u64).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -155,15 +150,5 @@ mod tests {
         let n = NicConfig::ideal(100_000_000_000);
         assert_eq!(n.transport, TransportMode::IdealOracle);
         assert!(!n.cc.enabled);
-    }
-
-    #[test]
-    fn packets_for_rounds_up() {
-        let n = NicConfig::nic_sr(100_000_000_000);
-        assert_eq!(n.packets_for(1), 1);
-        assert_eq!(n.packets_for(1500), 1);
-        assert_eq!(n.packets_for(1501), 2);
-        assert_eq!(n.packets_for(3000), 2);
-        assert_eq!(n.packets_for(0), 1);
     }
 }

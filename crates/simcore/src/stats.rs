@@ -68,15 +68,6 @@ impl TimeSeries {
             })
             .collect()
     }
-
-    /// Overall mean across all samples.
-    pub fn overall_mean(&self) -> Option<f64> {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        Some(self.sums.iter().sum::<f64>() / total as f64)
-    }
 }
 
 /// Converts byte deliveries over time into a throughput series (bits/s).
@@ -262,7 +253,6 @@ mod tests {
         assert_eq!(ts.num_bins(), 2);
         assert_eq!(ts.bin_mean(0), Some(3.0));
         assert_eq!(ts.bin_mean(1), Some(10.0));
-        assert_eq!(ts.overall_mean(), Some(16.0 / 3.0));
     }
 
     #[test]

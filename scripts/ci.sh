@@ -33,8 +33,10 @@
 #      budget of coverage-guided fault scenarios under the
 #      protocol-invariant oracle (with a --min-features coverage floor),
 #      then a second bounded budget on the sharded engine, a zoo leg
-#      (reps/eunomia/sprinklers/oracle), and replays the checked-in
-#      tests/corpus regression corpus serially and with --shards 2.
+#      (reps/eunomia/sprinklers/oracle), replays the checked-in
+#      tests/corpus regression corpus serially and with --shards 2, and
+#      runs the --plan door on tests/golden/faultplan_v1.txt (all 13
+#      fault kinds parsed and installed).
 #   7. open-loop load smoke: a seconds-scale soak of the production
 #      traffic engine (multi-tenant churn + eviction cycling, oracle-
 #      audited via the sliding window), then a fixed-seed themis_load
@@ -150,6 +152,11 @@ echo "== corpus replay (regression suite, serial + sharded) =="
 # between the two; these legs additionally pin the CLI path end to end.
 ./target/release/themis_fuzz --replay-corpus tests/corpus
 ./target/release/themis_fuzz --replay-corpus tests/corpus --shards 2
+
+echo "== fault-plan door (every v1 kind) =="
+# The shrinker's repro door: the golden plan names each of the 13 kinds
+# once, so a kind the parser or install no longer accepts fails here.
+./target/release/themis_fuzz --plan tests/golden/faultplan_v1.txt
 
 echo "== open-loop load smoke (churn + eviction cycling, oracle-audited) =="
 # A seconds-scale soak of the production traffic engine: heavy-tailed

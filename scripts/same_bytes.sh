@@ -10,8 +10,9 @@
 # binaries, each set in its own output directory, then `cmp`s every
 # written document pairwise: telemetry / windowed-telemetry JSON, the
 # serve checkpoint, and each command's stdout with the wall-clock field
-# (`N.NNs wall (… events/s)`) masked. Exits 0 when every file matches,
-# 1 naming the first file that differs.
+# (`N.NNs wall (… events/s)`, or the fuzz summary's bare `N.Ns wall`)
+# masked. Exits 0 when every file matches, 1 naming the first file that
+# differs.
 #
 # The command list covers every door and both engines:
 #   fig1 2                                  (leaf-spine, spray vs ideal)
@@ -28,6 +29,14 @@
 #   themis_fuzz --replay-corpus tests/corpus (its feature count is read
 #     from the telemetry counters: fault-plan drop causes, RTOs, NACK
 #     verdicts)
+#   themis_fuzz --budget 200 --emit-corpus DIR: the guided loop's
+#     sampler, mutation and pairing repair (~3 s); its case files are
+#     concatenated in name order into one document
+#   themis_fuzz --budget 200: scripts/ci.sh's fuzz smoke, whose parents
+#     are unminimized plans, so mutation reaches clear events the
+#     minimized corpus never holds
+#   themis_fuzz --plan tests/golden/faultplan_v1.txt: parses and
+#     installs all 13 fault kinds
 #
 # A full cold build of REV takes a few minutes. The temporary directory
 # lives under $TMPDIR (default /tmp) and is removed on exit, as is a
@@ -57,7 +66,7 @@ echo "== build working tree =="
 cargo build --release --offline -q -p themis-harness --bins
 
 # Stdout minus the one wall-clock field, into file $1.
-mask() { sed -E 's/[0-9.]+s wall \([^)]*\)/<wall>/' > "$1"; }
+mask() { sed -E 's/[0-9.]+s wall( \([^)]*\))?/<wall>/' > "$1"; }
 
 # run_all BIN_DIR OUT_DIR: the fixed command list, every document
 # written under OUT_DIR with the same relative names on both sides.
@@ -110,6 +119,11 @@ EOF
     wait "$SERVE_PID"
     SERVE_PID=
     "$bin/themis_fuzz" --replay-corpus "$ROOT/tests/corpus" > fuzz_replay.out
+    "$bin/themis_fuzz" --budget 200 --emit-corpus fuzz_corpus | mask fuzz_guided.out
+    cat fuzz_corpus/* > fuzz_corpus.txt
+    rm -r fuzz_corpus
+    "$bin/themis_fuzz" --budget 200 | mask fuzz_smoke.out
+    "$bin/themis_fuzz" --plan "$ROOT/tests/golden/faultplan_v1.txt" > fuzz_plan.out
     cd "$ROOT"
 }
 

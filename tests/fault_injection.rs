@@ -19,7 +19,7 @@ use themis::simcore::time::Nanos;
 const GOLDEN: &str = include_str!("golden/faultplan_v1.txt");
 
 /// The plan whose serialization the golden file pins: one event per
-/// `Fault` variant (all 13).
+/// v1 kind (all 13): every `Fault` variant set, and cleared where it can be.
 fn golden_plan() -> FaultPlan {
     let us = Nanos::from_micros;
     FaultPlan {
@@ -34,11 +34,19 @@ fn golden_plan() -> FaultPlan {
             },
             FaultEvent {
                 at: us(50),
-                fault: Fault::UplinkDown { leaf: 0, uplink: 1 },
+                fault: Fault::UplinkDown {
+                    leaf: 0,
+                    uplink: 1,
+                    down: true,
+                },
             },
             FaultEvent {
                 at: us(60),
-                fault: Fault::UplinkUp { leaf: 0, uplink: 1 },
+                fault: Fault::UplinkDown {
+                    leaf: 0,
+                    uplink: 1,
+                    down: false,
+                },
             },
             FaultEvent {
                 at: us(70),
@@ -50,7 +58,11 @@ fn golden_plan() -> FaultPlan {
             },
             FaultEvent {
                 at: us(90),
-                fault: Fault::DelayClear { leaf: 1, uplink: 0 },
+                fault: Fault::DelaySpike {
+                    leaf: 1,
+                    uplink: 0,
+                    extra_ns: 0,
+                },
             },
             FaultEvent {
                 at: us(100),
@@ -62,7 +74,11 @@ fn golden_plan() -> FaultPlan {
             },
             FaultEvent {
                 at: us(120),
-                fault: Fault::UplinkLossClear { leaf: 2, uplink: 1 },
+                fault: Fault::UplinkLoss {
+                    leaf: 2,
+                    uplink: 1,
+                    rate_ppm: 0,
+                },
             },
             FaultEvent {
                 at: us(130),
@@ -73,23 +89,32 @@ fn golden_plan() -> FaultPlan {
             },
             FaultEvent {
                 at: us(150),
-                fault: Fault::ReverseCorruptClear { leaf: 3 },
+                fault: Fault::ReverseCorrupt {
+                    leaf: 3,
+                    rate_ppm: 0,
+                },
             },
             FaultEvent {
                 at: us(160),
-                fault: Fault::SprayOff { leaf: 0 },
+                fault: Fault::Spray { leaf: 0, on: false },
             },
             FaultEvent {
                 at: us(170),
-                fault: Fault::SprayOn { leaf: 0 },
+                fault: Fault::Spray { leaf: 0, on: true },
             },
             FaultEvent {
                 at: us(180),
-                fault: Fault::TorFail { leaf: 1 },
+                fault: Fault::TorFail {
+                    leaf: 1,
+                    failed: true,
+                },
             },
             FaultEvent {
                 at: us(200),
-                fault: Fault::TorRecover { leaf: 1 },
+                fault: Fault::TorFail {
+                    leaf: 1,
+                    failed: false,
+                },
             },
         ],
     }
@@ -123,11 +148,19 @@ fn uplink_down_blackholes_with_port_down_drop_records() {
         events: vec![
             FaultEvent {
                 at: Nanos::from_micros(50),
-                fault: Fault::UplinkDown { leaf: 0, uplink: 0 },
+                fault: Fault::UplinkDown {
+                    leaf: 0,
+                    uplink: 0,
+                    down: true,
+                },
             },
             FaultEvent {
                 at: Nanos::from_micros(250),
-                fault: Fault::UplinkUp { leaf: 0, uplink: 0 },
+                fault: Fault::UplinkDown {
+                    leaf: 0,
+                    uplink: 0,
+                    down: false,
+                },
             },
         ],
     };

@@ -93,7 +93,11 @@ fn standard_plan() -> FaultPlan {
             },
             FaultEvent {
                 at: Nanos::from_micros(220),
-                fault: Fault::UplinkLossClear { leaf: 0, uplink: 1 },
+                fault: Fault::UplinkLoss {
+                    leaf: 0,
+                    uplink: 1,
+                    rate_ppm: 0,
+                },
             },
         ],
     }
