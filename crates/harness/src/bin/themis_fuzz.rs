@@ -26,7 +26,7 @@
 
 use themis_harness::cli::{self, Matches};
 use themis_harness::coverage::{
-    derive_case, fuzz, shrink_failure, CorpusCase, FeatureMap, FuzzConfig, Mode,
+    derive_case, fuzz, CaseFailure, CorpusCase, FeatureMap, FuzzConfig, Mode,
 };
 use themis_harness::faults::FaultPlan;
 use themis_harness::telemetry_out::dump_trace_last;
@@ -51,16 +51,16 @@ fn fuzz_config(args: &Matches, run_scheme: Scheme, judge: Scheme) -> FuzzConfig 
     cfg
 }
 
+/// Print one failure with the minimal plan it was shrunk to. Only
+/// `--trace-last` runs the case again, for its event ring.
 fn report_failure(
-    case: &CorpusCase,
-    k: u64,
+    f: &CaseFailure,
     root_seed: u64,
     judge: Scheme,
     args: &Matches,
     blind_repro: bool,
 ) {
-    let shards = args.shards();
-    let (result, violations) = case.run_with(&case.plan, judge, shards);
+    let (case, k) = (&f.case, f.index);
     eprintln!("\n=== FAILURE: case {k} (seed {root_seed}) ===");
     eprintln!(
         "scheme {} collective {} kb {} plan: {} event(s)",
@@ -69,20 +69,18 @@ fn report_failure(
         case.kb,
         case.plan.len()
     );
-    for v in &violations {
+    for v in &f.violations {
         eprintln!("  violation {v}");
     }
-    let (shrunk, runs) = shrink_failure(case, judge, shards);
-    let (_, shrunk_violations) = case.run_with(&shrunk, judge, shards);
     eprintln!(
         "minimal fault plan ({} of {} event(s), {} shrink run(s)):",
-        shrunk.len(),
+        f.minimal_plan.len(),
         case.plan.len(),
-        runs
+        f.shrink_runs
     );
-    eprint!("{}", shrunk.to_text());
+    eprint!("{}", f.minimal_plan.to_text());
     eprintln!("violations under the minimal plan:");
-    for v in &shrunk_violations {
+    for v in &f.minimal_violations {
         eprintln!("  {v}");
     }
     if blind_repro {
@@ -94,6 +92,7 @@ fn report_failure(
         eprint!("{}", case.to_text());
     }
     if let Some(n) = args.opt_num("trace-last") {
+        let (result, _) = case.run_with(&case.plan, judge, args.shards());
         dump_trace_last(&format!("fuzz-case-{k}"), &result.telemetry, n);
     }
 }
@@ -200,7 +199,8 @@ fn main() {
                 result.events
             );
         } else {
-            report_failure(&case, k, root_seed, scheme, &args, true);
+            let f = CaseFailure::shrink(k, &case, &violations, scheme, cfg.shards);
+            report_failure(&f, root_seed, scheme, &args, true);
             std::process::exit(1);
         }
         return;
@@ -216,7 +216,8 @@ fn main() {
             println!("case {k}: conformant ({} event(s))", case.plan.len());
             return;
         }
-        report_failure(&case, k, root_seed, scheme, &args, true);
+        let f = CaseFailure::shrink(k, &case, &violations, scheme, cfg.shards);
+        report_failure(&f, root_seed, scheme, &args, true);
         std::process::exit(1);
     }
 
@@ -248,14 +249,7 @@ fn main() {
     }
 
     for (i, f) in report.failures.iter().enumerate() {
-        report_failure(
-            &f.case,
-            f.index,
-            root_seed,
-            scheme,
-            &args,
-            cfg.mode == Mode::Blind,
-        );
+        report_failure(f, root_seed, scheme, &args, cfg.mode == Mode::Blind);
         if let Some(p) = &failure_paths[i] {
             eprintln!("repro file: {}", p.display());
         }

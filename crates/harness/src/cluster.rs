@@ -7,6 +7,7 @@
 //! and the spray mode the ToR must use — and in nothing else.
 
 use crate::scheme::Scheme;
+use collectives::driver::Driver;
 use netsim::fat_tree::{build_fat_tree, FatTreeConfig, AGG_ECMP_SHIFT};
 use netsim::port::EgressPort;
 use netsim::switch::Switch;
@@ -255,6 +256,13 @@ impl Cluster {
             .ok_or(ClusterError::StaleSwitch(id))
     }
 
+    /// [`Cluster::switch`], mutable.
+    pub fn switch_mut(&mut self, id: NodeId) -> Result<&mut Switch, ClusterError> {
+        self.world
+            .get_mut::<Switch>(id)
+            .ok_or(ClusterError::StaleSwitch(id))
+    }
+
     /// All switch entity ids.
     pub fn all_switches(&self) -> Vec<NodeId> {
         self.leaves
@@ -264,11 +272,48 @@ impl Cluster {
             .collect()
     }
 
-    /// Immutable NIC access.
+    /// The NIC of `host`. Panics when `host` is not one of this
+    /// cluster's [`Cluster::hosts`]: [`assemble`] installs a NIC for
+    /// every host, and nothing removes one.
     pub fn nic(&self, host: HostId) -> &Nic {
         self.world
             .get(NodeId(host.0))
             .expect("NIC installed for every host")
+    }
+
+    /// [`Cluster::nic`], mutable.
+    pub fn nic_mut(&mut self, host: HostId) -> &mut Nic {
+        self.world
+            .get_mut(NodeId(host.0))
+            .expect("NIC installed for every host")
+    }
+
+    /// The Themis middleware on switch `tor`, or `None` when `tor` runs
+    /// none: a spine, a non-switch id, or any switch under a scheme
+    /// without Themis.
+    pub fn middleware(&self, tor: NodeId) -> Option<&ThemisMiddleware> {
+        self.world
+            .get::<Switch>(tor)?
+            .hook()?
+            .as_any()
+            .downcast_ref()
+    }
+
+    /// [`Cluster::middleware`], mutable.
+    pub fn middleware_mut(&mut self, tor: NodeId) -> Option<&mut ThemisMiddleware> {
+        self.world
+            .get_mut::<Switch>(tor)?
+            .hook_mut()?
+            .as_any_mut()
+            .downcast_mut()
+    }
+
+    /// The installed workload driver, or `None` before a
+    /// [`Session`](crate::session::Session) installs one into the
+    /// reserved slot. [`crate::experiment::driver_of`] is the panicking
+    /// form for finished runs.
+    pub fn installed_driver(&self) -> Option<&Driver> {
+        self.world.get::<Driver>(self.driver)
     }
 
     /// Snapshot this cluster's telemetry as one report: the serial sink
@@ -361,13 +406,7 @@ impl Cluster {
 
     /// The Themis middleware of every ToR that runs one.
     fn middlewares(&self) -> impl Iterator<Item = &ThemisMiddleware> + '_ {
-        self.leaves.iter().filter_map(|&leaf| {
-            self.world
-                .get::<Switch>(leaf)?
-                .hook()?
-                .as_any()
-                .downcast_ref()
-        })
+        self.leaves.iter().filter_map(|&leaf| self.middleware(leaf))
     }
 }
 
@@ -652,6 +691,7 @@ mod tests {
     };
     use crate::faults::{Fault, FaultEvent, FaultPlan};
     use crate::session::{Session, Start};
+    use collectives::driver::single_transfer_spec;
     use collectives::ring::ring_once;
     use simcore::time::{Nanos, TimeDelta};
 
@@ -696,9 +736,8 @@ mod tests {
                     for &tor in &c.leaves {
                         let sw = c.switch(tor).expect("live ToR");
                         assert_eq!(sw.hook().is_some(), deploys, "{at}");
-                        if let Some(hook) = sw.hook() {
-                            let mw: &ThemisMiddleware =
-                                hook.as_any().downcast_ref().expect("Themis hook");
+                        if sw.hook().is_some() {
+                            let mw = c.middleware(tor).expect("Themis hook");
                             let two_tier =
                                 matches!(mw.config().spray_mode, SprayMode::PathMapTwoTier { .. });
                             assert_eq!(two_tier, three_tier, "{at}");
@@ -1048,8 +1087,40 @@ mod tests {
         assert!(d.all_complete(), "intra-pod traffic must complete");
         // Cores untouched by intra-pod flows.
         for &c in &cluster.spines[8..] {
-            let sw: &Switch = cluster.world.get(c).unwrap();
+            let sw = cluster.switch(c).unwrap();
             assert_eq!(sw.stats.rx_packets, 0);
         }
+    }
+
+    /// The typed accessors: an id that names no switch is `StaleSwitch`,
+    /// a switch without Themis has no middleware, and `middleware_mut`
+    /// reaches the Themis-D entry that `themis_stats` counts.
+    #[test]
+    fn typed_accessors_resolve_or_refuse() {
+        let fabric = LeafSpineConfig::motivation();
+        let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+        let mut ecmp = build_cluster(&fabric, nic, Scheme::Ecmp);
+        for id in [NodeId(ecmp.hosts[0].0), NodeId(u32::MAX)] {
+            let got = ecmp.switch_mut(id).map(|_| ());
+            assert_eq!(got, Err(ClusterError::StaleSwitch(id)));
+        }
+        for &tor in &ecmp.leaves {
+            assert!(ecmp.middleware(tor).is_none(), "{tor:?} under ECMP");
+        }
+
+        let themis = build_cluster(&fabric, nic, Scheme::Themis);
+        assert!(themis.middleware(themis.spines[0]).is_none(), "a spine");
+        let (src, dst) = (themis.hosts[0], themis.hosts[fabric.hosts_per_leaf]);
+        let dst_tor = themis.leaves[1];
+        let mut s = Session::new(themis, 3, TimeDelta::from_micros(20));
+        let (qp, _) = s.create_qp(src, dst);
+        s.post_spec(single_transfer_spec(src, dst, qp, 1 << 20), Start::WithRun);
+        s.kick_off();
+        s.step(1).unwrap();
+        assert_eq!(s.cluster.themis_stats().evictions_deferred, 0);
+        let d = s.cluster.middleware_mut(dst_tor).and_then(|m| m.d.as_mut());
+        let evicted = d.expect("Themis-D on the ToR").evict_flow(qp);
+        assert!(!evicted, "a mid-flight entry carries obligations");
+        assert_eq!(s.cluster.themis_stats().evictions_deferred, 1);
     }
 }

@@ -374,6 +374,29 @@ pub struct CaseFailure {
     pub shrink_runs: usize,
 }
 
+impl CaseFailure {
+    /// Case `index`, which broke `violations` under its own plan (judged
+    /// against `judge`), with its plan shrunk by [`shrink_failure`].
+    pub fn shrink(
+        index: u64,
+        case: &CorpusCase,
+        violations: &[Violation],
+        judge: Scheme,
+        shards: usize,
+    ) -> CaseFailure {
+        let (minimal_plan, shrink_runs) = shrink_failure(case, judge, shards);
+        let (_, minimal_violations) = case.run_with(&minimal_plan, judge, shards);
+        CaseFailure {
+            index,
+            case: case.clone(),
+            violations: violations.iter().map(|v| v.to_string()).collect(),
+            minimal_plan,
+            minimal_violations: minimal_violations.iter().map(|v| v.to_string()).collect(),
+            shrink_runs,
+        }
+    }
+}
+
 /// What a fuzzing run found.
 #[derive(Debug, Clone)]
 pub struct FuzzReport {
@@ -675,16 +698,13 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
         distinct.insert(case.plan.to_text());
         let (result, violations) = case.run_with(&case.plan, cfg.judge, cfg.shards);
         if !violations.is_empty() {
-            let (minimal_plan, shrink_runs) = shrink_failure(&case, cfg.judge, cfg.shards);
-            let (_, minimal_violations) = case.run_with(&minimal_plan, cfg.judge, cfg.shards);
-            failures.push(CaseFailure {
-                index: k,
-                case: case.clone(),
-                violations: violations.iter().map(|v| v.to_string()).collect(),
-                minimal_plan,
-                minimal_violations: minimal_violations.iter().map(|v| v.to_string()).collect(),
-                shrink_runs,
-            });
+            failures.push(CaseFailure::shrink(
+                k,
+                &case,
+                &violations,
+                cfg.judge,
+                cfg.shards,
+            ));
             if !cfg.keep_going {
                 break;
             }

@@ -15,6 +15,7 @@ use collectives::schedule::{Schedule, Transfer};
 use netsim::topology::LeafSpineConfig;
 use netsim::trace::{fabric_summary, FabricSummary};
 use netsim::types::HostId;
+use rnic::reaction::{OooReactionKind, SenderEntropyKind};
 use rnic::{CcConfig, Nic, NicConfig};
 use simcore::time::{Nanos, TimeDelta};
 
@@ -642,36 +643,38 @@ fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::Run
     t.push_counter("agg.nic.bytes_delivered", r.nics.bytes_delivered);
     t.push_counter("agg.nic.psn_wraps", r.nics.psn_wraps);
 
-    // Scheme-policy counters, namespaced per scheme so each rival's
-    // telemetry contract (SCHEMES.md / EXPERIMENTS.md) is explicit.
-    // Pushed at snapshot time from per-QP state, so serial and sharded
-    // runs emit identical documents; incumbents (ECMP/Themis/…) push
-    // nothing, keeping the golden schema untouched.
-    match cluster.scheme {
-        Scheme::Reps => {
+    // Transport-reaction counters, namespaced by the NIC axis that
+    // produces them (SCHEMES.md / EXPERIMENTS.md): sender entropy
+    // (`reps`, `sprinklers`) and OOO reaction (`eunomia`). Pushed at
+    // snapshot time from per-QP state, so serial and sharded runs emit
+    // identical documents; the commodity reaction pushes nothing,
+    // keeping the golden schema untouched.
+    let reaction = cluster.nic_cfg.reaction;
+    match reaction.entropy {
+        SenderEntropyKind::Reps { .. } => {
             let s = aggregate_scheme(cluster).entropy;
             t.push_counter("scheme.reps.recycled_sends", s.recycled_sends);
             t.push_counter("scheme.reps.fresh_sends", s.fresh_sends);
             t.push_counter("scheme.reps.pool_clears", s.pool_clears);
             t.push_counter("scheme.reps.pool_evictions", s.pool_evictions);
         }
-        Scheme::Sprinklers => {
+        SenderEntropyKind::Sprinklers { .. } => {
             let s = aggregate_scheme(cluster).entropy;
             t.push_counter("scheme.sprinklers.stripes_started", s.stripes_started);
             t.push_counter("scheme.sprinklers.fresh_sends", s.fresh_sends);
             t.push_counter("scheme.sprinklers.striped_sends", s.recycled_sends);
         }
-        Scheme::Eunomia => {
-            let s = aggregate_scheme(cluster).ooo;
-            t.push_counter("scheme.eunomia.nacks_held", s.nacks_held);
-            t.push_counter("scheme.eunomia.nacks_allowed", s.nacks_allowed);
-            t.push_counter(
-                "scheme.eunomia.window_overflow_nacks",
-                s.window_overflow_nacks,
-            );
-            t.push_counter("scheme.eunomia.gap_timeout_nacks", s.gap_timeout_nacks);
-        }
-        _ => {}
+        SenderEntropyKind::Fixed => {}
+    }
+    if let OooReactionKind::Eunomia { .. } = reaction.ooo {
+        let s = aggregate_scheme(cluster).ooo;
+        t.push_counter("scheme.eunomia.nacks_held", s.nacks_held);
+        t.push_counter("scheme.eunomia.nacks_allowed", s.nacks_allowed);
+        t.push_counter(
+            "scheme.eunomia.window_overflow_nacks",
+            s.window_overflow_nacks,
+        );
+        t.push_counter("scheme.eunomia.gap_timeout_nacks", s.gap_timeout_nacks);
     }
 
     t.push_gauge("run.goodput_gbps", r.aggregate_goodput_gbps());
@@ -684,12 +687,10 @@ fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::Run
     t
 }
 
-/// Convenience: the driver entity of a finished cluster.
+/// The driver entity of a cluster a [`Session`] ran. Panics before one
+/// is installed; [`Cluster::installed_driver`] is the checked form.
 pub fn driver_of(cluster: &Cluster) -> &Driver {
-    cluster
-        .world
-        .get::<Driver>(cluster.driver)
-        .expect("driver installed")
+    cluster.installed_driver().expect("driver installed")
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@
 
 use crate::cluster::Cluster;
 use netsim::event::{ControlMsg, Event};
-use netsim::switch::Switch;
 use netsim::types::QpId;
 use simcore::rng::Xoshiro256;
 use simcore::time::Nanos;
@@ -299,7 +298,7 @@ impl FaultPlan {
                     }
                 }
                 Fault::TargetedDrop { qp, psn, .. } => {
-                    if let Some(sw) = cluster.world.get_mut::<Switch>(node) {
+                    if let Ok(sw) = cluster.switch_mut(node) {
                         sw.inject_targeted_drop(QpId(qp), psn);
                     }
                     continue;

@@ -16,8 +16,7 @@ use crate::experiment::{driver_of, Collective, ExperimentConfig};
 use crate::scheme::Scheme;
 use crate::session::{Session, Start};
 use collectives::groups::all_groups;
-use netsim::types::NodeId;
-use rnic::{Nic, NicConfig};
+use rnic::NicConfig;
 use simcore::time::{Nanos, TimeDelta};
 
 /// Transport flavours compared in Fig 1d.
@@ -105,9 +104,7 @@ pub fn run_fig1_sharded(
     let (chosen_host, chosen_qp) = (chosen.hosts[0], chosen.qp_of_transfer[0]);
     session
         .cluster
-        .world
-        .get_mut::<Nic>(NodeId(chosen_host.0))
-        .expect("chosen NIC")
+        .nic_mut(chosen_host)
         .enable_send_trace(chosen_qp, trace_bin);
     session.kick_off();
     session.run_to(cfg.horizon);
@@ -139,11 +136,10 @@ pub fn run_fig1_sharded(
     };
 
     let nics = crate::experiment::aggregate_nics(&cluster);
-    let chosen: &Nic = cluster
-        .world
-        .get(NodeId(chosen_host.0))
-        .expect("chosen NIC");
-    let sqp = chosen.send_qp(chosen_qp).expect("traced QP");
+    let sqp = cluster
+        .nic(chosen_host)
+        .send_qp(chosen_qp)
+        .expect("traced QP");
     let trace = sqp.trace.as_ref().expect("trace enabled");
     let retx_ratio_series: Vec<(f64, f64)> = trace
         .retx_ratio

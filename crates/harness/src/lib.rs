@@ -8,10 +8,11 @@
 //!   fat-tree) + NICs + Themis middleware on the ToRs, and the
 //!   fabric-validity rule every entry point shares.
 //! * [`experiment`] — generic collective runner and the metrics bundle.
-//! * `session` (crate-private) — the one run substrate: a provision →
-//!   step → drain `Session` that [`experiment`], [`fig1`], [`load`] and
-//!   [`service`] all drive a cluster through (DESIGN.md "Run
-//!   substrate").
+//! * [`session`] — the one run substrate: a provision → step → drain
+//!   [`Session`] that [`experiment`], [`fig1`], [`load`], [`service`],
+//!   the end-to-end tests and the examples all drive a cluster through
+//!   (DESIGN.md "Run substrate"). The cluster's entities are read
+//!   through [`Cluster`]'s typed accessors.
 //! * [`faults`] — deterministic fault-injection scenarios ([`FaultPlan`])
 //!   scheduled through ordinary simulator events.
 //! * [`oracle`] — the trace-driven protocol-invariant oracle every run
@@ -60,7 +61,7 @@ pub mod oracle;
 pub mod report;
 pub mod scheme;
 pub mod service;
-mod session;
+pub mod session;
 pub mod shrink;
 pub mod sweep;
 pub mod telemetry_out;
@@ -83,6 +84,7 @@ pub use mcheck::{brute_force_executions, explore, CheckConfig, CheckReport, Evic
 pub use oracle::{assert_conformant, OracleConfig, OracleReport, Violation};
 pub use scheme::Scheme;
 pub use service::{serve, Client, Endpoint, ServiceConfig, SimService};
+pub use session::{Session, Start};
 pub use shrink::ddmin;
 pub use sweep::SweepRunner;
 pub use telemetry_out::TelemetryArgs;

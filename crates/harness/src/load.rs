@@ -33,13 +33,11 @@ use crate::scheme::Scheme;
 use crate::session::{snapshot_with_run_counters, window_end, Session, Start};
 use collectives::open_loop::{sample_load, LoadPlan, OpenLoopSpec};
 use netsim::fat_tree::FatTreeConfig;
-use netsim::switch::Switch;
 use netsim::types::{HostId, QpId};
 use rnic::NicConfig;
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 use telemetry::{RunReport, WindowedReport};
-use themis_core::ThemisMiddleware;
 
 const GBPS100: u64 = 100_000_000_000;
 
@@ -280,14 +278,7 @@ fn evict_qp(cluster: &mut Cluster, qp: QpId) -> bool {
     let leaves = cluster.leaves.clone();
     let mut any = false;
     for leaf in leaves {
-        let Some(sw) = cluster.world.get_mut::<Switch>(leaf) else {
-            continue;
-        };
-        let Some(hook) = sw.hook_mut() else { continue };
-        let Some(m) = hook.as_any_mut().downcast_mut::<ThemisMiddleware>() else {
-            continue;
-        };
-        if let Some(d) = m.d.as_mut() {
+        if let Some(d) = cluster.middleware_mut(leaf).and_then(|m| m.d.as_mut()) {
             any |= d.evict_flow(qp);
         }
     }

@@ -38,8 +38,6 @@
 
 use crate::cluster::Cluster;
 use crate::scheme::Scheme;
-use collectives::driver::Driver;
-use netsim::switch::Switch;
 use netsim::trace::{DropCause, DropRecord};
 use std::collections::HashSet;
 
@@ -199,7 +197,7 @@ impl DropTally {
     pub fn gather(cluster: &Cluster) -> DropTally {
         let mut records: Vec<DropRecord> = Vec::new();
         for id in cluster.all_switches() {
-            if let Some(sw) = cluster.world.get::<Switch>(id) {
+            if let Ok(sw) = cluster.switch(id) {
                 records.extend_from_slice(sw.drop_log());
             }
         }
@@ -213,7 +211,7 @@ impl DropTally {
     pub fn drain_window(&mut self, cluster: &mut Cluster) {
         let mut records: Vec<DropRecord> = Vec::new();
         for id in cluster.all_switches() {
-            if let Some(sw) = cluster.world.get_mut::<Switch>(id) {
+            if let Ok(sw) = cluster.switch_mut(id) {
                 records.append(&mut sw.take_drop_log());
             }
         }
@@ -263,7 +261,7 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
 
     let mut stray = 0u64;
     let mut incomplete = 0usize;
-    if let Some(driver) = cluster.world.get::<Driver>(cluster.driver) {
+    if let Some(driver) = cluster.installed_driver() {
         stray = driver.stray_deliveries;
         incomplete = driver.completions().iter().filter(|c| c.is_none()).count();
     }

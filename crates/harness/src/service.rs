@@ -51,7 +51,7 @@ use crate::session::{Session, Start};
 use collectives::driver::single_transfer_spec;
 use netsim::fat_tree::FatTreeConfig;
 use netsim::types::{HostId, QpId};
-use rnic::{Nic, NicConfig};
+use rnic::NicConfig;
 use simcore::time::{Nanos, TimeDelta};
 use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -488,13 +488,12 @@ impl SimService {
             .iter()
             .find(|r| r.qp.0 == qp)
             .ok_or_else(|| format!("query_qp: unknown qp {qp}"))?;
-        let nic: &Nic = self
-            .session
-            .cluster
-            .world
-            .get(netsim::types::NodeId(rec.src.0))
-            .ok_or("query_qp: sender NIC missing")?;
-        let d = nic
+        let cluster = &self.session.cluster;
+        if rec.src.index() >= cluster.hosts.len() {
+            return Err("query_qp: sender NIC missing".into());
+        }
+        let d = cluster
+            .nic(rec.src)
             .describe_send_qp(rec.qp)
             .ok_or_else(|| format!("query_qp: qp {qp} has no sender half on host {}", rec.src.0))?;
         Ok(Json::obj(vec![

@@ -1,24 +1,46 @@
-//! The one run substrate under the batch runners, `themis_load` and
-//! `themis_serve`: provision → step → drain.
+//! The one run substrate: provision → step → drain over one cluster.
 //!
-//! A [`Session`] owns a built [`Cluster`] whose [`Driver`] is already
-//! installed, the run's [`QpAllocator`], the window width with the count
-//! of windows done, and the [`DropTally`] those windows drained. It is
-//! the only place that knows
+//! Every caller in the workspace that drives a cluster goes through a
+//! [`Session`]: the batch runners, `themis_load`, `themis_serve`, the
+//! figure doors, the end-to-end tests and the examples. A session owns a built
+//! [`Cluster`] whose [`Driver`] is already installed, the run's
+//! [`QpAllocator`], the window width with the count of windows done,
+//! and the [`DropTally`] those windows drained. It is the only place
+//! that knows
 //!
 //! * the install order and the driver's timer-token protocol: work is
 //!   posted [`Start::WithRun`] (waits for [`Session::kick_off`]'s
 //!   `START_TOKEN`) or [`Start::At`] a simulated time (a deferred
 //!   instance plus its own `JOB_TOKEN_BASE + index` timer, seeded in
 //!   post order);
-//! * window arithmetic: [`window_end`] is checked, so a boundary past
-//!   the end of `u64` nanoseconds is `None`, never a wrapped clock;
+//! * window arithmetic: a window boundary is checked, so one past the
+//!   end of `u64` nanoseconds is `None`, never a wrapped clock;
 //! * what a step is: [`Session::step`] is **one** engine run to the new
 //!   boundary followed by a drain of every switch's drop log, so a
 //!   windowed run's memory follows its busiest window, not its length.
 //!   [`Session::run_to`] is the batch case: one run to the horizon that
 //!   leaves the drop logs in the switches, because batch callers hand
 //!   the cluster to `oracle::check`, which audits them in place.
+//!
+//! A caller that seeds events of its own (fault plans, control
+//! messages) seeds them on `session.cluster.world` in the order it
+//! wants them dispatched: events at the same instant run in seed order.
+//!
+//! ```
+//! use themis_harness::session::{Session, Start};
+//! use themis_harness::{build_cluster, experiment::driver_of, ExperimentConfig, Scheme};
+//! use collectives::ring::ring_once;
+//! use simcore::time::TimeDelta;
+//!
+//! let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 7);
+//! let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+//! let hosts = cluster.hosts[..4].to_vec();
+//! let mut session = Session::new(cluster, 7, TimeDelta::from_micros(50));
+//! session.post(&hosts, ring_once(hosts.len(), 1 << 20), Start::WithRun);
+//! session.kick_off();
+//! session.run_to(cfg.horizon);
+//! assert!(driver_of(&session.cluster).all_complete());
+//! ```
 
 use crate::cluster::Cluster;
 use crate::experiment::{MSG_LATENCY_BINS, MSG_LATENCY_BIN_NS};
@@ -33,7 +55,7 @@ use simcore::time::{Nanos, TimeDelta};
 
 /// When posted work begins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Start {
+pub enum Start {
     /// With the run: at [`Session::kick_off`]'s `START_TOKEN` (t = 0).
     WithRun,
     /// At this simulated time, on the instance's own timer.
@@ -59,9 +81,11 @@ pub(crate) fn snapshot_with_run_counters(cluster: &Cluster) -> telemetry::RunRep
 
 /// One provision → step → drain run over one cluster (see the module
 /// docs).
-pub(crate) struct Session {
-    /// The cluster, its driver installed.
-    pub(crate) cluster: Cluster,
+pub struct Session {
+    /// The cluster, its driver installed. Read it through the typed
+    /// accessors ([`Cluster::switch`], [`Cluster::nic`],
+    /// [`Cluster::middleware`], [`crate::experiment::driver_of`]).
+    pub cluster: Cluster,
     alloc: QpAllocator,
     window: TimeDelta,
     windows_done: u64,
@@ -72,7 +96,7 @@ impl Session {
     /// Install an empty driver into `cluster`'s reserved slot. QP ids
     /// and flow entropy come from an allocator seeded with `qp_seed`;
     /// [`Session::step`] advances in windows of `window`.
-    pub(crate) fn new(mut cluster: Cluster, qp_seed: u64, window: TimeDelta) -> Session {
+    pub fn new(mut cluster: Cluster, qp_seed: u64, window: TimeDelta) -> Session {
         let node = cluster.driver;
         cluster.world.install(node, Box::new(Driver::new()));
         Session {
@@ -89,7 +113,7 @@ impl Session {
     /// shard sink so sharded and serial registries carry identical name
     /// sets; the driver itself reports into shard 0's sink (its owner
     /// shard).
-    pub(crate) fn with_msg_latency(mut self) -> Session {
+    pub fn with_msg_latency(mut self) -> Session {
         let mut hist = None;
         for sink in &self.cluster.sinks {
             let id = sink.time_hist(
@@ -114,7 +138,7 @@ impl Session {
 
     /// Create the QPs `schedule` needs over `hosts` (one per ordered
     /// rank pair) and post it; returns the driver instance index.
-    pub(crate) fn post(&mut self, hosts: &[HostId], schedule: Schedule, start: Start) -> usize {
+    pub fn post(&mut self, hosts: &[HostId], schedule: Schedule, start: Start) -> usize {
         let spec = setup_collective(
             &mut self.cluster.world,
             self.cluster.driver,
@@ -127,7 +151,7 @@ impl Session {
 
     /// Post an already-wired instance (its QPs exist); returns the
     /// driver instance index.
-    pub(crate) fn post_spec(&mut self, spec: InstanceSpec, start: Start) -> usize {
+    pub fn post_spec(&mut self, spec: InstanceSpec, start: Start) -> usize {
         match start {
             Start::WithRun => self.driver_mut().add_instance(spec),
             Start::At(at) => {
@@ -143,7 +167,7 @@ impl Session {
 
     /// Create one reliable connection; returns its id and forward
     /// entropy (UDP source port).
-    pub(crate) fn create_qp(&mut self, src: HostId, dst: HostId) -> (QpId, u16) {
+    pub fn create_qp(&mut self, src: HostId, dst: HostId) -> (QpId, u16) {
         provision_qp(
             &mut self.cluster.world,
             self.cluster.driver,
@@ -156,7 +180,7 @@ impl Session {
     /// Seed the run's `START_TOKEN` at t = 0: every [`Start::WithRun`]
     /// instance begins there. Call after the posts and before installing
     /// a `FaultPlan`, so seeded events keep their order.
-    pub(crate) fn kick_off(&mut self) {
+    pub fn kick_off(&mut self) {
         self.cluster.world.seed_event(
             Nanos::ZERO,
             self.cluster.driver,
@@ -165,35 +189,35 @@ impl Session {
     }
 
     /// QPs provisioned so far.
-    pub(crate) fn qps(&self) -> u32 {
+    pub fn qps(&self) -> u32 {
         self.alloc.allocated()
     }
 
     /// Windows completed by [`Session::step`].
-    pub(crate) fn windows_done(&self) -> u64 {
+    pub fn windows_done(&self) -> u64 {
         self.windows_done
     }
 
     /// What the completed windows drained from the switch drop logs.
-    pub(crate) fn drops(&self) -> &DropTally {
+    pub fn drops(&self) -> &DropTally {
         &self.drops
     }
 
     /// End of the last completed window; simulated time never exceeds it.
-    pub(crate) fn boundary(&self) -> Nanos {
+    pub fn boundary(&self) -> Nanos {
         window_end(self.window, self.windows_done).expect("step checked this boundary")
     }
 
     /// Advance the engine to `horizon`, leaving window count and drop
     /// logs alone (the batch case).
-    pub(crate) fn run_to(&mut self, horizon: Nanos) {
+    pub fn run_to(&mut self, horizon: Nanos) {
         self.cluster.world.run_until(horizon);
     }
 
     /// Advance `n` windows in one engine run, then drain the drop logs.
     /// Returns the new boundary, or `None` — with nothing changed — when
     /// it would lie past the end of simulated time.
-    pub(crate) fn step(&mut self, n: u64) -> Option<Nanos> {
+    pub fn step(&mut self, n: u64) -> Option<Nanos> {
         let boundary = window_end(self.window, self.windows_done.checked_add(n)?)?;
         self.run_to(boundary);
         self.drops.drain_window(&mut self.cluster);
@@ -211,7 +235,6 @@ mod tests {
     use crate::scheme::Scheme;
     use collectives::groups::all_groups;
     use collectives::ring::ring_once;
-    use netsim::switch::Switch;
     use netsim::topology::LeafSpineConfig;
     use rnic::NicConfig;
 
@@ -253,7 +276,7 @@ mod tests {
     fn drop_logs(cluster: &Cluster) -> Vec<netsim::trace::DropRecord> {
         let mut all = Vec::new();
         for id in cluster.all_switches() {
-            all.extend_from_slice(cluster.world.get::<Switch>(id).unwrap().drop_log());
+            all.extend_from_slice(cluster.switch(id).unwrap().drop_log());
         }
         all
     }

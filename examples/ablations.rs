@@ -23,9 +23,9 @@
 //!    reverse path is idle, so priority changes nothing; on the
 //!    bidirectional ring the feedback loops tighten slightly.
 
+use themis::harness::experiment::driver_of;
 use themis::harness::report::{fmt_ms, Table};
-use themis::harness::{run_collective, Collective, ExperimentConfig, Scheme};
-use themis::netsim::switch::Switch;
+use themis::harness::{run_collective, Collective, ExperimentConfig, Scheme, Session, Start};
 use themis::themis_core::config::ThemisConfig;
 use themis::themis_core::ThemisMiddleware;
 use themis::{collectives, harness, netsim, rnic, simcore, themis_core};
@@ -72,7 +72,7 @@ fn main() {
         let mut cluster = harness::build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
         // Inject random loss on every leaf uplink.
         for &leaf in &cluster.leaves.clone() {
-            let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
+            let sw = cluster.switch_mut(leaf).expect("leaf");
             for i in 0..sw.num_ports() {
                 if sw.uplinks().contains(&i) {
                     sw.set_port_loss_rate(i, 0.0005);
@@ -126,7 +126,7 @@ fn main() {
             ..ThemisConfig::for_fabric(cluster.n_paths, line, rtt, 1500)
         };
         for &leaf in &cluster.leaves.clone() {
-            let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
+            let sw = cluster.switch_mut(leaf).expect("leaf");
             sw.set_hook(Box::new(ThemisMiddleware::new(tc)));
         }
         let stats = run_p2p_probe(cluster, &cfg, bytes * 4);
@@ -189,7 +189,7 @@ fn main() {
         let repicks: u64 = cluster
             .leaves
             .iter()
-            .filter_map(|&l| cluster.world.get::<Switch>(l))
+            .filter_map(|&l| cluster.switch(l).ok())
             .map(|sw| sw.lb_state().flowlet_switches)
             .sum();
         t6.row(&[
@@ -257,10 +257,8 @@ struct ProbeStats {
 
 /// Run a single point-to-point message on a pre-built (possibly lossy or
 /// re-hooked) cluster and collect the metrics the ablations report.
-fn run_p2p_probe(mut cluster: harness::Cluster, cfg: &ExperimentConfig, bytes: u64) -> ProbeStats {
-    use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
+fn run_p2p_probe(cluster: harness::Cluster, cfg: &ExperimentConfig, bytes: u64) -> ProbeStats {
     use collectives::schedule::{Schedule, Transfer};
-    use themis_core::ThemisMiddleware as TM;
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
     let schedule = Schedule {
@@ -273,24 +271,13 @@ fn run_p2p_probe(mut cluster: harness::Cluster, cfg: &ExperimentConfig, bytes: u
             deps: vec![],
         }],
     };
-    let mut alloc = QpAllocator::new(cfg.seed);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        schedule,
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        simcore::time::Nanos::ZERO,
-        cluster.driver,
-        netsim::event::Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
-    let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
+    let window = simcore::time::TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, cfg.seed, window);
+    session.post(&[src, dst], schedule, Start::WithRun);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
+    let driver = driver_of(&cluster);
     let ct = driver
         .tail_completion()
         .map(|t| t.since(driver.started_at().unwrap_or(simcore::time::Nanos::ZERO)));
@@ -299,12 +286,7 @@ fn run_p2p_probe(mut cluster: harness::Cluster, cfg: &ExperimentConfig, bytes: u
     let mut fwd_unknown = 0;
     let mut compensations = 0;
     for &leaf in &cluster.leaves {
-        if let Some(m) = cluster
-            .world
-            .get::<Switch>(leaf)
-            .and_then(|sw| sw.hook())
-            .and_then(|h| h.as_any().downcast_ref::<TM>())
-        {
+        if let Some(m) = cluster.middleware(leaf) {
             if let Some(d) = &m.d {
                 blocked += d.stats.nacks_blocked;
                 fwd_unknown += d.stats.nacks_forwarded_unknown;

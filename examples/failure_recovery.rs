@@ -8,26 +8,21 @@
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::schedule::{Schedule, Transfer};
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_cluster, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::event::{ControlMsg, Event};
-use themis::netsim::switch::Switch;
-use themis::simcore::time::Nanos;
-use themis::themis_core::ThemisMiddleware;
+use themis::simcore::time::{Nanos, TimeDelta};
 
 fn main() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 47);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
     println!("16 MB flow {src} -> {dst} under Themis; failure at 300us, recovery at 700us\n");
 
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
+    let mut session = Session::new(cluster, 3, TimeDelta::from_nanos(cfg.horizon.as_nanos()));
+    session.post(
         &[src, dst],
         Schedule {
             name: "p2p",
@@ -39,17 +34,12 @@ fn main() {
                 deps: vec![],
             }],
         },
-        &mut alloc,
+        Start::WithRun,
     );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    session.kick_off();
 
     let restored = Scheme::Themis.lb_policy();
+    let cluster = &mut session.cluster;
     for &leaf in &cluster.leaves.clone() {
         cluster.world.seed_event(
             Nanos::from_micros(300),
@@ -62,20 +52,15 @@ fn main() {
             Event::Control(ControlMsg::TorLinkRecovery { lb: restored }),
         );
     }
-    cluster.world.run_until(cfg.horizon);
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     let ct = d
         .tail_completion()
         .map(|t| t.since(d.started_at().unwrap()).as_micros_f64());
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
-    let src_tor: &Switch = cluster.world.get(cluster.leaves[0]).unwrap();
-    let m = src_tor
-        .hook()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ThemisMiddleware>()
-        .unwrap();
+    let m = cluster.middleware(cluster.leaves[0]).unwrap();
 
     println!("timeline (source ToR):");
     println!("  [0us, 300us)   PSN spraying over both paths");

@@ -9,15 +9,13 @@
 //!
 //! Run with: `cargo run --release --example fat_tree`
 
-use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::ring::ring_once;
-use themis::harness::{build_fat_tree_cluster_sharded, Scheme};
-use themis::netsim::event::Event;
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_fat_tree_cluster_sharded, Scheme, Session, Start};
 use themis::netsim::fat_tree::FatTreeConfig;
-use themis::netsim::switch::Switch;
 use themis::netsim::types::HostId;
 use themis::rnic::NicConfig;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::{Nanos, TimeDelta};
 
 fn main() {
     let fabric = FatTreeConfig::small(4);
@@ -33,7 +31,7 @@ fn main() {
     );
 
     for scheme in [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis] {
-        let mut cluster = build_fat_tree_cluster_sharded(
+        let cluster = build_fat_tree_cluster_sharded(
             &fabric,
             NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
             scheme,
@@ -42,25 +40,13 @@ fn main() {
         // One host per pod (hosts 0, 4, 8, 12): every ring hop crosses
         // the core layer.
         let hosts: Vec<HostId> = (0..4).map(|p| HostId(p * 4)).collect();
-        let mut alloc = QpAllocator::new(5);
-        let mut driver = Driver::new();
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            &hosts,
-            ring_once(4, 8 << 20),
-            &mut alloc,
-        );
-        driver.add_instance(spec);
-        cluster.world.install(cluster.driver, Box::new(driver));
-        cluster.world.seed_event(
-            Nanos::ZERO,
-            cluster.driver,
-            Event::Timer { token: START_TOKEN },
-        );
-        cluster.world.run_until(Nanos::from_secs(2));
+        let mut session = Session::new(cluster, 5, TimeDelta::from_secs(2));
+        session.post(&hosts, ring_once(4, 8 << 20), Start::WithRun);
+        session.kick_off();
+        session.run_to(Nanos::from_secs(2));
+        let cluster = session.cluster;
 
-        let driver: &Driver = cluster.world.get(cluster.driver).unwrap();
+        let driver = driver_of(&cluster);
         let ct = driver
             .tail_completion()
             .map(|t| t.as_micros_f64())
@@ -70,7 +56,7 @@ fn main() {
         // Core switches are the last 4 entries of `spines` (aggs first).
         let cores: Vec<u64> = cluster.spines[8..]
             .iter()
-            .map(|&c| cluster.world.get::<Switch>(c).unwrap().stats.rx_packets)
+            .map(|&c| cluster.switch(c).unwrap().stats.rx_packets)
             .collect();
         println!(
             "{:<18} {:>9.1} {:>8} {:>9} {:>8}  {:?}",

@@ -35,12 +35,7 @@ fn main() {
         let pauses: u64 = cluster
             .all_switches()
             .iter()
-            .filter_map(|&s| {
-                cluster
-                    .world
-                    .get::<themis::netsim::switch::Switch>(s)
-                    .map(|sw| sw.stats.pfc_pauses)
-            })
+            .filter_map(|&s| cluster.switch(s).ok().map(|sw| sw.stats.pfc_pauses))
             .sum();
         println!(
             "{:<10} {:>9.3} {:>8} {:>8} {:>8} {:>8} {:>8}",

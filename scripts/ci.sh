@@ -8,6 +8,12 @@
 #   1b. cargo clippy --workspace --all-targets -- -D warnings: every
 #      lint warning fails, and the workspace's `unsafe_code = "forbid"`
 #      (Cargo.toml) makes any `unsafe` a compile error in every step.
+#   1c. typed-access gate: outside harness's cluster.rs and session.rs,
+#      crates/harness/src, tests/ and examples/ name no World::get*,
+#      as_any or downcast (entities are read through Cluster's typed
+#      accessors) and no START_TOKEN (runs go through Session).
+#      tests/parallel_lookahead.rs is exempt: it tests World with its own
+#      entity type.
 #   2. cargo build --release
 #   3. cargo test -q            (tier-1 suite)
 #   3b. cargo test --workspace -q: every crate's unit tests, the
@@ -89,6 +95,25 @@ cargo fmt --check
 
 echo "== clippy (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== typed-access gate (one cluster view, one run substrate) =="
+# Prints FILE:LINE:TEXT for every hit in the given files, including a
+# `.get(` / `.get_mut(` continuing a line that ends in `world`.
+typed_access_hits() {
+    grep -nE '\.get(_mut)?::<|world\.get(_mut)?\(|as_any|downcast|START_TOKEN' "$@" || true
+    awk 'prev ~ /world$/ && $0 ~ /^[[:space:]]*\.get(_mut)?[(:]/ { print FILENAME ":" FNR ":" $0 }
+         { prev = $0 }' "$@"
+}
+# A gate that cannot fail is no gate: it must see both spellings.
+printf 'let m = hook.as_any().downcast_ref::<T>();\nlet n = cluster\n    .world\n    .get(id);\n' \
+    > "$CI_TMP/gate_probe.rs"
+[ "$(typed_access_hits "$CI_TMP/gate_probe.rs" | wc -l)" -eq 2 ] \
+    || { echo "FAIL: the typed-access gate misses a probe"; exit 1; }
+mapfile -t GATED < <(find crates/harness/src tests examples -name '*.rs' | sort \
+    | grep -vxE 'crates/harness/src/(cluster|session)\.rs|tests/parallel_lookahead\.rs')
+HITS=$(typed_access_hits "${GATED[@]}")
+[ -z "$HITS" ] || { echo "$HITS"; echo "FAIL: use Cluster's typed accessors and Session"; exit 1; }
+echo "OK: ${#GATED[@]} files read entities through Cluster and runs through Session"
 
 echo "== build (release) =="
 # --workspace so member binaries (themis_fuzz, themis_sim, fig1, fig5)

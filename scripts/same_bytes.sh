@@ -37,6 +37,11 @@
 #     minimized corpus never holds
 #   themis_fuzz --plan tests/golden/faultplan_v1.txt: parses and
 #     installs all 13 fault kinds
+#   THEMIS_FUZZ_BREAK=nofilter themis_fuzz --budget 300 --keep-going:
+#     ~100 failures, each printed with its shrunk plan on stderr (~3 s;
+#     exits 1 by design, which is tolerated)
+#   the examples ablations 1, fat_tree, failure_recovery, incast_pfc and
+#     nack_trace (each deterministic, under a second)
 #
 # A full cold build of REV takes a few minutes. The temporary directory
 # lives under $TMPDIR (default /tmp) and is removed on exit, as is a
@@ -62,8 +67,11 @@ mkdir "$TMP/base"
 git archive "$REV" | tar -x -C "$TMP/base"
 CARGO_TARGET_DIR="$TMP/base-target" cargo build --release --offline -q \
     --manifest-path "$TMP/base/Cargo.toml" -p themis-harness --bins
+CARGO_TARGET_DIR="$TMP/base-target" cargo build --release --offline -q \
+    --manifest-path "$TMP/base/Cargo.toml" --examples
 echo "== build working tree =="
 cargo build --release --offline -q -p themis-harness --bins
+cargo build --release --offline -q --examples
 
 # Stdout minus the one wall-clock field, into file $1.
 mask() { sed -E 's/[0-9.]+s wall( \([^)]*\))?/<wall>/' > "$1"; }
@@ -124,6 +132,14 @@ EOF
     rm -r fuzz_corpus
     "$bin/themis_fuzz" --budget 200 | mask fuzz_smoke.out
     "$bin/themis_fuzz" --plan "$ROOT/tests/golden/faultplan_v1.txt" > fuzz_plan.out
+    # Failures are reported from what the fuzz loop stored: exit 1 here
+    # is the expected verdict, any other status is not.
+    { THEMIS_FUZZ_BREAK=nofilter "$bin/themis_fuzz" --budget 300 --keep-going \
+        2> fuzz_fail.err || [ $? -eq 1 ]; } | mask fuzz_fail.out
+    "$bin/examples/ablations" 1 > ex_ablations.out
+    for ex in fat_tree failure_recovery incast_pfc nack_trace; do
+        "$bin/examples/$ex" > "ex_$ex.out"
+    done
     cd "$ROOT"
 }
 

@@ -6,15 +6,13 @@
 //! episode — including the transition moments, where in-flight sprayed
 //! packets meet an ECMP-forwarding fabric and vice versa.
 
-use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::schedule::{Schedule, Transfer};
+use themis::harness::experiment::driver_of;
 use themis::harness::oracle::{assert_conformant, OracleConfig};
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
+use themis::harness::{build_cluster, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::event::{ControlMsg, Event};
 use themis::netsim::lb::LbPolicy;
-use themis::netsim::switch::Switch;
-use themis::simcore::time::Nanos;
-use themis::themis_core::ThemisMiddleware;
+use themis::simcore::time::{Nanos, TimeDelta};
 
 fn p2p(bytes: u64) -> Schedule {
     Schedule {
@@ -29,31 +27,24 @@ fn p2p(bytes: u64) -> Schedule {
     }
 }
 
+/// One window spanning the whole run: these tests run to the horizon.
+fn horizon_window(cfg: &ExperimentConfig) -> TimeDelta {
+    TimeDelta::from_nanos(cfg.horizon.as_nanos())
+}
+
 #[test]
 fn flow_survives_mid_run_failure_and_recovery() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 47);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        p2p(16 << 20), // ~1.4 ms at line rate
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
+    let mut session = Session::new(cluster, 3, horizon_window(&cfg));
+    session.post(&[src, dst], p2p(16 << 20), Start::WithRun); // ~1.4 ms at line rate
+    session.kick_off();
 
     // Fail at 300 µs, recover at 700 µs — in the middle of the transfer.
     let restored = Scheme::Themis.lb_policy();
+    let cluster = &mut session.cluster;
     for &leaf in &cluster.leaves.clone() {
         cluster.world.seed_event(
             Nanos::from_micros(300),
@@ -67,37 +58,27 @@ fn flow_survives_mid_run_failure_and_recovery() {
         );
     }
 
-    cluster.world.run_until(cfg.horizon);
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
     // Protocol-invariant audit across the failure episode.
     let mut oracle = OracleConfig::for_scheme(Scheme::Themis);
     oracle.quiesced = cluster.world.now() < cfg.horizon;
     assert_conformant(&cluster, &oracle);
 
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete(), "flow must survive the failure episode");
 
     // Every ToR ended up restored: policy back, sprayer enabled.
     for &leaf in &cluster.leaves {
-        let sw: &Switch = cluster.world.get(leaf).unwrap();
+        let sw = cluster.switch(leaf).unwrap();
         assert_eq!(sw.lb(), restored);
-        let m = sw
-            .hook()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<ThemisMiddleware>()
-            .unwrap();
+        let m = cluster.middleware(leaf).unwrap();
         assert!(m.s.is_enabled(), "spraying resumed after recovery");
     }
     // The source ToR (only it sees upstream data) both sprayed (outside
     // the failure window) and bypassed (inside it).
-    let src_tor: &Switch = cluster.world.get(cluster.leaves[0]).unwrap();
-    let m = src_tor
-        .hook()
-        .unwrap()
-        .as_any()
-        .downcast_ref::<ThemisMiddleware>()
-        .unwrap();
+    let m = cluster.middleware(cluster.leaves[0]).unwrap();
     assert!(m.s.stats.sprayed > 0, "sprayed outside the failure window");
     assert!(
         m.s.stats.bypassed > 0,
@@ -129,36 +110,23 @@ fn failure_only_episode_degenerates_to_clean_ecmp() {
     }
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        p2p(4 << 20),
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::from_micros(1),
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    let mut session = Session::new(cluster, 3, horizon_window(&cfg));
+    session.post(&[src, dst], p2p(4 << 20), Start::At(Nanos::from_micros(1)));
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
     // A pure-ECMP run must be perfectly conformant too.
     let mut oracle = OracleConfig::for_scheme(Scheme::Themis);
     oracle.quiesced = cluster.world.now() < cfg.horizon;
     assert_conformant(&cluster, &oracle);
 
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete());
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
     assert_eq!(nics.ooo_packets, 0, "pure ECMP is in-order");
     assert_eq!(nics.retx_packets, 0);
     for &leaf in &cluster.leaves {
-        let sw: &Switch = cluster.world.get(leaf).unwrap();
+        let sw = cluster.switch(leaf).unwrap();
         assert_eq!(sw.lb(), LbPolicy::Ecmp);
     }
 }

@@ -6,14 +6,14 @@
 //! engine events seeded on every leaf at t = 0, so a sharded run
 //! (`THEMIS_SHARDS`) delivers each one on its leaf's owner shard.
 
-use themis::harness::{build_cluster_sharded, Cluster, ExperimentConfig, Scheme};
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_cluster_sharded, Cluster, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::event::{ControlMsg, Event};
 use themis::netsim::lb::LbPolicy;
 use themis::netsim::switch::Switch;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::{Nanos, TimeDelta};
 use themis::themis_core::ThemisMiddleware;
 
-use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use collectives::schedule::{Schedule, Transfer};
 
 fn p2p_schedule(bytes: u64) -> Schedule {
@@ -46,11 +46,24 @@ fn leaf_themis(cluster: &Cluster) -> Vec<(&Switch, &ThemisMiddleware)> {
         .leaves
         .iter()
         .map(|&leaf| {
-            let sw = cluster.world.get::<Switch>(leaf).expect("leaf");
-            let m = sw.hook().expect("Themis hook").as_any();
-            (sw, m.downcast_ref().expect("Themis hook"))
+            let sw = cluster.switch(leaf).expect("leaf");
+            (sw, cluster.middleware(leaf).expect("Themis hook"))
         })
         .collect()
+}
+
+/// One cross-rack transfer of `bytes`, started with the run, on a
+/// cluster whose leaves already hold their seeded notifications; runs
+/// to the horizon.
+fn run_p2p(cluster: Cluster, cfg: &ExperimentConfig, bytes: u64) -> Cluster {
+    let src = cluster.hosts[0];
+    let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, 3, window);
+    session.post(&[src, dst], p2p_schedule(bytes), Start::WithRun);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    session.cluster
 }
 
 #[test]
@@ -60,32 +73,13 @@ fn failed_tor_reverts_to_ecmp_and_flow_stays_in_order() {
 
     // Declare a failure on every ToR before traffic starts.
     notify_every_leaf(&mut cluster, &[ControlMsg::TorLinkFailure]);
-
-    let src = cluster.hosts[0];
-    let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        p2p_schedule(8 << 20),
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    let cluster = run_p2p(cluster, &cfg, 8 << 20);
 
     for (sw, m) in leaf_themis(&cluster) {
         assert_eq!(sw.lb(), LbPolicy::Ecmp);
         assert!(!m.s.is_enabled());
     }
-    let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
+    let driver = driver_of(&cluster);
     assert!(driver.all_complete(), "flow completes in ECMP fallback");
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
     assert_eq!(
@@ -109,26 +103,7 @@ fn recovery_restores_spraying() {
             ControlMsg::TorLinkRecovery { lb },
         ],
     );
-
-    let src = cluster.hosts[0];
-    let dst = cluster.hosts[cfg.fabric.hosts_per_leaf];
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        p2p_schedule(4 << 20),
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    let cluster = run_p2p(cluster, &cfg, 4 << 20);
 
     for (sw, m) in leaf_themis(&cluster) {
         assert_eq!(sw.lb(), lb);
@@ -136,6 +111,6 @@ fn recovery_restores_spraying() {
     }
     let agg = cluster.themis_stats();
     assert!(agg.sprayed > 0, "spraying active again after repair");
-    let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
+    let driver = driver_of(&cluster);
     assert!(driver.all_complete());
 }

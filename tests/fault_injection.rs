@@ -12,7 +12,6 @@
 use themis::harness::faults::{Fault, FaultEvent, FaultPlan};
 use themis::harness::oracle::{self, OracleConfig};
 use themis::harness::{run_collective_with_faults, Collective, ExperimentConfig, Scheme};
-use themis::netsim::switch::Switch;
 use themis::netsim::trace::DropCause;
 use themis::simcore::time::Nanos;
 
@@ -169,7 +168,7 @@ fn uplink_down_blackholes_with_port_down_drop_records() {
     let port_down_drops: u64 = cluster
         .all_switches()
         .iter()
-        .filter_map(|&n| cluster.world.get::<Switch>(n))
+        .filter_map(|&n| cluster.switch(n).ok())
         .flat_map(|sw| sw.drop_log().iter())
         .filter(|d| d.cause == DropCause::PortDown)
         .count() as u64;
@@ -203,7 +202,7 @@ fn targeted_drop_kills_exactly_the_named_packet_and_is_recovered() {
     let targeted: Vec<_> = cluster
         .all_switches()
         .iter()
-        .filter_map(|&n| cluster.world.get::<Switch>(n))
+        .filter_map(|&n| cluster.switch(n).ok())
         .flat_map(|sw| sw.drop_log().iter())
         .filter(|d| matches!(d.cause, DropCause::Targeted | DropCause::Injected))
         .map(|d| (d.qp.0, d.psn))

@@ -8,7 +8,6 @@
 //! problem.
 
 use themis::harness::{run_collective, Collective, ExperimentConfig, Scheme};
-use themis::netsim::switch::Switch;
 
 #[test]
 fn busy_rnic_flows_never_open_flowlet_gaps() {
@@ -26,7 +25,7 @@ fn busy_rnic_flows_never_open_flowlet_gaps() {
     let switches: u64 = cluster
         .leaves
         .iter()
-        .filter_map(|&l| cluster.world.get::<Switch>(l))
+        .filter_map(|&l| cluster.switch(l).ok())
         .map(|sw| sw.lb_state().flowlet_switches)
         .sum();
     // 8 forward flows and 8 ACK streams -> at most 16 placements, plus a

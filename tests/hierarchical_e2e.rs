@@ -4,15 +4,13 @@
 //! The two-level algorithm sends only 1/locals of the flat ring's bytes
 //! across the core, and Themis keeps the cross-rack phase clean.
 
-use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::hierarchical::hierarchical_allreduce;
 use themis::collectives::ring::ring_allreduce;
 use themis::collectives::schedule::Schedule;
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
-use themis::netsim::switch::Switch;
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_cluster, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::types::HostId;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::TimeDelta;
 
 fn run_whole_fabric(
     scheme: Scheme,
@@ -23,7 +21,7 @@ fn run_whole_fabric(
     Option<themis::simcore::time::TimeDelta>,
 ) {
     let cfg = ExperimentConfig::motivation_small(scheme, 83);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     // Rack-major rank order (rank = rack * locals + local) for the
     // hierarchical schedule; interleaved order (every ring hop crosses
     // racks, the paper's group construction) for the flat baseline.
@@ -32,28 +30,16 @@ fn run_whole_fabric(
     } else {
         (0..8).map(HostId).collect()
     };
-    let mut alloc = QpAllocator::new(41);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &hosts,
-        schedule,
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, 41, window);
+    session.post(&hosts, schedule, Start::WithRun);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let d = driver_of(&session.cluster);
     let ct = d
         .tail_completion()
         .map(|t| t.since(d.started_at().unwrap()));
-    (cluster, ct)
+    (session.cluster, ct)
 }
 
 /// Bytes that crossed the spine layer (sum of spine egress bytes).
@@ -62,7 +48,7 @@ fn spine_bytes(cluster: &themis::harness::Cluster) -> u64 {
         .spines
         .iter()
         .map(|&s| {
-            let sw: &Switch = cluster.world.get(s).unwrap();
+            let sw = cluster.switch(s).unwrap();
             (0..sw.num_ports())
                 .map(|p| sw.port(p).stats.tx_bytes)
                 .sum::<u64>()

@@ -5,13 +5,12 @@
 //! fabric, contending for the same spines. Themis state is per-QP, so
 //! the jobs must not interfere with each other's NACK bookkeeping.
 
-use themis::collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use themis::collectives::{alltoall::alltoall, ring::ring_allreduce};
+use themis::harness::experiment::driver_of;
 use themis::harness::oracle::{assert_conformant, OracleConfig};
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
+use themis::harness::{build_cluster, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::types::HostId;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::{Nanos, TimeDelta};
 
 /// Job A: 4-rank Allreduce on the even hosts; job B: 4-rank Alltoall on
 /// the odd hosts. Returns (driver-completions, result).
@@ -20,39 +19,21 @@ fn run_two_jobs(
     bytes: u64,
 ) -> (Vec<Option<Nanos>>, themis::harness::ExperimentResult) {
     let cfg = ExperimentConfig::motivation_small(scheme, 61);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     let evens: Vec<HostId> = (0..4).map(|i| HostId(i * 2)).collect();
     let odds: Vec<HostId> = (0..4).map(|i| HostId(i * 2 + 1)).collect();
-    let mut alloc = QpAllocator::new(19);
-    let mut driver = Driver::new();
-    let a = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &evens,
-        ring_allreduce(4, bytes),
-        &mut alloc,
-    );
-    let b = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &odds,
-        alltoall(4, bytes),
-        &mut alloc,
-    );
-    driver.add_instance(a);
-    driver.add_instance(b);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, 19, window);
+    session.post(&evens, ring_allreduce(4, bytes), Start::WithRun);
+    session.post(&odds, alltoall(4, bytes), Start::WithRun);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
     // Protocol-invariant audit on every job mix, every scheme.
     let mut oracle = OracleConfig::for_scheme(scheme);
     oracle.quiesced = cluster.world.now() < cfg.horizon;
     assert_conformant(&cluster, &oracle);
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     let completions = d.completions();
     let r = themis::harness::ExperimentResult {
         scheme,

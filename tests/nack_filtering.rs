@@ -11,12 +11,10 @@
 //! * a double loss produces a *valid* NACK that is forwarded;
 //! * the no-compensation ablation falls back to the RTO.
 
-use themis::harness::{build_cluster, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
-use themis::netsim::switch::Switch;
-use themis::simcore::time::Nanos;
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_cluster, ExperimentConfig, Scheme, Session, Start};
+use themis::simcore::time::{Nanos, TimeDelta};
 
-use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use collectives::schedule::{Schedule, Transfer};
 
 /// Run a single cross-rack message under `scheme`, dropping the listed
@@ -27,7 +25,7 @@ fn run_with_drops(
     drop_psns: &[u32],
 ) -> (Option<f64>, themis::harness::ExperimentResult) {
     let cfg = ExperimentConfig::motivation_small(scheme, 42);
-    let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
+    let cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     let src = cluster.hosts[0];
     let dst = cluster.hosts[cfg.fabric.hosts_per_leaf]; // cross-rack
     let schedule = Schedule {
@@ -40,34 +38,25 @@ fn run_with_drops(
             deps: vec![],
         }],
     };
-    let mut alloc = QpAllocator::new(7);
-    let mut driver = Driver::new();
-    let spec = setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &[src, dst],
-        schedule,
-        &mut alloc,
-    );
-    let qp = spec.qp_of_transfer[0];
-    driver.add_instance(spec);
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, 7, window);
+    let job = session.post(&[src, dst], schedule, Start::WithRun);
+    let qp = driver_of(&session.cluster)
+        .instance_spec(job)
+        .qp_of_transfer[0];
     // Drops at the destination ToR: the packet vanishes after the spine.
-    let dst_tor = cluster.leaves[1];
+    let dst_tor = session.cluster.leaves[1];
     {
-        let sw = cluster.world.get_mut::<Switch>(dst_tor).expect("dst ToR");
+        let sw = session.cluster.switch_mut(dst_tor).expect("dst ToR");
         for &psn in drop_psns {
             sw.inject_targeted_drop(qp, psn);
         }
     }
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
-    let driver: &Driver = cluster.world.get(cluster.driver).expect("driver");
+    let driver = driver_of(&cluster);
     let ct = driver.tail_completion().map(|t| {
         t.since(driver.started_at().unwrap_or(Nanos::ZERO))
             .as_micros_f64()

@@ -8,7 +8,6 @@
 //! between the serial and sharded engines
 //! (`cargo test --release --test open_loop_soak -- --ignored`).
 
-use netsim::switch::Switch;
 use themis::harness::load::{run_open_loop, LoadConfig};
 use themis::harness::Scheme;
 
@@ -50,7 +49,7 @@ fn soak_small_churn_with_eviction_cycling() {
     // Sliding-window audit drained every switch's drop log window by
     // window — nothing accumulated for the whole run.
     for &sw in cluster.leaves.iter() {
-        let s = cluster.world.get::<Switch>(sw).unwrap();
+        let s = cluster.switch(sw).unwrap();
         assert!(s.drop_log().is_empty(), "drop log not drained at {sw:?}");
     }
     // FCT/fairness reporting is live.

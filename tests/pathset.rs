@@ -6,15 +6,13 @@
 //! to concrete uplinks, so the failed spine receives no traffic at all,
 //! while NACK filtering continues at the reduced modulus.
 
-use themis::harness::{build_cluster_sharded, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
+use themis::harness::experiment::driver_of;
+use themis::harness::{build_cluster_sharded, ExperimentConfig, Scheme, Session, Start};
 use themis::netsim::port::LinkSpec;
-use themis::netsim::switch::Switch;
 use themis::netsim::topology::LeafSpineConfig;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::{Nanos, TimeDelta};
 use themis::themis_core::failure::apply_pathset_restriction;
 
-use collectives::driver::{setup_collective, Driver, QpAllocator, START_TOKEN};
 use collectives::ring::ring_once;
 
 /// A 4-spine variant of the motivation fabric (8 hosts, 4 paths).
@@ -38,39 +36,26 @@ fn run_ring_with_pathset(pathset: Option<Vec<usize>>) -> themis::harness::Cluste
     let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
     if let Some(ps) = pathset {
         for &leaf in &cluster.leaves.clone() {
-            let sw = cluster.world.get_mut::<Switch>(leaf).expect("leaf");
+            let sw = cluster.switch_mut(leaf).expect("leaf");
             assert!(apply_pathset_restriction(sw, Some(ps.clone())));
         }
     }
     // Two 4-host ring groups (evens and odds), as in Fig 1a.
     let groups = collectives::groups::all_groups(4, 2);
-    let mut alloc = QpAllocator::new(3);
-    let mut driver = Driver::new();
+    let mut session = Session::new(cluster, 3, TimeDelta::from_secs(2));
     for hosts in &groups {
-        let spec = setup_collective(
-            &mut cluster.world,
-            cluster.driver,
-            hosts,
-            ring_once(hosts.len(), 2 << 20),
-            &mut alloc,
-        );
-        driver.add_instance(spec);
+        session.post(hosts, ring_once(hosts.len(), 2 << 20), Start::WithRun);
     }
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(Nanos::from_secs(2));
-    cluster
+    session.kick_off();
+    session.run_to(Nanos::from_secs(2));
+    session.cluster
 }
 
 fn spine_data_rx(cluster: &themis::harness::Cluster) -> Vec<u64> {
     cluster
         .spines
         .iter()
-        .map(|&s| cluster.world.get::<Switch>(s).unwrap().stats.rx_packets)
+        .map(|&s| cluster.switch(s).unwrap().stats.rx_packets)
         .collect()
 }
 
@@ -82,7 +67,7 @@ fn spine_tx_bytes(cluster: &themis::harness::Cluster) -> Vec<u64> {
         .spines
         .iter()
         .map(|&s| {
-            let sw = cluster.world.get::<Switch>(s).unwrap();
+            let sw = cluster.switch(s).unwrap();
             (0..sw.num_ports()).map(|p| sw.port(p).stats.tx_bytes).sum()
         })
         .collect()
@@ -91,7 +76,7 @@ fn spine_tx_bytes(cluster: &themis::harness::Cluster) -> Vec<u64> {
 #[test]
 fn full_pathset_uses_every_spine() {
     let cluster = run_ring_with_pathset(None);
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete());
     let rx = spine_data_rx(&cluster);
     assert!(rx.iter().all(|&r| r > 0), "all 4 spines used: {rx:?}");
@@ -101,7 +86,7 @@ fn full_pathset_uses_every_spine() {
 fn restricted_pathset_avoids_failed_spines_and_still_filters() {
     // Spines 2 and 3 "failed": restrict to {0, 1}.
     let cluster = run_ring_with_pathset(Some(vec![0, 1]));
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete(), "traffic must complete on the subset");
 
     let rx = spine_data_rx(&cluster);
@@ -130,7 +115,7 @@ fn restricted_pathset_avoids_failed_spines_and_still_filters() {
 #[test]
 fn single_path_subset_degenerates_to_in_order_delivery() {
     let cluster = run_ring_with_pathset(Some(vec![2]));
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete());
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
     assert_eq!(nics.ooo_packets, 0, "one path -> in order");

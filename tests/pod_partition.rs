@@ -15,10 +15,8 @@
 
 use themis::harness::{build_fat_tree_cluster_sharded, run_fat_tree_rings, Cluster, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
-use themis::netsim::switch::Switch;
-use themis::netsim::types::NodeId;
 use themis::netsim::world::CONTROL_PLANE_LATENCY;
-use themis::rnic::{Nic, NicConfig};
+use themis::rnic::NicConfig;
 use themis::simcore::time::Nanos;
 
 fn build(k: usize, n_shards: usize) -> Cluster {
@@ -70,7 +68,7 @@ fn check_partition(k: usize, n_shards: usize) {
     }
     // Hosts follow their ToR, so host links never cross shards.
     for &h in &cluster.hosts {
-        let nic: &Nic = cluster.world.get(NodeId(h.0)).expect("NIC installed");
+        let nic = cluster.nic(h);
         let tor = nic.uplink().peer;
         assert_eq!(
             owner[h.0 as usize],
@@ -86,7 +84,7 @@ fn check_partition(k: usize, n_shards: usize) {
     assert_eq!(lam.len(), n * n);
     let entry = |a: u16, b: u16| lam[a as usize * n + b as usize];
     for &sw_id in cluster.leaves.iter().chain(cluster.spines.iter()) {
-        let sw: &Switch = cluster.world.get(sw_id).expect("switch installed");
+        let sw = cluster.switch(sw_id).expect("switch installed");
         let me = owner[sw_id.index()];
         for i in 0..sw.num_ports() {
             let port = sw.port(i);

@@ -10,15 +10,17 @@
 //! * A k=8 fat-tree (128 hosts, 16 composite paths) exercises the
 //!   two-stage PathMap at a larger radix.
 
-use themis::collectives::driver::{setup_collective_striped, Driver, QpAllocator, START_TOKEN};
+use themis::collectives::driver::{setup_collective_striped, QpAllocator};
 use themis::collectives::ring::{ring_allreduce, ring_once};
-use themis::harness::{build_cluster, build_fat_tree_cluster_sharded, ExperimentConfig, Scheme};
-use themis::netsim::event::Event;
+use themis::harness::experiment::driver_of;
+use themis::harness::{
+    build_cluster, build_fat_tree_cluster_sharded, ExperimentConfig, Scheme, Session, Start,
+};
 use themis::netsim::fat_tree::FatTreeConfig;
 use themis::netsim::topology::LeafSpineConfig;
 use themis::netsim::types::HostId;
 use themis::rnic::NicConfig;
-use themis::simcore::time::Nanos;
+use themis::simcore::time::{Nanos, TimeDelta};
 
 #[test]
 fn striped_allreduce_under_themis_stays_clean() {
@@ -26,7 +28,6 @@ fn striped_allreduce_under_themis_stays_clean() {
     let mut cluster = build_cluster(&cfg.fabric, cfg.nic, cfg.scheme);
     let evens: Vec<HostId> = (0..4).map(|i| HostId(i * 2)).collect();
     let mut alloc = QpAllocator::new(29);
-    let mut driver = Driver::new();
     let spec = setup_collective_striped(
         &mut cluster.world,
         cluster.driver,
@@ -35,16 +36,14 @@ fn striped_allreduce_under_themis_stays_clean() {
         4, // stripes
         &mut alloc,
     );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(cfg.horizon);
+    let window = TimeDelta::from_nanos(cfg.horizon.as_nanos());
+    let mut session = Session::new(cluster, 29, window);
+    session.post_spec(spec, Start::WithRun);
+    session.kick_off();
+    session.run_to(cfg.horizon);
+    let cluster = session.cluster;
 
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete(), "striped allreduce completes");
     // 4 ordered pairs per direction x 4 stripes = 16 send QPs... the
     // ring uses pairs (i -> i+1): 4 pairs x 4 stripes = 16 QPs.
@@ -97,7 +96,7 @@ fn ctrl_priority_composes_with_themis() {
 #[test]
 fn k8_fat_tree_interpod_ring_under_themis() {
     let fabric = FatTreeConfig::small(8); // 128 hosts, 16 paths
-    let mut cluster = build_fat_tree_cluster_sharded(
+    let cluster = build_fat_tree_cluster_sharded(
         &fabric,
         NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
         Scheme::Themis,
@@ -106,25 +105,13 @@ fn k8_fat_tree_interpod_ring_under_themis() {
     assert_eq!(cluster.n_paths, 16);
     // One host per pod: hosts 0, 16, 32, ...
     let hosts: Vec<HostId> = (0..8).map(|p| HostId(p * 16)).collect();
-    let mut alloc = QpAllocator::new(31);
-    let mut driver = Driver::new();
-    let spec = themis::collectives::driver::setup_collective(
-        &mut cluster.world,
-        cluster.driver,
-        &hosts,
-        ring_once(8, 2 << 20),
-        &mut alloc,
-    );
-    driver.add_instance(spec);
-    cluster.world.install(cluster.driver, Box::new(driver));
-    cluster.world.seed_event(
-        Nanos::ZERO,
-        cluster.driver,
-        Event::Timer { token: START_TOKEN },
-    );
-    cluster.world.run_until(Nanos::from_secs(2));
+    let mut session = Session::new(cluster, 31, TimeDelta::from_secs(2));
+    session.post(&hosts, ring_once(8, 2 << 20), Start::WithRun);
+    session.kick_off();
+    session.run_to(Nanos::from_secs(2));
+    let cluster = session.cluster;
 
-    let d: &Driver = cluster.world.get(cluster.driver).unwrap();
+    let d = driver_of(&cluster);
     assert!(d.all_complete(), "k=8 inter-pod ring completes");
     let nics = themis::harness::experiment::aggregate_nics(&cluster);
     assert_eq!(nics.retx_packets, 0, "16-path spraying stays clean");
@@ -133,7 +120,7 @@ fn k8_fat_tree_interpod_ring_under_themis() {
     // 16 cores (last 16 of spines); every one must carry traffic.
     let n_spines_aggs = 8 * 4; // 8 pods x 4 aggs
     for &c in &cluster.spines[n_spines_aggs..] {
-        let sw: &themis::netsim::switch::Switch = cluster.world.get(c).unwrap();
+        let sw = cluster.switch(c).unwrap();
         assert!(sw.stats.rx_packets > 0, "idle core under 16-path spray");
     }
 }
