@@ -316,19 +316,16 @@ impl Cluster {
         self.world.get::<Driver>(self.driver)
     }
 
-    /// Snapshot this cluster's telemetry as one report: the serial sink
-    /// directly, or the per-shard sinks merged by
+    /// Snapshot this cluster's telemetry as one report: the per-shard
+    /// sinks (one for a serial run) merged by
     /// [`telemetry::RunReport::merge`], plus every `fabric.*`, `rnic.*`
     /// and (when the scheme deploys Themis) `themis.*` counter, read from
-    /// the switches, NICs and middleware at call time. A sharded run's
-    /// merged report is byte-identical (once serialized) to the serial
-    /// run's snapshot.
+    /// the switches, NICs and middleware at call time, every list sorted
+    /// by name. A sharded run's report is byte-identical (once
+    /// serialized) to the serial run's.
     pub fn snapshot_merged(&self) -> telemetry::RunReport {
-        let mut report = if self.sinks.len() == 1 {
-            self.sinks[0].snapshot()
-        } else {
-            telemetry::RunReport::merge(self.sinks.iter().map(|s| s.snapshot()).collect())
-        };
+        let mut report =
+            telemetry::RunReport::merge(self.sinks.iter().map(|s| s.snapshot()).collect());
         let f = netsim::trace::fabric_summary(&self.world, &self.all_switches());
         let mut counters = vec![
             ("fabric.drops.buffer", f.drops_buffer),
@@ -364,10 +361,7 @@ impl Cluster {
         for (name, value) in counters {
             report.push_counter(name, value);
         }
-        if self.sinks.len() > 1 {
-            // `merge` returns its lists sorted by name: keep that order.
-            report.sort();
-        }
+        report.sort();
         report
     }
 
@@ -568,16 +562,15 @@ pub fn assemble(
 
     let n_shards = n_shards.clamp(1, shape.units);
 
-    // Telemetry: one sink per shard; each shard engine mirrors its clock
-    // and dispatch stamp into its own sink, and each entity reports
-    // events into its shard's sink. `rnic.ooo_gap` is registered on every
-    // sink so the per-shard registries carry identical name sets and
-    // merge cleanly.
+    // Telemetry: one sink per shard; each shard's dispatch loop mirrors
+    // its clock and dispatch stamp into its own sink, and each entity
+    // reports events into its shard's sink. `rnic.ooo_gap` is registered
+    // on every sink so the per-shard registries carry identical name sets
+    // and merge cleanly.
     let sinks: Vec<telemetry::Sink> = (0..n_shards)
         .map(|_| telemetry::Sink::new(EVENT_RING_CAPACITY))
         .collect();
-    world.engine.attach_clock(sinks[0].clock());
-    world.engine.attach_stamp(sinks[0].stamp());
+    world.attach_sinks(&sinks);
     let ooo_gaps: Vec<telemetry::HistId> = sinks
         .iter()
         .map(|s| s.time_hist("rnic.ooo_gap", Nic::OOO_GAP_BIN_NS, Nic::OOO_GAP_BINS))
@@ -634,9 +627,7 @@ pub fn assemble(
 
     if n_shards > 1 {
         let matrix = lookahead_matrix(&world, &shard_of, n_shards, driver, oracle_loss_notify);
-        let mut plan = ShardPlan::new(shard_of, n_shards, matrix);
-        plan.telem = sinks.iter().map(|s| (s.clock(), s.stamp())).collect();
-        world.set_shard_plan(plan);
+        world.set_shard_plan(ShardPlan::new(shard_of, n_shards, matrix));
     }
 
     Ok(Cluster {

@@ -948,7 +948,7 @@ mod tests {
     fn telemetry_mirrors_switch_stats() {
         let sink = telemetry::Sink::new(8);
         let mut w = World::new();
-        w.engine.attach_clock(sink.clock());
+        w.attach_sinks(std::slice::from_ref(&sink));
         let dst = w.add(Box::new(Sink { got: vec![] }));
         let mut sw = Switch::new(&SwitchConfig {
             buffer_bytes: 3_200, // fits ~2 packets of 1500B

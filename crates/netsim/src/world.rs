@@ -22,6 +22,13 @@
 //! into* — the property that lets `World::run_sharded` partition the
 //! world across threads ([`ShardPlan`]) and still replay the exact serial
 //! schedule, bit for bit.
+//!
+//! ## One dispatch loop
+//!
+//! A serial run is the one-shard case: [`World::run`] calls inline the
+//! private dispatch function each shard worker calls once per window —
+//! the one caller of [`Entity::handle`] and the one writer of the
+//! telemetry clock and stamp ([`World::attach_sinks`]).
 
 use crate::event::{ControlMsg, Event, Routed};
 use crate::packet::Packet;
@@ -56,20 +63,29 @@ pub trait Entity: Any + Send {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>);
 }
 
-/// Where a [`Ctx`] routes the events an entity schedules.
-enum SchedHandle<'a> {
-    /// Serial run: everything lands in the one engine.
-    Serial(&'a mut Engine<Routed>),
-    /// Sharded run: local events land in this shard's engine, events for
-    /// entities owned by another shard are staged in a worker-local
-    /// per-destination buffer (`stage[dst]`), flushed into the shared
-    /// outboxes once per window so the hot path never takes a lock.
-    Shard {
-        engine: &'a mut Engine<Routed>,
-        owner: &'a [u16],
-        me: u16,
-        stage: &'a mut [Vec<Scheduled<Routed>>],
-    },
+/// Where the events a dispatching shard's entities schedule go.
+///
+/// `owner[dst]` names the shard owning entity slot `dst`: an event for
+/// another shard is staged in the worker-local buffer `stage[shard]`,
+/// flushed into the shared outboxes once per window so the hot path
+/// never takes a lock; every other event lands in the shard's engine.
+/// A serial run and [`Ctx::for_tests`] pass empty slices, so every event
+/// stays local.
+struct Route<'a> {
+    owner: &'a [u16],
+    me: u16,
+    stage: &'a mut [Vec<Scheduled<Routed>>],
+}
+
+impl Route<'static> {
+    /// The route of a world with one shard: everything stays local.
+    fn local() -> Self {
+        Route {
+            owner: &[],
+            me: 0,
+            stage: &mut [],
+        }
+    }
 }
 
 /// Scheduling context handed to an entity while it processes an event.
@@ -82,7 +98,8 @@ pub struct Ctx<'a> {
     /// strictly exceeds the key being handled; written back by the
     /// dispatch loop afterwards.
     lane_seq: u64,
-    sched: SchedHandle<'a>,
+    engine: &'a mut Engine<Routed>,
+    route: Route<'a>,
 }
 
 impl<'a> Ctx<'a> {
@@ -93,7 +110,8 @@ impl<'a> Ctx<'a> {
             self_id,
             now,
             lane_seq: 0,
-            sched: SchedHandle::Serial(engine),
+            engine,
+            route: Route::local(),
         }
     }
 
@@ -113,26 +131,16 @@ impl<'a> Ctx<'a> {
         self.lane_seq += 1;
         let lane = self.self_id.0;
         let payload = Routed { node: to, ev };
-        match &mut self.sched {
-            SchedHandle::Serial(engine) => engine.schedule_keyed(at, seq, lane, payload),
-            SchedHandle::Shard {
-                engine,
-                owner,
-                me,
-                stage,
-            } => {
-                let dest = owner[to.index()];
-                if dest == *me {
-                    engine.schedule_keyed(at, seq, lane, payload);
-                } else {
-                    stage[dest as usize].push(Scheduled {
-                        at,
-                        seq,
-                        lane,
-                        payload,
-                    });
-                }
+        match self.route.owner.get(to.index()) {
+            Some(&dest) if dest != self.route.me => {
+                self.route.stage[dest as usize].push(Scheduled {
+                    at,
+                    seq,
+                    lane,
+                    payload,
+                });
             }
+            _ => self.engine.schedule_keyed(at, seq, lane, payload),
         }
     }
 
@@ -197,7 +205,10 @@ pub struct LookaheadViolation {
 ///
 /// `owner[i]` names the shard that owns entity slot `i`; each shard runs
 /// on its own thread with its own engine, synchronized by conservative
-/// time windows bounded by the per-pair lookahead matrix.
+/// time windows bounded by the per-pair lookahead matrix. A one-shard
+/// plan runs inline, exactly as no plan does. Telemetry is not part of
+/// the plan: shard `i` mirrors into the `i`-th sink given to
+/// [`World::attach_sinks`].
 pub struct ShardPlan {
     /// Shard owning each entity slot (`owner.len() == world.len()`).
     pub owner: Vec<u16>,
@@ -211,9 +222,6 @@ pub struct ShardPlan {
     /// than the true minimum is unsound and is caught by the always-on
     /// lookahead-safety check.
     lookahead_matrix: Vec<u64>,
-    /// Per-shard telemetry attachments `(clock, stamp)`, mirrored into
-    /// each shard engine so per-shard sinks stamp records correctly.
-    pub telem: Vec<(telemetry::SharedClock, telemetry::SharedStamp)>,
     /// When set, lookahead violations are recorded here and the run
     /// aborts cleanly instead of panicking (used by the property tests to
     /// observe the invariant checker itself).
@@ -223,8 +231,8 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// A plan assigning each entity slot to `owner[slot]`, with the
     /// per-pair direct lookahead `matrix` (row-major `n_shards × n_shards`
-    /// nanoseconds; `u64::MAX` for pairs with no crossing edge) and no
-    /// telemetry attachments. Each shard's window extends to
+    /// nanoseconds; `u64::MAX` for pairs with no crossing edge). Each
+    /// shard's window extends to
     /// `min_k(next_k + reach[k][me])` where `reach` is the min-plus
     /// closure of the matrix.
     ///
@@ -251,7 +259,6 @@ impl ShardPlan {
             owner,
             n_shards,
             lookahead_matrix: matrix,
-            telem: Vec::new(),
             violations: None,
         }
     }
@@ -292,6 +299,11 @@ impl ShardPlan {
     }
 }
 
+/// The telemetry cells one shard's dispatch loop writes before every
+/// dispatch: the event's time into the clock, its `(seq, lane)` key into
+/// the stamp (see [`World::attach_sinks`]).
+type Mirror = (telemetry::SharedClock, telemetry::SharedStamp);
+
 /// One shard's private state while a partitioned run is in flight.
 struct ShardState {
     engine: Engine<Routed>,
@@ -322,6 +334,8 @@ struct ShardCtx<'a> {
     outboxes: &'a [Vec<Mutex<Vec<Scheduled<Routed>>>>],
     barrier: &'a Barrier,
     owner: &'a [u16],
+    /// This shard's telemetry cells, if sinks are attached.
+    mirror: Option<&'a Mirror>,
     /// Cooperative shutdown flag: set on entity panic or lookahead
     /// violation so every worker leaves the barrier protocol together
     /// (a unilateral panic would deadlock the others at the barrier).
@@ -340,6 +354,9 @@ pub struct World {
     /// Insertion counter for [`Self::seed_event`] keys (lane [`SEED_LANE`]).
     seed_seq: u64,
     shard_plan: Option<ShardPlan>,
+    /// Shard `i`'s telemetry cells ([`Self::attach_sinks`]); a serial run
+    /// uses the first.
+    mirrors: Vec<Mirror>,
 }
 
 impl Default for World {
@@ -357,7 +374,17 @@ impl World {
             lane_seq: Vec::new(),
             seed_seq: 0,
             shard_plan: None,
+            mirrors: Vec::new(),
         }
+    }
+
+    /// Stamp telemetry: before each dispatch, shard `i`'s loop writes the
+    /// event's time and `(seq, lane)` key into `sinks[i]`'s clock and
+    /// stamp (`sinks[0]` for a serial run), so the records and
+    /// observations its entities make carry that key. A shard without a
+    /// sink is not stamped.
+    pub fn attach_sinks(&mut self, sinks: &[telemetry::Sink]) {
+        self.mirrors = sinks.iter().map(|s| (s.clock(), s.stamp())).collect();
     }
 
     /// Install a partition: subsequent [`Self::run`] / [`Self::run_until`]
@@ -455,32 +482,24 @@ impl World {
     /// Run until the event queue drains or the horizon passes.
     ///
     /// Executes sharded when a multi-shard [`ShardPlan`] is installed;
-    /// the result is bit-identical either way.
+    /// otherwise the world is one shard and dispatches inline, on this
+    /// thread. The result is bit-identical either way.
     pub fn run(&mut self) -> StopReason {
         if self.shard_plan.as_ref().is_some_and(|p| p.n_shards > 1) {
-            return self.run_sharded();
+            self.run_sharded();
+        } else {
+            dispatch(
+                &mut self.engine,
+                &mut self.slots,
+                &mut self.lane_seq,
+                self.mirrors.first(),
+                Route::local(),
+            );
         }
-        loop {
-            let Some(scheduled) = self.engine.step() else {
-                return if self.engine.pending() == 0 {
-                    StopReason::QueueEmpty
-                } else {
-                    StopReason::HorizonReached
-                };
-            };
-            let Routed { node, ev } = scheduled.payload;
-            let idx = node.index();
-            let entity = self.slots[idx]
-                .as_deref_mut()
-                .unwrap_or_else(|| panic!("event for missing entity {node}"));
-            let mut ctx = Ctx {
-                self_id: node,
-                now: self.engine.now(),
-                lane_seq: self.lane_seq[idx].max(scheduled.seq + 1),
-                sched: SchedHandle::Serial(&mut self.engine),
-            };
-            entity.handle(ev, &mut ctx);
-            self.lane_seq[idx] = ctx.lane_seq;
+        if self.engine.pending() == 0 {
+            StopReason::QueueEmpty
+        } else {
+            StopReason::HorizonReached
         }
     }
 
@@ -505,7 +524,7 @@ impl World {
     /// invariant). Because every event carries its canonical
     /// `(time, seq, lane)` key, the union of all shard dispatches replays
     /// the serial order exactly, independent of window shapes.
-    fn run_sharded(&mut self) -> StopReason {
+    fn run_sharded(&mut self) {
         let plan = self.shard_plan.take().expect("caller checked plan");
         let n = plan.n_shards;
         let horizon = self.engine.horizon;
@@ -515,18 +534,11 @@ impl World {
         // Split: each entity, its Lamport counter, and every pending
         // event move to the owning shard's private engine.
         let mut shards: Vec<ShardState> = (0..n)
-            .map(|i| {
-                let mut engine = self.engine.fork();
-                if let Some((clock, stamp)) = plan.telem.get(i) {
-                    engine.attach_clock(clock.clone());
-                    engine.attach_stamp(stamp.clone());
-                }
-                ShardState {
-                    engine,
-                    slots: (0..n_slots).map(|_| None).collect(),
-                    lane_seq: self.lane_seq.clone(),
-                    stage: (0..n).map(|_| Vec::new()).collect(),
-                }
+            .map(|_| ShardState {
+                engine: self.engine.fork(),
+                slots: (0..n_slots).map(|_| None).collect(),
+                lane_seq: self.lane_seq.clone(),
+                stage: (0..n).map(|_| Vec::new()).collect(),
             })
             .collect();
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -564,6 +576,7 @@ impl World {
                         outboxes: &outboxes,
                         barrier: &barrier,
                         owner,
+                        mirror: self.mirrors.get(me),
                         abort: &abort,
                         violations: &violation_log,
                         panics: &panic_log,
@@ -628,11 +641,6 @@ impl World {
                 }
             }
         }
-        if self.engine.pending() == 0 {
-            StopReason::QueueEmpty
-        } else {
-            StopReason::HorizonReached
-        }
     }
 }
 
@@ -674,7 +682,17 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
             .expect("at least one shard");
         state.engine.horizon = Nanos(window_end - 1).min(sc.horizon);
         let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch_window(state, sc);
+            dispatch(
+                &mut state.engine,
+                &mut state.slots,
+                &mut state.lane_seq,
+                sc.mirror,
+                Route {
+                    owner: sc.owner,
+                    me: sc.me as u16,
+                    stage: &mut state.stage,
+                },
+            );
         }));
         if let Err(payload) = dispatched {
             sc.panics
@@ -724,29 +742,39 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
     }
 }
 
-/// Dispatch every local event inside the current window.
-fn dispatch_window(state: &mut ShardState, sc: &ShardCtx<'_>) {
-    let ShardState {
-        engine,
-        slots,
-        lane_seq,
-        stage,
-    } = state;
+/// The one dispatch loop, serial and sharded alike: pop every event the
+/// engine's horizon admits, mirror its time and key into `mirror`, and
+/// hand it to its entity with the lane's Lamport counter. [`World::run`]
+/// calls it once, inline, for a one-shard world; each shard worker calls
+/// it once per window, with its own engine, slots, cells and route.
+fn dispatch(
+    engine: &mut Engine<Routed>,
+    slots: &mut [Option<Box<dyn Entity>>],
+    lane_seq: &mut [u64],
+    mirror: Option<&Mirror>,
+    route: Route<'_>,
+) {
+    // `Engine::step` is always inlined, so each popped payload lands
+    // directly in this frame.
     while let Some(scheduled) = engine.step() {
+        if let Some((clock, stamp)) = mirror {
+            clock.set(scheduled.at.as_nanos());
+            stamp.set(scheduled.seq, scheduled.lane);
+        }
         let Routed { node, ev } = scheduled.payload;
         let idx = node.index();
         let entity = slots[idx]
             .as_deref_mut()
-            .unwrap_or_else(|| panic!("event for entity {node} missing from shard {}", sc.me));
+            .unwrap_or_else(|| panic!("event for entity {node} missing from shard {}", route.me));
         let mut ctx = Ctx {
             self_id: node,
-            now: engine.now(),
+            now: scheduled.at,
             lane_seq: lane_seq[idx].max(scheduled.seq + 1),
-            sched: SchedHandle::Shard {
-                engine: &mut *engine,
-                owner: sc.owner,
-                me: sc.me as u16,
-                stage: &mut *stage,
+            engine: &mut *engine,
+            route: Route {
+                owner: route.owner,
+                me: route.me,
+                stage: &mut *route.stage,
             },
         };
         entity.handle(ev, &mut ctx);
@@ -933,6 +961,145 @@ mod tests {
             let p: &PingPong = sharded.get(id).unwrap();
             assert_eq!(s.received, p.received);
         }
+    }
+
+    /// A ping-pong entity that reports on every dispatch: one ring
+    /// record and one histogram observation into its shard's sink. Each
+    /// packet carries the `(seq, lane)` key it was scheduled with (lane
+    /// in `qp`, seq in `msg_tag`), so the receiver knows the key of the
+    /// dispatch it is handling without reading the stamp.
+    struct Reporter {
+        peer: NodeId,
+        remaining: u32,
+        sink: telemetry::Sink,
+        hist: telemetry::HistId,
+        /// `(at_ns, seq, lane)` of every dispatch this entity handled.
+        handled: Vec<(u64, u64, u32)>,
+    }
+
+    impl Reporter {
+        fn keyed_packet(seq: u64, lane: u32) -> Packet {
+            Packet::data(QpId(lane), HostId(0), HostId(1), 0, 0, seq, false, 0, false)
+        }
+    }
+
+    impl Entity for Reporter {
+        fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+            let Event::Packet { pkt, .. } = ev else {
+                panic!("unexpected event");
+            };
+            let crate::packet::PacketKind::Data { msg_tag: seq, .. } = pkt.kind else {
+                panic!("unexpected packet");
+            };
+            self.handled.push((ctx.now().as_nanos(), seq, pkt.qp.0));
+            self.sink
+                .event(telemetry::EventKind::PacketDrop, u64::from(pkt.qp.0), seq);
+            self.sink.observe(self.hist, 1);
+            if self.remaining > 0 {
+                self.remaining -= 1;
+                let next = Self::keyed_packet(ctx.lane_seq, ctx.self_id.0);
+                ctx.send_packet(self.peer, PortId(0), next, TimeDelta::from_micros(1));
+            }
+        }
+    }
+
+    /// The reporting ping-pong world with one sink per shard of `plan`
+    /// (one sink without a plan); entity `i` reports into its owner's.
+    fn reporting_world(rounds: u32, plan: Option<ShardPlan>) -> (World, Vec<telemetry::Sink>) {
+        let owner = plan.as_ref().map_or(vec![0, 0], |p| p.owner.clone());
+        let n_sinks = plan.as_ref().map_or(1, |p| p.n_shards);
+        let sinks: Vec<telemetry::Sink> = (0..n_sinks).map(|_| telemetry::Sink::new(256)).collect();
+        let mut w = World::new();
+        let ids = [w.reserve(), w.reserve()];
+        for (i, &id) in ids.iter().enumerate() {
+            let sink = sinks[owner[i] as usize].clone();
+            let hist = sink.time_hist("test.dispatch", 1_000, 128);
+            w.install(
+                id,
+                Box::new(Reporter {
+                    peer: ids[1 - i],
+                    remaining: rounds,
+                    sink,
+                    hist,
+                    handled: Vec::new(),
+                }),
+            );
+        }
+        w.seed_event(
+            Nanos::ZERO,
+            ids[0],
+            Event::Packet {
+                pkt: Reporter::keyed_packet(0, SEED_LANE),
+                in_port: PortId(0),
+            },
+        );
+        w.attach_sinks(&sinks);
+        if let Some(plan) = plan {
+            w.set_shard_plan(plan);
+        }
+        (w, sinks)
+    }
+
+    /// The dispatch loop, not the engine, stamps telemetry: every ring
+    /// record carries the key of the dispatch that wrote it and every
+    /// observation lands in the bin of its dispatch time, serially, under
+    /// a one-shard plan and on two shards with one sink each; the three
+    /// runs report the same bytes and dispatch the same events.
+    #[test]
+    fn dispatch_loop_stamps_each_shards_sink() {
+        let runs = [
+            None,
+            Some(ShardPlan::new(vec![0, 0], 1, vec![1_000])),
+            Some(ShardPlan::new(vec![0, 1], 2, vec![1_000; 4])),
+        ];
+        let mut documents = Vec::new();
+        let mut dispatched = Vec::new();
+        for plan in runs {
+            let owner = plan.as_ref().map_or(vec![0, 0], |p| p.owner.clone());
+            let (mut w, sinks) = reporting_world(50, plan);
+            assert_eq!(w.run(), StopReason::QueueEmpty);
+            dispatched.push((w.engine.dispatched(), w.now()));
+            for (shard, sink) in sinks.iter().enumerate() {
+                let mut handled: Vec<(u64, u64, u32)> = (0..2)
+                    .filter(|&i| owner[i] as usize == shard)
+                    .flat_map(|i| w.get::<Reporter>(NodeId(i as u32)).unwrap().handled.clone())
+                    .collect();
+                handled.sort_unstable();
+                let snap = sink.snapshot();
+                let stamped: Vec<(u64, u64, u32)> = snap
+                    .events
+                    .ring
+                    .iter()
+                    .map(|e| (e.at_ns, e.seq, e.lane))
+                    .collect();
+                assert_eq!(
+                    stamped, handled,
+                    "shard {shard}: records carry their dispatch's key"
+                );
+                let bins: Vec<(u64, u64)> = snap.hists[0]
+                    .1
+                    .bins
+                    .iter()
+                    .map(|b| (b.start_ns, b.count))
+                    .collect();
+                let want: Vec<(u64, u64)> = handled.iter().map(|&(at, ..)| (at, 1)).collect();
+                assert_eq!(
+                    bins, want,
+                    "shard {shard}: observations land at dispatch time"
+                );
+            }
+            let mut report = telemetry::Report::new();
+            report.add_run(
+                "run",
+                telemetry::RunReport::merge(sinks.iter().map(|s| s.snapshot()).collect()),
+            );
+            documents.push(report.to_json());
+        }
+        assert_eq!(dispatched[0].0, 101);
+        assert_eq!(dispatched[1], dispatched[0], "a one-shard plan is no plan");
+        assert_eq!(dispatched[2], dispatched[0]);
+        assert_eq!(documents[1], documents[0]);
+        assert_eq!(documents[2], documents[0], "merged shards = serial");
     }
 
     #[test]

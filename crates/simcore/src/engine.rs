@@ -39,8 +39,6 @@ pub struct Engine<T> {
     queue: EventQueue<T>,
     now: Nanos,
     dispatched: u64,
-    clock: Option<telemetry::SharedClock>,
-    stamp: Option<telemetry::SharedStamp>,
     /// Events at or beyond this time are not dispatched.
     pub horizon: Nanos,
 }
@@ -58,26 +56,8 @@ impl<T> Engine<T> {
             queue: EventQueue::new(),
             now: Nanos::ZERO,
             dispatched: 0,
-            clock: None,
-            stamp: None,
             horizon: Nanos::MAX,
         }
-    }
-
-    /// Mirror the engine clock into a telemetry [`telemetry::SharedClock`]
-    /// after every advance, so instrumented components can stamp metric
-    /// observations without being handed a timestamp explicitly.
-    pub fn attach_clock(&mut self, clock: telemetry::SharedClock) {
-        clock.set(self.now.as_nanos());
-        self.clock = Some(clock);
-    }
-
-    /// Mirror the `(seq, lane)` key of the event being dispatched into a
-    /// telemetry [`telemetry::SharedStamp`], so structured event records
-    /// carry the canonical dispatch key. Together with the clock this lets
-    /// per-shard event rings be merged back into the exact serial order.
-    pub fn attach_stamp(&mut self, stamp: telemetry::SharedStamp) {
-        self.stamp = Some(stamp);
     }
 
     /// Current simulation time.
@@ -153,16 +133,13 @@ impl<T> Engine<T> {
     }
 
     /// A fresh engine sharing this engine's clock position and horizon,
-    /// but with an empty queue, zero dispatch count, and no telemetry
-    /// attachments. Shards are forked off the main engine at the
-    /// start of a partitioned run.
+    /// but with an empty queue and zero dispatch count. Shards are forked
+    /// off the main engine at the start of a partitioned run.
     pub fn fork(&self) -> Engine<T> {
         Engine {
             queue: EventQueue::new(),
             now: self.now,
             dispatched: 0,
-            clock: None,
-            stamp: None,
             horizon: self.horizon,
         }
     }
@@ -172,9 +149,6 @@ impl<T> Engine<T> {
     /// events (e.g. beyond the horizon) return with their keys intact.
     pub fn absorb(&mut self, mut other: Engine<T>) {
         self.now = self.now.max(other.now);
-        if let Some(clock) = &self.clock {
-            clock.set(self.now.as_nanos());
-        }
         self.dispatched += other.dispatched;
         for ev in other.queue.drain_all() {
             self.queue.restore(ev);
@@ -192,12 +166,6 @@ impl<T> Engine<T> {
         let ev = self.queue.pop_at_or_before(self.horizon)?;
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
-        if let Some(clock) = &self.clock {
-            clock.set(ev.at.as_nanos());
-        }
-        if let Some(stamp) = &self.stamp {
-            stamp.set(ev.seq, ev.lane);
-        }
         self.dispatched += 1;
         Some(ev)
     }
@@ -219,20 +187,6 @@ mod tests {
         assert_eq!(ev.payload, 1);
         assert_eq!(e.now(), Nanos(100));
         assert!(e.step().is_none());
-    }
-
-    #[test]
-    fn attached_clock_tracks_engine_time() {
-        let mut e: Engine<u32> = Engine::new();
-        let clock = telemetry::SharedClock::new();
-        e.attach_clock(clock.clone());
-        assert_eq!(clock.now(), 0);
-        e.schedule_at(Nanos(75), 1);
-        e.step().unwrap();
-        assert_eq!(clock.now(), 75);
-        e.schedule_at(Nanos(90), 2);
-        e.step().unwrap();
-        assert_eq!(clock.now(), 90);
     }
 
     #[test]

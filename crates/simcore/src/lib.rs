@@ -19,7 +19,8 @@
 //!   there are no thread-locals or singletons, so tests can run many
 //!   simulations in parallel.
 //!
-//! The crate deliberately knows nothing about networking — it provides time
+//! The crate deliberately knows nothing about networking or telemetry and
+//! depends on no other crate — it provides time
 //! ([`time::Nanos`]), ordered event delivery ([`event::EventQueue`]),
 //! pseudo-randomness ([`rng`]) and measurement utilities ([`stats`]).
 

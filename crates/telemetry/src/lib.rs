@@ -4,8 +4,8 @@
 //!
 //! The crate is dependency-free (it does not even depend on `simcore`)
 //! so any crate in the workspace can report into it. Simulated time
-//! enters through a [`SharedClock`] that the simulation engine updates
-//! on every event dispatch; components never pass timestamps
+//! enters through a [`SharedClock`] that the network world's dispatch
+//! loop updates on every event dispatch; components never pass timestamps
 //! explicitly on the hot path. Every handle here is `Send`, so the
 //! entities that hold one can move onto a shard worker thread.
 //!
@@ -37,7 +37,7 @@
 //! let drops = sink.counter("fabric.drops.buffer");
 //! let gap = sink.time_hist("rnic.ooo_gap", 1_000, 8);
 //!
-//! sink.clock().set(2_500); // the engine does this on every dispatch
+//! sink.clock().set(2_500); // the dispatch loop does this on every dispatch
 //! sink.inc(drops);
 //! sink.observe(gap, 3);
 //! sink.event(EventKind::PacketDrop, 7, 42);
@@ -67,8 +67,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared simulated-time clock (nanoseconds).
 ///
-/// The simulation engine owns the authoritative clock and mirrors it
-/// into this cell after each advance; every [`Sink`] clone reads it
+/// The simulation engine owns the authoritative clock; the network
+/// world's dispatch loop mirrors each dispatch's time into this cell
+/// before handing the event to its entity; every [`Sink`] clone reads it
 /// when stamping observations and events. Cloning shares the cell.
 /// `Relaxed` suffices: one shard's thread both writes and reads it, and
 /// thread spawn and join order the handoff between threads.
@@ -87,7 +88,7 @@ impl SharedClock {
         self.0.load(Relaxed)
     }
 
-    /// Set the simulated time (called by the engine).
+    /// Set the simulated time (called by the dispatch loop).
     #[inline]
     pub fn set(&self, ns: u64) {
         self.0.store(ns, Relaxed);
@@ -95,7 +96,7 @@ impl SharedClock {
 }
 
 /// The `(seq, lane)` canonical key of the event currently being
-/// dispatched, mirrored by the engine alongside the [`SharedClock`].
+/// dispatched, mirrored by the dispatch loop alongside the [`SharedClock`].
 ///
 /// Structured event records are stamped with it so rings recorded by
 /// different shards of a partitioned run can be merged back into the
@@ -123,7 +124,7 @@ impl SharedStamp {
         (self.0.seq.load(Relaxed), self.0.lane.load(Relaxed))
     }
 
-    /// Set the current dispatch key (called by the engine).
+    /// Set the current dispatch key (called by the dispatch loop).
     #[inline]
     pub fn set(&self, seq: u64, lane: u32) {
         self.0.seq.store(seq, Relaxed);
@@ -171,14 +172,15 @@ impl Sink {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The clock all observations are stamped with. Hand this to the
-    /// simulation engine so it can mirror its time into it.
+    /// The clock all observations are stamped with. The network world's
+    /// dispatch loop mirrors simulated time into it once the sink is
+    /// attached to the world.
     pub fn clock(&self) -> SharedClock {
         self.clock.clone()
     }
 
     /// The dispatch-key stamp event records carry (see [`SharedStamp`]).
-    /// Hand this to the simulation engine alongside the clock.
+    /// The dispatch loop writes it alongside the clock.
     pub fn stamp(&self) -> SharedStamp {
         self.stamp.clone()
     }

@@ -14,6 +14,10 @@
 #      accessors) and no START_TOKEN (runs go through Session).
 #      tests/parallel_lookahead.rs is exempt: it tests World with its own
 #      entity type.
+#   1d. layering gate: crates/simcore/Cargo.toml declares no dependency
+#      (the bottom crate orders events; netsim's one dispatch loop stamps
+#      telemetry), and crates/ names no attach_clock, attach_stamp or
+#      SchedHandle (the serial run is the one-shard case of that loop).
 #   2. cargo build --release
 #   3. cargo test -q            (tier-1 suite)
 #   3b. cargo test --workspace -q: every crate's unit tests, the
@@ -114,6 +118,29 @@ mapfile -t GATED < <(find crates/harness/src tests examples -name '*.rs' | sort 
 HITS=$(typed_access_hits "${GATED[@]}")
 [ -z "$HITS" ] || { echo "$HITS"; echo "FAIL: use Cluster's typed accessors and Session"; exit 1; }
 echo "OK: ${#GATED[@]} files read entities through Cluster and runs through Session"
+
+echo "== layering gate (simcore depends on nothing; one dispatch loop) =="
+# layering_hits ROOT: FILE:LINE:TEXT for every dependency entry (or
+# dotted dependency table) in ROOT's simcore manifest, and every name of
+# the engine-side telemetry hooks or the two-variant scheduler in
+# ROOT/crates.
+layering_hits() {
+    awk '/^[[:space:]]*\[/ { deps = /dependencies/; if (/dependencies\./) print FILENAME ":" FNR ":" $0; next }
+         deps && /^[[:space:]]*[^#[:space:]]/ { print FILENAME ":" FNR ":" $0 }' \
+        "$1/crates/simcore/Cargo.toml"
+    grep -rnE 'attach_clock|attach_stamp|SchedHandle' "$1/crates" || true
+}
+# A gate that cannot fail is no gate: a probe tree that re-adds telemetry
+# to simcore and attaches a clock to the engine must trip both checks.
+mkdir -p "$CI_TMP/layer_probe/crates/simcore"
+printf '[package]\nname = "simcore"\n\n[dependencies]\ntelemetry.workspace = true\n' \
+    > "$CI_TMP/layer_probe/crates/simcore/Cargo.toml"
+printf 'world.engine.attach_clock(sink.clock());\n' > "$CI_TMP/layer_probe/crates/probe.rs"
+[ "$(layering_hits "$CI_TMP/layer_probe" | wc -l)" -eq 2 ] \
+    || { echo "FAIL: the layering gate misses a probe"; exit 1; }
+HITS=$(layering_hits .)
+[ -z "$HITS" ] || { echo "$HITS"; echo "FAIL: simcore depends on nothing; telemetry is stamped by World's dispatch loop"; exit 1; }
+echo "OK: simcore has no dependency and World has one dispatch loop"
 
 echo "== build (release) =="
 # --workspace so member binaries (themis_fuzz, themis_sim, fig1, fig5)
