@@ -68,6 +68,10 @@ pub struct InstanceSpec {
 /// layer) can create QPs one at a time between engine windows and later
 /// post work on them via [`single_transfer_spec`] +
 /// [`Driver::add_instance_deferred`].
+#[expect(
+    clippy::expect_used,
+    reason = "the cluster builder installs host h's NIC at NodeId(h) before any QP exists"
+)]
 pub fn provision_qp(
     world: &mut World,
     driver_node: NodeId,

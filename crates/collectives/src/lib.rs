@@ -20,6 +20,11 @@
 //!   generation (flow-size CDFs, Poisson/bursty arrivals, job churn,
 //!   incast storms) sampled ahead of the run.
 
+// Non-test code states its invariants (`#[expect(.., reason)]` at the
+// sites that keep one) instead of unwrapping, expecting or panicking;
+// tests are exempt through clippy.toml.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod alltoall;
 pub mod driver;
 pub mod groups;

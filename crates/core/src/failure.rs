@@ -5,16 +5,16 @@
 //! remedy: upon failure detection (via external monitoring such as
 //! Pingmesh \[17\]), the affected ToR *disables Themis and reverts to ECMP*
 //! until the failure clears. That transition is an engine event: the
-//! monitor sends [`ControlMsg::TorLinkFailure`] and later
-//! [`ControlMsg::TorLinkRecovery`] to each ToR, whose switch reverts its
-//! LB policy and tells its hook ([`ThemisMiddleware::on_link_failure`] /
+//! monitor sends [`ControlMsg::TorLink`] `{ failed: true }` and later
+//! `{ failed: false }` to each ToR, whose switch reverts its LB policy to
+//! ECMP and later restores the one it was built with, and tells its hook
+//! ([`ThemisMiddleware::on_link_failure`] /
 //! [`ThemisMiddleware::on_link_recovery`]).
 //!
 //! For a partial failure, [`apply_pathset_restriction`] keeps Themis on
 //! but narrows it to the surviving paths.
 //!
-//! [`ControlMsg::TorLinkFailure`]: netsim::event::ControlMsg::TorLinkFailure
-//! [`ControlMsg::TorLinkRecovery`]: netsim::event::ControlMsg::TorLinkRecovery
+//! [`ControlMsg::TorLink`]: netsim::event::ControlMsg::TorLink
 
 use crate::middleware::ThemisMiddleware;
 use netsim::switch::Switch;
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn failure_message_reverts_to_ecmp_and_disables_spray() {
         let mut sw = tor_with_themis();
-        control(&mut sw, ControlMsg::TorLinkFailure);
+        control(&mut sw, ControlMsg::TorLink { failed: true });
         assert_eq!(sw.lb(), LbPolicy::Ecmp);
         assert!(!themis(&sw).s.is_enabled());
     }
@@ -87,13 +87,8 @@ mod tests {
     #[test]
     fn recovery_message_resumes_spraying() {
         let mut sw = tor_with_themis();
-        control(&mut sw, ControlMsg::TorLinkFailure);
-        control(
-            &mut sw,
-            ControlMsg::TorLinkRecovery {
-                lb: LbPolicy::RandomSpray,
-            },
-        );
+        control(&mut sw, ControlMsg::TorLink { failed: true });
+        control(&mut sw, ControlMsg::TorLink { failed: false });
         assert_eq!(sw.lb(), LbPolicy::RandomSpray);
         assert!(themis(&sw).s.is_enabled());
     }
@@ -115,13 +110,8 @@ mod tests {
         // permanently desync this ToR from the rest of the fabric.
         let mut sw = tor_with_themis();
         assert!(apply_pathset_restriction(&mut sw, Some(vec![0])));
-        control(&mut sw, ControlMsg::TorLinkFailure);
-        control(
-            &mut sw,
-            ControlMsg::TorLinkRecovery {
-                lb: LbPolicy::RandomSpray,
-            },
-        );
+        control(&mut sw, ControlMsg::TorLink { failed: true });
+        control(&mut sw, ControlMsg::TorLink { failed: false });
         let m = themis(&sw);
         assert!(m.s.is_enabled());
         assert_eq!(m.s.effective_modulus(), 2, "pathset restriction cleared");
@@ -140,7 +130,7 @@ mod tests {
             lb: LbPolicy::RandomSpray,
             ..SwitchConfig::default()
         });
-        control(&mut sw, ControlMsg::TorLinkFailure);
+        control(&mut sw, ControlMsg::TorLink { failed: true });
         assert_eq!(sw.lb(), LbPolicy::Ecmp);
     }
 }

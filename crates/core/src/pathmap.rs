@@ -42,6 +42,11 @@ pub struct PathMap {
 impl PathMap {
     /// Build the table for `n_paths` (power of two ≤ 256), solving the
     /// GF(2) system for each relative delta.
+    #[expect(
+        clippy::expect_used,
+        reason = "the CRC-16 sport basis spans the low 8 hash bits, so every delta of a \
+                  path count <= 256 has a solution"
+    )]
     pub fn build(n_paths: usize) -> PathMap {
         assert_valid_path_count(n_paths);
         let bits = n_paths.trailing_zeros();
@@ -64,6 +69,11 @@ impl PathMap {
     /// `(d1, d2)`, and the solver finds one sport rewrite satisfying both
     /// constraints simultaneously. `n_paths = 2^(bits_stage1 +
     /// bits_stage2)`; the entry still costs 2 bytes (§4).
+    #[expect(
+        clippy::expect_used,
+        reason = "the CRC-16 sport basis spans any two non-overlapping hash views within \
+                  16 bits, which the assert below enforces"
+    )]
     pub fn build_two_tier(bits_stage1: u32, shift_stage2: u32, bits_stage2: u32) -> PathMap {
         let bits = bits_stage1 + bits_stage2;
         let n_paths = 1usize << bits;

@@ -57,7 +57,8 @@ pub struct ThemisSStats {
 #[derive(Debug)]
 pub struct ThemisS {
     n_paths: usize,
-    mode: SprayMode,
+    /// The PathMap of the two rewrite modes; `None` in direct-egress
+    /// mode, which never touches the header.
     pathmap: Option<PathMap>,
     enabled: bool,
     /// Restricted path subset (§6 future work): when set, spraying cycles
@@ -96,7 +97,6 @@ impl ThemisS {
         };
         ThemisS {
             n_paths,
-            mode,
             pathmap,
             enabled: true,
             pathset: None,
@@ -174,18 +174,16 @@ impl ThemisS {
                 None => rel,
             }
         };
-        match self.mode {
-            SprayMode::DirectEgress => {
-                let n_eff = self.effective_modulus();
+        let n_eff = self.effective_modulus();
+        match &self.pathmap {
+            None => {
                 let base = (ecmp_hash(&FiveTuple::of_packet(pkt)) as usize) % n_eff;
                 let rel = path_of(psn, n_eff, base);
                 Some(resolve(rel, &self.pathset))
             }
-            SprayMode::PathMapRewrite | SprayMode::PathMapTwoTier { .. } => {
-                let n_eff = self.effective_modulus();
+            Some(pm) => {
                 let rel = relative_path(psn, n_eff);
                 let delta = resolve(rel, &self.pathset);
-                let pm = self.pathmap.as_ref().expect("built in new()");
                 pkt.udp_sport = pm.rewrite(pkt.udp_sport, delta);
                 self.stats.rewrites += 1;
                 None

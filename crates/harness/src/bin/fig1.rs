@@ -9,9 +9,10 @@
 
 use simcore::time::TimeDelta;
 use themis_harness::cli;
-use themis_harness::fig1::{run_fig1_sharded, Fig1Result, Fig1Transport};
+use themis_harness::fig1::{run_fig1_sharded, Fig1Result};
 use themis_harness::report::render_ascii_chart;
 use themis_harness::sweep::SweepRunner;
+use themis_harness::Scheme;
 
 fn main() {
     let args = cli::FIG1.parse_or_exit(std::env::args());
@@ -20,9 +21,10 @@ fn main() {
     let bytes = mb << 20;
     println!("Figure 1 — motivation experiment ({mb} MB per flow; paper: 100 MB)\n");
 
-    let cells = [Fig1Transport::NicSr, Fig1Transport::Ideal];
-    let mut results: Vec<Fig1Result> = SweepRunner::new(jobs).run(&cells, |&transport| {
-        run_fig1_sharded(transport, bytes, TimeDelta::from_micros(50), 42, shards)
+    // The NIC-SR leg, then the Ideal one.
+    let cells = [Scheme::RandomSpray, Scheme::Oracle];
+    let mut results: Vec<Fig1Result> = SweepRunner::new(jobs).run(&cells, |&scheme| {
+        run_fig1_sharded(scheme, bytes, TimeDelta::from_micros(50), 42, shards)
     });
     let ideal = results.pop().expect("two cells");
     let sr = results.pop().expect("two cells");

@@ -3,15 +3,16 @@
 //! One body, [`assemble`], builds every cluster. The paper's deployment
 //! claim (§3.2) is that Themis needs programmability at the ToR only, so
 //! a 2-tier and a 3-tier fabric differ in what a [`Topology`] answers —
-//! the netsim plan, which switches are ToRs, the shard partition unit
-//! and the spray mode the ToR must use — and in nothing else.
+//! the netsim builder, the shard partition unit and the spray mode the
+//! ToR must use — and in nothing else: both builders return one
+//! [`FabricPlan`], whose `leaves` are the ToRs.
 
 use crate::scheme::Scheme;
 use collectives::driver::Driver;
 use netsim::fat_tree::{build_fat_tree, FatTreeConfig, AGG_ECMP_SHIFT};
 use netsim::port::EgressPort;
 use netsim::switch::Switch;
-use netsim::topology::{build_leaf_spine, LeafSpineConfig};
+use netsim::topology::{build_leaf_spine, FabricPlan, LeafSpineConfig};
 use netsim::types::{HostId, NodeId};
 use netsim::world::{ShardPlan, World, CONTROL_PLANE_LATENCY};
 use rnic::{Nic, NicConfig, TransportMode};
@@ -544,20 +545,16 @@ pub fn assemble(
     // The Ideal transport needs drop notifications from switches.
     let oracle_loss_notify = nic_cfg.transport == TransportMode::IdealOracle;
     let lb = scheme.lb_policy();
-    // `spines` is every non-ToR switch: its first `pod_local` entries
-    // (the fat-tree's aggregation tier, pod-major like the ToRs) share
-    // their pod's shard, the rest are spread round-robin.
-    let (mut world, hosts, tors, spines, pod_local) = match topology {
-        Topology::LeafSpine(c) => {
-            let p = build_leaf_spine(c, lb, oracle_loss_notify);
-            (p.world, p.hosts, p.leaves, p.spines, 0)
-        }
-        Topology::FatTree(c) => {
-            let p = build_fat_tree(c, lb, oracle_loss_notify);
-            let (mut spines, pod_local) = (p.aggs, p.edges.len());
-            spines.extend(p.cores);
-            (p.world, p.hosts, p.edges, spines, pod_local)
-        }
+    let FabricPlan {
+        mut world,
+        hosts,
+        leaves: tors,
+        spines,
+        pod_local,
+        ..
+    } = match topology {
+        Topology::LeafSpine(c) => build_leaf_spine(c, lb, oracle_loss_notify),
+        Topology::FatTree(c) => build_fat_tree(c, lb, oracle_loss_notify),
     };
 
     let n_shards = n_shards.clamp(1, shape.units);
@@ -576,8 +573,10 @@ pub fn assemble(
         .map(|s| s.time_hist("rnic.ooo_gap", Nic::OOO_GAP_BIN_NS, Nic::OOO_GAP_BINS))
         .collect();
 
-    // Unit-aligned partition: `tors` and the pod-local `spines` are
-    // unit-major, so a unit's whole star maps to one shard.
+    // Unit-aligned partition: `tors` and the `pod_local` leading `spines`
+    // (a fat-tree's aggregation tier) are unit-major, so a unit's whole
+    // star maps to one shard; the remaining spines are spread
+    // round-robin.
     let unit_shard = |i: usize| ((i / shape.tors_per_unit) * n_shards / shape.units) as u16;
     let mut shard_of = vec![0u16; world.len() + 1]; // +1 for the driver slot
     for (i, &tor) in tors.iter().enumerate() {

@@ -362,19 +362,11 @@ pub fn aggregate_nics(cluster: &Cluster) -> NicAggregate {
 }
 
 /// Run `collective` with a per-group buffer of `total_bytes` on every
-/// group of the fabric simultaneously (the §5 setup). Returns the built
-/// cluster alongside the metrics so callers can inspect raw state.
-pub fn run_collective_on(
-    cfg: &ExperimentConfig,
-    collective: Collective,
-    total_bytes: u64,
-) -> (ExperimentResult, Cluster) {
-    run_collective_with_faults(cfg, collective, total_bytes, &FaultPlan::none())
-}
-
-/// [`run_collective_on`] with a [`FaultPlan`] installed between workload
-/// setup and the run: the faults fire as scheduled simulator events, so
-/// the whole (config, plan) pair replays bit-identically.
+/// group of the fabric simultaneously (the §5 setup), with `plan`
+/// installed between workload setup and the run: the faults fire as
+/// scheduled simulator events, so the whole (config, plan) pair replays
+/// bit-identically ([`FaultPlan::none`] for a clean run). Returns the
+/// built cluster alongside the metrics so callers can inspect raw state.
 pub fn run_collective_with_faults(
     cfg: &ExperimentConfig,
     collective: Collective,
@@ -502,32 +494,14 @@ pub fn run_fat_tree_rings(
     )
 }
 
-/// Like [`run_collective_on`], discarding the cluster.
+/// [`run_collective_with_faults`] without faults, discarding the
+/// cluster.
 pub fn run_collective(
     cfg: &ExperimentConfig,
     collective: Collective,
     total_bytes: u64,
 ) -> ExperimentResult {
-    run_collective_on(cfg, collective, total_bytes).0
-}
-
-/// Run the same collective across `seeds`, one independent simulation
-/// per seed, fanned out over `runner`'s workers. Results come back in
-/// seed order and are bit-identical for any worker count (each cell
-/// derives all randomness from its own seed).
-pub fn run_seed_sweep(
-    cfg: &ExperimentConfig,
-    collective: Collective,
-    total_bytes: u64,
-    seeds: &[u64],
-    runner: crate::sweep::SweepRunner,
-) -> Vec<ExperimentResult> {
-    runner.run(seeds, |&seed| {
-        let mut cell = cfg.clone();
-        cell.seed = seed;
-        cell.fabric.seed = seed;
-        run_collective(&cell, collective, total_bytes)
-    })
+    run_collective_with_faults(cfg, collective, total_bytes, &FaultPlan::none()).0
 }
 
 /// The two ends of [`run_point_to_point`]: host 0 and the first host of

@@ -288,15 +288,7 @@ impl FaultPlan {
                     ControlMsg::SetReverseCorruptRate { rate_ppm }
                 }
                 Fault::Spray { on, .. } => ControlMsg::SetSprayEnabled { on },
-                Fault::TorFail { failed, .. } => {
-                    if failed {
-                        ControlMsg::TorLinkFailure
-                    } else {
-                        ControlMsg::TorLinkRecovery {
-                            lb: cluster.scheme.lb_policy(),
-                        }
-                    }
-                }
+                Fault::TorFail { failed, .. } => ControlMsg::TorLink { failed },
                 Fault::TargetedDrop { qp, psn, .. } => {
                     if let Ok(sw) = cluster.switch_mut(node) {
                         sw.inject_targeted_drop(QpId(qp), psn);

@@ -10,29 +10,21 @@
 //! * **Fig 1c** — the chosen flow's sending rate over time (paper: rate
 //!   sawtooths below the 100 Gbps line rate, average ≈ 86 Gbps).
 //! * **Fig 1d** — average per-flow throughput, NIC-SR vs. the Ideal
-//!   transport (paper: 68.09 vs. 95.43 Gbps).
+//!   transport (paper: 68.09 vs. 95.43 Gbps): [`Scheme::RandomSpray`]
+//!   against [`Scheme::Oracle`], which sprays the same way over the
+//!   loss-oracle transport with congestion control disabled.
 
 use crate::experiment::{driver_of, Collective, ExperimentConfig};
 use crate::scheme::Scheme;
 use crate::session::{Session, Start};
 use collectives::groups::all_groups;
-use rnic::NicConfig;
 use simcore::time::{Nanos, TimeDelta};
-
-/// Transport flavours compared in Fig 1d.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig1Transport {
-    /// Commodity NIC-SR + DCQCN (NACKs slow the sender).
-    NicSr,
-    /// The ideal upper bound: oracle-filtered NACKs, no slowdowns.
-    Ideal,
-}
 
 /// Result of one Fig 1 run.
 #[derive(Debug, Clone)]
 pub struct Fig1Result {
-    /// Which transport ran.
-    pub transport: Fig1Transport,
+    /// Which scheme ran: the NIC-SR leg or the Ideal one.
+    pub scheme: Scheme,
     /// Chosen flow's retransmission ratio per time bin (Fig 1b):
     /// `(bin start in µs, ratio)`.
     pub retx_ratio_series: Vec<(f64, f64)>,
@@ -57,34 +49,29 @@ pub struct Fig1Result {
     pub telemetry: telemetry::RunReport,
 }
 
-/// Run the Fig 1 motivation experiment on `shards` engine shards
-/// (1 = serial).
+/// Run the Fig 1 motivation experiment under `scheme` on `shards`
+/// engine shards (1 = serial): [`Scheme::RandomSpray`] is the NIC-SR
+/// leg, [`Scheme::Oracle`] the Ideal one.
 ///
 /// `bytes_per_flow` is the paper's 100 MB at full scale; smaller values
 /// preserve the shape. Bin widths control series resolution. The result
 /// — including the telemetry snapshot — is bit-identical for any shard
 /// count.
 pub fn run_fig1_sharded(
-    transport: Fig1Transport,
+    scheme: Scheme,
     bytes_per_flow: u64,
     trace_bin: TimeDelta,
     seed: u64,
     shards: usize,
 ) -> Fig1Result {
-    let mut cfg = ExperimentConfig::motivation_small(Scheme::RandomSpray, seed);
+    let mut cfg = ExperimentConfig::motivation_small(scheme, seed);
     cfg.shards = shards;
-    let line = cfg.fabric.host_link.bandwidth_bps;
-    cfg.nic = match transport {
-        Fig1Transport::NicSr => NicConfig::nic_sr(line),
-        Fig1Transport::Ideal => NicConfig::ideal(line),
-    };
     // The paper does not state Fig 1's DCQCN parameters. The fast-recovery
     // regime (T_I = 10 µs, T_D = 100 µs) reproduces the reported shape: a
     // sending-rate sawtooth averaging ~86% of line rate with dips toward
     // 50%, and a double-digit retransmission ratio. See EXPERIMENTS.md.
-    if transport == Fig1Transport::NicSr {
-        cfg.nic.cc = rnic::CcConfig::with_ti_td(10, 100);
-    }
+    // The Oracle scheme disables congestion control over it.
+    cfg.nic.cc = rnic::CcConfig::with_ti_td(10, 100);
     cfg.horizon = Nanos::from_secs(60);
 
     let cluster =
@@ -167,7 +154,7 @@ pub fn run_fig1_sharded(
     telemetry.sort();
 
     Fig1Result {
-        transport,
+        scheme,
         retx_ratio_series,
         rate_series,
         avg_retx_ratio: nics.retx_ratio(),
@@ -187,15 +174,15 @@ mod tests {
 
     /// One scaled-down run (2 MB flows); `THEMIS_SHARDS` picks the
     /// engine shard count so the sharded CI leg covers this suite.
-    fn run(transport: Fig1Transport) -> Fig1Result {
+    fn run(scheme: Scheme) -> Fig1Result {
         let shards = crate::knobs::shards_from_env();
-        run_fig1_sharded(transport, 2 << 20, TimeDelta::from_micros(20), 42, shards)
+        run_fig1_sharded(scheme, 2 << 20, TimeDelta::from_micros(20), 42, shards)
     }
 
     /// A scaled-down Fig 1 run exercises the whole pipeline.
     #[test]
     fn nic_sr_shows_spurious_retransmissions_and_slowdown() {
-        let r = run(Fig1Transport::NicSr);
+        let r = run(Scheme::RandomSpray);
         assert!(r.completed, "flows must finish");
         assert_eq!(r.drops, 0, "no loss in the motivation scenario");
         // The paper's headline: double-digit spurious retransmission rate.
@@ -213,8 +200,8 @@ mod tests {
 
     #[test]
     fn ideal_transport_is_clean_and_faster() {
-        let sr = run(Fig1Transport::NicSr);
-        let ideal = run(Fig1Transport::Ideal);
+        let sr = run(Scheme::RandomSpray);
+        let ideal = run(Scheme::Oracle);
         assert!(ideal.completed);
         assert_eq!(ideal.retx_packets, 0, "no loss -> ideal never retransmits");
         assert!(

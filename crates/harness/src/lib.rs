@@ -17,8 +17,9 @@
 //!   scheduled through ordinary simulator events.
 //! * [`oracle`] — the trace-driven protocol-invariant oracle every run
 //!   can be audited against.
-//! * [`fig1`] — the §2.2 motivation experiment (Fig 1b/1c/1d).
-//! * [`fig5`] — the §5 DCQCN-sweep evaluation (Fig 5a/5b).
+//! * [`fig1`] — the §2.2 motivation experiment (Fig 1b/1c/1d). The §5
+//!   DCQCN sweep (Fig 5a/5b) is `bin/fig5.rs`: [`sweep`] cells of
+//!   [`run_collective`] and [`run_fat_tree_rings`].
 //! * [`report`] — plain-text tables and series for terminal output.
 //! * [`sweep`] — parallel fan-out of independent sweep cells
 //!   (`--jobs N` in the binaries), deterministic in cell order.
@@ -52,7 +53,6 @@ pub mod coverage;
 pub mod experiment;
 pub mod faults;
 pub mod fig1;
-pub mod fig5;
 pub mod json;
 pub mod knobs;
 pub mod load;
@@ -72,12 +72,11 @@ pub use cluster::{
 };
 pub use coverage::{fuzz, CorpusCase, FeatureMap, FuzzConfig, FuzzReport, Mode};
 pub use experiment::{
-    expected_delivered_bytes, planned_transfers, run_collective, run_collective_on,
-    run_collective_with_faults, run_fat_tree_rings, run_point_to_point, run_seed_sweep, Collective,
-    CompletionOutcome, ExperimentConfig, ExperimentResult, NicAggregate, SchemeAggregate,
+    expected_delivered_bytes, planned_transfers, run_collective, run_collective_with_faults,
+    run_fat_tree_rings, run_point_to_point, Collective, CompletionOutcome, ExperimentConfig,
+    ExperimentResult, NicAggregate, SchemeAggregate,
 };
 pub use faults::{Fault, FaultEvent, FaultPlan, FaultSpace};
-pub use fig5::{run_fig5_fat_tree, run_fig5_with, FatTreeLegConfig, FatTreePoint};
 pub use knobs::shards_from_env;
 pub use load::{run_open_loop, InvalidConfig, LoadConfig, LoadReport};
 pub use mcheck::{brute_force_executions, explore, CheckConfig, CheckReport, EvictionMode};

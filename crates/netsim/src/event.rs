@@ -92,14 +92,13 @@ pub enum ControlMsg {
         psn: u32,
     },
     /// Failure-monitor notification to a ToR (Pingmesh-style, §6): a
-    /// fabric link failed. The switch reverts its uplink policy to ECMP
-    /// and tells its hook to stop spraying.
-    TorLinkFailure,
-    /// The failed link recovered: restore the given LB policy and resume
-    /// the hook.
-    TorLinkRecovery {
-        /// Policy to restore on the uplink group.
-        lb: crate::lb::LbPolicy,
+    /// fabric link failed, or the failed link recovered. On failure the
+    /// switch reverts its uplink policy to ECMP and tells its hook to
+    /// stop spraying; on recovery it restores the policy it was built
+    /// with and resumes the hook.
+    TorLink {
+        /// True = failed, false = recovered.
+        failed: bool,
     },
     /// Fault injection (switch): administratively take egress port `port`
     /// down (or bring it back up). A down port blackholes everything

@@ -27,7 +27,7 @@
 use crate::lb::LbPolicy;
 use crate::port::{EcnConfig, EgressPort, LinkSpec};
 use crate::switch::{PfcConfig, Routes, Switch, SwitchConfig};
-use crate::topology::HostAttachment;
+use crate::topology::{FabricPlan, HostAttachment};
 use crate::types::{HostId, NodeId, PortId};
 use crate::world::World;
 
@@ -69,6 +69,11 @@ impl FatTreeConfig {
         }
     }
 
+    /// Hosts (NICs) per ToR: `k/2`.
+    pub fn hosts_per_tor(&self) -> usize {
+        self.k / 2
+    }
+
     /// Hosts per pod: `(k/2)²`.
     pub fn hosts_per_pod(&self) -> usize {
         (self.k / 2) * (self.k / 2)
@@ -79,53 +84,26 @@ impl FatTreeConfig {
         self.k * self.hosts_per_pod()
     }
 
-    /// Equal-cost paths between hosts in different pods: `(k/2)²`.
+    /// ToR (edge) switches: `k²/2`.
+    pub fn n_tors(&self) -> usize {
+        self.k * self.k / 2
+    }
+
+    /// Aggregation switches: `k²/2`.
+    pub fn n_aggs(&self) -> usize {
+        self.k * self.k / 2
+    }
+
+    /// Core switches: `k²/4`.
+    pub fn n_cores(&self) -> usize {
+        self.k * self.k / 4
+    }
+
+    /// Equal-cost paths between hosts in different pods: `(k/2)²`, one
+    /// per core switch.
     pub fn n_paths(&self) -> usize {
         (self.k / 2) * (self.k / 2)
     }
-}
-
-/// A built fat-tree: switches installed, host slots reserved.
-pub struct FatTreePlan {
-    /// The world (host slots empty).
-    pub world: World,
-    /// Host attachments, indexed by host id.
-    pub hosts: Vec<HostAttachment>,
-    /// Edge (ToR) switches, indexed `pod * m + e`.
-    pub edges: Vec<NodeId>,
-    /// Aggregation switches, indexed `pod * m + a`.
-    pub aggs: Vec<NodeId>,
-    /// Core switches, indexed `a * m + j`.
-    pub cores: Vec<NodeId>,
-    /// Inter-pod equal-cost path count `(k/2)²`.
-    pub n_paths: usize,
-    /// Radix.
-    pub k: usize,
-}
-
-impl FatTreePlan {
-    /// Pod of `host`.
-    pub fn pod_of(&self, host: HostId) -> usize {
-        let m = self.k / 2;
-        host.index() / (m * m)
-    }
-
-    /// Edge switch of `host`.
-    pub fn edge_of(&self, host: HostId) -> NodeId {
-        self.hosts[host.index()].tor
-    }
-}
-
-/// First entity slot of the edge tier: hosts occupy `0..n_hosts`, then
-/// edges, aggs, cores follow in installation order.
-fn edge_node(n_hosts: usize, i: usize) -> NodeId {
-    NodeId((n_hosts + i) as u32)
-}
-fn agg_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
-    NodeId((n_hosts + k * (k / 2) + i) as u32)
-}
-fn core_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
-    NodeId((n_hosts + 2 * k * (k / 2) + i) as u32)
 }
 
 /// Build a `k`-ary fat-tree with uplink policy `lb` on every switch,
@@ -134,15 +112,25 @@ fn core_node(n_hosts: usize, k: usize, i: usize) -> NodeId {
 /// `h / m²`, edge `(h / m) % m`, slot `h % m`) occupies entity slot
 /// `NodeId(h)`. Every switch routes by its [`Routes`] rule: the hosts
 /// below it are one contiguous range.
-pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: bool) -> FatTreePlan {
+///
+/// In the returned plan, `leaves` are the edges (indexed `pod * m + e`)
+/// and `spines` are the aggregation switches (indexed `pod * m + a`,
+/// the `pod_local` ones) followed by the cores (indexed `a * m + j`).
+pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: bool) -> FabricPlan {
     let k = cfg.k;
-    let m = k / 2;
+    let m = cfg.hosts_per_tor();
     assert!(k >= 2 && k.is_multiple_of(2), "fat-tree radix must be even");
     assert!(
         m.is_power_of_two(),
         "k/2 must be a power of two for XOR path steering"
     );
     let n_hosts = cfg.n_hosts();
+    let (n_tors, n_aggs) = (cfg.n_tors(), cfg.n_aggs());
+    // Hosts occupy `0..n_hosts`, then edges, aggs and cores follow in
+    // installation order.
+    let edge_node = |i: usize| NodeId((n_hosts + i) as u32);
+    let agg_node = |i: usize| NodeId((n_hosts + n_tors + i) as u32);
+    let core_node = |i: usize| NodeId((n_hosts + n_tors + n_aggs + i) as u32);
     let mut world = World::new();
 
     let host_nodes: Vec<NodeId> = (0..n_hosts).map(|_| world.reserve()).collect();
@@ -170,87 +158,76 @@ pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: boo
     let fabric_port = |peer: NodeId, peer_in_port: usize| {
         EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
     };
-    let install = |world: &mut World, mut sw: Switch| -> NodeId {
+    let install = |world: &mut World, mut sw: Switch, id: NodeId| {
         sw.set_ecn_all_ports(|pt| Some(EcnConfig::for_bandwidth(pt.link.bandwidth_bps)));
-        world.add(Box::new(sw))
+        assert_eq!(world.add(Box::new(sw)), id, "switch node-id drift");
     };
 
     // Installation order (edges, aggs, cores) must match the arithmetic
     // node ids the ports are wired against.
 
     let mut hosts = Vec::with_capacity(n_hosts);
-    let mut edges = Vec::with_capacity(k * m);
-    for i in 0..k * m {
+    for i in 0..n_tors {
         let (p, e) = (i / m, i % m);
         let mut sw = new_switch(i as u64, 0, i * m, m, 1);
         // Host ports 0..m.
         for s in 0..m {
-            let port = EgressPort::new(host_nodes[i * m + s], PortId(0), cfg.host_link);
-            sw.add_port(port, true);
-        }
-        // Uplinks m..2m: to each agg of this pod. Our packets arrive
-        // at agg (p, a) on its downlink port e.
-        for a in 0..m {
-            sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), e), false);
-        }
-        sw.set_uplinks((m..2 * m).collect());
-        let id = install(&mut world, sw);
-        assert_eq!(id, edge_node(n_hosts, i), "edge node-id drift");
-        for s in 0..m {
+            let node = host_nodes[i * m + s];
+            sw.add_port(EgressPort::new(node, PortId(0), cfg.host_link), true);
             hosts.push(HostAttachment {
-                host: HostId((i * m + s) as u32),
-                node: host_nodes[i * m + s],
-                tor: id,
+                host: HostId(node.0),
+                node,
+                tor: edge_node(i),
                 tor_port: PortId(s as u16),
                 link: cfg.host_link,
             });
         }
-        edges.push(id);
+        // Uplinks m..2m: to each agg of this pod. Our packets arrive
+        // at agg (p, a) on its downlink port e.
+        for a in 0..m {
+            sw.add_port(fabric_port(agg_node(p * m + a), e), false);
+        }
+        sw.set_uplinks((m..2 * m).collect());
+        install(&mut world, sw, edge_node(i));
     }
 
-    let mut aggs = Vec::with_capacity(k * m);
-    for p in 0..k {
-        for a in 0..m {
-            let salt = 10_000 + (p * m + a) as u64;
-            let mut sw = new_switch(salt, AGG_ECMP_SHIFT, p * m * m, m * m, m);
-            // Downlinks 0..m to edges; our packets arrive at edge (p, e)
-            // on its uplink port m + a.
-            for e in 0..m {
-                sw.add_port(fabric_port(edge_node(n_hosts, p * m + e), m + a), false);
-            }
-            // Uplinks m..2m to cores a*m + j; arrive at core port p.
-            for j in 0..m {
-                sw.add_port(fabric_port(core_node(n_hosts, k, a * m + j), p), false);
-            }
-            sw.set_uplinks((m..2 * m).collect());
-            let id = install(&mut world, sw);
-            assert_eq!(id, agg_node(n_hosts, k, p * m + a), "agg node-id drift");
-            aggs.push(id);
+    for i in 0..n_aggs {
+        let (p, a) = (i / m, i % m);
+        let mut sw = new_switch(10_000 + i as u64, AGG_ECMP_SHIFT, p * m * m, m * m, m);
+        // Downlinks 0..m to edges; our packets arrive at edge (p, e)
+        // on its uplink port m + a.
+        for e in 0..m {
+            sw.add_port(fabric_port(edge_node(p * m + e), m + a), false);
         }
+        // Uplinks m..2m to cores a*m + j; arrive at core port p.
+        for j in 0..m {
+            sw.add_port(fabric_port(core_node(a * m + j), p), false);
+        }
+        sw.set_uplinks((m..2 * m).collect());
+        install(&mut world, sw, agg_node(i));
     }
 
     // Every core steers each host to its pod.
-    let mut cores = Vec::with_capacity(m * m);
-    for c in 0..m * m {
+    for c in 0..cfg.n_cores() {
         let (a, j) = (c / m, c % m);
         let mut sw = new_switch(20_000 + c as u64, 0, 0, n_hosts, m * m);
         // Port p towards agg (p, a); arrives at agg uplink port m + j.
         for p in 0..k {
-            sw.add_port(fabric_port(agg_node(n_hosts, k, p * m + a), m + j), false);
+            sw.add_port(fabric_port(agg_node(p * m + a), m + j), false);
         }
-        let id = install(&mut world, sw);
-        assert_eq!(id, core_node(n_hosts, k, c), "core node-id drift");
-        cores.push(id);
+        install(&mut world, sw, core_node(c));
     }
 
-    FatTreePlan {
+    FabricPlan {
         world,
         hosts,
-        edges,
-        aggs,
-        cores,
+        leaves: (0..n_tors).map(edge_node).collect(),
+        spines: (0..n_aggs)
+            .map(agg_node)
+            .chain((0..cfg.n_cores()).map(core_node))
+            .collect(),
+        pod_local: n_aggs,
         n_paths: cfg.n_paths(),
-        k,
     }
 }
 
@@ -270,9 +247,9 @@ mod tests {
         assert_eq!(cfg.n_paths(), 4);
         let plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         assert_eq!(plan.hosts.len(), 16);
-        assert_eq!(plan.edges.len(), 8);
-        assert_eq!(plan.aggs.len(), 8);
-        assert_eq!(plan.cores.len(), 4);
+        assert_eq!(plan.leaves.len(), 8);
+        assert_eq!(plan.pod_local, 8);
+        assert_eq!(plan.spines.len() - plan.pod_local, 4);
         assert_eq!(plan.world.len(), 16 + 8 + 8 + 4);
     }
 
@@ -282,7 +259,24 @@ mod tests {
         let plan = build_fat_tree(&cfg, LbPolicy::Ecmp, false);
         assert_eq!(plan.hosts.len(), 128);
         assert_eq!(plan.n_paths, 16);
-        assert_eq!(plan.cores.len(), 16);
+        assert_eq!(plan.spines.len() - plan.pod_local, 16);
+    }
+
+    #[test]
+    fn k32_counts_match_paper() {
+        let cfg = FatTreeConfig::small(32);
+        assert_eq!(cfg.n_tors(), 512);
+        assert_eq!(cfg.n_aggs(), 512);
+        assert_eq!(cfg.n_cores(), 256);
+        assert_eq!(cfg.n_hosts(), 8192);
+        assert_eq!(cfg.hosts_per_tor(), 16);
+        assert_eq!(cfg.n_paths(), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "even")]
+    fn rejects_odd_radix() {
+        build_fat_tree(&FatTreeConfig::small(3), LbPolicy::Ecmp, false);
     }
 
     #[test]
@@ -292,18 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn pods_and_edges_assigned_correctly() {
+    fn edges_assigned_correctly() {
         let plan = build_fat_tree(&FatTreeConfig::small(4), LbPolicy::Ecmp, false);
-        assert_eq!(plan.pod_of(HostId(0)), 0);
-        assert_eq!(plan.pod_of(HostId(3)), 0);
-        assert_eq!(plan.pod_of(HostId(4)), 1);
-        assert_eq!(plan.pod_of(HostId(15)), 3);
         // Hosts 0,1 share edge (0,0); hosts 2,3 share edge (0,1).
-        assert_eq!(plan.edge_of(HostId(0)), plan.edge_of(HostId(1)));
-        assert_ne!(plan.edge_of(HostId(0)), plan.edge_of(HostId(2)));
+        assert_eq!(plan.hosts[0].tor, plan.hosts[1].tor);
+        assert_ne!(plan.hosts[0].tor, plan.hosts[2].tor);
     }
 
-    fn wiring(plan: &FatTreePlan) -> Vec<u64> {
+    fn wiring(plan: &FabricPlan) -> Vec<u64> {
         crate::topology::wiring(&plan.world, plan.hosts.len())
     }
 
@@ -355,7 +345,7 @@ mod tests {
             plan.world.install(att.node, Box::new(Sink { got: vec![] }));
         }
         // Host 0 (pod 0) -> host 15 (pod 3), 64 different sports.
-        let src_edge = plan.edge_of(HostId(0));
+        let src_edge = plan.hosts[0].tor;
         for sport in 0..64u16 {
             let pkt = Packet::data(
                 QpId(sport as u32),
@@ -398,7 +388,7 @@ mod tests {
         let pkt = Packet::data(QpId(1), HostId(0), HostId(2), 777, 0, 0, false, 1000, false);
         plan.world.seed_event(
             Nanos::ZERO,
-            plan.edge_of(HostId(0)),
+            plan.hosts[0].tor,
             Event::Packet {
                 pkt,
                 in_port: PortId(0),
@@ -408,7 +398,7 @@ mod tests {
         let sink: &Sink = plan.world.get(NodeId(2)).unwrap();
         assert_eq!(sink.got.len(), 1);
         // Cores saw nothing.
-        for &c in &plan.cores {
+        for &c in &plan.spines[plan.pod_local..] {
             let sw: &Switch = plan.world.get(c).unwrap();
             assert_eq!(
                 sw.stats.rx_packets, 0,
@@ -424,7 +414,7 @@ mod tests {
         for att in &plan.hosts {
             plan.world.install(att.node, Box::new(Sink { got: vec![] }));
         }
-        let src_edge = plan.edge_of(HostId(0));
+        let src_edge = plan.hosts[0].tor;
         // Many flows with different entropy: every core should see some.
         for sport in 0..256u16 {
             let pkt = Packet::data(
@@ -448,7 +438,7 @@ mod tests {
             );
         }
         plan.world.run();
-        for &c in &plan.cores {
+        for &c in &plan.spines[plan.pod_local..] {
             let sw: &Switch = plan.world.get(c).unwrap();
             assert!(
                 sw.stats.rx_packets > 0,

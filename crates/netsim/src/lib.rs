@@ -15,7 +15,8 @@
 //! * [`hash`] — CRC-16 based flow hash whose *linearity* enables the
 //!   PathMap construction of the paper (§3.2, \[37\]).
 //! * [`topology`] — leaf-spine builder, the Fig 1a motivation topology,
-//!   and fat-tree arithmetic for the §4 memory example.
+//!   and [`FabricPlan`], the built fabric of either tier count.
+//! * [`fat_tree`] — the 3-tier fat-tree builder and its sizes.
 //! * [`world`] — entity registry and event dispatch on top of
 //!   [`simcore::Engine`].
 //!
@@ -39,7 +40,7 @@ pub mod types;
 pub mod world;
 
 pub use event::{ControlMsg, Event, Routed};
-pub use fat_tree::{build_fat_tree, FatTreeConfig, FatTreePlan};
+pub use fat_tree::{build_fat_tree, FatTreeConfig};
 pub use hooks::{HookCtx, ReverseAction, TorHook};
 pub use lb::LbPolicy;
 pub use packet::{Packet, PacketKind};

@@ -163,7 +163,11 @@ pub struct Switch {
     host_facing: Vec<bool>,
     routes: Routes,
     uplinks: Vec<usize>,
+    /// The uplink policy in force: `built_lb`, or ECMP while a ToR link
+    /// failure is reported.
     lb: LbPolicy,
+    /// The uplink policy the switch was built with.
+    built_lb: LbPolicy,
     lb_state: LbState,
     buffer: SharedBuffer,
     hook: Option<Box<dyn TorHook>>,
@@ -194,6 +198,7 @@ impl Switch {
             },
             uplinks: Vec::new(),
             lb: cfg.lb,
+            built_lb: cfg.lb,
             lb_state: LbState::new(cfg.seed, cfg.ecmp_shift),
             buffer: SharedBuffer::new(cfg.buffer_bytes),
             hook: None,
@@ -582,18 +587,16 @@ impl Entity for Switch {
                     p.set_paused(pause, in_port, ctx);
                 }
             }
-            Event::Control(ControlMsg::TorLinkFailure) => {
+            Event::Control(ControlMsg::TorLink { failed }) => {
                 // §6: revert to ECMP and stop the hook's spraying until
-                // the monitor reports recovery.
-                self.lb = LbPolicy::Ecmp;
+                // the monitor reports recovery, then restore both.
+                self.lb = if failed {
+                    LbPolicy::Ecmp
+                } else {
+                    self.built_lb
+                };
                 if let Some(h) = self.hook.as_mut() {
-                    h.on_link_event(true);
-                }
-            }
-            Event::Control(ControlMsg::TorLinkRecovery { lb }) => {
-                self.lb = lb;
-                if let Some(h) = self.hook.as_mut() {
-                    h.on_link_event(false);
+                    h.on_link_event(failed);
                 }
             }
             Event::Control(ControlMsg::SetPortDown { port, down }) => {

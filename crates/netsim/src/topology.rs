@@ -3,12 +3,11 @@
 //! * [`build_leaf_spine`] — the 2-tier Clos fabrics used throughout the
 //!   paper's evaluation: the 16×16 leaf-spine of §5 and the 8-host
 //!   motivation topology of Fig 1a.
-//! * [`FatTreeDims`] — arithmetic for the 3-tier fat-tree of the §4 memory
-//!   example (k = 32 → 512 ToRs, 8192 NICs, 256 equal-cost paths).
+//! * [`crate::fat_tree::build_fat_tree`] — the 3-tier fat-tree.
 //!
 //! Builders create and wire all switches, reserve entity slots for host
-//! NICs (the `rnic` crate installs them), and return a [`FabricPlan`]
-//! describing every attachment point.
+//! NICs (the `rnic` crate installs them), and return one [`FabricPlan`]
+//! describing every attachment point, whatever the tier count.
 //!
 //! ## Path-index convention
 //!
@@ -102,26 +101,24 @@ pub struct HostAttachment {
     pub link: LinkSpec,
 }
 
-/// A built fabric: all switches installed, host slots reserved.
+/// A built fabric of either tier count: all switches installed, host
+/// slots reserved.
 pub struct FabricPlan {
     /// The world holding the switches (host slots still empty).
     pub world: World,
     /// One attachment per host, indexed by host id.
     pub hosts: Vec<HostAttachment>,
-    /// Leaf switch entity ids, by leaf index.
+    /// The ToR switches: a leaf-spine's leaves, a fat-tree's edges.
     pub leaves: Vec<NodeId>,
-    /// Spine switch entity ids, by spine index.
+    /// Every other switch: a leaf-spine's spines by spine index; a
+    /// fat-tree's aggregation tier (pod-major), then its cores.
     pub spines: Vec<NodeId>,
-    /// Number of equal-cost paths between hosts on different leaves.
+    /// How many leading `spines` belong to one pod (a fat-tree's
+    /// aggregation tier); 0 on a leaf-spine.
+    pub pod_local: usize,
+    /// Number of equal-cost paths between hosts on different ToRs (a
+    /// fat-tree's: in different pods).
     pub n_paths: usize,
-}
-
-impl FabricPlan {
-    /// Leaf index of `host`.
-    pub fn leaf_of(&self, host: HostId) -> usize {
-        let hpl = self.hosts.len() / self.leaves.len();
-        host.index() / hpl
-    }
 }
 
 /// Build a leaf-spine fabric per `cfg`, with uplink policy `lb` on every
@@ -217,54 +214,8 @@ pub fn build_leaf_spine(
         hosts,
         leaves: (0..cfg.n_leaves).map(leaf_node).collect(),
         spines: (0..cfg.n_spines).map(spine_node).collect(),
+        pod_local: 0,
         n_paths: cfg.n_spines,
-    }
-}
-
-/// Dimensions of a 3-tier fat-tree built from `k`-port switches
-/// (Al-Fares et al. \[9\]), as used by the §4 memory example.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FatTreeDims {
-    /// Switch radix.
-    pub k: usize,
-}
-
-impl FatTreeDims {
-    /// Dimensions for radix `k` (must be even).
-    pub fn new(k: usize) -> FatTreeDims {
-        assert!(k >= 2 && k.is_multiple_of(2), "fat-tree radix must be even");
-        FatTreeDims { k }
-    }
-
-    /// Number of ToR (edge/leaf) switches: k²/2.
-    pub fn n_tors(&self) -> usize {
-        self.k * self.k / 2
-    }
-
-    /// Number of aggregation (spine) switches: k²/2.
-    pub fn n_spines(&self) -> usize {
-        self.k * self.k / 2
-    }
-
-    /// Number of core switches: k²/4.
-    pub fn n_cores(&self) -> usize {
-        self.k * self.k / 4
-    }
-
-    /// Number of hosts (GPUs/NICs): k³/4.
-    pub fn n_hosts(&self) -> usize {
-        self.k * self.k * self.k / 4
-    }
-
-    /// Hosts (NICs) per ToR: k/2.
-    pub fn hosts_per_tor(&self) -> usize {
-        self.k / 2
-    }
-
-    /// Maximum number of equal-cost paths between hosts in different pods:
-    /// (k/2)² (one per core switch reachable via k/2 aggregation choices).
-    pub fn max_equal_cost_paths(&self) -> usize {
-        (self.k / 2) * (self.k / 2)
     }
 }
 
@@ -336,6 +287,7 @@ mod tests {
         assert_eq!(plan.hosts.len(), 256);
         assert_eq!(plan.leaves.len(), 16);
         assert_eq!(plan.spines.len(), 16);
+        assert_eq!(plan.pod_local, 0);
         assert_eq!(plan.n_paths, 16);
         assert_eq!(plan.world.len(), 256 + 32);
     }
@@ -350,8 +302,7 @@ mod tests {
         for h in 0..8u32 {
             let next = (h + 2) % 8;
             assert_ne!(
-                plan.leaf_of(HostId(h)),
-                plan.leaf_of(HostId(next)),
+                plan.hosts[h as usize].tor, plan.hosts[next as usize].tor,
                 "ring hop {h}->{next} must cross racks"
             );
         }
@@ -392,22 +343,5 @@ mod tests {
                 PortId((cfg.hosts_per_leaf + 1) as u16)
             );
         }
-    }
-
-    #[test]
-    fn fat_tree_k32_matches_paper() {
-        let ft = FatTreeDims::new(32);
-        assert_eq!(ft.n_tors(), 512);
-        assert_eq!(ft.n_spines(), 512);
-        assert_eq!(ft.n_cores(), 256);
-        assert_eq!(ft.n_hosts(), 8192);
-        assert_eq!(ft.hosts_per_tor(), 16);
-        assert_eq!(ft.max_equal_cost_paths(), 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn fat_tree_odd_radix_rejected() {
-        FatTreeDims::new(3);
     }
 }

@@ -80,9 +80,8 @@ impl OooBitmap {
     /// Slide the window down by `n` positions.
     fn shift(&mut self, n: u64) {
         // Cheap path: drop whole words.
-        let whole_words = (n / WORD_BITS) as usize;
-        for _ in 0..whole_words.min(self.words.len()) {
-            let w = self.words.pop_front().expect("len checked");
+        let whole_words = ((n / WORD_BITS) as usize).min(self.words.len());
+        for w in self.words.drain(..whole_words) {
             self.set_count -= w.count_ones() as usize;
         }
         let rem = n % WORD_BITS;

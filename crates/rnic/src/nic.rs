@@ -533,8 +533,7 @@ impl Nic {
             ControlMsg::SetRxCorruptRate { rate_ppm } => {
                 self.rx_corrupt_ppm = rate_ppm;
             }
-            ControlMsg::TorLinkFailure
-            | ControlMsg::TorLinkRecovery { .. }
+            ControlMsg::TorLink { .. }
             | ControlMsg::SetPortDown { .. }
             | ControlMsg::SetPortLossRate { .. }
             | ControlMsg::SetPortExtraDelay { .. }

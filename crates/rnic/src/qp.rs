@@ -223,6 +223,10 @@ impl SendQp {
         Some(Packet::handshake(self.qp, self.me, self.dst, self.sport))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the sender only (re)transmits PSNs of messages it has not yet retired"
+    )]
     fn msg_for(&self, psn: u64) -> &PostedMsg {
         self.msgs
             .iter()

@@ -208,6 +208,10 @@ impl<T> Slab<T> {
 
     /// Remove the payload stored at `slot` and free the slot.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a filed key's slab slot holds its payload until popped"
+    )]
     fn take(&mut self, slot: u32) -> T {
         self.free.push(slot);
         self.slot(slot)

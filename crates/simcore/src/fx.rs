@@ -39,11 +39,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        let (chunks, rest) = bytes.as_chunks::<8>();
+        for &c in chunks {
+            self.add_to_hash(u64::from_le_bytes(c));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut buf = [0u8; 8];
             buf[..rest.len()].copy_from_slice(rest);

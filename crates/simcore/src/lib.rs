@@ -24,6 +24,11 @@
 //! ([`time::Nanos`]), ordered event delivery ([`event::EventQueue`]),
 //! pseudo-randomness ([`rng`]) and measurement utilities ([`stats`]).
 
+// Non-test code states its invariants (`#[expect(.., reason)]` at the
+// sites that keep one) instead of unwrapping, expecting or panicking;
+// tests are exempt through clippy.toml.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod engine;
 pub mod event;
 pub mod fx;

@@ -185,7 +185,12 @@ fn main() {
     );
     for scheme in [Scheme::Ecmp, Scheme::Flowlet, Scheme::Themis] {
         let cfg = ExperimentConfig::motivation_small(scheme, 23);
-        let (r, cluster) = harness::run_collective_on(&cfg, Collective::RingOnce, bytes * 2);
+        let (r, cluster) = harness::run_collective_with_faults(
+            &cfg,
+            Collective::RingOnce,
+            bytes * 2,
+            &harness::FaultPlan::none(),
+        );
         let repicks: u64 = cluster
             .leaves
             .iter()

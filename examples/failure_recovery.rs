@@ -38,18 +38,17 @@ fn main() {
     );
     session.kick_off();
 
-    let restored = Scheme::Themis.lb_policy();
     let cluster = &mut session.cluster;
     for &leaf in &cluster.leaves.clone() {
         cluster.world.seed_event(
             Nanos::from_micros(300),
             leaf,
-            Event::Control(ControlMsg::TorLinkFailure),
+            Event::Control(ControlMsg::TorLink { failed: true }),
         );
         cluster.world.seed_event(
             Nanos::from_micros(700),
             leaf,
-            Event::Control(ControlMsg::TorLinkRecovery { lb: restored }),
+            Event::Control(ControlMsg::TorLink { failed: false }),
         );
     }
     session.run_to(cfg.horizon);

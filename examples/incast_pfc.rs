@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example incast_pfc`
 
-use themis::harness::{Collective, ExperimentConfig, Scheme};
+use themis::harness::{
+    run_collective_with_faults, Collective, ExperimentConfig, FaultPlan, Scheme,
+};
 use themis::netsim::topology::LeafSpineConfig;
 use themis::simcore::time::Nanos;
 
@@ -31,7 +33,8 @@ fn main() {
             horizon: Nanos::from_secs(5),
             shards: themis::harness::shards_from_env(),
         };
-        let (r, cluster) = themis::harness::run_collective_on(&cfg, Collective::Incast, 8 << 20);
+        let (r, cluster) =
+            run_collective_with_faults(&cfg, Collective::Incast, 8 << 20, &FaultPlan::none());
         let pauses: u64 = cluster
             .all_switches()
             .iter()

@@ -12,7 +12,6 @@
 
 use themis::harness::{run_fat_tree_rings, Scheme};
 use themis::netsim::fat_tree::FatTreeConfig;
-use themis::netsim::topology::FatTreeDims;
 use themis::rnic::NicConfig;
 use themis::themis_core::memory::MemoryModel;
 
@@ -102,16 +101,16 @@ fn print_model(name: &str, m: &MemoryModel) {
 }
 
 fn main() {
-    let ft = FatTreeDims::new(32);
+    let ft = FatTreeConfig::small(32);
     println!("Fat-tree k=32 (paper §4 example):");
     println!(
         "  {} ToRs, {} spines, {} cores, {} NICs, {} hosts/ToR, {} equal-cost paths\n",
         ft.n_tors(),
-        ft.n_spines(),
+        ft.n_aggs(),
         ft.n_cores(),
         ft.n_hosts(),
         ft.hosts_per_tor(),
-        ft.max_equal_cost_paths()
+        ft.n_paths()
     );
 
     let reference = MemoryModel::table1_reference();

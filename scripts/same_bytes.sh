@@ -15,8 +15,9 @@
 # differs.
 #
 # The command list covers every door and both engines:
-#   fig1 2                                  (leaf-spine, spray vs ideal)
+#   fig1 2, serial and --jobs 2 --shards 2  (leaf-spine, spray vs ideal)
 #   fig5 alltoall 1, serial and --jobs 2 --shards 2
+#   fig5 --fat-tree 1 --scheme ecmp,themis  (k=16 fat-tree ring leg)
 #   themis_sim collective on the motivation fabric, one run per scheme
 #     that changes the NIC or the ToR (themis, reps, eunomia, sprinklers,
 #     oracle), plus flowlet (the only run that moves
@@ -83,9 +84,12 @@ run_all() {
     mkdir -p "$out"
     cd "$out"
     "$bin/fig1" 2 --telemetry fig1.json | mask fig1.out
+    "$bin/fig1" 2 --jobs 2 --shards 2 --telemetry fig1_par.json | mask fig1_par.out
     "$bin/fig5" alltoall 1 --telemetry fig5.json | mask fig5.out
     "$bin/fig5" alltoall 1 --jobs 2 --shards 2 --telemetry fig5_par.json \
         | mask fig5_par.out
+    "$bin/fig5" --fat-tree 1 --scheme ecmp,themis --telemetry fig5_ft.json \
+        | mask fig5_ft.out
     for scheme in themis reps eunomia sprinklers oracle flowlet; do
         "$bin/themis_sim" collective --fabric motivation --collective alltoall \
             --mb 2 --scheme "$scheme" --telemetry "sim_$scheme.json" \

@@ -5,7 +5,9 @@
 //! predicts must hold on the ring workloads.
 
 use themis::harness::oracle::{assert_conformant, OracleConfig};
-use themis::harness::{run_collective, run_collective_on, Collective, ExperimentConfig, Scheme};
+use themis::harness::{
+    run_collective, run_collective_with_faults, Collective, ExperimentConfig, FaultPlan, Scheme,
+};
 
 /// Expected delivered payload bytes for a collective over `groups`
 /// groups of `n` ranks with per-group buffer `total`.
@@ -39,7 +41,8 @@ fn all_collectives_complete_under_all_schemes() {
             Scheme::ThemisPathMap,
         ] {
             let cfg = ExperimentConfig::motivation_small(scheme, 31);
-            let (r, cluster) = run_collective_on(&cfg, collective, total);
+            let (r, cluster) =
+                run_collective_with_faults(&cfg, collective, total, &FaultPlan::none());
             assert!(
                 r.all_messages_completed(),
                 "{} × {} did not complete",
@@ -113,7 +116,8 @@ fn pathmap_mode_is_equivalent_on_two_tier() {
 #[test]
 fn alltoall_stresses_last_hop_and_still_completes() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Themis, 17);
-    let (r, cluster) = run_collective_on(&cfg, Collective::Alltoall, 4 << 20);
+    let (r, cluster) =
+        run_collective_with_faults(&cfg, Collective::Alltoall, 4 << 20, &FaultPlan::none());
     assert!(r.all_messages_completed());
     // 4-rank alltoall: every rank receives from 3 peers concurrently —
     // the last hop is oversubscribed 3:1 and must mark or queue.

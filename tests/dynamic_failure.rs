@@ -49,12 +49,12 @@ fn flow_survives_mid_run_failure_and_recovery() {
         cluster.world.seed_event(
             Nanos::from_micros(300),
             leaf,
-            Event::Control(ControlMsg::TorLinkFailure),
+            Event::Control(ControlMsg::TorLink { failed: true }),
         );
         cluster.world.seed_event(
             Nanos::from_micros(700),
             leaf,
-            Event::Control(ControlMsg::TorLinkRecovery { lb: restored }),
+            Event::Control(ControlMsg::TorLink { failed: false }),
         );
     }
 
@@ -105,7 +105,7 @@ fn failure_only_episode_degenerates_to_clean_ecmp() {
         cluster.world.seed_event(
             Nanos::ZERO,
             leaf,
-            Event::Control(ControlMsg::TorLinkFailure),
+            Event::Control(ControlMsg::TorLink { failed: true }),
         );
     }
     let src = cluster.hosts[0];

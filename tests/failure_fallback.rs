@@ -72,7 +72,7 @@ fn failed_tor_reverts_to_ecmp_and_flow_stays_in_order() {
     let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
 
     // Declare a failure on every ToR before traffic starts.
-    notify_every_leaf(&mut cluster, &[ControlMsg::TorLinkFailure]);
+    notify_every_leaf(&mut cluster, &[ControlMsg::TorLink { failed: true }]);
     let cluster = run_p2p(cluster, &cfg, 8 << 20);
 
     for (sw, m) in leaf_themis(&cluster) {
@@ -99,8 +99,8 @@ fn recovery_restores_spraying() {
     notify_every_leaf(
         &mut cluster,
         &[
-            ControlMsg::TorLinkFailure,
-            ControlMsg::TorLinkRecovery { lb },
+            ControlMsg::TorLink { failed: true },
+            ControlMsg::TorLink { failed: false },
         ],
     );
     let cluster = run_p2p(cluster, &cfg, 4 << 20);

@@ -7,12 +7,15 @@
 //! degenerates to per-flow (ECMP-like) placement with the same collision
 //! problem.
 
-use themis::harness::{run_collective, Collective, ExperimentConfig, Scheme};
+use themis::harness::{
+    run_collective, run_collective_with_faults, Collective, ExperimentConfig, FaultPlan, Scheme,
+};
 
 #[test]
 fn busy_rnic_flows_never_open_flowlet_gaps() {
     let cfg = ExperimentConfig::motivation_small(Scheme::Flowlet, 23);
-    let (r, cluster) = themis::harness::run_collective_on(&cfg, Collective::RingOnce, 4 << 20);
+    let (r, cluster) =
+        run_collective_with_faults(&cfg, Collective::RingOnce, 4 << 20, &FaultPlan::none());
     assert!(r.all_messages_completed());
 
     // In-order delivery: flowlets never split a busy flow across paths.

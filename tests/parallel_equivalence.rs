@@ -10,7 +10,7 @@
 
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
-use themis::harness::fig1::{run_fig1_sharded, Fig1Transport};
+use themis::harness::fig1::run_fig1_sharded;
 use themis::harness::oracle::{self, OracleConfig};
 use themis::harness::{
     expected_delivered_bytes, planned_transfers, run_collective_with_faults, run_fat_tree_rings,
@@ -237,8 +237,8 @@ fn x10_fabric_bit_identical() {
 #[test]
 fn fig1_pipeline_bit_identical() {
     let bin = TimeDelta::from_micros(50);
-    let serial = run_fig1_sharded(Fig1Transport::NicSr, 1 << 20, bin, 42, 1);
-    let sharded = run_fig1_sharded(Fig1Transport::NicSr, 1 << 20, bin, 42, 2);
+    let serial = run_fig1_sharded(Scheme::RandomSpray, 1 << 20, bin, 42, 1);
+    let sharded = run_fig1_sharded(Scheme::RandomSpray, 1 << 20, bin, 42, 2);
     assert_eq!(serial.completed, sharded.completed);
     assert_eq!(serial.data_packets, sharded.data_packets);
     assert_eq!(serial.retx_packets, sharded.retx_packets);

@@ -11,7 +11,9 @@
 //! senders converging on one receiver's last hop.
 
 use themis::harness::oracle::{assert_conformant, OracleConfig};
-use themis::harness::{ExperimentConfig, Scheme};
+use themis::harness::{
+    run_collective_with_faults, Collective, ExperimentConfig, FaultPlan, Scheme,
+};
 use themis::netsim::topology::LeafSpineConfig;
 use themis::simcore::time::Nanos;
 
@@ -37,7 +39,7 @@ fn run_incast(pfc: bool) -> themis::harness::ExperimentResult {
         shards: themis::harness::shards_from_env(),
     };
     let (r, cluster) =
-        themis::harness::run_collective_on(&cfg, themis::harness::Collective::Incast, 8 << 20);
+        run_collective_with_faults(&cfg, Collective::Incast, 8 << 20, &FaultPlan::none());
     // Protocol-invariant audit: buffer-overflow drops (without PFC) must
     // still conserve packets and recover every loss.
     let mut oracle = OracleConfig::for_scheme(Scheme::Themis).without_rto_bound();
@@ -119,7 +121,7 @@ fn pfc_and_themis_compose_on_ring_traffic() {
         shards: themis::harness::shards_from_env(),
     };
     let (r, cluster) =
-        themis::harness::run_collective_on(&cfg, themis::harness::Collective::RingOnce, 4 << 20);
+        run_collective_with_faults(&cfg, Collective::RingOnce, 4 << 20, &FaultPlan::none());
     assert!(r.all_messages_completed());
     let mut oracle = OracleConfig::for_scheme(Scheme::Themis);
     oracle.quiesced = r.sim_end < cfg.horizon;
