@@ -532,8 +532,6 @@ mod tests {
     use netsim::types::PortId;
     use rnic::NicConfig;
 
-    const GBPS100: u64 = 100_000_000_000;
-
     /// Two hosts wired back-to-back plus a driver.
     fn two_host_world() -> (World, NodeId) {
         let mut world = World::new();
@@ -544,7 +542,7 @@ mod tests {
             a,
             Box::new(Nic::new(
                 HostId(0),
-                NicConfig::nic_sr(GBPS100),
+                NicConfig::nic_sr(link.bandwidth_bps),
                 EgressPort::new(b, PortId(0), link),
             )),
         );
@@ -552,7 +550,7 @@ mod tests {
             b,
             Box::new(Nic::new(
                 HostId(1),
-                NicConfig::nic_sr(GBPS100),
+                NicConfig::nic_sr(link.bandwidth_bps),
                 EgressPort::new(a, PortId(0), link),
             )),
         );

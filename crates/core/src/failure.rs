@@ -11,37 +11,27 @@
 //! ([`ThemisMiddleware::on_link_failure`] /
 //! [`ThemisMiddleware::on_link_recovery`]).
 //!
-//! For a partial failure, [`apply_pathset_restriction`] keeps Themis on
-//! but narrows it to the surviving paths.
+//! For a partial failure, [`ThemisMiddleware::set_pathset`] keeps Themis
+//! on but narrows it to the surviving paths; a harness reaches a ToR's
+//! middleware through its cluster's typed accessors.
+//!
+//! This module holds no code of its own: the transitions live on the
+//! switch and the middleware, and the tests below drive them as the
+//! engine does.
 //!
 //! [`ControlMsg::TorLink`]: netsim::event::ControlMsg::TorLink
-
-use crate::middleware::ThemisMiddleware;
-use netsim::switch::Switch;
-
-/// Restrict a ToR's Themis instance to a path subset (§6: dynamic
-/// pathset adjustment around partial failures). Returns true if a Themis
-/// middleware was present. Apply the same subset to every ToR of the
-/// fabric — the Eq. 3 modulus must agree between sources and
-/// destinations.
-pub fn apply_pathset_restriction(sw: &mut Switch, pathset: Option<Vec<usize>>) -> bool {
-    if let Some(hook) = sw.hook_mut() {
-        if let Some(m) = hook.as_any_mut().downcast_mut::<ThemisMiddleware>() {
-            m.set_pathset(pathset);
-            return true;
-        }
-    }
-    false
-}
+//! [`ThemisMiddleware::on_link_failure`]: crate::middleware::ThemisMiddleware::on_link_failure
+//! [`ThemisMiddleware::on_link_recovery`]: crate::middleware::ThemisMiddleware::on_link_recovery
+//! [`ThemisMiddleware::set_pathset`]: crate::middleware::ThemisMiddleware::set_pathset
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::ThemisConfig;
+    use crate::middleware::ThemisMiddleware;
     use crate::themis_s::SprayMode;
     use netsim::event::{ControlMsg, Event, Routed};
     use netsim::lb::LbPolicy;
-    use netsim::switch::SwitchConfig;
+    use netsim::switch::{Switch, SwitchConfig};
     use netsim::types::NodeId;
     use netsim::world::{Ctx, Entity};
     use simcore::engine::Engine;
@@ -76,6 +66,10 @@ mod tests {
         sw.hook().unwrap().as_any().downcast_ref().unwrap()
     }
 
+    fn themis_mut(sw: &mut Switch) -> &mut ThemisMiddleware {
+        sw.hook_mut().unwrap().as_any_mut().downcast_mut().unwrap()
+    }
+
     #[test]
     fn failure_message_reverts_to_ecmp_and_disables_spray() {
         let mut sw = tor_with_themis();
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn pathset_restriction_applies_to_both_halves() {
         let mut sw = tor_with_themis();
-        assert!(apply_pathset_restriction(&mut sw, Some(vec![0])));
+        themis_mut(&mut sw).set_pathset(Some(vec![0]));
         let m = themis(&sw);
         assert_eq!(m.s.effective_modulus(), 1);
         assert_eq!(m.d.as_ref().unwrap().n_paths(), 1);
@@ -109,19 +103,13 @@ mod tests {
         // Eq. 3 modulus on both halves — a leftover restriction would
         // permanently desync this ToR from the rest of the fabric.
         let mut sw = tor_with_themis();
-        assert!(apply_pathset_restriction(&mut sw, Some(vec![0])));
+        themis_mut(&mut sw).set_pathset(Some(vec![0]));
         control(&mut sw, ControlMsg::TorLink { failed: true });
         control(&mut sw, ControlMsg::TorLink { failed: false });
         let m = themis(&sw);
         assert!(m.s.is_enabled());
         assert_eq!(m.s.effective_modulus(), 2, "pathset restriction cleared");
         assert_eq!(m.d.as_ref().unwrap().n_paths(), 2, "Eq. 3 modulus restored");
-    }
-
-    #[test]
-    fn pathset_restriction_without_themis_reports_false() {
-        let mut sw = Switch::new(&SwitchConfig::default());
-        assert!(!apply_pathset_restriction(&mut sw, Some(vec![0])));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   packet proves the loss real.
 //!
 //! [`memory`] reproduces the §4 switch-SRAM overhead model (≈193 KB for
-//! the Table 1 reference values), and [`failure`] implements the §6
-//! link-failure fallback (revert to ECMP).
+//! the Table 1 reference values), and [`failure`] describes and tests the
+//! §6 link-failure fallback (revert to ECMP, or narrow the pathset).
 
 #![warn(missing_docs)]
 // Non-test code states its invariants (`#[expect(.., reason)]` at the

@@ -11,12 +11,15 @@
 //!   delta into the UDP source port (Figure 3) and leaves egress selection
 //!   to the regular ECMP stages, which now hash the packet onto the
 //!   desired relative path. Only the ToR needs programmability.
+//!   [`SprayMode::PathMapTwoTier`] is the fat tree's form: one rewrite
+//!   steers both its edge and its aggregation ECMP stage.
 //!
 //! Non-data packets (ACK/NACK/CNP/handshake) are never sprayed: they
 //! follow the flow's base path, keeping control-packet ordering intact.
 
 use crate::pathmap::PathMap;
 use crate::policy::{assert_valid_path_count, path_of, relative_path};
+use netsim::fat_tree::AGG_ECMP_SHIFT;
 use netsim::hash::{ecmp_hash, FiveTuple};
 use netsim::packet::Packet;
 
@@ -28,18 +31,11 @@ pub enum SprayMode {
     /// Rewrite the UDP source port through the PathMap (single ECMP
     /// stage reads the low hash bits).
     PathMapRewrite,
-    /// Rewrite through a two-stage PathMap for 3-tier Clos: the edge
-    /// stage reads hash bits `[0, bits_stage1)` and the aggregation
-    /// stage reads `[shift_stage2, shift_stage2 + bits_stage2)`.
-    /// `n_paths` must equal `2^(bits_stage1 + bits_stage2)`.
-    PathMapTwoTier {
-        /// Bits consumed by the edge ECMP stage.
-        bits_stage1: u32,
-        /// Hash-view shift of the aggregation stage.
-        shift_stage2: u32,
-        /// Bits consumed by the aggregation ECMP stage.
-        bits_stage2: u32,
-    },
+    /// Rewrite through a two-stage PathMap for the 3-tier fat tree: of
+    /// the `log2(n_paths)` path bits (`n_paths = m²`), the edge stage
+    /// reads the low half at hash bit 0 and the aggregation stage the
+    /// rest at [`AGG_ECMP_SHIFT`], where the fat-tree builder points it.
+    PathMapTwoTier,
 }
 
 /// Themis-S statistics.
@@ -77,21 +73,10 @@ impl ThemisS {
         assert_valid_path_count(n_paths);
         let pathmap = match mode {
             SprayMode::PathMapRewrite => Some(PathMap::build(n_paths)),
-            SprayMode::PathMapTwoTier {
-                bits_stage1,
-                shift_stage2,
-                bits_stage2,
-            } => {
-                assert_eq!(
-                    1usize << (bits_stage1 + bits_stage2),
-                    n_paths,
-                    "two-tier PathMap bits must multiply to n_paths"
-                );
-                Some(PathMap::build_two_tier(
-                    bits_stage1,
-                    shift_stage2,
-                    bits_stage2,
-                ))
+            SprayMode::PathMapTwoTier => {
+                let bits = n_paths.trailing_zeros();
+                let edge = bits / 2;
+                Some(PathMap::build_two_tier(edge, AGG_ECMP_SHIFT, bits - edge))
             }
             SprayMode::DirectEgress => None,
         };
@@ -285,35 +270,24 @@ mod tests {
         assert_eq!(s.stats.sprayed, 0);
     }
 
+    /// The k=4 (4 paths) and k=8 (16 paths) fat trees: PSNs congruent
+    /// mod `n_paths` share a rewrite, and the `n_paths` rewrites are the
+    /// two-stage PathMap's at the aggregation tier's shift.
     #[test]
     fn two_tier_mode_rewrites() {
-        let mode = SprayMode::PathMapTwoTier {
-            bits_stage1: 1,
-            shift_stage2: 8,
-            bits_stage2: 1,
-        };
-        let mut s = ThemisS::new(4, mode);
-        let mut a = data(1, 700);
-        let mut b = data(5, 700);
-        assert_eq!(s.spray(&mut a), None);
-        assert_eq!(s.spray(&mut b), None);
-        assert_eq!(a.udp_sport, b.udp_sport, "PSN ≡ (mod 4) ⇒ same rewrite");
-        let mut c = data(2, 700);
-        s.spray(&mut c);
-        assert_ne!(a.udp_sport, c.udp_sport);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiply to n_paths")]
-    fn two_tier_bits_must_match_path_count() {
-        ThemisS::new(
-            8,
-            SprayMode::PathMapTwoTier {
-                bits_stage1: 1,
-                shift_stage2: 8,
-                bits_stage2: 1,
-            },
-        );
+        for (n, bits) in [(4, 1), (16, 2)] {
+            let mut s = ThemisS::new(n, SprayMode::PathMapTwoTier);
+            let pm = PathMap::build_two_tier(bits, AGG_ECMP_SHIFT, bits);
+            let mut a = data(1, 700);
+            let mut b = data(1 + n as u32, 700);
+            assert_eq!(s.spray(&mut a), None);
+            assert_eq!(s.spray(&mut b), None);
+            assert_eq!(a.udp_sport, b.udp_sport, "PSN ≡ (mod {n}) ⇒ same rewrite");
+            let mut c = data(2, 700);
+            s.spray(&mut c);
+            assert_ne!(a.udp_sport, c.udp_sport);
+            assert_eq!(c.udp_sport, pm.rewrite(700, 2), "n={n}");
+        }
     }
 
     #[test]

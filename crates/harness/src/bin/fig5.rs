@@ -154,7 +154,7 @@ fn run_fat_tree_leg(args: &Matches, schemes: &[Scheme], mb_per_ring: u64) {
         seed,
         ..FatTreeConfig::small(FAT_TREE_K)
     };
-    let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
     println!("Cross-scheme fat-tree leg — inter-pod ring tail CT ({mb_per_ring} MB per ring)");
     println!(
         "k={FAT_TREE_K} fat-tree, {} hosts, {FAT_TREE_RINGS} concurrent rings ({jobs} worker(s))\n",

@@ -9,7 +9,7 @@
 
 use crate::scheme::Scheme;
 use collectives::driver::Driver;
-use netsim::fat_tree::{build_fat_tree, FatTreeConfig, AGG_ECMP_SHIFT};
+use netsim::fat_tree::{build_fat_tree, FatTreeConfig};
 use netsim::port::EgressPort;
 use netsim::switch::Switch;
 use netsim::topology::{build_leaf_spine, FabricPlan, LeafSpineConfig};
@@ -167,13 +167,8 @@ impl Topology<'_> {
                 if c.k < 4 || !c.k.is_multiple_of(2) || !m.is_power_of_two() {
                     return Err(ClusterError::Radix(c.k));
                 }
-                let bits = m.trailing_zeros();
-                let spray = SprayMode::PathMapTwoTier {
-                    bits_stage1: bits,
-                    shift_stage2: AGG_ECMP_SHIFT,
-                    bits_stage2: bits,
-                };
-                (c.host_link, c.fabric_link, c.n_paths(), c.k, m, Some(spray))
+                let (link, spray) = (FatTreeConfig::LINK, SprayMode::PathMapTwoTier);
+                (link, link, c.n_paths(), c.k, m, Some(spray))
             }
         };
         if host_link.bandwidth_bps == 0 || fabric_link.bandwidth_bps == 0 {
@@ -685,20 +680,21 @@ mod tests {
     use collectives::ring::ring_once;
     use simcore::time::{Nanos, TimeDelta};
 
-    const GBPS100: u64 = 100_000_000_000;
-
     /// {motivation, paper, fat-tree k=4, k=8} × every scheme × shards
     /// {1, 2, units+1}: the one body serves them all.
     #[test]
     fn one_assembly_serves_every_topology_scheme_and_shard_count() {
         let (mot, paper) = (LeafSpineConfig::motivation(), LeafSpineConfig::paper_eval());
         let (k4, k8) = (FatTreeConfig::small(4), FatTreeConfig::small(8));
+        let line = |c: &LeafSpineConfig| c.host_link.bandwidth_bps;
+        let (l100, l400) = (line(&mot), line(&paper));
+        let ft = FatTreeConfig::LINK.bandwidth_bps;
         // (topology, line rate, partition units, hosts, paths)
         let rows = [
-            (Topology::LeafSpine(&mot), GBPS100, 4, 8, 2),
-            (Topology::LeafSpine(&paper), 4 * GBPS100, 16, 256, 16),
-            (Topology::FatTree(&k4), GBPS100, 4, 16, 4),
-            (Topology::FatTree(&k8), GBPS100, 8, 128, 16),
+            (Topology::LeafSpine(&mot), l100, 4, 8, 2),
+            (Topology::LeafSpine(&paper), l400, 16, 256, 16),
+            (Topology::FatTree(&k4), ft, 4, 16, 4),
+            (Topology::FatTree(&k8), ft, 8, 128, 16),
         ];
         for (topology, line, units, n_hosts, n_paths) in rows {
             let three_tier = matches!(topology, Topology::FatTree(_));
@@ -728,8 +724,7 @@ mod tests {
                         assert_eq!(sw.hook().is_some(), deploys, "{at}");
                         if sw.hook().is_some() {
                             let mw = c.middleware(tor).expect("Themis hook");
-                            let two_tier =
-                                matches!(mw.config().spray_mode, SprayMode::PathMapTwoTier { .. });
+                            let two_tier = mw.config().spray_mode == SprayMode::PathMapTwoTier;
                             assert_eq!(two_tier, three_tier, "{at}");
                         }
                     }
@@ -776,7 +771,7 @@ mod tests {
     #[test]
     fn invalid_inputs_are_typed_errors_not_panics() {
         let mot = LeafSpineConfig::motivation;
-        let nic = NicConfig::nic_sr(GBPS100);
+        let nic = NicConfig::nic_sr(mot().host_link.bandwidth_bps);
         let ls = |c: &LeafSpineConfig, scheme| {
             assemble(Topology::LeafSpine(c), nic, scheme, 1)
                 .map(|_| ())
@@ -816,8 +811,8 @@ mod tests {
         assert_eq!(
             ls(&LeafSpineConfig::paper_eval(), Scheme::Ecmp),
             ClusterError::LineRateMismatch {
-                nic_bps: GBPS100,
-                link_bps: 4 * GBPS100
+                nic_bps: 100_000_000_000,
+                link_bps: 400_000_000_000
             }
         );
         // The path-count clause binds only schemes that deploy Themis.
@@ -857,7 +852,7 @@ mod tests {
     fn the_panicking_builders_panic_with_the_error_s_display() {
         build_cluster(
             &LeafSpineConfig::motivation(),
-            NicConfig::nic_sr(4 * GBPS100),
+            NicConfig::nic_sr(400_000_000_000),
             Scheme::Ecmp,
         );
     }
@@ -865,7 +860,12 @@ mod tests {
     /// Run an inter-pod ring (one host per pod) on a k=4 fat-tree.
     fn run_interpod_ring(scheme: Scheme, bytes: u64) -> (Cluster, Option<Nanos>) {
         let cfg = FatTreeConfig::small(4);
-        let cluster = build_fat_tree_cluster_sharded(&cfg, NicConfig::nic_sr(GBPS100), scheme, 1);
+        let cluster = build_fat_tree_cluster_sharded(
+            &cfg,
+            NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps),
+            scheme,
+            1,
+        );
         // One host per pod, same local index: 0, 4, 8, 12.
         let hosts: Vec<HostId> = (0..4).map(|p| HostId(p * 4)).collect();
         let cluster = run_ring(cluster, &hosts, bytes);
@@ -1068,7 +1068,7 @@ mod tests {
     #[test]
     fn fat_tree_intra_pod_flows_also_work_under_themis() {
         let cfg = FatTreeConfig::small(4);
-        let nic = NicConfig::nic_sr(GBPS100);
+        let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
         let cluster = build_fat_tree_cluster_sharded(&cfg, nic, Scheme::Themis, 1);
         // Host 0 (edge 0) -> host 2 (edge 1), same pod: only the agg
         // stage matters physically, but mod-N spraying still recovers.
@@ -1083,8 +1083,9 @@ mod tests {
     }
 
     /// The typed accessors: an id that names no switch is `StaleSwitch`,
-    /// a switch without Themis has no middleware, and `middleware_mut`
-    /// reaches the Themis-D entry that `themis_stats` counts.
+    /// a switch without Themis (an ECMP ToR, a spine) has no middleware,
+    /// shared or mutable, and `middleware_mut` reaches the Themis-D entry
+    /// that `themis_stats` counts.
     #[test]
     fn typed_accessors_resolve_or_refuse() {
         let fabric = LeafSpineConfig::motivation();
@@ -1094,12 +1095,15 @@ mod tests {
             let got = ecmp.switch_mut(id).map(|_| ());
             assert_eq!(got, Err(ClusterError::StaleSwitch(id)));
         }
-        for &tor in &ecmp.leaves {
+        for &tor in &ecmp.leaves.clone() {
             assert!(ecmp.middleware(tor).is_none(), "{tor:?} under ECMP");
+            assert!(ecmp.middleware_mut(tor).is_none(), "{tor:?} under ECMP");
         }
 
-        let themis = build_cluster(&fabric, nic, Scheme::Themis);
-        assert!(themis.middleware(themis.spines[0]).is_none(), "a spine");
+        let mut themis = build_cluster(&fabric, nic, Scheme::Themis);
+        let spine = themis.spines[0];
+        assert!(themis.middleware(spine).is_none(), "a spine");
+        assert!(themis.middleware_mut(spine).is_none(), "a spine");
         let (src, dst) = (themis.hosts[0], themis.hosts[fabric.hosts_per_leaf]);
         let dst_tor = themis.leaves[1];
         let mut s = Session::new(themis, 3, TimeDelta::from_micros(20));

@@ -625,14 +625,14 @@ fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::Run
     // keeping the golden schema untouched.
     let reaction = cluster.nic_cfg.reaction;
     match reaction.entropy {
-        SenderEntropyKind::Reps { .. } => {
+        SenderEntropyKind::Reps => {
             let s = aggregate_scheme(cluster).entropy;
             t.push_counter("scheme.reps.recycled_sends", s.recycled_sends);
             t.push_counter("scheme.reps.fresh_sends", s.fresh_sends);
             t.push_counter("scheme.reps.pool_clears", s.pool_clears);
             t.push_counter("scheme.reps.pool_evictions", s.pool_evictions);
         }
-        SenderEntropyKind::Sprinklers { .. } => {
+        SenderEntropyKind::Sprinklers => {
             let s = aggregate_scheme(cluster).entropy;
             t.push_counter("scheme.sprinklers.stripes_started", s.stripes_started);
             t.push_counter("scheme.sprinklers.fresh_sends", s.fresh_sends);
@@ -640,7 +640,7 @@ fn snapshot_telemetry(r: &ExperimentResult, cluster: &Cluster) -> telemetry::Run
         }
         SenderEntropyKind::Fixed => {}
     }
-    if let OooReactionKind::Eunomia { .. } = reaction.ooo {
+    if reaction.ooo == OooReactionKind::Eunomia {
         let s = aggregate_scheme(cluster).ooo;
         t.push_counter("scheme.eunomia.nacks_held", s.nacks_held);
         t.push_counter("scheme.eunomia.nacks_allowed", s.nacks_allowed);

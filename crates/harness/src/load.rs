@@ -39,8 +39,6 @@ use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 use telemetry::{RunReport, WindowedReport};
 
-const GBPS100: u64 = 100_000_000_000;
-
 /// Everything [`run_open_loop`] needs.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -76,7 +74,7 @@ impl LoadConfig {
     pub fn small(scheme: Scheme, seed: u64) -> LoadConfig {
         LoadConfig {
             fabric: FatTreeConfig::small(4),
-            nic: NicConfig::nic_sr(GBPS100),
+            nic: NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps),
             scheme,
             seed,
             shards: 1,
@@ -101,7 +99,7 @@ impl LoadConfig {
         spec.max_bytes = 128 << 10;
         LoadConfig {
             fabric: FatTreeConfig::small(16),
-            nic: NicConfig::nic_sr(GBPS100),
+            nic: NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps),
             scheme,
             seed,
             shards: 1,

@@ -91,7 +91,9 @@ pub enum EvictionMode {
     Forced,
 }
 
-/// Exploration parameters.
+/// Exploration parameters. The receiver is always the commodity NIC-SR
+/// one ([`OooReactionKind::Eager`]): the NIC whose eager NACKs Themis-D
+/// exists to filter.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// Spraying modulus (power of two; PSN mod N path assignment).
@@ -121,8 +123,6 @@ pub struct CheckConfig {
     pub queue_capacity: usize,
     /// Whether Themis-D arms §3.4 compensation.
     pub compensation: bool,
-    /// Receiver OOO-escalation policy.
-    pub ooo: OooReactionKind,
     /// Eviction moves.
     pub eviction: EvictionMode,
     /// Hard state budget (explosion guard; exceeded → `complete=false`).
@@ -142,7 +142,6 @@ impl CheckConfig {
             max_skew: Some(4),
             queue_capacity: 64,
             compensation: true,
-            ooo: OooReactionKind::Eager,
             eviction: EvictionMode::Off,
             max_states: 5_000_000,
         }
@@ -349,7 +348,7 @@ pub fn explore(cfg: &CheckConfig) -> CheckReport {
         4000,
         TransportMode::SelectiveRepeat,
         1,
-        OooReaction::new(cfg.ooo),
+        OooReaction::new(OooReactionKind::Eager),
     );
     receiver.advance_to(cfg.psn_base);
     let init = State {
@@ -841,7 +840,6 @@ mod tests {
             max_skew: None,
             queue_capacity: 64,
             compensation: true,
-            ooo: OooReactionKind::Eager,
             eviction: EvictionMode::Off,
             max_states: 2_000_000,
         }

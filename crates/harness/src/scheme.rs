@@ -15,13 +15,16 @@
 //! `--scheme` names and all three answers are read off the row, and
 //! every runner (point-to-point, collectives, fat-tree rings, fig
 //! binaries, fuzzer) picks them up through [`crate::cluster::assemble`].
-//! See DESIGN.md "Scheme zoo".
+//! Every column is a fieldless value: a mechanism's published setting is
+//! a `const` beside the mechanism (`netsim::lb::FLOWLET_GAP`,
+//! `rnic::reaction::{REPS_POOL, SPRINKLERS_STRIPE, EUNOMIA_WINDOW,
+//! EUNOMIA_GAP_TIMEOUT}`), not a field of the row. See DESIGN.md "Scheme
+//! zoo".
 
 use netsim::lb::LbPolicy;
 use rnic::{
     CcConfig, NicConfig, OooReactionKind, SenderEntropyKind, TransportMode, TransportReaction,
 };
-use simcore::time::TimeDelta;
 use themis_core::themis_s::SprayMode;
 use themis_core::ThemisConfig;
 
@@ -106,30 +109,6 @@ struct Row {
     nic: Nic,
 }
 
-const FLOWLET: LbPolicy = LbPolicy::Flowlet {
-    gap: Scheme::FLOWLET_GAP,
-};
-const REPS: Nic = Nic::Reaction(
-    SenderEntropyKind::Reps {
-        pool: Scheme::REPS_POOL,
-    },
-    OooReactionKind::Eager,
-);
-const EUNOMIA: Nic = Nic::Reaction(
-    SenderEntropyKind::Fixed,
-    OooReactionKind::Eunomia {
-        window: Scheme::EUNOMIA_WINDOW,
-        gap_timeout: Scheme::EUNOMIA_GAP_TIMEOUT,
-    },
-);
-const SPRINKLERS: Nic = Nic::Reaction(
-    SenderEntropyKind::Sprinklers {
-        min_stripe: Scheme::SPRINKLERS_STRIPE.0,
-        max_stripe: Scheme::SPRINKLERS_STRIPE.1,
-    },
-    OooReactionKind::Eager,
-);
-
 /// The scheme table, one row per variant in declaration order (row `i`
 /// describes the variant with discriminant `i`; a test pins this).
 ///
@@ -144,15 +123,15 @@ const TABLE: [Row; 12] = [
     Row { scheme: Scheme::Ecmp, label: "ECMP", names: &["ecmp"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Unchanged },
     Row { scheme: Scheme::AdaptiveRouting, label: "AdaptiveRouting", names: &["ar", "adaptive"], lb: LbPolicy::AdaptiveRouting, tor: Tor::None, nic: Nic::Unchanged },
     Row { scheme: Scheme::RandomSpray, label: "RandomSpray", names: &["spray", "random"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::Unchanged },
-    Row { scheme: Scheme::Flowlet, label: "Flowlet", names: &["flowlet"], lb: FLOWLET, tor: Tor::None, nic: Nic::Unchanged },
+    Row { scheme: Scheme::Flowlet, label: "Flowlet", names: &["flowlet"], lb: LbPolicy::Flowlet, tor: Tor::None, nic: Nic::Unchanged },
     Row { scheme: Scheme::Themis, label: "Themis", names: &["themis"], lb: LbPolicy::Ecmp, tor: Tor::Direct, nic: Nic::Unchanged },
     Row { scheme: Scheme::ThemisPathMap, label: "Themis(PathMap)", names: &["themis-pathmap"], lb: LbPolicy::Ecmp, tor: Tor::PathMap, nic: Nic::Unchanged },
     Row { scheme: Scheme::ThemisNoCompensation, label: "Themis(no-comp)", names: &["themis-nocomp"], lb: LbPolicy::Ecmp, tor: Tor::NoCompensation, nic: Nic::Unchanged },
     Row { scheme: Scheme::SprayNoFilter, label: "Spray(no-filter)", names: &["spray-nofilter"], lb: LbPolicy::Ecmp, tor: Tor::NoFilter, nic: Nic::Unchanged },
     Row { scheme: Scheme::Oracle, label: "Oracle", names: &["oracle", "ideal"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::IdealNoCc },
-    Row { scheme: Scheme::Reps, label: "REPS", names: &["reps"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: REPS },
-    Row { scheme: Scheme::Eunomia, label: "Eunomia", names: &["eunomia"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: EUNOMIA },
-    Row { scheme: Scheme::Sprinklers, label: "Sprinklers", names: &["sprinklers"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: SPRINKLERS },
+    Row { scheme: Scheme::Reps, label: "REPS", names: &["reps"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Reaction(SenderEntropyKind::Reps, OooReactionKind::Eager) },
+    Row { scheme: Scheme::Eunomia, label: "Eunomia", names: &["eunomia"], lb: LbPolicy::RandomSpray, tor: Tor::None, nic: Nic::Reaction(SenderEntropyKind::Fixed, OooReactionKind::Eunomia) },
+    Row { scheme: Scheme::Sprinklers, label: "Sprinklers", names: &["sprinklers"], lb: LbPolicy::Ecmp, tor: Tor::None, nic: Nic::Reaction(SenderEntropyKind::Sprinklers, OooReactionKind::Eager) },
 ];
 
 impl Scheme {
@@ -166,9 +145,6 @@ impl Scheme {
         }
         all
     };
-
-    /// The flowlet gap threshold used by [`Scheme::Flowlet`] (LetFlow-ish).
-    pub const FLOWLET_GAP: TimeDelta = TimeDelta::from_micros(50);
 
     /// The Fig 5 comparison set.
     pub const PAPER_FIG5: [Scheme; 3] = [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis];
@@ -184,19 +160,6 @@ impl Scheme {
         Scheme::Eunomia,
         Scheme::Sprinklers,
     ];
-
-    /// REPS recycled-entropy cache capacity (default knob).
-    pub const REPS_POOL: u16 = 16;
-
-    /// Eunomia ordering-buffer window in packets (default knob).
-    pub const EUNOMIA_WINDOW: u64 = 256;
-
-    /// Eunomia head-gap timeout before a NACK is forced (default knob;
-    /// well above per-path delay skew, well below the 1 ms RTO).
-    pub const EUNOMIA_GAP_TIMEOUT: TimeDelta = TimeDelta::from_micros(100);
-
-    /// Sprinklers stripe-length range in packets (default knob).
-    pub const SPRINKLERS_STRIPE: (u16, u16) = (16, 64);
 
     fn row(&self) -> &'static Row {
         &TABLE[*self as usize]
@@ -358,14 +321,20 @@ mod tests {
         }
     }
 
+    /// Every axis of a row is a one-byte fieldless value: no scheme
+    /// carries a parameter of its own.
+    #[test]
+    fn scheme_axes_are_one_byte() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<LbPolicy>(), 1);
+        assert_eq!(size_of::<SprayMode>(), 1);
+        assert_eq!(size_of::<SenderEntropyKind>(), 1);
+        assert_eq!(size_of::<OooReactionKind>(), 1);
+    }
+
     #[test]
     fn flowlet_uses_flowlet_policy() {
-        assert_eq!(
-            Scheme::Flowlet.lb_policy(),
-            LbPolicy::Flowlet {
-                gap: Scheme::FLOWLET_GAP
-            }
-        );
+        assert_eq!(Scheme::Flowlet.lb_policy(), LbPolicy::Flowlet);
     }
 
     #[test]
@@ -407,33 +376,16 @@ mod tests {
         assert!(!oracle.cc.enabled);
 
         let reps = Scheme::Reps.nic_config(base_nic());
-        assert_eq!(
-            reps.reaction.entropy,
-            SenderEntropyKind::Reps {
-                pool: Scheme::REPS_POOL
-            }
-        );
+        assert_eq!(reps.reaction.entropy, SenderEntropyKind::Reps);
         assert_eq!(reps.reaction.ooo, OooReactionKind::Eager);
         assert_eq!(reps.transport, TransportMode::SelectiveRepeat);
 
         let eu = Scheme::Eunomia.nic_config(base_nic());
         assert_eq!(eu.reaction.entropy, SenderEntropyKind::Fixed);
-        assert_eq!(
-            eu.reaction.ooo,
-            OooReactionKind::Eunomia {
-                window: Scheme::EUNOMIA_WINDOW,
-                gap_timeout: Scheme::EUNOMIA_GAP_TIMEOUT,
-            }
-        );
+        assert_eq!(eu.reaction.ooo, OooReactionKind::Eunomia);
 
         let spr = Scheme::Sprinklers.nic_config(base_nic());
-        assert_eq!(
-            spr.reaction.entropy,
-            SenderEntropyKind::Sprinklers {
-                min_stripe: Scheme::SPRINKLERS_STRIPE.0,
-                max_stripe: Scheme::SPRINKLERS_STRIPE.1,
-            }
-        );
+        assert_eq!(spr.reaction.entropy, SenderEntropyKind::Sprinklers);
 
         // The incumbents keep the commodity NIC untouched.
         for s in [Scheme::Ecmp, Scheme::Themis, Scheme::RandomSpray] {

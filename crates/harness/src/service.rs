@@ -58,8 +58,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-const GBPS100: u64 = 100_000_000_000;
-
 /// Largest accepted frame payload (a defensive cap, far above any
 /// legitimate request or telemetry document).
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -104,7 +102,8 @@ impl ServiceConfig {
     /// a usage error instead of a downstream panic.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
         let fabric = FatTreeConfig::small(self.k);
-        Topology::FatTree(&fabric).check(&NicConfig::nic_sr(GBPS100), self.scheme)?;
+        let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
+        Topology::FatTree(&fabric).check(&nic, self.scheme)?;
         self.check_knobs(&fabric)
     }
 
@@ -246,7 +245,7 @@ impl SimService {
     pub fn new(cfg: ServiceConfig) -> Result<SimService, InvalidConfig> {
         let fabric = FatTreeConfig::small(cfg.k);
         cfg.check_knobs(&fabric)?;
-        let nic = NicConfig::nic_sr(GBPS100);
+        let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
         let cluster = assemble(Topology::FatTree(&fabric), nic, cfg.scheme, cfg.shards)?;
         Ok(SimService {
             session: Session::new(cluster, cfg.seed ^ 0x5E21_ACE5, cfg.window).with_msg_latency(),

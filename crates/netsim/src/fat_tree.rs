@@ -26,7 +26,7 @@
 
 use crate::lb::LbPolicy;
 use crate::port::{EcnConfig, EgressPort, LinkSpec};
-use crate::switch::{PfcConfig, Routes, Switch, SwitchConfig};
+use crate::switch::{Routes, Switch, SwitchConfig};
 use crate::topology::{FabricPlan, HostAttachment};
 use crate::types::{HostId, NodeId, PortId};
 use crate::world::World;
@@ -34,39 +34,26 @@ use crate::world::World;
 /// Hash-view shift used by the aggregation tier (edges use shift 0).
 pub const AGG_ECMP_SHIFT: u32 = 8;
 
-/// Fat-tree fabric parameters.
+/// Fat-tree fabric parameters: the radix and the root seed. Every link
+/// is [`FatTreeConfig::LINK`], and every switch keeps
+/// [`SwitchConfig::default`]'s lossy 64 MB shared buffer (no PFC, no
+/// control-packet priority).
 #[derive(Debug, Clone)]
 pub struct FatTreeConfig {
     /// Switch radix `k` (even; `k/2` must be a power of two).
     pub k: usize,
-    /// Host-to-edge link.
-    pub host_link: LinkSpec,
-    /// All switch-to-switch links.
-    pub fabric_link: LinkSpec,
-    /// Per-switch shared buffer.
-    pub buffer_bytes: u64,
-    /// Hop-by-hop PFC on every switch, with thresholds derived from
-    /// `buffer_bytes` ([`PfcConfig::for_buffer`]); `false` = lossy fabric.
-    pub pfc: bool,
-    /// Strict control-packet priority on every switch port.
-    pub ctrl_priority: bool,
     /// Root seed.
     pub seed: u64,
 }
 
 impl FatTreeConfig {
-    /// A k=4 test fabric (16 hosts, 4 equal-cost inter-pod paths) at
-    /// 100 Gbps.
+    /// Every link of the fabric, host-to-edge and switch-to-switch.
+    pub const LINK: LinkSpec = LinkSpec::gbps(100, 1);
+
+    /// A `k`-ary fat tree (k=4: 16 hosts, 4 equal-cost inter-pod paths)
+    /// at seed 1.
     pub fn small(k: usize) -> FatTreeConfig {
-        FatTreeConfig {
-            k,
-            host_link: LinkSpec::gbps(100, 1),
-            fabric_link: LinkSpec::gbps(100, 1),
-            buffer_bytes: 64 * 1024 * 1024,
-            pfc: false,
-            ctrl_priority: false,
-            seed: 1,
-        }
+        FatTreeConfig { k, seed: 1 }
     }
 
     /// Hosts (NICs) per ToR: `k/2`.
@@ -140,13 +127,11 @@ pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: boo
 
     let new_switch = |salt: u64, ecmp_shift: u32, first: usize, span: usize, per_port: usize| {
         let mut sw = Switch::new(&SwitchConfig {
-            buffer_bytes: cfg.buffer_bytes,
             lb,
             oracle_loss_notify,
             seed: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(salt),
             ecmp_shift,
-            pfc: cfg.pfc.then(|| PfcConfig::for_buffer(cfg.buffer_bytes)),
-            ctrl_priority: cfg.ctrl_priority,
+            ..SwitchConfig::default()
         });
         sw.set_routes(Routes {
             first: first as u32,
@@ -156,7 +141,7 @@ pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: boo
         sw
     };
     let fabric_port = |peer: NodeId, peer_in_port: usize| {
-        EgressPort::new(peer, PortId(peer_in_port as u16), cfg.fabric_link)
+        EgressPort::new(peer, PortId(peer_in_port as u16), FatTreeConfig::LINK)
     };
     let install = |world: &mut World, mut sw: Switch, id: NodeId| {
         sw.set_ecn_all_ports(|pt| Some(EcnConfig::for_bandwidth(pt.link.bandwidth_bps)));
@@ -173,13 +158,13 @@ pub fn build_fat_tree(cfg: &FatTreeConfig, lb: LbPolicy, oracle_loss_notify: boo
         // Host ports 0..m.
         for s in 0..m {
             let node = host_nodes[i * m + s];
-            sw.add_port(EgressPort::new(node, PortId(0), cfg.host_link), true);
+            sw.add_port(EgressPort::new(node, PortId(0), FatTreeConfig::LINK), true);
             hosts.push(HostAttachment {
                 host: HostId(node.0),
                 node,
                 tor: edge_node(i),
                 tor_port: PortId(s as u16),
-                link: cfg.host_link,
+                link: FatTreeConfig::LINK,
             });
         }
         // Uplinks m..2m: to each agg of this pod. Our packets arrive
@@ -297,19 +282,18 @@ mod tests {
         crate::topology::wiring(&plan.world, plan.hosts.len())
     }
 
-    /// Pins node ids, port order, link rates, uplink groups and routes
-    /// to what the blueprint-per-pod builder (PRs 5-21) produced; the
-    /// literals were computed by this test on that builder.
+    /// Pins node ids, port order, link rates, uplink groups and routes.
+    /// The literals were computed on the builder that still took its
+    /// link rates as fields, with `FatTreeConfig::small(k)` unmodified.
     #[test]
     fn wiring_fingerprint_is_pinned() {
         use std::hash::{Hash, Hasher};
         for (k, want) in [
-            (4, 0x0341_3bdc_d72d_a068_u64),
-            (8, 0x4117_32df_ff97_2592),
-            (16, 0xb4af_3f92_7712_1086),
+            (4, 0x1c9f_2453_301b_1916_u64),
+            (8, 0x9084_5706_206d_72fb),
+            (16, 0xa683_412b_1da5_c6b9),
         ] {
-            let mut cfg = FatTreeConfig::small(k);
-            cfg.fabric_link = LinkSpec::gbps(400, 1);
+            let cfg = FatTreeConfig::small(k);
             let w = wiring(&build_fat_tree(&cfg, LbPolicy::Ecmp, false));
             assert_eq!(
                 w,

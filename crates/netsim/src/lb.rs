@@ -11,7 +11,7 @@
 //!   selection, the "AR" baseline of Fig 5.
 //! * [`LbPolicy::Flowlet`] — flowlet switching (CONGA/LetFlow style):
 //!   re-pick the least-loaded uplink only when a flow pauses longer than
-//!   the gap threshold. The paper argues RNIC hardware pacing never
+//!   [`FLOWLET_GAP`]. The paper argues RNIC hardware pacing never
 //!   creates such gaps, so flowlet LB degenerates to per-flow placement —
 //!   an ablation in this repo demonstrates exactly that.
 //!
@@ -26,6 +26,11 @@ use simcore::fx::FxHashMap;
 use simcore::rng::Xoshiro256;
 use simcore::time::{Nanos, TimeDelta};
 
+/// The inter-packet gap that starts a new flowlet (LetFlow-ish): well
+/// above the pacing gap of a busy RNIC flow, so such a flow never opens
+/// one.
+pub const FLOWLET_GAP: TimeDelta = TimeDelta::from_micros(50);
+
 /// How a switch picks among its equal-cost uplinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LbPolicy {
@@ -38,11 +43,9 @@ pub enum LbPolicy {
     /// ties uniformly at random.
     AdaptiveRouting,
     /// Flowlet switching: keep a flow's uplink while packets arrive
-    /// within `gap` of each other; re-pick (least loaded) on a gap.
-    Flowlet {
-        /// Minimum inter-packet gap that starts a new flowlet.
-        gap: TimeDelta,
-    },
+    /// within [`FLOWLET_GAP`] of each other; re-pick (least loaded) on a
+    /// gap.
+    Flowlet,
 }
 
 /// Per-flow flowlet bookkeeping.
@@ -95,16 +98,13 @@ fn least_loaded(uplinks: &[usize], ports: &[EgressPort], rng: &mut Xoshiro256) -
             best_count += 1;
         }
     }
-    let mut pick = rng.next_index(best_count);
-    for (i, &p) in uplinks.iter().enumerate() {
-        if ports[p].queued_bytes() == best {
-            if pick == 0 {
-                return i;
-            }
-            pick -= 1;
-        }
-    }
-    unreachable!("tie-break walked past all minima")
+    // `pick < best_count`, the number of minima, so `nth` finds one.
+    let pick = rng.next_index(best_count);
+    let minima = uplinks
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| ports[p].queued_bytes() == best);
+    minima.map(|(i, _)| i).nth(pick).unwrap_or_default()
 }
 
 impl LbPolicy {
@@ -130,9 +130,9 @@ impl LbPolicy {
             }
             LbPolicy::RandomSpray => st.rng.next_index(n),
             LbPolicy::AdaptiveRouting => least_loaded(uplinks, ports, &mut st.rng),
-            LbPolicy::Flowlet { gap } => {
+            LbPolicy::Flowlet => {
                 match st.flowlets.get_mut(&pkt.qp) {
-                    Some(e) if now.since(e.last_seen) < *gap && e.uplink < n => {
+                    Some(e) if now.since(e.last_seen) < FLOWLET_GAP && e.uplink < n => {
                         e.last_seen = now;
                         e.uplink
                     }
@@ -271,8 +271,7 @@ mod tests {
         let ports = mk_ports(4);
         let uplinks = [0, 1, 2, 3];
         let mut s = st();
-        let gap = TimeDelta::from_micros(50);
-        let policy = LbPolicy::Flowlet { gap };
+        let policy = LbPolicy::Flowlet;
         // Back-to-back packets (1us apart, inside the gap): same uplink.
         let first = policy.select(&data_pkt(1, 7, 0), &uplinks, &ports, Nanos::ZERO, &mut s);
         for i in 1..100u64 {
@@ -288,23 +287,22 @@ mod tests {
         assert_eq!(s.flowlet_switches, 1, "only the initial placement");
     }
 
+    /// A silence 1 ns short of `FLOWLET_GAP` keeps the flowlet; one 1 ns
+    /// past it starts a new one.
     #[test]
     fn flowlet_repicks_after_gap() {
         let ports = mk_ports(4);
         let uplinks = [0, 1, 2, 3];
         let mut s = st();
-        let policy = LbPolicy::Flowlet {
-            gap: TimeDelta::from_micros(10),
-        };
+        let policy = LbPolicy::Flowlet;
+        let gap = FLOWLET_GAP.as_nanos();
         policy.select(&data_pkt(1, 7, 0), &uplinks, &ports, Nanos::ZERO, &mut s);
-        // 11us silence -> new flowlet.
-        policy.select(
-            &data_pkt(1, 7, 1),
-            &uplinks,
-            &ports,
-            Nanos::from_micros(11),
-            &mut s,
-        );
+        // FLOWLET_GAP - 1 ns of silence -> same flowlet.
+        policy.select(&data_pkt(1, 7, 1), &uplinks, &ports, Nanos(gap - 1), &mut s);
+        assert_eq!(s.flowlet_switches, 1);
+        // FLOWLET_GAP + 1 ns since the last packet -> new flowlet.
+        let at = Nanos(2 * gap);
+        policy.select(&data_pkt(1, 7, 2), &uplinks, &ports, at, &mut s);
         assert_eq!(s.flowlet_switches, 2);
         assert_eq!(s.tracked_flowlets(), 1);
     }
@@ -314,9 +312,7 @@ mod tests {
         let ports = mk_ports(4);
         let uplinks = [0, 1, 2, 3];
         let mut s = st();
-        let policy = LbPolicy::Flowlet {
-            gap: TimeDelta::from_micros(10),
-        };
+        let policy = LbPolicy::Flowlet;
         for qp in 0..8u32 {
             policy.select(&data_pkt(qp, 7, 0), &uplinks, &ports, Nanos::ZERO, &mut s);
         }

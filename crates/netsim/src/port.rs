@@ -30,7 +30,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// A link with the given Gbit/s bandwidth and latency in microseconds.
-    pub fn gbps(gbps: u64, latency_us: u64) -> LinkSpec {
+    pub const fn gbps(gbps: u64, latency_us: u64) -> LinkSpec {
         LinkSpec {
             bandwidth_bps: gbps * 1_000_000_000,
             latency: TimeDelta::from_micros(latency_us),
@@ -340,6 +340,10 @@ impl EgressPort {
         ctx: &mut Ctx<'_>,
         shared: Option<&mut SharedBuffer>,
     ) -> Packet {
+        #[expect(
+            clippy::expect_used,
+            reason = "each TxDone follows one transmission start"
+        )]
         let pkt = self
             .in_flight
             .take()

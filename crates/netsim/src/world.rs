@@ -485,8 +485,8 @@ impl World {
     /// otherwise the world is one shard and dispatches inline, on this
     /// thread. The result is bit-identical either way.
     pub fn run(&mut self) -> StopReason {
-        if self.shard_plan.as_ref().is_some_and(|p| p.n_shards > 1) {
-            self.run_sharded();
+        if let Some(plan) = self.shard_plan.take_if(|p| p.n_shards > 1) {
+            self.run_sharded(plan);
         } else {
             dispatch(
                 &mut self.engine,
@@ -524,8 +524,7 @@ impl World {
     /// invariant). Because every event carries its canonical
     /// `(time, seq, lane)` key, the union of all shard dispatches replays
     /// the serial order exactly, independent of window shapes.
-    fn run_sharded(&mut self) {
-        let plan = self.shard_plan.take().expect("caller checked plan");
+    fn run_sharded(&mut self, plan: ShardPlan) {
         let n = plan.n_shards;
         let horizon = self.engine.horizon;
         let n_slots = self.slots.len();
@@ -631,6 +630,7 @@ impl World {
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .extend(found),
+                #[expect(clippy::panic, reason = "reached only when the plan's lookahead lies")]
                 None => {
                     let v = found[0];
                     panic!(
@@ -664,7 +664,7 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
         for (slot, a) in nexts.iter_mut().zip(sc.mins) {
             *slot = a.load(Ordering::SeqCst);
         }
-        let m = *nexts.iter().min().expect("at least one shard");
+        let m = nexts.iter().copied().fold(IDLE, u64::min);
         if m == IDLE || m > sc.horizon.as_nanos() {
             return;
         }
@@ -678,8 +678,7 @@ fn shard_worker(state: &mut ShardState, sc: &ShardCtx<'_>) {
             .iter()
             .enumerate()
             .map(|(k, &t)| t.saturating_add(sc.reach[k * sc.n + sc.me]))
-            .min()
-            .expect("at least one shard");
+            .fold(u64::MAX, u64::min);
         state.engine.horizon = Nanos(window_end - 1).min(sc.horizon);
         let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             dispatch(
@@ -763,6 +762,10 @@ fn dispatch(
         }
         let Routed { node, ev } = scheduled.payload;
         let idx = node.index();
+        #[expect(
+            clippy::panic,
+            reason = "events are routed only to their entity's shard"
+        )]
         let entity = slots[idx]
             .as_deref_mut()
             .unwrap_or_else(|| panic!("event for entity {node} missing from shard {}", route.me));

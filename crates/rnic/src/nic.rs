@@ -614,7 +614,13 @@ mod tests {
     use netsim::world::World;
     use simcore::engine::StopReason;
 
-    const GBPS100: u64 = 100_000_000_000;
+    /// The back-to-back link.
+    const LINK: LinkSpec = LinkSpec::gbps(100, 1);
+
+    /// NIC-SR at the link's line rate.
+    fn sr() -> NicConfig {
+        NicConfig::nic_sr(LINK.bandwidth_bps)
+    }
 
     /// Two NICs wired back-to-back (no switch): host 0 at node 0, host 1
     /// at node 1, plus a driver-sink at node 2 recording completions.
@@ -650,9 +656,8 @@ mod tests {
         let mut world = World::new();
         let a = world.reserve();
         let b = world.reserve();
-        let link = LinkSpec::gbps(100, 1);
-        let mut nic_a = Nic::new(HostId(0), cfg_a, EgressPort::new(b, PortId(0), link));
-        let mut nic_b = Nic::new(HostId(1), cfg_b, EgressPort::new(a, PortId(0), link));
+        let mut nic_a = Nic::new(HostId(0), cfg_a, EgressPort::new(b, PortId(0), LINK));
+        let mut nic_b = Nic::new(HostId(1), cfg_b, EgressPort::new(a, PortId(0), LINK));
         let driver = world.reserve();
         nic_a.set_driver(driver);
         nic_b.set_driver(driver);
@@ -690,7 +695,7 @@ mod tests {
 
     #[test]
     fn single_message_delivers_and_completes() {
-        let mut h = build(NicConfig::nic_sr(GBPS100), NicConfig::nic_sr(GBPS100));
+        let mut h = build(sr(), sr());
         post(&mut h, 1_000_000, 77);
         let reason = h.world.run_until(Nanos::from_millis(100));
         assert_eq!(reason, StopReason::QueueEmpty, "simulation must drain");
@@ -709,7 +714,7 @@ mod tests {
 
     #[test]
     fn throughput_close_to_line_rate() {
-        let mut h = build(NicConfig::nic_sr(GBPS100), NicConfig::nic_sr(GBPS100));
+        let mut h = build(sr(), sr());
         // 10 MB at ~100 Gbps ≈ 800 µs + small overheads.
         post(&mut h, 10_000_000, 1);
         h.world.run_until(Nanos::from_millis(50));
@@ -722,7 +727,7 @@ mod tests {
 
     #[test]
     fn multiple_messages_complete_in_order() {
-        let mut h = build(NicConfig::nic_sr(GBPS100), NicConfig::nic_sr(GBPS100));
+        let mut h = build(sr(), sr());
         for tag in 0..5 {
             post(&mut h, 100_000, tag);
         }
@@ -734,7 +739,7 @@ mod tests {
 
     #[test]
     fn handshake_precedes_data() {
-        let mut h = build(NicConfig::nic_sr(GBPS100), NicConfig::nic_sr(GBPS100));
+        let mut h = build(sr(), sr());
         post(&mut h, 1500, 1);
         h.world.run_until(Nanos::from_millis(10));
         let nic_b: &Nic = h.world.get(h.b).unwrap();
@@ -746,17 +751,8 @@ mod tests {
         let mut world = World::new();
         let a = world.reserve();
         let b = world.reserve();
-        let link = LinkSpec::gbps(100, 1);
-        let mut nic_a = Nic::new(
-            HostId(0),
-            NicConfig::nic_sr(GBPS100),
-            EgressPort::new(b, PortId(0), link),
-        );
-        let mut nic_b = Nic::new(
-            HostId(1),
-            NicConfig::nic_sr(GBPS100),
-            EgressPort::new(a, PortId(0), link),
-        );
+        let mut nic_a = Nic::new(HostId(0), sr(), EgressPort::new(b, PortId(0), LINK));
+        let mut nic_b = Nic::new(HostId(1), sr(), EgressPort::new(a, PortId(0), LINK));
         nic_a.create_send_qp(QpId(1), HostId(1), 100);
         nic_a.create_send_qp(QpId(2), HostId(1), 200);
         nic_b.create_recv_qp(QpId(1), HostId(0), 100);
@@ -784,7 +780,7 @@ mod tests {
 
     #[test]
     fn unknown_qp_counted_not_crashed() {
-        let mut h = build(NicConfig::nic_sr(GBPS100), NicConfig::nic_sr(GBPS100));
+        let mut h = build(sr(), sr());
         let stray = Packet::data(QpId(99), HostId(0), HostId(1), 1, 0, 0, false, 100, false);
         h.world.seed_event(
             Nanos::ZERO,

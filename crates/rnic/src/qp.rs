@@ -749,6 +749,20 @@ mod tests {
 
     const LINE: u64 = 100_000_000_000;
 
+    /// The per-QP state on x86-64. The policies carry no copies of their
+    /// published settings (those are `const`s in `reaction`); before
+    /// that, these read 432 / 312 / 112 / 64 B.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn qp_sizes_are_pinned() {
+        use crate::reaction::{OooReaction, SenderEntropy};
+        use std::mem::size_of;
+        assert_eq!(size_of::<SendQp>(), 424);
+        assert_eq!(size_of::<RecvQp>(), 296);
+        assert_eq!(size_of::<SenderEntropy>(), 104);
+        assert_eq!(size_of::<OooReaction>(), 48);
+    }
+
     fn send_qp(transport: TransportMode) -> SendQp {
         SendQp::new(
             QpId(1),

@@ -31,8 +31,11 @@
 //!   arrivals are buffered silently; a NACK is generated only when the
 //!   window overflows or the head gap stays open past a timeout.
 //!
-//! Each policy is a plain enum value owned by its QP: a new mechanism is
-//! a new variant plus its match arms. All policy state is per-QP and
+//! Each rival ships its published setting, a `const` here
+//! ([`REPS_POOL`], [`SPRINKLERS_STRIPE`], [`EUNOMIA_WINDOW`],
+//! [`EUNOMIA_GAP_TIMEOUT`]), so its kind is a fieldless variant. Each
+//! policy is a plain enum value owned by its QP: a new mechanism is a new
+//! variant plus its match arms. All policy state is per-QP and
 //! driven in the canonical dispatch order, so every policy is
 //! bit-identical between the serial and sharded engines. Randomized
 //! policies derive their stream from the NIC seed (no global RNG).
@@ -42,9 +45,26 @@ use simcore::time::{Nanos, TimeDelta};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
-// Configuration kinds (plain `Copy` data; each QP's policy is built
-// from these at QP-creation time).
+// Published settings and configuration kinds (fieldless `Copy` data;
+// each QP's policy is built from these at QP-creation time).
 // ---------------------------------------------------------------------
+
+/// REPS recycled-entropy cache capacity: ACK echoes beyond it evict the
+/// oldest credit.
+pub const REPS_POOL: usize = 16;
+
+/// Sprinklers stripe-length range in packets, both ends inclusive.
+pub const SPRINKLERS_STRIPE: (u64, u64) = (16, 64);
+
+/// Eunomia ordering-buffer capacity in packets: a gap wider than this
+/// overflows the buffer and forces a NACK.
+pub const EUNOMIA_WINDOW: u64 = 256;
+
+/// How long Eunomia lets the head gap stay open before a NACK is forced:
+/// well above per-path delay skew, well below the 1 ms RTO. Checked on
+/// arrivals; the sender RTO is the backstop when no further packets
+/// arrive.
+pub const EUNOMIA_GAP_TIMEOUT: TimeDelta = TimeDelta::from_micros(100);
 
 /// Which [`SenderEntropy`] policy a NIC installs on its sender QPs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,19 +72,11 @@ pub enum SenderEntropyKind {
     /// One fixed entropy value per flow (commodity default): the path is
     /// chosen by the switches, not the sender.
     Fixed,
-    /// REPS recycled-entropy spraying.
-    Reps {
-        /// Capacity of the recycled-entropy cache (ACK echoes beyond
-        /// this evict the oldest credit).
-        pool: u16,
-    },
-    /// Sprinklers randomized variable-size striping.
-    Sprinklers {
-        /// Minimum stripe length in packets (inclusive).
-        min_stripe: u16,
-        /// Maximum stripe length in packets (inclusive).
-        max_stripe: u16,
-    },
+    /// REPS recycled-entropy spraying over a [`REPS_POOL`]-entry cache.
+    Reps,
+    /// Sprinklers randomized variable-size striping, stripes drawn from
+    /// [`SPRINKLERS_STRIPE`].
+    Sprinklers,
 }
 
 /// Which [`OooReaction`] policy a NIC installs on its receiver QPs.
@@ -74,16 +86,9 @@ pub enum OooReactionKind {
     /// a NACK (at most one per ePSN value, enforced by the QP).
     Eager,
     /// Eunomia bounded ordering buffer: hold NACKs while the gap is
-    /// young and the buffered window small.
-    Eunomia {
-        /// Ordering-buffer capacity in packets: a gap wider than this
-        /// overflows the buffer and forces a NACK.
-        window: u64,
-        /// How long the head gap may stay open before a NACK is forced
-        /// (checked on arrivals; the sender RTO is the backstop when no
-        /// further packets arrive).
-        gap_timeout: TimeDelta,
-    },
+    /// younger than [`EUNOMIA_GAP_TIMEOUT`] and narrower than
+    /// [`EUNOMIA_WINDOW`].
+    Eunomia,
 }
 
 /// A complete transport reaction: the sender and receiver halves that,
@@ -161,10 +166,8 @@ pub enum SenderEntropy {
     /// which the flow explores with fresh random entropy until ACKs
     /// refill it.
     Reps {
-        /// Cached entropy credits, oldest first.
+        /// Cached entropy credits, oldest first, at most [`REPS_POOL`].
         pool: VecDeque<u16>,
-        /// Cache capacity (≥ 1).
-        cap: usize,
         /// Fresh-entropy stream.
         rng: Xoshiro256,
         /// Counters.
@@ -174,15 +177,11 @@ pub enum SenderEntropy {
     ///
     /// Consecutive packets share one entropy value for the length of a
     /// *stripe*; stripe lengths are drawn uniformly from
-    /// `[min_stripe, max_stripe]` so stripe boundaries of competing flows
+    /// [`SPRINKLERS_STRIPE`] so stripe boundaries of competing flows
     /// decorrelate. Reordering is confined to stripe boundaries — a
     /// fraction `~1/stripe_len` of packets — instead of every packet as
     /// in uniform spraying.
     Sprinklers {
-        /// Shortest stripe in packets (≥ 1).
-        min_stripe: u64,
-        /// Longest stripe in packets (≥ `min_stripe`).
-        max_stripe: u64,
         /// Entropy of the current stripe.
         current: u16,
         /// Packets left in the current stripe.
@@ -208,29 +207,17 @@ impl SenderEntropy {
     pub fn new(kind: SenderEntropyKind, seed: u64) -> SenderEntropy {
         match kind {
             SenderEntropyKind::Fixed => SenderEntropy::Fixed,
-            SenderEntropyKind::Reps { pool } => {
-                let cap = (pool as usize).max(1);
-                SenderEntropy::Reps {
-                    pool: VecDeque::with_capacity(cap),
-                    cap,
-                    rng: Xoshiro256::seeded(seed),
-                    stats: EntropyStats::default(),
-                }
-            }
-            SenderEntropyKind::Sprinklers {
-                min_stripe,
-                max_stripe,
-            } => {
-                let lo = min_stripe.max(1) as u64;
-                SenderEntropy::Sprinklers {
-                    min_stripe: lo,
-                    max_stripe: (max_stripe as u64).max(lo),
-                    current: 0,
-                    remaining: 0,
-                    rng: Xoshiro256::seeded(seed),
-                    stats: EntropyStats::default(),
-                }
-            }
+            SenderEntropyKind::Reps => SenderEntropy::Reps {
+                pool: VecDeque::with_capacity(REPS_POOL),
+                rng: Xoshiro256::seeded(seed),
+                stats: EntropyStats::default(),
+            },
+            SenderEntropyKind::Sprinklers => SenderEntropy::Sprinklers {
+                current: 0,
+                remaining: 0,
+                rng: Xoshiro256::seeded(seed),
+                stats: EntropyStats::default(),
+            },
         }
     }
 
@@ -255,16 +242,15 @@ impl SenderEntropy {
                 fresh_sport(rng)
             }
             SenderEntropy::Sprinklers {
-                min_stripe,
-                max_stripe,
                 current,
                 remaining,
                 rng,
                 stats,
             } => {
                 if *remaining == 0 {
+                    let (lo, hi) = SPRINKLERS_STRIPE;
                     *current = fresh_sport(rng);
-                    *remaining = *min_stripe + rng.next_below(*max_stripe - *min_stripe + 1);
+                    *remaining = lo + rng.next_below(hi - lo + 1);
                     stats.stripes_started += 1;
                     stats.fresh_sends += 1;
                 } else {
@@ -279,11 +265,8 @@ impl SenderEntropy {
     /// An ACK arrived echoing the entropy value its triggering data
     /// packet travelled on — proof that path currently works.
     pub fn on_ack_echo(&mut self, echo: u16) {
-        if let SenderEntropy::Reps {
-            pool, cap, stats, ..
-        } = self
-        {
-            if pool.len() == *cap {
+        if let SenderEntropy::Reps { pool, stats, .. } = self {
+            if pool.len() == REPS_POOL {
                 pool.pop_front();
                 stats.pool_evictions += 1;
             }
@@ -351,17 +334,13 @@ pub enum OooReaction {
     /// Eunomia: bounded in-NIC ordering buffer with patient NACKs.
     ///
     /// Out-of-order arrivals are buffered silently while (a) the gap
-    /// fits the ordering window and (b) the head gap has been open for
-    /// less than `gap_timeout`. Either bound breaking forces a NACK. The
-    /// timeout is checked on arrivals (the model adds no new timers); a
-    /// gap with no subsequent arrivals is recovered by the sender's RTO
-    /// — a documented divergence from the published design, which runs
-    /// a receiver-side ordering timer.
+    /// fits [`EUNOMIA_WINDOW`] and (b) the head gap has been open for
+    /// less than [`EUNOMIA_GAP_TIMEOUT`]. Either bound breaking forces a
+    /// NACK. The timeout is checked on arrivals (the model adds no new
+    /// timers); a gap with no subsequent arrivals is recovered by the
+    /// sender's RTO — a documented divergence from the published design,
+    /// which runs a receiver-side ordering timer.
     Eunomia {
-        /// Ordering-buffer capacity in packets (≥ 1).
-        window: u64,
-        /// How long the head gap may stay open.
-        gap_timeout: TimeDelta,
         /// When the current head gap opened, if one is open.
         gap_open_since: Option<Nanos>,
         /// Counters.
@@ -376,12 +355,7 @@ impl OooReaction {
             OooReactionKind::Eager => OooReaction::Eager {
                 stats: OooReactionStats::default(),
             },
-            OooReactionKind::Eunomia {
-                window,
-                gap_timeout,
-            } => OooReaction::Eunomia {
-                window: window.max(1),
-                gap_timeout,
+            OooReactionKind::Eunomia => OooReaction::Eunomia {
                 gap_open_since: None,
                 stats: OooReactionStats::default(),
             },
@@ -397,18 +371,16 @@ impl OooReaction {
                 true
             }
             OooReaction::Eunomia {
-                window,
-                gap_timeout,
                 gap_open_since,
                 stats,
             } => {
                 let opened = *gap_open_since.get_or_insert(now);
-                if gap > *window {
+                if gap > EUNOMIA_WINDOW {
                     stats.window_overflow_nacks += 1;
                     stats.nacks_allowed += 1;
                     return true;
                 }
-                if now.since(opened) >= *gap_timeout {
+                if now.since(opened) >= EUNOMIA_GAP_TIMEOUT {
                     stats.gap_timeout_nacks += 1;
                     stats.nacks_allowed += 1;
                     return true;
@@ -434,15 +406,14 @@ impl OooReaction {
     }
 
     /// Digest of the *decision-relevant* mutable state — not the
-    /// counters. Two policies with equal fingerprints (and equal
-    /// configuration) react identically to every future arrival; the
-    /// model checker folds this into its canonical state hash.
+    /// counters. Two policies of one kind with equal fingerprints react
+    /// identically to every future arrival; the model checker folds this
+    /// into its canonical state hash.
     pub fn state_fingerprint(&self) -> u64 {
         match self {
             OooReaction::Eager { .. } => 0,
             // The gap clock is the only mutable input to future verdicts
-            // (window and timeout are configuration, fixed per
-            // exploration).
+            // (window and timeout are constants).
             OooReaction::Eunomia { gap_open_since, .. } => gap_open_since.map_or(u64::MAX, |t| t.0),
         }
     }
@@ -452,23 +423,34 @@ impl OooReaction {
 mod tests {
     use super::*;
 
-    fn reps(pool: u16) -> SenderEntropy {
-        SenderEntropy::new(SenderEntropyKind::Reps { pool }, 7)
+    fn reps() -> SenderEntropy {
+        SenderEntropy::new(SenderEntropyKind::Reps, 7)
     }
 
-    fn sprinklers(min_stripe: u16, max_stripe: u16, seed: u64) -> SenderEntropy {
-        let kind = SenderEntropyKind::Sprinklers {
-            min_stripe,
-            max_stripe,
-        };
-        SenderEntropy::new(kind, seed)
+    fn sprinklers(seed: u64) -> SenderEntropy {
+        SenderEntropy::new(SenderEntropyKind::Sprinklers, seed)
     }
 
     fn eunomia() -> OooReaction {
-        OooReaction::new(OooReactionKind::Eunomia {
-            window: 16,
-            gap_timeout: TimeDelta::from_micros(100),
-        })
+        OooReaction::new(OooReactionKind::Eunomia)
+    }
+
+    /// The lengths of the complete stripes among `n` sends.
+    fn stripe_lengths(e: &mut SenderEntropy, n: usize) -> Vec<u64> {
+        let mut lens = Vec::new();
+        let mut cur = e.sport_for(0, false);
+        let mut len = 1u64;
+        for _ in 1..n {
+            let s = e.sport_for(0, false);
+            if s == cur {
+                len += 1;
+            } else {
+                lens.push(len);
+                cur = s;
+                len = 1;
+            }
+        }
+        lens
     }
 
     fn pool_len(e: &SenderEntropy) -> usize {
@@ -491,7 +473,7 @@ mod tests {
 
     #[test]
     fn reps_recycles_echoed_entropy_in_fifo_order() {
-        let mut e = reps(8);
+        let mut e = reps();
         // No credits yet: fresh entropy.
         let first = e.sport_for(4242, false);
         assert!(first >= 0xC000);
@@ -509,7 +491,7 @@ mod tests {
 
     #[test]
     fn reps_flushes_pool_on_trouble_and_retransmits_fresh() {
-        let mut e = reps(8);
+        let mut e = reps();
         e.on_ack_echo(0xCAAA);
         e.on_path_trouble();
         assert_eq!(pool_len(&e), 0);
@@ -523,46 +505,43 @@ mod tests {
 
     #[test]
     fn reps_pool_is_bounded() {
-        let mut e = reps(2);
-        for ev in [0xC001, 0xC002, 0xC003] {
-            e.on_ack_echo(ev);
+        let mut e = reps();
+        for ev in 0..=REPS_POOL as u16 {
+            e.on_ack_echo(0xC001 + ev);
         }
-        assert_eq!(pool_len(&e), 2);
+        assert_eq!(pool_len(&e), REPS_POOL);
         assert_eq!(e.stats().pool_evictions, 1);
         assert_eq!(e.sport_for(0, false), 0xC002, "oldest was evicted");
     }
 
     #[test]
     fn sprinklers_holds_entropy_within_a_stripe() {
-        let mut e = sprinklers(4, 4, 11); // fixed stripe of 4
+        let mut e = sprinklers(11);
         let s0 = e.sport_for(4242, false);
-        for _ in 1..4 {
+        // The first `lo` sends are one stripe, whatever length it drew.
+        for _ in 1..SPRINKLERS_STRIPE.0 {
             assert_eq!(e.sport_for(4242, false), s0, "same stripe");
         }
-        let s1 = e.sport_for(4242, false);
-        assert_eq!(e.stats().stripes_started, 2);
+        assert_eq!(e.stats().stripes_started, 1);
+        let s1 = loop {
+            let s = e.sport_for(4242, false);
+            if e.stats().stripes_started == 2 {
+                break s;
+            }
+            assert_eq!(s, s0, "same stripe");
+        };
         // 16k-value space: a collision is possible but not for this seed.
         assert_ne!(s0, s1, "new stripe re-rolls entropy");
     }
 
     #[test]
     fn sprinklers_stripe_lengths_stay_in_range() {
-        let mut e = sprinklers(2, 5, 3);
-        let mut lens = Vec::new();
-        let mut cur = e.sport_for(0, false);
-        let mut len = 1u64;
-        for _ in 1..200 {
-            let s = e.sport_for(0, false);
-            if s == cur {
-                len += 1;
-            } else {
-                lens.push(len);
-                cur = s;
-                len = 1;
-            }
-        }
-        assert!(lens.iter().all(|&l| (2..=5).contains(&l)), "{lens:?}");
-        assert!(lens.len() > 10, "many stripes over 200 packets");
+        let mut e = sprinklers(3);
+        let lens = stripe_lengths(&mut e, 2000);
+        let (lo, hi) = SPRINKLERS_STRIPE;
+        assert!(lens.iter().all(|&l| (lo..=hi).contains(&l)), "{lens:?}");
+        assert!(lens.len() > 10, "many stripes over 2000 packets");
+        assert!(lens.iter().any(|&l| l != lens[0]), "lengths vary: {lens:?}");
     }
 
     #[test]
@@ -586,7 +565,11 @@ mod tests {
     #[test]
     fn eunomia_nacks_on_window_overflow() {
         let mut r = eunomia();
-        assert!(r.nack_due(17, Nanos::ZERO));
+        assert!(
+            !r.nack_due(EUNOMIA_WINDOW, Nanos::ZERO),
+            "a full window holds"
+        );
+        assert!(r.nack_due(EUNOMIA_WINDOW + 1, Nanos::ZERO));
         assert_eq!(r.stats().window_overflow_nacks, 1);
     }
 
@@ -594,7 +577,7 @@ mod tests {
     fn eunomia_nacks_when_gap_outlives_timeout() {
         let mut r = eunomia();
         assert!(!r.nack_due(2, Nanos::ZERO));
-        assert!(r.nack_due(2, Nanos::from_micros(100)));
+        assert!(r.nack_due(2, Nanos(EUNOMIA_GAP_TIMEOUT.as_nanos())));
         assert_eq!(r.stats().gap_timeout_nacks, 1);
     }
 
@@ -606,8 +589,8 @@ mod tests {
         assert_eq!(r.state_fingerprint(), 7);
         r.on_advance();
         assert_eq!(r.state_fingerprint(), u64::MAX);
-        // A new gap opening at t=100µs is young again.
-        assert!(!r.nack_due(2, Nanos::from_micros(100)));
+        // A new gap opening one timeout later is young again.
+        assert!(!r.nack_due(2, Nanos(EUNOMIA_GAP_TIMEOUT.as_nanos())));
         assert_eq!(r.stats().gap_timeout_nacks, 0);
     }
 }

@@ -50,6 +50,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Non-test code states its invariants (`#[expect(.., reason)]` at the
+// sites that keep one) instead of unwrapping, expecting or panicking;
+// tests are exempt through clippy.toml.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod registry;
 pub mod report;

@@ -280,32 +280,24 @@ fn merge_hist(into: &mut HistSnapshot, from: HistSnapshot) {
     into.count += from.count;
     into.sum += from.sum;
     into.clamped += from.clamped;
-    let mut a = std::mem::take(&mut into.bins).into_iter().peekable();
+    // Both bin lists are sorted by start with no repeats: walk `into`'s,
+    // emitting `from`'s earlier bins before each and folding in an equal one.
+    let a = std::mem::take(&mut into.bins);
     let mut b = from.bins.into_iter().peekable();
     let mut out = Vec::with_capacity(a.len() + b.len());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if x.start_ns == y.start_ns => {
-                let mut bin = a.next().expect("peeked");
-                let other = b.next().expect("peeked");
-                bin.count += other.count;
-                bin.sum += other.sum;
-                bin.min = bin.min.min(other.min);
-                bin.max = bin.max.max(other.max);
-                out.push(bin);
-            }
-            (Some(x), Some(y)) => {
-                if x.start_ns < y.start_ns {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => break,
+    for mut bin in a {
+        while let Some(earlier) = b.next_if(|y| y.start_ns < bin.start_ns) {
+            out.push(earlier);
         }
+        if let Some(other) = b.next_if(|y| y.start_ns == bin.start_ns) {
+            bin.count += other.count;
+            bin.sum += other.sum;
+            bin.min = bin.min.min(other.min);
+            bin.max = bin.max.max(other.max);
+        }
+        out.push(bin);
     }
+    out.extend(b);
     into.bins = out;
 }
 

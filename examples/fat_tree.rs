@@ -33,7 +33,7 @@ fn main() {
     for scheme in [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis] {
         let cluster = build_fat_tree_cluster_sharded(
             &fabric,
-            NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
+            NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps),
             scheme,
             1,
         );

@@ -27,7 +27,7 @@ fn rss_bytes() -> Option<u64> {
 fn measure_live(k: usize) {
     let rss_before = rss_bytes();
     let fabric = FatTreeConfig::small(k);
-    let nic_cfg = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let nic_cfg = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
     let n_hosts = fabric.n_hosts();
     let groups = (fabric.hosts_per_pod()).min(4);
     let (result, _cluster) = run_fat_tree_rings(

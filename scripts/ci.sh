@@ -8,11 +8,11 @@
 #   1b. cargo clippy --workspace --all-targets -- -D warnings: every
 #      lint warning fails, and the workspace's `unsafe_code = "forbid"`
 #      (Cargo.toml) makes any `unsafe` a compile error in every step.
-#      simcore, rnic, collectives and core deny clippy::unwrap_used,
-#      expect_used and panic in non-test code (`#![deny]` in each
-#      lib.rs; clippy.toml exempts tests), so a new panic site there
-#      fails this step unless it states its invariant in an
-#      `#[expect(.., reason)]`.
+#      simcore, telemetry, netsim, rnic, collectives and core deny
+#      clippy::unwrap_used, expect_used and panic in non-test code
+#      (`#![deny]` in each lib.rs; clippy.toml exempts tests), so a new
+#      panic site there fails this step unless it states its invariant
+#      in an `#[expect(.., reason)]`.
 #   1c. typed-access gate: outside harness's cluster.rs and session.rs,
 #      crates/harness/src, tests/ and examples/ name no World::get*,
 #      as_any or downcast (entities are read through Cluster's typed

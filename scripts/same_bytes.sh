@@ -36,6 +36,9 @@
 #   themis_fuzz --budget 200: scripts/ci.sh's fuzz smoke, whose parents
 #     are unminimized plans, so mutation reaches clear events the
 #     minimized corpus never holds
+#   themis_fuzz --scheme S --budget 30 for reps, eunomia and sprinklers
+#     (scripts/ci.sh's zoo leg): the lossy zoo runs, the only ones that
+#     reach REPS pool flushes and Eunomia's overflow and timeout NACKs
 #   themis_fuzz --plan tests/golden/faultplan_v1.txt: parses and
 #     installs all 13 fault kinds
 #   THEMIS_FUZZ_BREAK=nofilter themis_fuzz --budget 300 --keep-going:
@@ -135,6 +138,9 @@ EOF
     cat fuzz_corpus/* > fuzz_corpus.txt
     rm -r fuzz_corpus
     "$bin/themis_fuzz" --budget 200 | mask fuzz_smoke.out
+    for scheme in reps eunomia sprinklers; do
+        "$bin/themis_fuzz" --scheme "$scheme" --budget 30 | mask "fuzz_$scheme.out"
+    done
     "$bin/themis_fuzz" --plan "$ROOT/tests/golden/faultplan_v1.txt" > fuzz_plan.out
     # Failures are reported from what the fuzz loop stored: exit 1 here
     # is the expected verdict, any other status is not.

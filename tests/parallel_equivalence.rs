@@ -200,7 +200,7 @@ fn paper_fabric_bit_identical() {
 #[test]
 fn x10_fabric_bit_identical() {
     let mut fabric = FatTreeConfig::small(16);
-    let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
     let horizon = Nanos::from_secs(2);
     for seed in [31u64, 32] {
         fabric.seed = seed;

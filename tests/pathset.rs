@@ -11,7 +11,6 @@ use themis::harness::{build_cluster_sharded, ExperimentConfig, Scheme, Session, 
 use themis::netsim::port::LinkSpec;
 use themis::netsim::topology::LeafSpineConfig;
 use themis::simcore::time::{Nanos, TimeDelta};
-use themis::themis_core::failure::apply_pathset_restriction;
 
 use collectives::ring::ring_once;
 
@@ -36,8 +35,8 @@ fn run_ring_with_pathset(pathset: Option<Vec<usize>>) -> themis::harness::Cluste
     let mut cluster = build_cluster_sharded(&cfg.fabric, cfg.nic, cfg.scheme, cfg.shards);
     if let Some(ps) = pathset {
         for &leaf in &cluster.leaves.clone() {
-            let sw = cluster.switch_mut(leaf).expect("leaf");
-            assert!(apply_pathset_restriction(sw, Some(ps.clone())));
+            let themis = cluster.middleware_mut(leaf).expect("Themis on the leaf");
+            themis.set_pathset(Some(ps.clone()));
         }
     }
     // Two 4-host ring groups (evens and odds), as in Fig 1a.

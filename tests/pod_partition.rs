@@ -21,7 +21,7 @@ use themis::simcore::time::Nanos;
 
 fn build(k: usize, n_shards: usize) -> Cluster {
     let fabric = FatTreeConfig::small(k);
-    let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
     build_fat_tree_cluster_sharded(&fabric, nic, Scheme::Themis, n_shards)
 }
 
@@ -137,7 +137,7 @@ fn serial_build_has_no_plan() {
 fn k32_builds_and_runs_two_rings() {
     let fabric = FatTreeConfig::small(32);
     assert_eq!(fabric.n_hosts(), 8192);
-    let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+    let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
     let (r, _cluster) = run_fat_tree_rings(
         &fabric,
         nic,

@@ -190,9 +190,7 @@ fn lb_policies_stay_in_range() {
             0 => LbPolicy::Ecmp,
             1 => LbPolicy::RandomSpray,
             2 => LbPolicy::AdaptiveRouting,
-            _ => LbPolicy::Flowlet {
-                gap: simcore::time::TimeDelta::from_micros(50),
-            },
+            _ => LbPolicy::Flowlet,
         };
         let mut st = LbState::new(7, 0);
         let pkt = Packet::data(

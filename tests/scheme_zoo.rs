@@ -178,7 +178,7 @@ fn new_baselines_run_on_the_fat_tree_bit_identically() {
 
     for scheme in [Scheme::Reps, Scheme::Eunomia, Scheme::Sprinklers] {
         let fabric = FatTreeConfig::small(4);
-        let nic = NicConfig::nic_sr(fabric.host_link.bandwidth_bps);
+        let nic = NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps);
         let run = |shards: usize| {
             run_fat_tree_rings(
                 &fabric,

@@ -98,7 +98,7 @@ fn k8_fat_tree_interpod_ring_under_themis() {
     let fabric = FatTreeConfig::small(8); // 128 hosts, 16 paths
     let cluster = build_fat_tree_cluster_sharded(
         &fabric,
-        NicConfig::nic_sr(fabric.host_link.bandwidth_bps),
+        NicConfig::nic_sr(FatTreeConfig::LINK.bandwidth_bps),
         Scheme::Themis,
         1,
     );
