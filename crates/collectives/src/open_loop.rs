@@ -161,17 +161,6 @@ pub enum JobKind {
 }
 
 impl JobKind {
-    /// Stable label for telemetry and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobKind::Ring => "ring",
-            JobKind::Allreduce => "allreduce",
-            JobKind::Alltoall => "alltoall",
-            JobKind::Rpc => "rpc",
-            JobKind::Incast => "incast",
-        }
-    }
-
     /// Build this job's transfer schedule over `ranks` ranks moving
     /// `bytes` total.
     pub fn schedule(&self, ranks: usize, bytes: u64) -> Schedule {

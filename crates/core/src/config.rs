@@ -49,32 +49,6 @@ impl ThemisConfig {
             filtering: true,
         }
     }
-
-    /// Same configuration but spraying via PathMap sport rewriting
-    /// (multi-tier mode).
-    pub fn with_pathmap(self) -> ThemisConfig {
-        ThemisConfig {
-            spray_mode: SprayMode::PathMapRewrite,
-            ..self
-        }
-    }
-
-    /// Ablation: blocking without compensation.
-    pub fn without_compensation(self) -> ThemisConfig {
-        ThemisConfig {
-            compensation: false,
-            ..self
-        }
-    }
-
-    /// Ablation: PSN spraying without NACK filtering.
-    pub fn without_filtering(self) -> ThemisConfig {
-        ThemisConfig {
-            filtering: false,
-            compensation: false,
-            ..self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,14 +61,5 @@ mod tests {
         assert_eq!(c.queue_capacity, 100);
         assert!(c.compensation && c.filtering);
         assert_eq!(c.spray_mode, SprayMode::DirectEgress);
-    }
-
-    #[test]
-    fn ablation_builders() {
-        let base = ThemisConfig::for_fabric(16, 100_000_000_000, TimeDelta::from_micros(2), 1500);
-        assert!(!base.without_compensation().compensation);
-        let nf = base.without_filtering();
-        assert!(!nf.filtering && !nf.compensation);
-        assert_eq!(base.with_pathmap().spray_mode, SprayMode::PathMapRewrite);
     }
 }

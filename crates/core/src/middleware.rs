@@ -280,7 +280,11 @@ mod tests {
 
     #[test]
     fn no_filtering_ablation_forwards_everything() {
-        let mut m = ThemisMiddleware::new(cfg().without_filtering());
+        let mut m = ThemisMiddleware::new(ThemisConfig {
+            filtering: false,
+            compensation: false,
+            ..cfg()
+        });
         let mut emit = Vec::new();
         for psn in [0, 1, 3] {
             m.on_downstream(&data(psn), &mut hook_ctx(&mut emit));

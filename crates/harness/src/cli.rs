@@ -711,7 +711,10 @@ mod tests {
         assert_eq!(m.text("cdf").as_deref(), Some("websearch"));
         assert_eq!(m.text("telemetry"), None);
         assert!(!m.given("jobs") && !m.given("burst"));
-        assert_eq!(run(&FIG5, "").schemes("scheme"), Scheme::PAPER_FIG5);
+        assert_eq!(
+            run(&FIG5, "").schemes("scheme"),
+            [Scheme::Ecmp, Scheme::AdaptiveRouting, Scheme::Themis]
+        );
         assert_eq!(run(&FIG5, "").num::<u64>("seed"), 1);
         assert_eq!(run(&THEMIS_SIM, "memory").num::<u64>("gbps"), 400);
 

@@ -287,22 +287,18 @@ mod tests {
         assert_eq!(s.flowlet_switches, 1, "only the initial placement");
     }
 
-    /// A silence 1 ns short of `FLOWLET_GAP` keeps the flowlet; one 1 ns
-    /// past it starts a new one.
+    /// The published gap, in literal nanoseconds: a silence of 49 999 ns
+    /// keeps the flowlet, one of 50 000 ns starts a new one.
     #[test]
     fn flowlet_repicks_after_gap() {
         let ports = mk_ports(4);
         let uplinks = [0, 1, 2, 3];
         let mut s = st();
         let policy = LbPolicy::Flowlet;
-        let gap = FLOWLET_GAP.as_nanos();
         policy.select(&data_pkt(1, 7, 0), &uplinks, &ports, Nanos::ZERO, &mut s);
-        // FLOWLET_GAP - 1 ns of silence -> same flowlet.
-        policy.select(&data_pkt(1, 7, 1), &uplinks, &ports, Nanos(gap - 1), &mut s);
+        policy.select(&data_pkt(1, 7, 1), &uplinks, &ports, Nanos(49_999), &mut s);
         assert_eq!(s.flowlet_switches, 1);
-        // FLOWLET_GAP + 1 ns since the last packet -> new flowlet.
-        let at = Nanos(2 * gap);
-        policy.select(&data_pkt(1, 7, 2), &uplinks, &ports, at, &mut s);
+        policy.select(&data_pkt(1, 7, 2), &uplinks, &ports, Nanos(99_999), &mut s);
         assert_eq!(s.flowlet_switches, 2);
         assert_eq!(s.tracked_flowlets(), 1);
     }

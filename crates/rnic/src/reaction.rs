@@ -562,22 +562,24 @@ mod tests {
         assert_eq!(r.stats().nacks_held, 2);
     }
 
+    /// The published window, in literal packets: a gap of 256 holds, one
+    /// of 257 overflows.
     #[test]
     fn eunomia_nacks_on_window_overflow() {
         let mut r = eunomia();
-        assert!(
-            !r.nack_due(EUNOMIA_WINDOW, Nanos::ZERO),
-            "a full window holds"
-        );
-        assert!(r.nack_due(EUNOMIA_WINDOW + 1, Nanos::ZERO));
+        assert!(!r.nack_due(256, Nanos::ZERO), "a full window holds");
+        assert!(r.nack_due(257, Nanos::ZERO));
         assert_eq!(r.stats().window_overflow_nacks, 1);
     }
 
+    /// The published timeout, in literal nanoseconds: a two-packet gap
+    /// opened at 0 is held at 99 999 ns and NACKed at 100 000 ns.
     #[test]
     fn eunomia_nacks_when_gap_outlives_timeout() {
         let mut r = eunomia();
         assert!(!r.nack_due(2, Nanos::ZERO));
-        assert!(r.nack_due(2, Nanos(EUNOMIA_GAP_TIMEOUT.as_nanos())));
+        assert!(!r.nack_due(2, Nanos(99_999)));
+        assert!(r.nack_due(2, Nanos(100_000)));
         assert_eq!(r.stats().gap_timeout_nacks, 1);
     }
 

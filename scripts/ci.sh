@@ -83,6 +83,12 @@
 #      runs 5 alternating pairs of 1 s runs per workload, HEAD~1 against
 #      this tree, and fails when a workload's median run_s is more than
 #      1.25 x HEAD~1's and the tree lost at least 4 of the 5 pairs.
+#  12. benchmark files as found: steps 3c, 3d, 10 and 11 run cargo on
+#      perfbench/Cargo.toml, which re-resolves perfbench/Cargo.lock. The
+#      lock is copied before step 3c and put back here (and on any exit),
+#      then nothing under perfbench/ nor BENCHMARK.json may differ from
+#      the index: a change to the benchmark is never left behind by
+#      accident.
 #
 # The floors are a coarse tripwire against a line taken on this host; the
 # per-PR gate is the parent-vs-change run at BENCHMARK.json's 0.25 bounds.
@@ -93,8 +99,14 @@ cd "$(dirname "$0")/.."
 # while a themis_serve runs: a failure anywhere leaves neither behind.
 CI_TMP=$(mktemp -d /tmp/themis_ci.XXXXXX)
 SERVE_PID=
+# The perfbench lock as found, put back by restore_lock.
+PERFBENCH_LOCK="$CI_TMP/perfbench.Cargo.lock"
+restore_lock() {
+    [ ! -f "$PERFBENCH_LOCK" ] || cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+}
 cleanup() {
     [ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null || true
+    restore_lock
     rm -rf "$CI_TMP"
 }
 trap cleanup EXIT
@@ -159,10 +171,12 @@ echo "== tests (workspace: crate unit tests, harness CLI tests, doctests) =="
 cargo test --workspace -q
 
 echo "== perfbench compiles against this tree (check only) =="
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
 cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
 
 echo "== perfbench smoke (entry point == composition from public pieces) =="
-# Reads perfbench/, writes only the ignored perfbench/target.
+# Writes the ignored perfbench/target and re-resolves perfbench/Cargo.lock,
+# which step 12 puts back.
 cargo test --offline --manifest-path perfbench/Cargo.toml --test benchmark_smoke
 
 echo "== tests (sharded engine matrix leg, THEMIS_SHARDS=2) =="
@@ -397,5 +411,11 @@ echo "== same-host paired timing against HEAD~1 =="
 # run both trees back to back on this host. HEAD~1's perfbench is built
 # once under target/same_speed/ and reused by later runs.
 scripts/same_speed.sh --seconds 1 HEAD~1
+
+echo "== benchmark files as found (perfbench/, BENCHMARK.json) =="
+restore_lock
+git diff --exit-code --stat -- perfbench BENCHMARK.json \
+    || { echo "FAIL: ci.sh left perfbench/ or BENCHMARK.json changed"; exit 1; }
+echo "OK: perfbench/ and BENCHMARK.json are as committed"
 
 echo "== ci.sh passed =="
