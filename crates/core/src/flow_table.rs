@@ -147,10 +147,6 @@ impl FlowEntry {
 pub struct FlowTable {
     entries: FxHashMap<QpId, FlowEntry>,
     queue_capacity: usize,
-    /// Entries created lazily on first data packet (no handshake seen).
-    pub lazy_creations: u64,
-    /// Entries created from handshake interception.
-    pub handshake_creations: u64,
 }
 
 impl FlowTable {
@@ -159,30 +155,21 @@ impl FlowTable {
         FlowTable {
             entries: FxHashMap::default(),
             queue_capacity,
-            lazy_creations: 0,
-            handshake_creations: 0,
         }
     }
 
     /// Provision a QP at connection setup (handshake interception, §3.3).
     pub fn provision(&mut self, qp: QpId) {
-        let capacity = self.queue_capacity;
-        let creations = &mut self.handshake_creations;
-        self.entries.entry(qp).or_insert_with(|| {
-            *creations += 1;
-            FlowEntry::new(capacity)
-        });
+        self.entry(qp);
     }
 
     /// Entry lookup, creating lazily if the handshake was missed.
     /// Single hash probe per packet (the per-data-packet hot path).
     pub fn entry(&mut self, qp: QpId) -> &mut FlowEntry {
         let capacity = self.queue_capacity;
-        let creations = &mut self.lazy_creations;
-        self.entries.entry(qp).or_insert_with(|| {
-            *creations += 1;
-            FlowEntry::new(capacity)
-        })
+        self.entries
+            .entry(qp)
+            .or_insert_with(|| FlowEntry::new(capacity))
     }
 
     /// Entry lookup without creation.
@@ -283,11 +270,12 @@ mod tests {
     fn provision_vs_lazy_creation() {
         let mut t = FlowTable::new(10);
         t.provision(QpId(1));
+        t.entry(QpId(1)).bepsn = 5;
         t.provision(QpId(1)); // idempotent
-        let _ = t.entry(QpId(1)); // existing -> not lazy
+        assert_eq!(t.entry(QpId(1)).bepsn, 5, "existing -> not recreated");
+        assert!(t.get(QpId(2)).is_none());
         let _ = t.entry(QpId(2)); // missing -> lazy
-        assert_eq!(t.handshake_creations, 1);
-        assert_eq!(t.lazy_creations, 1);
+        assert!(t.get(QpId(2)).is_some());
         assert_eq!(t.len(), 2);
     }
 

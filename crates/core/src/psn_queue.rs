@@ -23,16 +23,8 @@ use simcore::time::TimeDelta;
 /// Queue statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PsnQueueStats {
-    /// PSNs recorded.
-    pub enqueued: u64,
     /// Oldest entries overwritten because the ring was full.
     pub overflow_evictions: u64,
-    /// NACK scans performed.
-    pub scans: u64,
-    /// Total entries dequeued across scans.
-    pub scan_steps: u64,
-    /// Scans that exhausted the queue without finding a tPSN.
-    pub scan_misses: u64,
 }
 
 /// Result of a tPSN scan.
@@ -129,7 +121,6 @@ impl PsnQueue {
 
     /// Record a forwarded data packet's PSN (truncated to one byte).
     pub fn push(&mut self, wire_psn: u32) {
-        self.stats.enqueued += 1;
         let byte = (wire_psn & 0xFF) as u8;
         if self.len == self.buf.len() {
             // Ring full: evict the oldest entry.
@@ -154,7 +145,6 @@ impl PsnQueue {
     /// in the fabric and sits on the last hop, so the NACK needs neither
     /// forwarding nor compensation.
     pub fn scan_for_tpsn(&mut self, epsn: u32) -> ScanOutcome {
-        self.stats.scans += 1;
         let e = (epsn & 0xFF) as u8;
         let mut saw_epsn = false;
         let mut consumed_below = 0u32;
@@ -162,7 +152,6 @@ impl PsnQueue {
             let byte = self.buf[self.head];
             self.head = (self.head + 1) % self.buf.len();
             self.len -= 1;
-            self.stats.scan_steps += 1;
             if byte == e {
                 saw_epsn = true;
             }
@@ -175,7 +164,6 @@ impl PsnQueue {
             }
             consumed_below += 1;
         }
-        self.stats.scan_misses += 1;
         ScanOutcome {
             tpsn: None,
             saw_epsn,
@@ -262,10 +250,11 @@ mod tests {
         let mut q = PsnQueue::with_capacity(4);
         q.push(1);
         q.push(2);
+        assert_eq!(q.len(), 2);
         let out = q.scan_for_tpsn(5);
         assert_eq!(out.tpsn, None);
         assert!(!out.saw_epsn);
-        assert_eq!(q.stats.scan_misses, 1);
+        assert_eq!(out.consumed_below, 2, "the miss consumed both entries");
         assert!(q.is_empty());
     }
 
@@ -323,15 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn scan_consumes_through_the_tpsn() {
         let mut q = PsnQueue::with_capacity(16);
         for psn in 0..10u32 {
             q.push(psn);
         }
-        let _ = q.scan_for_tpsn(3); // dequeues 0..=3, finds 4 -> 5 steps
-        assert_eq!(q.stats.enqueued, 10);
-        assert_eq!(q.stats.scans, 1);
-        assert_eq!(q.stats.scan_steps, 5);
+        assert_eq!(q.len(), 10);
+        let out = q.scan_for_tpsn(3); // dequeues 0..=3, finds 4 -> 5 steps
+        assert_eq!(out.tpsn, Some(4));
+        assert_eq!(out.consumed_below, 4);
         assert_eq!(q.len(), 5);
     }
 

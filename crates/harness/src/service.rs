@@ -177,12 +177,12 @@ impl JournalOp {
         match str_field(v, "op")? {
             "create_qp" => Ok(JournalOp::CreateQp {
                 client: str_field(v, "client")?.to_string(),
-                src: num_field(v, "src")? as u32,
-                dst: num_field(v, "dst")? as u32,
+                src: u32_field(v, "src")?,
+                dst: u32_field(v, "dst")?,
             }),
             "post_send" => Ok(JournalOp::PostSend {
                 client: str_field(v, "client")?.to_string(),
-                qp: num_field(v, "qp")? as u32,
+                qp: u32_field(v, "qp")?,
                 bytes: num_field(v, "bytes")?,
             }),
             "advance" => Ok(JournalOp::Advance {
@@ -205,6 +205,11 @@ fn num_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("request needs a non-negative \"{key}\" field"))
+}
+
+/// An id field: refused past `u32`, never truncated onto a smaller id.
+fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(num_field(v, key)?).map_err(|_| format!("\"{key}\" is out of range"))
 }
 
 /// A client-visible QP record.
@@ -563,7 +568,7 @@ impl SimService {
             }
             "query_fabric" => Ok(self.query_fabric()),
             "list_qps" => Ok(self.list_qps(req.get("client").and_then(Json::as_str))),
-            "query_qp" => self.query_qp(num_field(req, "qp")? as u32),
+            "query_qp" => self.query_qp(u32_field(req, "qp")?),
             "telemetry" => {
                 let scope = req.get("client").and_then(Json::as_str);
                 let doc = self.telemetry_json(scope);
@@ -951,6 +956,13 @@ mod tests {
                 ("windows", Json::Int(0)),
             ]),
             req(vec![("op", Json::str("query_qp")), ("qp", Json::Int(7))]),
+            // 2^32 would truncate to host 0.
+            req(vec![
+                ("op", Json::str("create_qp")),
+                ("client", Json::str("a")),
+                ("src", Json::Int(1 << 32)),
+                ("dst", Json::Int(1)),
+            ]),
         ] {
             let r = svc.handle(&bad);
             assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{bad:?} -> {r:?}");

@@ -88,8 +88,6 @@ impl EcnConfig {
 pub struct SharedBuffer {
     capacity: u64,
     used: u64,
-    /// Packets dropped because the pool was full.
-    pub drops: u64,
     /// High-water mark of pool usage.
     pub peak_used: u64,
 }
@@ -100,7 +98,6 @@ impl SharedBuffer {
         SharedBuffer {
             capacity,
             used: 0,
-            drops: 0,
             peak_used: 0,
         }
     }
@@ -115,10 +112,9 @@ impl SharedBuffer {
         self.capacity
     }
 
-    /// Try to reserve `bytes`; returns false (and counts a drop) when full.
+    /// Try to reserve `bytes`; returns false when full.
     pub fn try_reserve(&mut self, bytes: u64) -> bool {
         if self.used + bytes > self.capacity {
-            self.drops += 1;
             false
         } else {
             self.used += bytes;
@@ -157,18 +153,10 @@ impl EnqueueOutcome {
 /// Per-port statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortStats {
-    /// Packets fully transmitted.
-    pub tx_packets: u64,
     /// Bytes fully transmitted.
     pub tx_bytes: u64,
-    /// Packets dropped for lack of buffer space.
-    pub drops_buffer: u64,
-    /// Packets dropped by loss injection.
-    pub drops_injected: u64,
     /// Data packets ECN-marked at this port.
     pub ecn_marked: u64,
-    /// Maximum queue depth seen, in bytes.
-    pub peak_queue_bytes: u64,
 }
 
 /// One egress port: link to a peer entity plus a FIFO queue.
@@ -286,16 +274,13 @@ impl EgressPort {
         rng: &mut Xoshiro256,
     ) -> EnqueueOutcome {
         if self.down {
-            self.stats.drops_injected += 1;
             return EnqueueOutcome::DroppedInjected;
         }
         if self.loss_rate > 0.0 && pkt.is_data() && rng.next_bool(self.loss_rate) {
-            self.stats.drops_injected += 1;
             return EnqueueOutcome::DroppedInjected;
         }
         if let Some(pool) = shared {
             if !pool.try_reserve(pkt.wire_bytes as u64) {
-                self.stats.drops_buffer += 1;
                 return EnqueueOutcome::DroppedBuffer;
             }
         }
@@ -314,7 +299,6 @@ impl EgressPort {
             EnqueueOutcome::TxStarted
         } else {
             self.queued_bytes += pkt.wire_bytes as u64;
-            self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.queued_bytes);
             if self.ctrl_priority && !pkt.is_data() {
                 self.ctrl_queue.push_back(pkt);
             } else {
@@ -351,7 +335,6 @@ impl EgressPort {
         if let Some(pool) = shared {
             pool.release(pkt.wire_bytes as u64);
         }
-        self.stats.tx_packets += 1;
         self.stats.tx_bytes += pkt.wire_bytes as u64;
         ctx.send_packet(
             self.peer,
@@ -523,8 +506,8 @@ mod tests {
     fn shared_buffer_reserve_release() {
         let mut b = SharedBuffer::new(1000);
         assert!(b.try_reserve(600));
-        assert!(!b.try_reserve(500));
-        assert_eq!(b.drops, 1);
+        assert!(!b.try_reserve(500), "full: the reservation is refused");
+        assert_eq!(b.used(), 600, "a refused reservation takes nothing");
         assert!(b.try_reserve(400));
         assert_eq!(b.used(), 1000);
         assert_eq!(b.peak_used, 1000);

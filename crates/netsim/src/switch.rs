@@ -153,8 +153,6 @@ pub struct SwitchStats {
     pub hook_emitted: u64,
     /// PFC pause broadcasts sent.
     pub pfc_pauses: u64,
-    /// PFC resume broadcasts sent.
-    pub pfc_resumes: u64,
 }
 
 /// An output-queued switch entity.
@@ -223,8 +221,6 @@ impl Switch {
         }
         if pause {
             self.stats.pfc_pauses += 1;
-        } else {
-            self.stats.pfc_resumes += 1;
         }
     }
 
@@ -900,7 +896,7 @@ mod tests {
         w.run();
         let sw: &Switch = w.get(swid).unwrap();
         assert!(sw.stats.pfc_pauses >= 1, "pause watermark crossed");
-        assert!(sw.stats.pfc_resumes >= 1, "queue drained -> resume");
+        assert!(!sw.pfc_upstream_paused, "queue drained -> resume");
         assert_eq!(sw.stats.drops_buffer, 0, "12x1.5KB fits in 20KB");
         // The sink (a non-port entity here) received the PFC frames as
         // events; a real NIC would pause — covered by integration tests.

@@ -79,10 +79,6 @@ pub struct Dcqcn {
     last_cut: Option<Nanos>,
     /// Whether a CNP arrived since the last alpha-timer tick.
     cnp_since_alpha_tick: bool,
-    /// Statistics: cuts applied from CNPs.
-    pub cnp_cuts: u64,
-    /// Statistics: cuts applied from NACKs ("slow starts").
-    pub nack_cuts: u64,
 }
 
 impl Dcqcn {
@@ -100,8 +96,6 @@ impl Dcqcn {
             bytes_accum: 0,
             last_cut: None,
             cnp_since_alpha_tick: false,
-            cnp_cuts: 0,
-            nack_cuts: 0,
         }
     }
 
@@ -156,7 +150,6 @@ impl Dcqcn {
         self.rt = self.rc;
         self.rc *= 1.0 - self.alpha / 2.0;
         self.after_cut(now);
-        self.cnp_cuts += 1;
         true
     }
 
@@ -172,7 +165,6 @@ impl Dcqcn {
         self.rt = self.rc;
         self.rc *= NACK_CUT_FACTOR;
         self.after_cut(now);
-        self.nack_cuts += 1;
         true
     }
 
@@ -253,7 +245,7 @@ mod tests {
         assert!(d.on_cnp(Nanos::from_micros(100)));
         let r = d.rate_bps();
         assert!(r < 0.51 * LINE as f64 && r > 0.45 * LINE as f64, "r={r}");
-        assert_eq!(d.cnp_cuts, 1);
+        assert!((r - 0.5 * LINE as f64).abs() < 1.0, "one cut halves it");
     }
 
     #[test]
@@ -275,7 +267,10 @@ mod tests {
         assert!(d.on_nack(Nanos::from_micros(10)));
         assert!((d.rate_bps() - 0.5 * LINE as f64).abs() < 1.0);
         assert!(!d.on_nack(Nanos::from_micros(11)));
-        assert_eq!(d.nack_cuts, 1);
+        assert!(
+            (d.rate_bps() - 0.5 * LINE as f64).abs() < 1.0,
+            "one cut: the rate fell once"
+        );
     }
 
     #[test]

@@ -49,10 +49,6 @@ fn token(kind: u64, qp_idx: usize) -> u64 {
 pub struct NicStats {
     /// Packets received for QPs this NIC does not know.
     pub unknown_qp: u64,
-    /// Handshake packets received.
-    pub handshakes_rx: u64,
-    /// Control packets (ACK/NACK/CNP) transmitted.
-    pub ctrl_tx: u64,
     /// Received ACK/NACK/CNP packets discarded by injected receive-path
     /// corruption ([`ControlMsg::SetRxCorruptRate`]).
     pub corrupted_rx: u64,
@@ -267,7 +263,6 @@ impl Nic {
     fn try_send(&mut self, ctx: &mut Ctx<'_>) {
         while !self.port.is_busy() && !self.port.is_paused() {
             if let Some(p) = self.ctrl_queue.pop_front() {
-                self.stats.ctrl_tx += 1;
                 let _ = self.port.enqueue(p, PortId(0), ctx, None, &mut self.rng);
                 continue;
             }
@@ -583,9 +578,7 @@ impl Entity for Nic {
                             self.stats.unknown_qp += 1;
                         }
                     }
-                    PacketKind::Handshake => {
-                        self.stats.handshakes_rx += 1;
-                    }
+                    PacketKind::Handshake => {}
                 }
                 self.try_send(ctx);
             }
@@ -742,8 +735,16 @@ mod tests {
         let mut h = build(sr(), sr());
         post(&mut h, 1500, 1);
         h.world.run_until(Nanos::from_millis(10));
-        let nic_b: &Nic = h.world.get(h.b).unwrap();
-        assert_eq!(nic_b.stats.handshakes_rx, 1);
+        // The post queued the QP's one handshake on the control queue,
+        // which drains before data; it left, and the message arrived.
+        let nic_a: &mut Nic = h.world.get_mut(h.a).unwrap();
+        assert!(nic_a.ctrl_queue.is_empty());
+        assert!(
+            nic_a.send_qps[0].take_handshake().is_none(),
+            "handshake spent"
+        );
+        let d: &DriverSink = h.world.get(h.driver).unwrap();
+        assert_eq!(d.delivered, vec![(QpId(5), 1)]);
     }
 
     #[test]

@@ -43,18 +43,12 @@ pub struct SendQpStats {
     pub data_packets: u64,
     /// Retransmitted data packets sent.
     pub retx_packets: u64,
-    /// ACKs received.
-    pub acks_received: u64,
     /// NACKs received.
     pub nacks_received: u64,
     /// CNPs received.
     pub cnps_received: u64,
     /// RTO expirations.
     pub rto_fires: u64,
-    /// Stale NACKs ignored (ePSN already acknowledged past).
-    pub stale_nacks: u64,
-    /// Total data payload bytes sent (including retransmissions).
-    pub bytes_sent: u64,
 }
 
 /// Optional per-flow tracing (Fig 1b / Fig 1c series).
@@ -292,7 +286,6 @@ impl SendQp {
         } else {
             self.stats.data_packets += 1;
         }
-        self.stats.bytes_sent += payload as u64;
         if let Some(t) = &mut self.trace {
             t.rate.record(now, pkt.wire_bytes as u64);
             t.retx_ratio
@@ -303,7 +296,6 @@ impl SendQp {
 
     /// Process a cumulative ACK; returns tags of fully acked messages.
     pub fn on_ack(&mut self, wire_epsn: u32) -> Vec<u64> {
-        self.stats.acks_received += 1;
         let ext = extend24(wire_epsn, self.snd_una.max(1));
         self.advance_una(ext)
     }
@@ -318,7 +310,6 @@ impl SendQp {
         self.stats.nacks_received += 1;
         let ext = extend24(wire_epsn, self.snd_una.max(1));
         if ext < self.snd_una {
-            self.stats.stale_nacks += 1;
             return (Vec::new(), false);
         }
         // An accepted NACK is a loss signal: cached path knowledge
@@ -403,21 +394,10 @@ pub struct RecvQpStats {
     pub ooo_packets: u64,
     /// Duplicates (PSN < ePSN, or bitmap bit already set).
     pub dup_packets: u64,
-    /// ACKs sent.
-    pub acks_sent: u64,
     /// NACKs sent.
     pub nacks_sent: u64,
-    /// NACKs suppressed because the transport is the loss oracle and the
-    /// expected packet was not actually lost.
-    pub nacks_suppressed: u64,
-    /// CNPs sent.
-    pub cnps_sent: u64,
-    /// Messages delivered in order.
-    pub msgs_delivered: u64,
     /// Payload bytes delivered (first copies only).
     pub bytes_delivered: u64,
-    /// Go-Back-N receiver discards of out-of-order packets.
-    pub gbn_discards: u64,
     /// Times the extended ePSN crossed a 24-bit wire-PSN boundary —
     /// every packet beyond the first wrap travels with an aliased
     /// (truncated) PSN that [`extend24`] must reconstruct.
@@ -612,7 +592,6 @@ impl RecvQp {
             };
             if due {
                 self.last_cnp = Some(now);
-                self.stats.cnps_sent += 1;
                 out.responses
                     .push(Packet::cnp(self.qp, self.me, self.peer, self.reverse_sport));
             }
@@ -645,10 +624,8 @@ impl RecvQp {
 
             // Deliver completed messages.
             let remaining = self.msg_ends.split_off(&self.epsn);
-            for (_, tag) in std::mem::replace(&mut self.msg_ends, remaining) {
-                self.stats.msgs_delivered += 1;
-                out.delivered.push(tag);
-            }
+            out.delivered
+                .extend(std::mem::replace(&mut self.msg_ends, remaining).into_values());
 
             let ack_due = self.inorder_since_ack >= self.ack_coalescing
                 || adv > 1
@@ -668,7 +645,6 @@ impl RecvQp {
         match self.transport {
             TransportMode::GoBackN => {
                 // Discard; request resume from ePSN (once per ePSN value).
-                self.stats.gbn_discards += 1;
                 if self.last_nacked != Some(self.epsn) {
                     self.last_nacked = Some(self.epsn);
                     self.push_nack(&mut out);
@@ -702,12 +678,8 @@ impl RecvQp {
                     self.stats.dup_packets += 1;
                 }
                 // NACK only when the expected packet is a *known* loss.
-                if self.oracle_lost.contains(&self.epsn) {
-                    if let Some(nack) = self.maybe_oracle_nack() {
-                        out.responses.push(nack);
-                    }
-                } else {
-                    self.stats.nacks_suppressed += 1;
+                if let Some(nack) = self.maybe_oracle_nack() {
+                    out.responses.push(nack);
                 }
             }
         }
@@ -716,7 +688,6 @@ impl RecvQp {
 
     fn push_ack(&mut self, out: &mut RecvOutcome) {
         self.inorder_since_ack = 0;
-        self.stats.acks_sent += 1;
         out.responses.push(Packet::ack(
             self.qp,
             self.me,
@@ -751,14 +722,16 @@ mod tests {
 
     /// The per-QP state on x86-64. The policies carry no copies of their
     /// published settings (those are `const`s in `reaction`); before
-    /// that, these read 432 / 312 / 112 / 64 B.
+    /// that, these read 432 / 312 / 112 / 64 B. The QPs keep only the
+    /// counters something outside this crate's tests reads; before
+    /// that, they read 424 / 296 B.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn qp_sizes_are_pinned() {
         use crate::reaction::{OooReaction, SenderEntropy};
         use std::mem::size_of;
-        assert_eq!(size_of::<SendQp>(), 424);
-        assert_eq!(size_of::<RecvQp>(), 296);
+        assert_eq!(size_of::<SendQp>(), 384);
+        assert_eq!(size_of::<RecvQp>(), 256);
         assert_eq!(size_of::<SenderEntropy>(), 104);
         assert_eq!(size_of::<OooReaction>(), 48);
     }
@@ -1038,7 +1011,8 @@ mod tests {
     fn gbn_discards_ooo_without_buffering() {
         let mut r = recv_qp(TransportMode::GoBackN);
         r.on_data(1, 0, false, 1000, false, Nanos(0));
-        assert_eq!(r.stats.gbn_discards, 1);
+        assert_eq!(r.epsn(), 0);
+        assert_eq!(r.stats.bytes_delivered, 0, "nothing buffered");
         // Delivering 0 must advance epsn only to 1 (psn 1 was discarded).
         r.on_data(0, 0, false, 1000, false, Nanos(1));
         assert_eq!(r.epsn(), 1);
@@ -1049,7 +1023,10 @@ mod tests {
         let mut r = recv_qp(TransportMode::IdealOracle);
         let out = r.on_data(1, 0, false, 1000, false, Nanos(0));
         assert!(out.responses.is_empty());
-        assert_eq!(r.stats.nacks_suppressed, 1);
+        assert!(
+            !out.responses.iter().any(Packet::is_nack),
+            "NACK suppressed"
+        );
         assert_eq!(r.stats.nacks_sent, 0);
     }
 
@@ -1100,7 +1077,12 @@ mod tests {
             .responses
             .iter()
             .any(|p| matches!(p.kind, PacketKind::Cnp)));
-        assert_eq!(r.stats.cnps_sent, 2);
+        let cnps = [o0, o1, o2]
+            .iter()
+            .flat_map(|o| &o.responses)
+            .filter(|p| matches!(p.kind, PacketKind::Cnp))
+            .count();
+        assert_eq!(cnps, 2);
     }
 
     #[test]
@@ -1133,12 +1115,14 @@ mod tests {
         // The last packet of msg 10 arrives out of order; delivery of both
         // messages must wait for the hole at psn 0 to fill, then complete
         // in posting order.
-        r.on_data(1, 10, true, 500, false, Nanos(0));
-        r.on_data(2, 11, false, 1000, false, Nanos(1));
-        r.on_data(3, 11, true, 500, false, Nanos(2));
+        let early = [
+            r.on_data(1, 10, true, 500, false, Nanos(0)),
+            r.on_data(2, 11, false, 1000, false, Nanos(1)),
+            r.on_data(3, 11, true, 500, false, Nanos(2)),
+        ];
+        assert!(early.iter().all(|o| o.delivered.is_empty()));
         let out = r.on_data(0, 10, false, 1000, false, Nanos(3));
         assert_eq!(out.delivered, vec![10, 11]);
         assert_eq!(r.epsn(), 4);
-        assert_eq!(r.stats.msgs_delivered, 2);
     }
 }

@@ -249,8 +249,6 @@ pub struct EventQueue<T> {
     far: BinaryHeap<Key>,
     slab: Slab<T>,
     next_seq: u64,
-    /// Events ever inserted (plain or keyed).
-    total: u64,
     len: usize,
 }
 
@@ -266,7 +264,6 @@ impl<T> Default for EventQueue<T> {
             far: BinaryHeap::new(),
             slab: Slab::default(),
             next_seq: 0,
-            total: 0,
             len: 0,
         }
     }
@@ -327,7 +324,6 @@ impl<T> EventQueue<T> {
     fn insert(&mut self, at: Nanos, seq: u64, lane: u32, payload: T) {
         let slot = self.slab.put(payload);
         self.len += 1;
-        self.total += 1;
         let at = at.as_nanos();
         if at <= self.now {
             self.late.push(Key {
@@ -436,12 +432,6 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.total
     }
 
     /// With the run and the late heap empty: make the next occupied
@@ -586,16 +576,16 @@ mod tests {
     }
 
     #[test]
-    fn len_and_totals() {
+    fn len_and_pop_counts() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(Nanos(1), ());
         q.push(Nanos(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(std::iter::from_fn(|| q.pop()).count(), 1);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -688,7 +678,11 @@ mod tests {
             vec![10, 30]
         );
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 3);
+        assert_eq!(
+            1 + drained.len(),
+            3,
+            "one popped and two drained: every push"
+        );
         // A reset queue must accept timestamps below the old `now` again.
         for ev in drained {
             q.restore(ev);

@@ -41,6 +41,10 @@
 #     reach REPS pool flushes and Eunomia's overflow and timeout NACKs
 #   themis_fuzz --plan tests/golden/faultplan_v1.txt: parses and
 #     installs all 13 fault kinds
+#   the same plan under --scheme eunomia --collective ringonce --kb 512:
+#     the only leg whose output moves when rnic::reaction::EUNOMIA_WINDOW
+#     goes from 256 to 512 (EUNOMIA_GAP_TIMEOUT and netsim::lb::FLOWLET_GAP
+#     move no leg; only unit tests pin them)
 #   THEMIS_FUZZ_BREAK=nofilter themis_fuzz --budget 300 --keep-going:
 #     ~100 failures, each printed with its shrunk plan on stderr (~3 s;
 #     exits 1 by design, which is tolerated)
@@ -142,6 +146,8 @@ EOF
         "$bin/themis_fuzz" --scheme "$scheme" --budget 30 | mask "fuzz_$scheme.out"
     done
     "$bin/themis_fuzz" --plan "$ROOT/tests/golden/faultplan_v1.txt" > fuzz_plan.out
+    "$bin/themis_fuzz" --plan "$ROOT/tests/golden/faultplan_v1.txt" --scheme eunomia \
+        --collective ringonce --kb 512 > fuzz_plan_eunomia.out
     # Failures are reported from what the fuzz loop stored: exit 1 here
     # is the expected verdict, any other status is not.
     { THEMIS_FUZZ_BREAK=nofilter "$bin/themis_fuzz" --budget 300 --keep-going \
