@@ -735,13 +735,13 @@ mod tests {
         let mut h = build(sr(), sr());
         post(&mut h, 1500, 1);
         h.world.run_until(Nanos::from_millis(10));
-        // The post queued the QP's one handshake on the control queue,
-        // which drains before data; it left, and the message arrived.
-        let nic_a: &mut Nic = h.world.get_mut(h.a).unwrap();
-        assert!(nic_a.ctrl_queue.is_empty());
-        assert!(
-            nic_a.send_qps[0].take_handshake().is_none(),
-            "handshake spent"
+        // A's wire carried exactly one handshake and the one data packet.
+        let nic_a: &Nic = h.world.get(h.a).unwrap();
+        assert_eq!(
+            nic_a.port.stats.tx_bytes,
+            u64::from(
+                netsim::packet::CONTROL_PACKET_BYTES + 1500 + netsim::packet::WIRE_HEADER_BYTES
+            )
         );
         let d: &DriverSink = h.world.get(h.driver).unwrap();
         assert_eq!(d.delivered, vec![(QpId(5), 1)]);
