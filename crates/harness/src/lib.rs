@@ -42,8 +42,9 @@
 //!   (`themis_serve`): one warm fabric behind `create_qp` /
 //!   `post_send` / `poll_cq` / `snapshot` / `restore` over a
 //!   length-prefixed JSON socket protocol.
-//! * [`json`] — the dependency-free JSON value/parser/writer the
-//!   service protocol and its snapshots use (nesting capped at 128).
+//! * [`json`] — `telemetry::json` re-exported: the workspace's one
+//!   JSON codec (value, parser, encoder), which the service protocol
+//!   and its snapshots use (nesting capped at 128).
 
 #![warn(missing_docs)]
 

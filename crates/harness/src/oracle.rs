@@ -125,8 +125,7 @@ pub struct OracleReport {
     pub data_dropped: u64,
     /// Distinct `(qp, psn)` pairs among dropped data packets.
     pub distinct_losses: u64,
-    /// Control (ACK/NACK/CNP/handshake) drops recorded anywhere,
-    /// including NIC receive-path corruption.
+    /// Control (ACK/NACK/CNP/handshake) drops recorded anywhere.
     pub control_dropped: u64,
     /// Total sender retransmissions.
     pub retx_packets: u64,
@@ -151,8 +150,7 @@ pub struct OracleReport {
 pub struct DropTally {
     /// Data drops recorded.
     pub data_dropped: u64,
-    /// Control drops recorded (excluding NIC receive-path corruption,
-    /// which the audit adds from NIC stats).
+    /// Control drops recorded.
     pub control_dropped: u64,
     /// Distinct `(qp, psn)` data drops, summed per added batch.
     pub distinct_losses: u64,
@@ -269,11 +267,9 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
     let mut bytes_delivered = 0u64;
     let mut undrained: Vec<String> = Vec::new();
     let mut nic_unknown = 0u64;
-    let mut nic_corrupted = 0u64;
     for &h in &cluster.hosts {
         let nic = cluster.nic(h);
         nic_unknown += nic.stats.unknown_qp;
-        nic_corrupted += nic.stats.corrupted_rx;
         for s in nic.send_qps() {
             r.data_sent += s.stats.data_packets + s.stats.retx_packets;
             r.retx_packets += s.stats.retx_packets;
@@ -294,8 +290,6 @@ pub fn audit_with_tally(cluster: &Cluster, cfg: &OracleConfig, drops: &DropTally
             bytes_delivered += q.stats.bytes_delivered;
         }
     }
-    r.control_dropped += nic_corrupted;
-
     let themis = cluster.themis_stats();
 
     // ---- Invariant 1: exactly-once delivery. ----------------------

@@ -44,7 +44,7 @@
 
 use crate::cluster::{assemble, check_shards, Topology};
 use crate::experiment::driver_of;
-use crate::json::{self, Json};
+use crate::json::{self, Encoder, Json, Layout};
 use crate::load::InvalidConfig;
 use crate::scheme::Scheme;
 use crate::session::{Session, Start};
@@ -311,21 +311,21 @@ impl SimService {
     /// document (stable field order, so identical histories produce
     /// identical bytes). The journal is written one op at a time.
     pub fn snapshot(&self) -> String {
-        let mut out = Json::obj(vec![
-            ("kind", Json::str(SNAPSHOT_KIND)),
-            ("v", Json::Int(SNAPSHOT_VERSION)),
-            ("config", self.cfg.to_json()),
-        ])
-        .to_string();
-        out.pop(); // the closing '}'
-        out.push_str(",\"journal\":[");
-        for (i, op) in self.journal.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            op.to_json().write(&mut out);
+        let mut out = String::new();
+        let mut enc = Encoder::compact(&mut out);
+        enc.obj(Layout::Inline)
+            .key("kind")
+            .str(SNAPSHOT_KIND)
+            .key("v")
+            .i64(SNAPSHOT_VERSION)
+            .key("config")
+            .json(&self.cfg.to_json())
+            .key("journal")
+            .arr(Layout::Inline);
+        for op in &self.journal {
+            enc.json(&op.to_json());
         }
-        out.push_str("]}");
+        enc.close().close();
         out
     }
 
@@ -618,7 +618,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Encode `doc` as one frame, behind four bytes reserved for the header.
 fn send(w: &mut impl Write, doc: &Json) -> io::Result<()> {
     let mut frame = String::from("\0\0\0\0");
-    doc.write(&mut frame);
+    Encoder::compact(&mut frame).json(doc);
     write_reserved(w, frame.into_bytes())
 }
 

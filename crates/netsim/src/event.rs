@@ -141,13 +141,6 @@ pub enum ControlMsg {
         /// True = spraying active.
         on: bool,
     },
-    /// Fault injection (NIC): discard received ACK/NACK/CNP packets with
-    /// the given probability in parts per million — models receive-path
-    /// corruption at the RNIC; 0 clears the fault.
-    SetRxCorruptRate {
-        /// Discard probability in packets-per-million.
-        rate_ppm: u32,
-    },
 }
 
 #[cfg(test)]

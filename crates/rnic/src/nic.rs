@@ -49,9 +49,6 @@ fn token(kind: u64, qp_idx: usize) -> u64 {
 pub struct NicStats {
     /// Packets received for QPs this NIC does not know.
     pub unknown_qp: u64,
-    /// Received ACK/NACK/CNP packets discarded by injected receive-path
-    /// corruption ([`ControlMsg::SetRxCorruptRate`]).
-    pub corrupted_rx: u64,
     /// NACKs the receiver QPs generated on the data path. NACKs issued
     /// for an oracle loss notification are not counted here (they are in
     /// [`crate::qp::RecvQpStats::nacks_sent`] with the rest).
@@ -119,7 +116,6 @@ pub struct Nic {
     ctrl_queue: VecDeque<Packet>,
     wakeup_at: Option<Nanos>,
     rng: Xoshiro256,
-    rx_corrupt_ppm: u32,
     /// Where events go, and the id of `rnic.ooo_gap` in that sink.
     telem: Option<(Sink, HistId)>,
     /// NIC-level statistics.
@@ -148,7 +144,6 @@ impl Nic {
             ctrl_queue: VecDeque::new(),
             wakeup_at: None,
             rng: Xoshiro256::seeded(NIC_SEED ^ (host.0 as u64) << 32),
-            rx_corrupt_ppm: 0,
             telem: None,
             stats: NicStats::default(),
         }
@@ -525,9 +520,6 @@ impl Nic {
             ControlMsg::MessageDelivered { .. } | ControlMsg::MessageAcked { .. } => {
                 debug_assert!(false, "completion notification delivered to a NIC");
             }
-            ControlMsg::SetRxCorruptRate { rate_ppm } => {
-                self.rx_corrupt_ppm = rate_ppm;
-            }
             ControlMsg::TorLink { .. }
             | ControlMsg::SetPortDown { .. }
             | ControlMsg::SetPortLossRate { .. }
@@ -544,19 +536,6 @@ impl Entity for Nic {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Packet { pkt, .. } => {
-                // Injected receive-path corruption: control packets that
-                // fail the (modeled) ICRC check are discarded before any
-                // QP processing, exactly as a real RNIC drops them.
-                if self.rx_corrupt_ppm > 0
-                    && matches!(
-                        pkt.kind,
-                        PacketKind::Ack { .. } | PacketKind::Nack { .. } | PacketKind::Cnp
-                    )
-                    && self.rng.next_below(1_000_000) < self.rx_corrupt_ppm as u64
-                {
-                    self.stats.corrupted_rx += 1;
-                    return;
-                }
                 match pkt.kind {
                     PacketKind::Data {
                         psn,

@@ -27,6 +27,8 @@
 //!   shard has its own sink, so a lock is never contended.
 //! * [`RunReport`] / [`Report`] — `Send + Clone` snapshots and the
 //!   versioned `themis-telemetry` JSON document (see [`report`]).
+//! * [`json`] — the workspace's one JSON codec: the value type, its
+//!   parser and the streaming encoder every document goes through.
 //!
 //! # Example
 //!
@@ -55,14 +57,15 @@
 // tests are exempt through clippy.toml.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+pub mod json;
 pub mod registry;
 pub mod report;
 pub mod ring;
 
 pub use registry::{BinStat, CounterId, HistId, Registry, TimeHist};
 pub use report::{
-    write_json_str, BinSnapshot, EventSnapshot, EventsSnapshot, HistSnapshot, Report, RunReport,
-    WindowedReport, SCHEMA_NAME, SCHEMA_VERSION, WINDOWED_SCHEMA_NAME, WINDOWED_SCHEMA_VERSION,
+    BinSnapshot, EventSnapshot, EventsSnapshot, HistSnapshot, Report, RunReport, WindowedReport,
+    SCHEMA_NAME, SCHEMA_VERSION, WINDOWED_SCHEMA_NAME, WINDOWED_SCHEMA_VERSION,
 };
 pub use ring::{EventKind, EventRecord, EventRing};
 

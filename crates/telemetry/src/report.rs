@@ -33,9 +33,11 @@
 //! }
 //! ```
 //!
-//! All maps are emitted with sorted keys and numbers are formatted
-//! deterministically, so the output is byte-stable for a fixed seed.
+//! All maps are emitted with sorted keys and every document is streamed
+//! through the one [`crate::json::Encoder`] (document style), so the
+//! output is byte-stable for a fixed seed.
 
+use crate::json::{Encoder, Layout::Inline, Layout::Spread};
 use crate::ring::{EventRecord, EventRing};
 use crate::{Registry, TimeHist};
 
@@ -269,6 +271,49 @@ impl RunReport {
         merged.sort();
         merged
     }
+
+    /// Stream this run into `enc` as one `runs` / `slices[].run` value
+    /// of the document style.
+    fn encode(&self, enc: &mut Encoder) {
+        enc.obj(Spread).key("counters").obj(Spread);
+        for (n, v) in by_name(&self.counters) {
+            enc.key(n).u64(*v);
+        }
+        enc.close().key("gauges").obj(Spread);
+        for (n, v) in by_name(&self.gauges) {
+            enc.key(n).f64(*v);
+        }
+        enc.close().key("histograms").obj(Spread);
+        for (n, h) in by_name(&self.hists) {
+            enc.key(n).obj(Inline);
+            enc.key("bin_width_ns").u64(h.bin_width_ns);
+            enc.key("count").u64(h.count).key("sum").u64(h.sum);
+            enc.key("clamped").u64(h.clamped).key("bins").arr(Inline);
+            for b in &h.bins {
+                enc.obj(Inline).key("start_ns").u64(b.start_ns);
+                enc.key("count").u64(b.count).key("sum").u64(b.sum);
+                enc.key("min").u64(b.min).key("max").u64(b.max).close();
+            }
+            enc.close().close();
+        }
+        enc.close().key("events").obj(Inline);
+        enc.key("total").u64(self.events.total);
+        enc.key("capacity").u64(self.events.capacity);
+        enc.key("ring").arr(Inline);
+        for e in &self.events.ring {
+            enc.obj(Inline).key("at_ns").u64(e.at_ns);
+            enc.key("kind").str(e.kind).key("qp").u64(e.qp);
+            enc.key("arg").u64(e.arg).close();
+        }
+        enc.close().close().close();
+    }
+}
+
+/// `pairs` sorted by name: every map in the documents has sorted keys.
+fn by_name<T>(pairs: &[(String, T)]) -> Vec<&(String, T)> {
+    let mut sorted: Vec<_> = pairs.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    sorted
 }
 
 /// Fold `from` into `into` bin-wise; both must share a bin width.
@@ -335,23 +380,14 @@ impl Report {
     /// indent, trailing newline; byte-stable for identical input).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA_NAME)));
-        out.push_str(&format!("  \"version\": {SCHEMA_VERSION},\n"));
-        out.push_str("  \"runs\": {");
-        let mut runs: Vec<&(String, RunReport)> = self.runs.iter().collect();
-        runs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (i, (label, run)) in runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: ", json_str(label)));
-            write_run(&mut out, run);
+        let mut enc = Encoder::document(&mut out);
+        enc.obj(Spread).key("schema").str(SCHEMA_NAME);
+        enc.key("version").u64(SCHEMA_VERSION.into());
+        enc.key("runs").obj(Spread);
+        for (label, run) in by_name(&self.runs) {
+            run.encode(enc.key(label));
         }
-        if !runs.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
+        enc.close().close();
         out
     }
 
@@ -424,171 +460,23 @@ impl WindowedReport {
     /// input).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema\": {},\n",
-            json_str(WINDOWED_SCHEMA_NAME)
-        ));
-        out.push_str(&format!("  \"version\": {WINDOWED_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"label\": {},\n", json_str(&self.label)));
-        out.push_str(&format!("  \"window_ns\": {},\n", self.window_ns));
-        out.push_str("  \"slices\": [");
-        for (i, (end_ns, run)) in self.slices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"end_ns\": {end_ns}, \"run\": "));
-            write_run(&mut out, run);
-            out.push('}');
+        let mut enc = Encoder::document(&mut out);
+        enc.obj(Spread).key("schema").str(WINDOWED_SCHEMA_NAME);
+        enc.key("version").u64(WINDOWED_SCHEMA_VERSION.into());
+        enc.key("label").str(&self.label);
+        enc.key("window_ns").u64(self.window_ns);
+        enc.key("slices").arr(Spread);
+        for (end_ns, run) in &self.slices {
+            run.encode(enc.obj(Inline).key("end_ns").u64(*end_ns).key("run"));
+            enc.close();
         }
-        if !self.slices.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        enc.close().close();
         out
     }
 
     /// Write the JSON document to `path`.
     pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-}
-
-fn write_run(out: &mut String, run: &RunReport) {
-    out.push_str("{\n");
-
-    out.push_str("      \"counters\": {");
-    let mut counters: Vec<&(String, u64)> = run.counters.iter().collect();
-    counters.sort_by(|a, b| a.0.cmp(&b.0));
-    for (i, (n, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n        {}: {v}", json_str(n)));
-    }
-    if !counters.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("      \"gauges\": {");
-    let mut gauges: Vec<&(String, f64)> = run.gauges.iter().collect();
-    gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    for (i, (n, v)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n        {}: {}", json_str(n), json_f64(*v)));
-    }
-    if !gauges.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("      \"histograms\": {");
-    let mut hists: Vec<&(String, HistSnapshot)> = run.hists.iter().collect();
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-    for (i, (n, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {}: {{\"bin_width_ns\": {}, \"count\": {}, \"sum\": {}, \"clamped\": {}, \"bins\": [",
-            json_str(n),
-            h.bin_width_ns,
-            h.count,
-            h.sum,
-            h.clamped
-        ));
-        for (j, b) in h.bins.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"start_ns\": {}, \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                b.start_ns, b.count, b.sum, b.min, b.max
-            ));
-        }
-        out.push_str("]}");
-    }
-    if !hists.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("},\n");
-
-    out.push_str(&format!(
-        "      \"events\": {{\"total\": {}, \"capacity\": {}, \"ring\": [",
-        run.events.total, run.events.capacity
-    ));
-    for (i, e) in run.events.ring.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"at_ns\": {}, \"kind\": {}, \"qp\": {}, \"arg\": {}}}",
-            e.at_ns,
-            json_str(e.kind),
-            e.qp,
-            e.arg
-        ));
-    }
-    out.push_str("]}\n    }");
-}
-
-/// Append `s` to `out` as a JSON string literal (quotes included).
-/// The one escaper behind every JSON writer in the workspace: this
-/// module's documents and `themis_harness::json`. Each maximal run of
-/// bytes that needs no escape is copied with one `push_str`; every byte
-/// that does is ASCII, so the runs split `s` on character boundaries.
-pub fn write_json_str(s: &str, out: &mut String) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(HEX[usize::from(b >> 4)] as char);
-                out.push(HEX[usize::from(b & 0xf)] as char);
-            }
-        }
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_json_str(s, &mut out);
-    out
-}
-
-/// Deterministic JSON number formatting for `f64`: finite values use
-/// Rust's shortest round-trip formatting (platform-independent);
-/// non-finite values, which JSON cannot express, serialize as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Keep floats recognizably floats ("2" -> "2.0") so readers
-        // don't see a field flip between integer and float across runs.
-        if s.contains('.') || s.contains('e') || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
     }
 }
 
@@ -754,68 +642,5 @@ mod tests {
         assert_eq!(h.bins[2].count, 2);
         assert_eq!(h.bins[2].min, 6);
         assert_eq!(h.bins[2].max, 7);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn non_finite_gauges_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(3.0), "3.0");
-    }
-
-    /// The character-at-a-time escaper `write_json_str` replaced: the
-    /// reference its output must match byte for byte.
-    fn write_json_str_by_chars(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    #[test]
-    fn escaping_by_runs_matches_the_character_escaper() {
-        // Every control character, the two escaped ASCII characters,
-        // DEL, plain ASCII and 2-, 3- and 4-byte UTF-8.
-        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
-        alphabet.extend([
-            '"', '\\', '\u{7f}', 'a', 'Z', ' ', '/', 'é', '€', '\u{ffff}', '😀',
-        ]);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for case in 0..2000 {
-            let len = (next() % 64) as usize;
-            let mut s: String = (0..len)
-                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
-                .collect();
-            if case % 2 == 0 {
-                // Long clean runs between the escapes.
-                s = s.replace('a', "abcdefghijklmnopqrstuvwxyz0123456789");
-            }
-            let (mut runs, mut chars) = (String::from("x"), String::from("x"));
-            write_json_str(&s, &mut runs);
-            write_json_str_by_chars(&s, &mut chars);
-            assert_eq!(runs, chars, "{s:?}");
-        }
     }
 }

@@ -23,6 +23,10 @@
 #      (the bottom crate orders events; netsim's one dispatch loop stamps
 #      telemetry), and crates/ names no attach_clock, attach_stamp or
 #      SchedHandle (the serial run is the one-shard case of that loop).
+#      Outside crates/telemetry/src/json.rs, no non-test, non-comment
+#      line of a crates/*/src file holds a string literal that writes
+#      JSON by hand ({\" ,\" \":): every document goes through the
+#      one encoder.
 #   2. cargo build --release
 #   3. cargo test -q            (tier-1 suite)
 #   3b. cargo test --workspace -q: every crate's unit tests, the
@@ -158,6 +162,23 @@ printf 'world.engine.attach_clock(sink.clock());\n' > "$CI_TMP/layer_probe/crate
 HITS=$(layering_hits .)
 [ -z "$HITS" ] || { echo "$HITS"; echo "FAIL: simcore depends on nothing; telemetry is stamped by World's dispatch loop"; exit 1; }
 echo "OK: simcore has no dependency and World has one dispatch loop"
+# json_text_hits ROOT: FILE:LINE:TEXT for every non-comment line before
+# the first #[cfg(test)] of a ROOT/crates/*/src file that holds a string
+# literal writing JSON syntax by hand ({\" ,\" \":). Only the one
+# encoder, crates/telemetry/src/json.rs, spells JSON.
+json_text_hits() {
+    find "$1/crates" -path '*/src/*.rs' ! -path "$1/crates/telemetry/src/json.rs" -print0 \
+        | sort -z | xargs -0 awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+            !t && !/^[[:space:]]*\/\// && /[{]\\"|,\\"|\\":/ { print FILENAME ":" FNR ":" $0 }'
+}
+# The probe is the checkpoint splice the encoder replaced.
+mkdir -p "$CI_TMP/json_probe/crates/probe/src"
+printf '        out.push_str(",\\"journal\\":[");\n' > "$CI_TMP/json_probe/crates/probe/src/lib.rs"
+[ "$(json_text_hits "$CI_TMP/json_probe" | wc -l)" -eq 1 ] \
+    || { echo "FAIL: the JSON-text gate misses a probe"; exit 1; }
+HITS=$(json_text_hits .)
+[ -z "$HITS" ] || { echo "$HITS"; echo "FAIL: write JSON through telemetry::json::Encoder"; exit 1; }
+echo "OK: JSON text is written only by telemetry::json"
 
 echo "== build (release) =="
 # --workspace so member binaries (themis_fuzz, themis_sim, fig1, fig5)

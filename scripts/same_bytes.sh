@@ -26,6 +26,10 @@
 #     motivation fabric (the ring8_spray benchmark path), plain, with
 #     --transport gbn and with --pfc
 #   themis_load --seed 11, serial and --shards 2 (k=4 fat-tree)
+#   themis_load --seed 11 --scheme flowlet --fault-plan
+#     tests/golden/faultplan_load_v1.txt (edge-uplink loss): the only leg
+#     whose output moves when netsim::lb::FLOWLET_GAP goes from 50 to
+#     100 us
 #   the scripted themis_serve session of scripts/ci.sh
 #   themis_fuzz --replay-corpus tests/corpus (its feature count is read
 #     from the telemetry counters: fault-plan drop causes, RTOs, NACK
@@ -43,8 +47,8 @@
 #     installs all 13 fault kinds
 #   the same plan under --scheme eunomia --collective ringonce --kb 512:
 #     the only leg whose output moves when rnic::reaction::EUNOMIA_WINDOW
-#     goes from 256 to 512 (EUNOMIA_GAP_TIMEOUT and netsim::lb::FLOWLET_GAP
-#     move no leg; only unit tests pin them)
+#     goes from 256 to 512 (EUNOMIA_GAP_TIMEOUT moves no leg; only a unit
+#     test pins it)
 #   THEMIS_FUZZ_BREAK=nofilter themis_fuzz --budget 300 --keep-going:
 #     ~100 failures, each printed with its shrunk plan on stderr (~3 s;
 #     exits 1 by design, which is tolerated)
@@ -116,6 +120,9 @@ run_all() {
         --telemetry load.json | mask load.out
     "$bin/themis_load" --seed 11 --shards 2 --windowed-telemetry load2_win.json \
         --telemetry load2.json | mask load2.out
+    "$bin/themis_load" --seed 11 --scheme flowlet \
+        --fault-plan "$ROOT/tests/golden/faultplan_load_v1.txt" \
+        --telemetry load_flowlet.json | mask load_flowlet.out
 
     "$bin/themis_serve" --socket serve.sock --k 4 --seed 7 > serve_server.out &
     SERVE_PID=$!

@@ -10,12 +10,16 @@
 # target/same_speed/<sha> and builds its perfbench there, in the
 # export's own perfbench/target; an export is written once, so a second
 # call against the same REV reuses its build. It builds this working
-# tree's perfbench in the usual perfbench/target. Each side runs from
-# its own root, so perfbench's socket paths stay short and relative. Then, per workload (default: all of
-# BENCHMARK.json's), it runs N pairs (default 5) of BENCHMARK.json's
-# command with `--seed` (default 1) and `--seconds` (default 2), one
-# run of REV and one of the tree per pair, swapping which side goes
-# first on every pair.
+# tree's perfbench in the usual perfbench/target. Each side is built
+# once, before any run, and every sample runs that side's built
+# perfbench/target/release/themis_benchmark directly (with the
+# arguments that follow `--` in BENCHMARK.json's command), so a source
+# edit made while the script runs cannot rebuild a side between pairs.
+# Each side runs from its own root, so perfbench's socket paths stay
+# short and relative. Then, per workload (default: all of
+# BENCHMARK.json's), it runs N pairs (default 5) with `--seed`
+# (default 1) and `--seconds` (default 2), one run of REV and one of
+# the tree per pair, swapping which side goes first on every pair.
 #
 # Output: one line per workload and metric,
 #   WORKLOAD METRIC  base MEDIAN [Q1 Q3]  tree MEDIAN [Q1 Q3]  ratio R  wins K/N
@@ -54,8 +58,12 @@ ROOT=$PWD
 SHA=$(git rev-parse --verify --quiet "$REV^{commit}") \
     || { echo "error: $REV is not a commit" >&2; exit 2; }
 
-mapfile -t CMD < <(python3 -c 'import json
-print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")')
+# The benchmark's own arguments: what follows `--` in BENCHMARK.json's
+# command (the part before it is the cargo invocation build() replaces).
+mapfile -t BENCH_ARGS < <(python3 -c 'import json
+cmd = json.load(open("BENCHMARK.json"))["command"]
+for arg in cmd[cmd.index("--") + 1:]:
+    print(arg)')
 [ -n "$WORKLOADS" ] || WORKLOADS=$(python3 -c 'import json
 print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 
@@ -78,14 +86,14 @@ build "$ROOT"
 OUT=$(mktemp -d -t themis_same_speed.XXXXXX)
 trap 'rm -rf "$OUT"' EXIT
 
-# run SIDE WORKLOAD TRACE PAIR: one run of BENCHMARK.json's command on
-# SIDE (base|tree), its stdout kept as $OUT/SIDE.WORKLOAD.tTRACE.PAIR
-# (stderr beside it, .err).
+# run SIDE WORKLOAD TRACE PAIR: one run of SIDE's (base|tree) built
+# benchmark, its stdout kept as $OUT/SIDE.WORKLOAD.tTRACE.PAIR (stderr
+# beside it, .err).
 run() {
     local side=$1 w=$2 trace=$3 pair=$4 dir=$ROOT
     [ "$side" = tree ] || dir=$BASE
     local out="$OUT/$side.$w.t$trace.$pair"
-    ( cd "$dir" && CARGO_TARGET_DIR=perfbench/target "${CMD[@]}" \
+    ( cd "$dir" && perfbench/target/release/themis_benchmark "${BENCH_ARGS[@]}" \
         --workload "$w" --seed "$SEED" --seconds "$SECONDS_PER_RUN" --trace "$trace" ) \
         > "$out" 2> "$out.err" && tail -n 1 "$out" | grep -q '^{"correct":true' \
         || { echo "FAIL: $side $w --trace $trace pair $pair:"; tail -n 5 "$out" "$out.err"; touch "$OUT/failed"; }
