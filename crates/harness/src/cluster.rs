@@ -964,33 +964,33 @@ mod tests {
         let themis: &[(&str, u64)] = &[
             ("fabric.drops.buffer", 0),
             ("fabric.drops.no_route", 0),
-            ("fabric.drops.targeted", 585),
+            ("fabric.drops.targeted", 598),
             ("fabric.ecn_marked", 0),
             ("fabric.flowlet_switches", 0),
-            ("fabric.hook_blocked", 690),
-            ("fabric.hook_emitted", 25),
-            ("rnic.nacks_issued", 714),
-            ("rnic.rate_cuts", 29),
-            ("rnic.rto_fired", 6),
-            ("themis.nacks.blocked", 690),
-            ("themis.nacks.compensated", 25),
+            ("fabric.hook_blocked", 1279),
+            ("fabric.hook_emitted", 19),
+            ("rnic.nacks_issued", 1304),
+            ("rnic.rate_cuts", 19),
+            ("rnic.rto_fired", 4),
+            ("themis.nacks.blocked", 1279),
+            ("themis.nacks.compensated", 19),
             ("themis.nacks.forwarded_unknown", 0),
-            ("themis.nacks.forwarded_valid", 6),
-            ("themis.sprayed", 16835),
+            ("themis.nacks.forwarded_valid", 0),
+            ("themis.sprayed", 16823),
         ];
         // Flowlet ring through a 256 KB switch buffer: buffer drops,
         // ECN marks, flowlet switches and RTOs.
         let flowlet: &[(&str, u64)] = &[
-            ("fabric.drops.buffer", 666),
+            ("fabric.drops.buffer", 708),
             ("fabric.drops.no_route", 0),
             ("fabric.drops.targeted", 0),
-            ("fabric.ecn_marked", 151),
-            ("fabric.flowlet_switches", 3032),
+            ("fabric.ecn_marked", 138),
+            ("fabric.flowlet_switches", 2452),
             ("fabric.hook_blocked", 0),
             ("fabric.hook_emitted", 0),
-            ("rnic.nacks_issued", 496),
-            ("rnic.rate_cuts", 504),
-            ("rnic.rto_fired", 170),
+            ("rnic.nacks_issued", 290),
+            ("rnic.rate_cuts", 296),
+            ("rnic.rto_fired", 418),
         ];
         let cases = [
             (
@@ -1055,7 +1055,7 @@ mod tests {
             };
             let here = doc(&run.clone()());
             assert!(
-                here.contains("\"themis.nacks.blocked\": 690"),
+                here.contains("\"themis.nacks.blocked\": 1279"),
                 "{shards} shard(s)"
             );
             let there = std::thread::spawn(run)

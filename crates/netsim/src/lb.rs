@@ -85,12 +85,18 @@ impl LbState {
     }
 }
 
-/// Least-loaded member of `uplinks` (ties broken uniformly at random).
-fn least_loaded(uplinks: &[usize], ports: &[EgressPort], rng: &mut Xoshiro256) -> usize {
+/// Member of `uplinks` with the least bytes queued at `now` (ties broken
+/// uniformly at random).
+fn least_loaded(
+    uplinks: &[usize],
+    ports: &[EgressPort],
+    now: Nanos,
+    rng: &mut Xoshiro256,
+) -> usize {
     let mut best = u64::MAX;
     let mut best_count = 0usize;
     for &p in uplinks {
-        let q = ports[p].queued_bytes();
+        let q = ports[p].queued_bytes(now);
         if q < best {
             best = q;
             best_count = 1;
@@ -103,7 +109,7 @@ fn least_loaded(uplinks: &[usize], ports: &[EgressPort], rng: &mut Xoshiro256) -
     let minima = uplinks
         .iter()
         .enumerate()
-        .filter(|&(_, &p)| ports[p].queued_bytes() == best);
+        .filter(|&(_, &p)| ports[p].queued_bytes(now) == best);
     minima.map(|(i, _)| i).nth(pick).unwrap_or_default()
 }
 
@@ -129,7 +135,7 @@ impl LbPolicy {
                 (h >> st.ecmp_shift) % n
             }
             LbPolicy::RandomSpray => st.rng.next_index(n),
-            LbPolicy::AdaptiveRouting => least_loaded(uplinks, ports, &mut st.rng),
+            LbPolicy::AdaptiveRouting => least_loaded(uplinks, ports, now, &mut st.rng),
             LbPolicy::Flowlet => {
                 match st.flowlets.get_mut(&pkt.qp) {
                     Some(e) if now.since(e.last_seen) < FLOWLET_GAP && e.uplink < n => {
@@ -139,7 +145,7 @@ impl LbPolicy {
                     _ => {
                         // Gap elapsed (or first packet): start a new
                         // flowlet on the least-loaded uplink.
-                        let uplink = least_loaded(uplinks, ports, &mut st.rng);
+                        let uplink = least_loaded(uplinks, ports, now, &mut st.rng);
                         st.flowlets.insert(
                             pkt.qp,
                             FlowletEntry {
@@ -264,6 +270,49 @@ mod tests {
             ));
         }
         assert_eq!(seen.len(), 3, "tie-break should reach every uplink");
+    }
+
+    #[test]
+    fn adaptive_routing_reads_the_depth_at_now() {
+        use crate::event::Routed;
+        use crate::world::Ctx;
+        use simcore::engine::Engine;
+
+        // Uplink 0 (100 Gb/s) gets ten packets at t = 0 and has sent
+        // them all by 5 µs; uplink 1 (1 Gb/s) gets three and is still
+        // sending the first. Nothing touches either port in between, so
+        // a depth read as of the last enqueue would say uplink 0 is the
+        // longer queue.
+        let mut ports = mk_ports(2);
+        ports[1].link = LinkSpec::gbps(1, 1);
+        let mut engine: Engine<Routed> = Engine::new();
+        let mut rng = Xoshiro256::seeded(5);
+        for (port, n) in [(0, 10), (1, 3)] {
+            ports[port].set_analytic(true);
+            for psn in 0..n {
+                let mut ctx = Ctx::for_tests(NodeId(0), Nanos::ZERO, &mut engine);
+                let pkt = data_pkt(1, 7, psn);
+                ports[port].enqueue(pkt, PortId(port as u16), &mut ctx, None, &mut rng);
+            }
+        }
+        let now = Nanos::from_micros(5);
+        assert_eq!(ports[0].queued_bytes(now), 0, "uplink 0 has drained");
+        assert_eq!(
+            ports[1].queued_bytes(now),
+            2 * 1064,
+            "two wait behind the wire"
+        );
+        let mut s = st();
+        for psn in 0..20 {
+            let pick = LbPolicy::AdaptiveRouting.select(
+                &data_pkt(2, 9, psn),
+                &[0, 1],
+                &ports,
+                now,
+                &mut s,
+            );
+            assert_eq!(pick, 0, "the drained uplink is the least loaded");
+        }
     }
 
     #[test]

@@ -2,21 +2,47 @@
 //! buffer accounting, WRED/ECN marking and loss injection.
 //!
 //! Each entity (switch or NIC) owns its egress ports. A port serializes one
-//! packet at a time at link bandwidth; when serialization completes
-//! ([`EgressPort::on_tx_done`]) the packet propagates to the peer entity
-//! after the link latency, and the next queued packet starts serializing.
+//! packet at a time at link bandwidth, and the peer sees each packet one
+//! link latency after it leaves the wire. A port times its departures in
+//! one of two ways:
+//!
+//! * **Analytic** (the egress ports of a switch without PFC and without
+//!   control priority): a FIFO port departs packet i at
+//!   `dᵢ = max(aᵢ, dᵢ₋₁) + ser(lenᵢ)`, so [`EgressPort::enqueue`] fixes
+//!   the departure at once and schedules the peer's arrival at
+//!   `dᵢ + latency + extra_delay`: one event per link hop. The port keeps
+//!   the `(departure, bytes)` of the packets still in the switch's
+//!   shared buffer and releases each one lazily, on the first touch at or
+//!   after its departure ([`EgressPort::settle`]). Since a departure at
+//!   `t` is settled by any touch at `t`, it frees its buffer before any
+//!   arrival at `t` is handled; and an arrival carries the event key of
+//!   the handler that enqueued its packet.
+//! * **TxDone** (NIC ports, whose arbiter pulls the next QP only when the
+//!   port frees; PFC ports, which must stop between packets; and
+//!   control-priority ports, which re-decide what goes next): the port
+//!   schedules a [`crate::event::Event::TxDone`] at the end of
+//!   serialization ([`EgressPort::on_tx_done`]), then sends the packet
+//!   on and starts the next one.
+//!
+//! A paused analytic port holds what it is offered and commits nothing;
+//! on resume it commits the held packets in order. Packets committed
+//! before the pause are already on their way. `extra_delay` applies to
+//! the packets that enter an analytic port while it is set, and to the
+//! packets that finish serializing on a TxDone port while it is set.
 //!
 //! ECN marking follows the WRED scheme DCQCN assumes: a *data* packet
 //! enqueued while the port queue holds more than `kmin` bytes is marked
 //! Congestion-Experienced with probability rising linearly to `pmax` at
-//! `kmax`, and always beyond `kmax`. Control packets (ACK/NACK/CNP) are
-//! never marked — RoCE switches only mark data traffic.
+//! `kmax`, and always beyond `kmax`. The depth is the one the packet
+//! joins: the bytes queued behind the packet on the wire. Control packets
+//! (ACK/NACK/CNP) are never marked — RoCE switches only mark data
+//! traffic.
 
 use crate::packet::Packet;
 use crate::types::{NodeId, PortId};
 use crate::world::Ctx;
 use simcore::rng::Xoshiro256;
-use simcore::time::TimeDelta;
+use simcore::time::{Nanos, TimeDelta};
 use std::collections::VecDeque;
 
 /// Physical link parameters.
@@ -102,7 +128,8 @@ impl SharedBuffer {
         }
     }
 
-    /// Bytes currently reserved.
+    /// Bytes currently reserved, counting departures an analytic port
+    /// has not settled yet.
     pub fn used(&self) -> u64 {
         self.used
     }
@@ -123,6 +150,15 @@ impl SharedBuffer {
         }
     }
 
+    /// Whether `bytes` more fit without raising the high-water mark. An
+    /// overstated `used` (unsettled departures) can only make this
+    /// false, so a switch settles its ports only then, and its
+    /// accept/drop decisions and `peak_used` stay exact.
+    #[inline]
+    pub fn fits_below_peak(&self, bytes: u64) -> bool {
+        self.used + bytes <= self.peak_used.min(self.capacity)
+    }
+
     /// Release a previous reservation.
     pub fn release(&mut self, bytes: u64) {
         debug_assert!(self.used >= bytes, "buffer release underflow");
@@ -135,7 +171,8 @@ impl SharedBuffer {
 pub enum EnqueueOutcome {
     /// Port was idle; transmission started immediately.
     TxStarted,
-    /// Packet joined the queue.
+    /// Packet joined the queue (or, on an analytic port, its departure
+    /// was fixed behind the packets ahead of it).
     Queued,
     /// Dropped: shared buffer exhausted.
     DroppedBuffer,
@@ -153,10 +190,20 @@ impl EnqueueOutcome {
 /// Per-port statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortStats {
-    /// Bytes fully transmitted.
+    /// Bytes put on the wire, counted when a packet's departure is fixed:
+    /// at enqueue on an analytic port, at the end of serialization on a
+    /// TxDone port. A paused port counts nothing until it resumes.
     pub tx_bytes: u64,
     /// Data packets ECN-marked at this port.
     pub ecn_marked: u64,
+}
+
+/// A committed departure of an analytic port: when the packet leaves the
+/// wire and the buffer bytes it holds until then.
+#[derive(Debug, Clone, Copy)]
+struct Departure {
+    at: Nanos,
+    bytes: u32,
 }
 
 /// One egress port: link to a peer entity plus a FIFO queue.
@@ -177,7 +224,9 @@ pub struct EgressPort {
     /// cable. Packets already queued drain normally.
     pub down: bool,
     /// Extra one-way propagation delay added on top of the link latency
-    /// (fault injection: delay-jitter spikes).
+    /// (fault injection: delay-jitter spikes): on an analytic port for the
+    /// packets that enter it while set, on a TxDone port for those that
+    /// finish serializing while set.
     pub extra_delay: TimeDelta,
     /// Strict priority for control packets (ACK/NACK/CNP/handshake):
     /// they queue separately and always transmit before data, as RoCE
@@ -187,9 +236,15 @@ pub struct EgressPort {
     pub stats: PortStats,
     queue: VecDeque<Packet>,
     ctrl_queue: VecDeque<Packet>,
+    /// Bytes in `queue`, `ctrl_queue` and `departures`.
     queued_bytes: u64,
     in_flight: Option<Packet>,
     paused: bool,
+    /// Analytic timing (see the module docs); set by the owning switch.
+    analytic: bool,
+    /// An analytic port's committed departures, oldest first, that have
+    /// not been settled. The port is busy until the last one.
+    departures: VecDeque<Departure>,
 }
 
 impl EgressPort {
@@ -210,7 +265,17 @@ impl EgressPort {
             queued_bytes: 0,
             in_flight: None,
             paused: false,
+            analytic: false,
+            departures: VecDeque::new(),
         }
+    }
+
+    /// Time departures analytically instead of by TxDone events. A
+    /// switch turns this on for every port when it has neither PFC nor
+    /// control priority.
+    pub(crate) fn set_analytic(&mut self, analytic: bool) {
+        debug_assert!(self.in_flight.is_none() && self.departures.is_empty());
+        self.analytic = analytic;
     }
 
     /// Pop the next packet to transmit, respecting control priority.
@@ -223,19 +288,42 @@ impl EgressPort {
         Some(p)
     }
 
-    /// Bytes waiting in the queues (excludes the packet on the wire).
-    #[inline]
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
+    /// Bytes waiting at `now` behind the packet on the wire: the depth a
+    /// packet offered at `now` joins. Departures due by `now` count as
+    /// gone, settled or not.
+    pub fn queued_bytes(&self, now: Nanos) -> u64 {
+        let mut waiting = self.queued_bytes;
+        // Drop the departed packets and then the one on the wire: after
+        // the departed ones, the oldest has started, because it was
+        // offered by `now` and the packet before it has left.
+        for d in &self.departures {
+            waiting -= d.bytes as u64;
+            if d.at > now {
+                break;
+            }
+        }
+        waiting
     }
 
-    /// Packets waiting in the queues.
+    /// Packets held in the port's own queues: a TxDone port's backlog, or
+    /// what an analytic port holds while paused.
     #[inline]
     pub fn queued_packets(&self) -> usize {
         self.queue.len() + self.ctrl_queue.len()
     }
 
-    /// Whether the port is currently serializing a packet.
+    /// Retire the analytic departures due by `now`, releasing their
+    /// buffer reservations.
+    #[inline]
+    pub fn settle(&mut self, now: Nanos, pool: &mut SharedBuffer) {
+        while let Some(d) = self.departures.front().filter(|d| d.at <= now) {
+            pool.release(d.bytes as u64);
+            self.queued_bytes -= d.bytes as u64;
+            self.departures.pop_front();
+        }
+    }
+
+    /// Whether a TxDone port is serializing a packet.
     #[inline]
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()
@@ -249,10 +337,17 @@ impl EgressPort {
 
     /// Pause or resume this port (link-level flow control). The packet
     /// currently on the wire finishes; resuming restarts transmission
-    /// from the queue.
+    /// from the queue (an analytic port commits all it held).
     pub fn set_paused(&mut self, paused: bool, self_port: PortId, ctx: &mut Ctx<'_>) {
         self.paused = paused;
-        if !paused && self.in_flight.is_none() {
+        if paused {
+            return;
+        }
+        if self.analytic {
+            while let Some(next) = self.pop_next() {
+                self.commit(next, ctx);
+            }
+        } else if self.in_flight.is_none() {
             if let Some(next) = self.pop_next() {
                 self.start_tx(next, self_port, ctx);
             }
@@ -263,8 +358,10 @@ impl EgressPort {
     ///
     /// `self_port` is this port's id within the owning entity (used to
     /// address the TxDone event back to it). `shared` is the owning
-    /// switch's buffer pool (None for NIC ports). Marks data packets per
-    /// WRED, applies loss injection, and starts transmission when idle.
+    /// switch's buffer pool (None for NIC ports); an analytic port must
+    /// be settled at `ctx.now()` first ([`Self::settle`]). Marks data
+    /// packets per WRED, applies loss injection, and starts transmission
+    /// when idle.
     pub fn enqueue(
         &mut self,
         mut pkt: Packet,
@@ -288,22 +385,51 @@ impl EgressPort {
         // joins behind.
         if pkt.is_data() {
             if let Some(ecn) = &self.ecn {
-                if ecn.should_mark(self.queued_bytes, rng) {
+                debug_assert!(
+                    self.departures.front().is_none_or(|d| d.at > ctx.now()),
+                    "an analytic port is settled before it is offered a packet"
+                );
+                let on_wire = self.departures.front().map_or(0, |d| d.bytes as u64);
+                let depth = self.queued_bytes - on_wire;
+                if ecn.should_mark(depth, rng) {
                     pkt.ecn_ce = true;
                     self.stats.ecn_marked += 1;
                 }
             }
         }
-        if self.in_flight.is_none() && !self.paused {
-            self.start_tx(pkt, self_port, ctx);
-            EnqueueOutcome::TxStarted
-        } else {
+        if self.paused || self.in_flight.is_some() {
             self.queued_bytes += pkt.wire_bytes as u64;
             if self.ctrl_priority && !pkt.is_data() {
                 self.ctrl_queue.push_back(pkt);
             } else {
                 self.queue.push_back(pkt);
             }
+            EnqueueOutcome::Queued
+        } else if self.analytic {
+            self.commit(pkt, ctx)
+        } else {
+            self.start_tx(pkt, self_port, ctx);
+            EnqueueOutcome::TxStarted
+        }
+    }
+
+    /// Fix an analytic port's next departure and schedule the peer's
+    /// arrival.
+    fn commit(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) -> EnqueueOutcome {
+        let now = ctx.now();
+        let bytes = pkt.wire_bytes;
+        // Settled departures have left by `now`, so an empty list means
+        // an idle wire.
+        let start = self.departures.back().map_or(now, |d| d.at.max(now));
+        let depart = start + self.link.serialization(bytes as u64);
+        self.departures.push_back(Departure { at: depart, bytes });
+        self.queued_bytes += bytes as u64;
+        self.stats.tx_bytes += bytes as u64;
+        let delay = (depart - now) + self.link.latency + self.extra_delay;
+        ctx.send_packet(self.peer, self.peer_in_port, pkt, delay);
+        if start == now {
+            EnqueueOutcome::TxStarted
+        } else {
             EnqueueOutcome::Queued
         }
     }
@@ -314,8 +440,9 @@ impl EgressPort {
         self.in_flight = Some(pkt);
     }
 
-    /// Handle serialization completion: propagate the packet to the peer,
-    /// release its buffer reservation, and start the next transmission.
+    /// Handle a TxDone port's serialization completion: propagate the
+    /// packet to the peer, release its buffer reservation, and start the
+    /// next transmission.
     ///
     /// Returns the packet that departed (for tracing).
     pub fn on_tx_done(

@@ -237,8 +237,11 @@ impl Switch {
     }
 
     /// Append a port; returns its index. `host_facing` marks last-hop ports.
+    /// Without PFC and control priority every port times its departures
+    /// analytically ([`crate::port`]).
     pub fn add_port(&mut self, mut port: EgressPort, host_facing: bool) -> usize {
         port.ctrl_priority = self.ctrl_priority;
+        port.set_analytic(self.pfc.is_none() && !self.ctrl_priority);
         self.ports.push(port);
         self.host_facing.push(host_facing);
         self.ports.len() - 1
@@ -525,6 +528,16 @@ impl Switch {
             }
         }
 
+        // Analytic ports release their departures lazily: the egress
+        // port settles here, and the others only when the packet would
+        // raise the high-water mark, which only settling can prevent.
+        let now = ctx.now();
+        self.ports[egress].settle(now, &mut self.buffer);
+        if !self.buffer.fits_below_peak(pkt.wire_bytes as u64) {
+            for port in &mut self.ports {
+                port.settle(now, &mut self.buffer);
+            }
+        }
         let outcome = self.ports[egress].enqueue(
             pkt,
             PortId(egress as u16),

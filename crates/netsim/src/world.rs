@@ -23,6 +23,11 @@
 //! world across threads ([`ShardPlan`]) and still replay the exact serial
 //! schedule, bit for bit.
 //!
+//! A switch port without PFC or control priority has no event of its own
+//! for a departure ([`crate::port`]): a departure at `t` frees its buffer
+//! before any arrival at `t` is handled, and the peer's arrival carries
+//! the key of the handler that enqueued the packet.
+//!
 //! ## One dispatch loop
 //!
 //! A serial run is the one-shard case: [`World::run`] calls inline the
@@ -150,7 +155,9 @@ impl<'a> Ctx<'a> {
         self.schedule(delay, to, Event::Packet { pkt, in_port });
     }
 
-    /// Schedule a TxDone for one of the caller's own ports after `delay`.
+    /// Schedule a TxDone for one of the caller's own ports after `delay`
+    /// (ports that time departures by event: NIC, PFC and
+    /// control-priority ports).
     #[inline]
     pub fn tx_done_in(&mut self, delay: TimeDelta, port: PortId) {
         let node = self.self_id;

@@ -247,8 +247,10 @@ ring: bidirectional contention)",
         }
     }
     t7.print();
-    println!("\n(incast rows are identical by design: the reverse path carrying");
-    println!("ACK/CNP traffic is uncongested there, so priority has nothing to do)");
+    println!("\n(under incast the reverse path carrying ACK/CNP traffic is uncongested,");
+    println!("so priority has nothing to do: the two rows differ only because ports");
+    println!("with control priority time departures by TxDone events, which break");
+    println!("same-nanosecond ties in another order than the other ports' rule)");
 }
 
 /// Metrics from a point-to-point probe on a pre-built cluster.

@@ -81,8 +81,12 @@
 #      resident) to <= baseline / 0.70, the JSON parse of a 256 KB
 #      reply to >= 0.5 x the MB/s of a 1 KB one, and an event-queue hold
 #      at 100 k resident to <= 2.5 x one at 1 k (two scaling tripwires
-#      needing no history line). serve_session has no throughput floor:
-#      the history line predates the linear JSON string parse.
+#      needing no history line); the same pass caps two deterministic
+#      event counts, simcore.events_per_pkt at 11.5 and
+#      netsim.switch_fwd_events at 1.05 (one event per link hop, one
+#      dispatch per switch forward), which no timing gate sees move.
+#      serve_session has no throughput floor: the history line predates
+#      the linear JSON string parse.
 #  11. same-host paired timing (~3 min on 2 vCPU): scripts/same_speed.sh
 #      runs 5 alternating pairs of 1 s runs per workload, HEAD~1 against
 #      this tree, and fails when a workload's median run_s is more than
@@ -405,9 +409,14 @@ check_floor "openloop1024 peak_rss_mb" "$(metric peak_rss_mb)" \
 run_workload serve_session 2 0
 echo "OK: serve_session correct (no throughput floor, see header)"
 
+run_workload ring8_spray 1 1
+# Event counts per packet are deterministic, so these ceilings hold on any
+# host: a link hop costs one event (an arrival) and a switch forward one
+# dispatch. A per-hop TxDone brought back reads 17.0 and 2.0.
+check_floor "ring8_spray simcore.events_per_pkt" "$(metric simcore.events_per_pkt)" 11.5 upper 1
+check_floor "netsim.switch_fwd_events" "$(metric netsim.switch_fwd_events)" 1.05 upper 1
 # Two kernels no end-to-end number isolates: the per-window merge the
 # sharded engine adds and the event queue at 100 k resident. 1.43 = 1 / 0.70.
-run_workload ring8_spray 1 1
 for k in telemetry.merge_ns_per_event simcore.hold_ns_p100k; do
     check_floor "$k" "$(metric "$k")" "$(hist workloads ring8_spray per_layer "$k")" upper 1.43
 done
