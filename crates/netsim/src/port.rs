@@ -358,10 +358,9 @@ impl EgressPort {
     ///
     /// `self_port` is this port's id within the owning entity (used to
     /// address the TxDone event back to it). `shared` is the owning
-    /// switch's buffer pool (None for NIC ports); an analytic port must
-    /// be settled at `ctx.now()` first ([`Self::settle`]). Marks data
-    /// packets per WRED, applies loss injection, and starts transmission
-    /// when idle.
+    /// switch's buffer pool (None for NIC ports), released by
+    /// [`Self::settle`] on an analytic port. Marks data packets per WRED,
+    /// applies loss injection, and starts transmission when idle.
     pub fn enqueue(
         &mut self,
         mut pkt: Packet,
@@ -385,13 +384,7 @@ impl EgressPort {
         // joins behind.
         if pkt.is_data() {
             if let Some(ecn) = &self.ecn {
-                debug_assert!(
-                    self.departures.front().is_none_or(|d| d.at > ctx.now()),
-                    "an analytic port is settled before it is offered a packet"
-                );
-                let on_wire = self.departures.front().map_or(0, |d| d.bytes as u64);
-                let depth = self.queued_bytes - on_wire;
-                if ecn.should_mark(depth, rng) {
+                if ecn.should_mark(self.queued_bytes(ctx.now()), rng) {
                     pkt.ecn_ce = true;
                     self.stats.ecn_marked += 1;
                 }
